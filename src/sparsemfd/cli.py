@@ -351,7 +351,12 @@ def variogram(obj, network_file, sites_file, readings_file, bin_index, variable,
         [(model.kind, model.nugget, model.sill, model.range_km, model.rss, bin_index)],
         obj.delim,
     )
-    note = " (degenerate: no spatial structure)" if model.degenerate else ""
+    if model.degenerate:
+        note = " (degenerate: no spatial structure)"
+    elif model.range_at_bound:
+        note = " (range at search bound: no sill reached)"
+    else:
+        note = ""
     click.echo(
         f"fitted {model.kind}: nugget {model.nugget:.4g}, sill {model.sill:.4g}, "
         f"range {model.range_km:.4g} km, rss {model.rss:.4g}{note}"

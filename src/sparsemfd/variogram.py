@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import least_squares
+from scipy.optimize import minimize_scalar
 
 from .errors import (
     EmptyVariogramError,
@@ -22,6 +22,14 @@ from .errors import (
 
 MODEL_KINDS = ("spherical", "exponential", "gaussian")
 
+# The fitted range is searched over RANGE_GRID log-spaced values, then
+# refined to RANGE_XTOL in natural-log range.
+RANGE_GRID = 128
+RANGE_XTOL = 1e-9
+# Weighted RSS values closer than this relative gap (plus the same absolute
+# gap) count as a tie.
+RSS_TIE = 1e-15
+
 
 @dataclass(frozen=True)
 class VariogramModel:
@@ -31,7 +39,9 @@ class VariogramModel:
     nugget + sill (the exponential and gaussian shapes reach 95 percent of
     the sill there and are treated as saturated). ``degenerate`` marks fits
     where the sill collapsed to its lower bound, meaning the data showed no
-    usable spatial structure.
+    usable spatial structure. ``range_at_bound`` marks fits whose range ran
+    to the upper end of the search, 1e3 times the largest usable lag: the
+    data never levelled off, so range and sill are extrapolated.
     """
 
     kind: str
@@ -40,6 +50,7 @@ class VariogramModel:
     range_km: float
     rss: float | None = None
     degenerate: bool = False
+    range_at_bound: bool = False
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -57,10 +68,11 @@ def _shape(kind, h, range_km):
     if kind == "spherical":
         r = np.minimum(h, range_km) / range_km
         return 1.5 * r - 0.5 * r**3
+    # expm1 keeps full relative precision where h is far below the range
     if kind == "exponential":
-        return 1.0 - np.exp(-3.0 * h / range_km)
+        return -np.expm1(-3.0 * h / range_km)
     if kind == "gaussian":
-        return 1.0 - np.exp(-3.0 * h**2 / range_km**2)
+        return -np.expm1(-3.0 * h**2 / range_km**2)
     raise ValidationError(f"kind must be one of {MODEL_KINDS}, got '{kind}'")
 
 
@@ -195,14 +207,88 @@ def empirical_variogram(values, distances, bin_edges):
     return EmpiricalVariogram(bin_edges=edges, gamma_hat=gammas, pair_counts=counts)
 
 
+def _linear_fits(kind, ranges, h, g, counts, sill_floor):
+    """Pair-weighted least-squares nugget and sill for each candidate range.
+
+    For a fixed range the model is linear in nugget and sill, so the
+    optimum under ``nugget >= 0`` and ``sill >= sill_floor`` is the
+    unconstrained one or lies on one of those two edges. All three are
+    solved in closed form for every range at once. Returns the arrays
+    ``(rss, nugget, sill)`` of shape ``(3, len(ranges))``: row 0 is the
+    pure-nugget solution (sill at its floor), row 1 the zero-nugget one,
+    row 2 the unconstrained one. Infeasible or overflowing solutions carry
+    an infinite weighted residual sum of squares.
+    """
+    phi = _shape(kind, h, ranges[:, None])
+    w = counts / counts.sum()
+    g_mean = w @ g
+    phi_mean = phi @ w
+    dphi = phi - phi_mean[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = (dphi @ (w * (g - g_mean))) / ((dphi**2) @ w)
+        sill = np.stack([
+            np.full_like(phi_mean, sill_floor),
+            np.maximum(sill_floor, (phi @ (w * g)) / ((phi**2) @ w)),
+            slope,
+        ])
+        nugget = np.stack([
+            np.maximum(0.0, g_mean - sill_floor * phi_mean),
+            np.zeros_like(phi_mean),
+            g_mean - slope * phi_mean,
+        ])
+        residuals = nugget[..., None] + sill[..., None] * phi - g
+        rss = (residuals**2) @ counts
+    feasible = (nugget >= 0) & (sill >= sill_floor) & np.isfinite(rss)
+    return np.where(feasible, rss, np.inf), nugget, sill
+
+
+def _improves(rss, best_rss):
+    """Whether ``rss`` beats ``best_rss`` by more than a rounding-level tie."""
+    rss, best_rss = float(rss), float(best_rss)
+    return rss < best_rss - RSS_TIE * (1 + abs(best_rss))
+
+
+def _best_range(kind, h, g, counts, sill_floor, range_bounds):
+    """The range of least weighted RSS: a log-grid scan, then a bounded
+    scalar refinement over the two grid steps around the best grid range."""
+    ranges = np.geomspace(*range_bounds, RANGE_GRID)
+    grid_rss = _linear_fits(kind, ranges, h, g, counts, sill_floor)[0].min(axis=0)
+    i = int(np.argmin(grid_rss))
+
+    def rss_at(log_range):
+        fits = _linear_fits(kind, np.exp([log_range]), h, g, counts, sill_floor)
+        return float(fits[0].min())
+
+    refined = minimize_scalar(
+        rss_at,
+        bounds=(math.log(ranges[max(i - 1, 0)]), math.log(ranges[min(i + 1, RANGE_GRID - 1)])),
+        method="bounded",
+        options={"xatol": RANGE_XTOL},
+    )
+    if _improves(refined.fun, grid_rss[i]):
+        return float(math.exp(refined.x))
+    return float(ranges[i])
+
+
 def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None):
     """Fit a variogram model to binned semivariances by weighted least squares.
 
-    Each candidate shape is fitted with residuals weighted by the bin pair
-    counts; the shape with the lowest weighted residual sum of squares wins.
-    Bins with fewer than ``min_pairs`` pairs are ignored. The range is
-    optimised from three quartile-based starting points unless
-    ``fixed_range_km`` pins it. Deterministic: no randomness anywhere.
+    Residuals are weighted by the bin pair counts, bins with fewer than
+    ``min_pairs`` pairs are ignored, and the shape with the lowest weighted
+    residual sum of squares (RSS) wins. The fit uses variable projection:
+    for a given range the model is linear in nugget and sill, which are
+    solved in closed form under ``nugget >= 0`` and ``sill >= 1e-8 *
+    max(gamma)``. Only the range is searched, in log space over
+    ``[1e-6, 1e3] * h_max`` (``h_max`` the largest usable lag): a scan of
+    ``RANGE_GRID`` log-spaced ranges, then a bounded scalar minimisation
+    over the two grid steps around the best one, to ``RANGE_XTOL`` in
+    log-range. ``fixed_range_km`` pins the range and skips the search.
+
+    A pure-nugget model (sill at its floor) is preferred whenever it fits
+    as well as the best; such a fit is marked ``degenerate`` and, unless the
+    range is pinned, reports ``h_max`` as its range. A searched range within
+    ``RANGE_XTOL`` of the upper bound is marked ``range_at_bound``.
+    Deterministic: no randomness anywhere.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -210,6 +296,8 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown variogram kind '{kind}'")
+    if fixed_range_km is not None and not fixed_range_km > 0:
+        raise ValueError(f"fixed range must be positive, got {fixed_range_km}")
 
     usable = empirical.populated & (empirical.pair_counts >= min_pairs) & np.isfinite(
         empirical.gamma_hat
@@ -221,70 +309,46 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None
         )
     h = empirical.centers[usable]
     g = empirical.gamma_hat[usable]
-    weights = np.sqrt(empirical.pair_counts[usable].astype(float))
+    counts = empirical.pair_counts[usable].astype(float)
 
     g_max = float(g.max())
-    g_min = float(max(g.min(), 0.0))
-    scale = g_max if g_max > 0 else 1.0
-    sill_floor = 1e-8 * scale
+    sill_floor = 1e-8 * (g_max if g_max > 0 else 1.0)
     h_max = float(h.max())
     range_bounds = (1e-6 * h_max, 1e3 * h_max)
 
-    if fixed_range_km is not None:
-        if not fixed_range_km > 0:
-            raise ValueError(f"fixed range must be positive, got {fixed_range_km}")
-        range_starts = (float(fixed_range_km),)
-    else:
-        range_starts = tuple(
-            float(np.clip(np.percentile(h, p), *range_bounds)) for p in (25, 50, 75)
-        )
-
-    nugget_start = 0.5 * g_min
-    sill_start = max(g_max - nugget_start, 10 * sill_floor)
-
     best = None
     for kind in kinds:
-        for range_start in range_starts:
-            if fixed_range_km is None:
-                def residuals(p):
-                    return weights * (_model_gamma(kind, p[0], p[1], p[2], h) - g)
-
-                x0 = (nugget_start, sill_start, range_start)
-                bounds = ([0.0, sill_floor, range_bounds[0]], [np.inf, np.inf, range_bounds[1]])
-            else:
-                def residuals(p):
-                    return weights * (_model_gamma(kind, p[0], p[1], fixed_range_km, h) - g)
-
-                x0 = (nugget_start, sill_start)
-                bounds = ([0.0, sill_floor], [np.inf, np.inf])
-            try:
-                result = least_squares(
-                    residuals, x0, bounds=bounds, method="trf",
-                    xtol=1e-13, ftol=1e-13, gtol=1e-13, max_nfev=2000,
-                )
-            except Exception:
-                continue
-            if not result.success:
-                continue
-            rss = float(2.0 * result.cost)
-            if best is None or rss < best[0] - 1e-15 * (1 + abs(best[0])):
-                nugget = float(result.x[0])
-                sill = float(result.x[1])
-                range_km = float(result.x[2]) if fixed_range_km is None else float(fixed_range_km)
-                best = (rss, kind, nugget, sill, range_km)
-            if fixed_range_km is not None:
-                break  # the start grid only varies the range
+        if fixed_range_km is None:
+            range_km = _best_range(kind, h, g, counts, sill_floor, range_bounds)
+        else:
+            range_km = float(fixed_range_km)
+        rss, nugget, sill = (v[:, 0] for v in _linear_fits(
+            kind, np.array([range_km]), h, g, counts, sill_floor
+        ))
+        j = 0  # the pure-nugget solution wins ties
+        for k in (1, 2):
+            if _improves(rss[k], rss[j]):
+                j = k
+        if j == 0 and fixed_range_km is None:
+            range_km = h_max
+            rss, nugget, sill = (v[:, 0] for v in _linear_fits(
+                kind, np.array([h_max]), h, g, counts, sill_floor
+            ))
+        if math.isfinite(rss[j]) and (best is None or _improves(rss[j], best[0])):
+            best = (float(rss[j]), kind, float(nugget[j]), float(sill[j]), range_km, j == 0)
 
     if best is None:
         raise FitConvergenceError(
-            f"no variogram model converged for kinds {kinds}"
+            f"no variogram model of kinds {kinds} has a finite residual sum of squares"
         )
-    rss, kind, nugget, sill, range_km = best
+    rss, kind, nugget, sill, range_km, degenerate = best
     return VariogramModel(
         kind=kind,
         nugget=nugget,
         sill=sill,
         range_km=range_km,
         rss=rss,
-        degenerate=sill <= sill_floor * (1 + 1e-6),
+        degenerate=degenerate,
+        range_at_bound=fixed_range_km is None
+        and math.log(range_bounds[1] / range_km) <= RANGE_XTOL,
     )

@@ -234,6 +234,23 @@ def test_variogram_command(runner, tmp_path):
     assert len(model_lines) == 2
     kind = model_lines[1].split(",")[0]
     assert kind in ("spherical", "exponential", "gaussian")
+    assert "search bound" not in result.output
+
+
+def test_variogram_command_notes_a_range_at_its_bound(runner, tmp_path):
+    # a linear trend along the corridor: the semivariance grows with the
+    # square of the lag and never levels off
+    network, sites, readings = write_corridor(tmp_path, equipped=tuple(range(12)), n_links=12)
+    result = invoke(
+        runner,
+        [
+            "--output-dir", str(tmp_path / "vario"),
+            "variogram", str(network), str(sites), str(readings),
+            "--lag-bins", "4", "--min-pairs", "1",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert "(range at search bound: no sill reached)" in result.output
 
 
 def test_impute_fills_unobserved_links(runner, tmp_path):

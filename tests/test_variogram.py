@@ -2,15 +2,22 @@
 
 The empirical variogram is checked against a direct pair-loop oracle written
 here in plain Python, so the vectorised accumulation never verifies itself.
+The variable-projection fitter is checked against a multistart
+``scipy.optimize.least_squares`` fit of all three parameters, kept here as
+the reference implementation.
 """
+
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import least_squares
 
 from sparsemfd.errors import (
     EmptyVariogramError,
+    FitConvergenceError,
     InsufficientDataError,
     ValidationError,
 )
@@ -21,6 +28,7 @@ from sparsemfd.variogram import (
     distance_bin_edges,
     empirical_variogram,
     fit_variogram,
+    _model_gamma,
     gamma,
 )
 
@@ -50,6 +58,50 @@ def brute_force_variogram(values, distances, edges):
             counts[b] += 1
     gammas = [s / (2.0 * c) if c else float("nan") for s, c in zip(sums, counts)]
     return gammas, counts
+
+
+def reference_fit(empirical, kinds=MODEL_KINDS, min_pairs=5):
+    """Multistart bounded least squares over nugget, sill and range.
+
+    Each kind is optimised from three quartile-based range starts with a
+    trust-region solver; returns ``(rss, kind, nugget, sill, range_km)`` of
+    the lowest pair-weighted residual sum of squares, or None.
+    """
+    usable = empirical.populated & (empirical.pair_counts >= min_pairs)
+    h = empirical.centers[usable]
+    g = empirical.gamma_hat[usable]
+    weights = np.sqrt(empirical.pair_counts[usable].astype(float))
+    g_max = float(g.max())
+    g_min = float(max(g.min(), 0.0))
+    sill_floor = 1e-8 * (g_max if g_max > 0 else 1.0)
+    h_max = float(h.max())
+    range_bounds = (1e-6 * h_max, 1e3 * h_max)
+    range_starts = [float(np.clip(np.percentile(h, p), *range_bounds)) for p in (25, 50, 75)]
+    nugget_start = 0.5 * g_min
+    sill_start = max(g_max - nugget_start, 10 * sill_floor)
+    best = None
+    for kind in kinds:
+        for range_start in range_starts:
+            def residuals(p):
+                return weights * (_model_gamma(kind, p[0], p[1], p[2], h) - g)
+
+            result = least_squares(
+                residuals, (nugget_start, sill_start, range_start),
+                bounds=([0.0, sill_floor, range_bounds[0]], [np.inf, np.inf, range_bounds[1]]),
+                method="trf", xtol=1e-13, ftol=1e-13, gtol=1e-13, max_nfev=2000,
+            )
+            if not result.success:
+                continue
+            rss = float(2.0 * result.cost)
+            if best is None or rss < best[0] - 1e-15 * (1 + abs(best[0])):
+                best = (rss, kind, *(float(x) for x in result.x))
+    return best
+
+
+def weighted_rss(empirical, model, min_pairs=5):
+    usable = empirical.populated & (empirical.pair_counts >= min_pairs)
+    residuals = gamma(model, empirical.centers[usable]) - empirical.gamma_hat[usable]
+    return float(empirical.pair_counts[usable] @ residuals**2)
 
 
 # --- model curve --------------------------------------------------------------
@@ -245,6 +297,7 @@ def test_fit_recovers_noiseless_spherical():
     assert fit.sill == pytest.approx(2.0, abs=1e-6)
     assert fit.range_km == pytest.approx(3.0, abs=1e-6)
     assert not fit.degenerate
+    assert not fit.range_at_bound
 
 
 def test_fit_prefers_the_generating_shape():
@@ -333,3 +386,83 @@ def test_fit_is_deterministic():
     assert (first.kind, first.nugget, first.sill, first.range_km, first.rss) == (
         second.kind, second.nugget, second.sill, second.range_km, second.rss
     )
+
+
+def _noisy_empirical(rng, kind):
+    truth = VariogramModel(
+        kind=kind,
+        nugget=float(rng.uniform(0.0, 2.0)),
+        sill=float(rng.uniform(1.0, 10.0)),
+        range_km=float(rng.uniform(0.5, 5.0)),
+    )
+    edges = np.linspace(0.2, float(rng.uniform(4.0, 10.0)), 13)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    noisy = gamma(truth, centers) * np.abs(1.0 + 0.15 * rng.standard_normal(centers.size))
+    return EmpiricalVariogram(
+        bin_edges=edges, gamma_hat=noisy, pair_counts=rng.integers(5, 200, centers.size)
+    )
+
+
+def test_fit_reaches_the_reference_rss():
+    rng = np.random.default_rng(2024)
+    for case in range(60):
+        kind = MODEL_KINDS[case % len(MODEL_KINDS)]
+        emp = _noisy_empirical(rng, kind)
+        fit = fit_variogram(emp, kinds=(kind,))
+        reference = reference_fit(emp, kinds=(kind,))
+        assert fit.rss == pytest.approx(weighted_rss(emp, fit), rel=1e-12)
+        assert fit.rss <= reference[0] * (1 + 1e-6), (case, fit, reference)
+
+
+def test_fixed_range_matches_weighted_lstsq():
+    rng = np.random.default_rng(77)
+    for kind in MODEL_KINDS:
+        emp = _noisy_empirical(rng, kind)
+        range_km = 2.5
+        fit = fit_variogram(emp, kinds=(kind,), fixed_range_km=range_km)
+        root_w = np.sqrt(emp.pair_counts.astype(float))
+        design = np.column_stack([np.ones(emp.centers.size), gamma(
+            VariogramModel(kind=kind, nugget=0.0, sill=1.0, range_km=range_km), emp.centers
+        )])
+        (nugget, sill), *_ = np.linalg.lstsq(root_w[:, None] * design, root_w * emp.gamma_hat)
+        assert nugget > 0 and sill > 0  # an interior optimum
+        assert fit.range_km == range_km
+        assert fit.nugget == pytest.approx(nugget, rel=1e-9)
+        assert fit.sill == pytest.approx(sill, rel=1e-9)
+
+
+def test_fit_flags_a_range_stopped_at_its_bound():
+    edges = np.linspace(0.5, 6.5, 13)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    emp = EmpiricalVariogram(
+        bin_edges=edges, gamma_hat=centers.copy(), pair_counts=np.full(12, 40)
+    )
+    fit = fit_variogram(emp)
+    assert fit.range_at_bound
+    assert not fit.degenerate
+    assert fit.range_km == pytest.approx(1e3 * centers.max(), rel=1e-9)
+
+
+def test_degenerate_fit_reports_the_largest_lag_as_range():
+    edges = np.linspace(0.5, 5.0, 11)
+    emp = EmpiricalVariogram(
+        bin_edges=edges,
+        gamma_hat=np.array([9.0, 8.0, 8.5, 7.0, 7.5, 6.0, 6.5, 5.0, 5.5, 4.0]),
+        pair_counts=np.full(10, 30),
+    )
+    fit = fit_variogram(emp)
+    assert fit.degenerate
+    assert not fit.range_at_bound
+    assert fit.range_km == emp.centers.max()
+
+
+def test_fit_overflowing_rss_raises_fit_convergence_error():
+    emp = EmpiricalVariogram(
+        bin_edges=np.array([0.5, 1.0, 1.5, 2.0]),
+        gamma_hat=np.array([1e200, 2e200, 3e200]),
+        pair_counts=np.full(3, 10),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FitConvergenceError):
+            fit_variogram(emp)
