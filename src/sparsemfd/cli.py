@@ -23,6 +23,7 @@ from .errors import (
     UnreachableSiteError,
 )
 from .experiment import (
+    ESTIMATES_HEADER,
     ESTIMATOR_NAMES,
     ExperimentConfig,
     load_experiment_config,
@@ -33,6 +34,7 @@ from .metrics import compute_metrics, paired_t_test
 from .mfd import build_mfd, fit_quadratic_with_ci
 from .network import NETWORK_COLUMNS, load_detector_sites, load_network
 from .sensing import (
+    VALUE_FIELDS,
     aggregate_to_links,
     edie_network_truth,
     load_coverage_plan,
@@ -68,10 +70,6 @@ from .network import site_distance_matrix
 EXIT_VALIDATION = 2
 EXIT_NOT_ESTIMABLE = 3
 EXIT_NUMERIC = 4
-
-ESTIMATES_HEADER = (
-    "bin_index", "method", "variable", "value", "ttd_or_ttt", "hierarchy_count"
-)
 
 
 def _abort(exc, code):
@@ -294,7 +292,7 @@ def _known_for_bin(network, sites, observations, bin_index, variable):
     obs = [o for o in observations if o.bin_index == bin_index]
     if not obs:
         raise NotEstimableError(f"bin {bin_index}: no equipped observation")
-    field = "flow_veh_per_h" if variable == "flow" else "density_veh_per_km"
+    field = VALUE_FIELDS[variable]
     by_link = {o.link_id: float(getattr(o, field)) for o in obs}
     known = [s for s in sites if s.link_id in by_link]
     values = np.array([by_link[s.link_id] for s in known])
@@ -347,8 +345,10 @@ def variogram(obj, network_file, sites_file, readings_file, bin_index, variable,
     )
     model_path = write_table(
         _table(obj, "variogram_model"),
-        ("kind", "nugget", "sill", "range_km", "rss", "bin_index"),
-        [(model.kind, model.nugget, model.sill, model.range_km, model.rss, bin_index)],
+        ("kind", "nugget", "sill", "range_km", "rss", "bin_index", "degenerate",
+         "range_at_bound"),
+        [(model.kind, model.nugget, model.sill, model.range_km, model.rss, bin_index,
+          model.degenerate, model.range_at_bound)],
         obj.delim,
     )
     if model.degenerate:

@@ -20,13 +20,13 @@ from .errors import (
     ValidationError,
 )
 from .network import cross_distance_matrix, midpoint_sites, site_distance_matrix
+from .sensing import VALUE_FIELDS
 from .variogram import MODEL_KINDS, distance_bin_edges, empirical_variogram, fit_variogram, gamma
 
 PROVENANCE_OBSERVED = "observed"
 PROVENANCE_IMPUTED = "imputed"
 PROVENANCE_FAILED = "failed"
 
-_VALUE_FIELD = {"flow": "flow_veh_per_h", "density": "density_veh_per_km"}
 _ZERO_DISTANCE = 1e-12
 
 
@@ -212,9 +212,9 @@ def impute_network(
     ``model=None`` a variogram is estimated and fitted from this bin's own
     values first. Per-link failures are recorded, not raised.
     """
-    if variable not in _VALUE_FIELD:
-        raise ValueError(f"variable must be one of {tuple(_VALUE_FIELD)}, got '{variable}'")
-    field = _VALUE_FIELD[variable]
+    if variable not in VALUE_FIELDS:
+        raise ValueError(f"variable must be one of {tuple(VALUE_FIELDS)}, got '{variable}'")
+    field = VALUE_FIELDS[variable]
     if not observations:
         raise InsufficientDataError("imputation needs at least one equipped observation")
     bins = {obs.bin_index for obs in observations}

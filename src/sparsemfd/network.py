@@ -11,8 +11,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import networkx as nx
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
 
 from .errors import UnreachableSiteError, ValidationError
 from .tableio import iter_rows, parse_float, parse_int, parse_optional_float, parse_str
@@ -101,17 +102,12 @@ class Network:
                 raise ValidationError(
                     f"links reference nodes missing from the node set: {dangling[:10]}"
                 )
-        graph = nx.MultiGraph()
-        graph.add_nodes_from(node_set)
-        for link in links:
-            graph.add_edge(link.from_node, link.to_node, key=link.id, length_km=link.length_km)
 
         self.links = links
         self.nodes = node_set
         self.hierarchy_set = frozenset(link.hierarchy for link in links)
         # fsum keeps the total independent of link order
         self.total_length_km = math.fsum(link.length_km for link in links)
-        self.graph = graph
         self._by_id = by_id
 
     def link(self, link_id):
@@ -184,45 +180,55 @@ def midpoint_sites(network, prefix="@"):
     )
 
 
-def _anchor(network, site):
-    """Resolve a site to (link, distance to from_node, distance to to_node)."""
-    link = network.link(site.link_id)
-    along = site.offset_fraction * link.length_km
-    return link, along, link.length_km - along
+def _anchors(network, sites, index):
+    """Per-site arrays: link number, end node indices and distances to both ends."""
+    link_number = {link.id: k for k, link in enumerate(network.links)}
+    links = [network.link(s.link_id) for s in sites]
+    along = np.array([s.offset_fraction * l.length_km for s, l in zip(sites, links)])
+    lengths = np.array([l.length_km for l in links])
+    return (
+        np.array([link_number[l.id] for l in links], dtype=np.intp),
+        np.array([index[l.from_node] for l in links], dtype=np.intp),
+        np.array([index[l.to_node] for l in links], dtype=np.intp),
+        along,
+        lengths - along,
+    )
 
 
-def _entry(anchor_a, anchor_b, source_maps):
-    """Distance between two anchored sites given node-to-node distance maps.
+def _distances(network, sites, targets):
+    """Along-network distances from each site (rows) to each target (columns).
 
-    The path runs from site a to one endpoint of its link, through the graph,
-    then from an endpoint of b's link to site b; all four endpoint pairings
-    are tried. Sites sharing a link may also connect directly along it.
+    The path runs from a site to one end node of its link, through the
+    graph, then from an end node of the target's link to the target; all
+    four endpoint pairings are tried. A site and a target sharing a link may
+    also connect directly along it. Parallel links count with the shortest
+    of them and self-loop links never shorten a path between nodes.
+    Unreachable pairs are inf.
     """
-    link_a, a_from, a_to = anchor_a
-    link_b, b_from, b_to = anchor_b
-    best = math.inf
-    if link_a.id == link_b.id:
-        best = abs(a_from - b_from)
-    for src_node, src_off in ((link_a.from_node, a_from), (link_a.to_node, a_to)):
-        lengths = source_maps[src_node]
-        for dst_node, dst_off in ((link_b.from_node, b_from), (link_b.to_node, b_to)):
-            through = lengths.get(dst_node)
-            if through is not None:
-                total = src_off + through + dst_off
-                if total < best:
-                    best = total
+    index = {node: i for i, node in enumerate(sorted(network.nodes))}
+    n = len(index)
+    # coo_matrix would sum parallel links, so keep the shortest per node pair
+    shortest = {}
+    for link in network.links:
+        pair = tuple(sorted((index[link.from_node], index[link.to_node])))
+        if pair[0] != pair[1] and link.length_km < shortest.get(pair, math.inf):
+            shortest[pair] = link.length_km
+    ends = np.array(list(shortest), dtype=np.intp).reshape(-1, 2)
+    graph = csr_matrix((list(shortest.values()), (ends[:, 0], ends[:, 1])), shape=(n, n))
+
+    s_link, s_from, s_to, s_from_off, s_to_off = _anchors(network, sites, index)
+    t_link, t_from, t_to, t_from_off, t_to_off = _anchors(network, targets, index)
+    sources = np.unique(np.concatenate([s_from, s_to]))
+    node_dist = dijkstra(graph, directed=False, indices=sources)
+
+    same_link = s_link[:, None] == t_link[None, :]
+    best = np.where(same_link, np.abs(s_from_off[:, None] - t_from_off[None, :]), np.inf)
+    for s_node, s_off in ((s_from, s_from_off), (s_to, s_to_off)):
+        rows = np.searchsorted(sources, s_node)[:, None]
+        for t_node, t_off in ((t_from, t_from_off), (t_to, t_to_off)):
+            through = s_off[:, None] + node_dist[rows, t_node[None, :]] + t_off[None, :]
+            np.minimum(best, through, out=best)
     return best
-
-
-def _source_maps(network, anchors):
-    maps = {}
-    for link, _, _ in anchors:
-        for node in (link.from_node, link.to_node):
-            if node not in maps:
-                maps[node] = nx.single_source_dijkstra_path_length(
-                    network.graph, node, weight="length_km"
-                )
-    return maps
 
 
 def detector_path_distance(network, site_a, site_b):
@@ -231,15 +237,12 @@ def detector_path_distance(network, site_a, site_b):
     Symmetric and zero for coincident sites. Raises UnreachableSiteError when
     the sites sit in disconnected components.
     """
-    anchor_a = _anchor(network, site_a)
-    anchor_b = _anchor(network, site_b)
-    maps = _source_maps(network, [anchor_a])
-    distance = _entry(anchor_a, anchor_b, maps)
+    distance = site_distance_matrix(network, (site_a, site_b))[0, 1]
     if not math.isfinite(distance):
         raise UnreachableSiteError(
             f"no path between detectors '{site_a.detector_id}' and '{site_b.detector_id}'"
         )
-    return distance
+    return float(distance)
 
 
 def site_distance_matrix(network, sites):
@@ -248,25 +251,10 @@ def site_distance_matrix(network, sites):
     Unreachable pairs are marked with inf rather than raised, so a partly
     disconnected network still yields a usable matrix. The diagonal is zero.
     """
-    anchors = [_anchor(network, s) for s in sites]
-    maps = _source_maps(network, anchors)
-    n = len(anchors)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = _entry(anchors[i], anchors[j], maps)
-            out[i, j] = d
-            out[j, i] = d
-    return out
+    upper = np.triu(_distances(network, sites, sites), k=1)
+    return upper + upper.T
 
 
 def cross_distance_matrix(network, sites, targets):
     """Along-network distances from each site (rows) to each target (columns)."""
-    site_anchors = [_anchor(network, s) for s in sites]
-    target_anchors = [_anchor(network, t) for t in targets]
-    maps = _source_maps(network, site_anchors)
-    out = np.zeros((len(site_anchors), len(target_anchors)))
-    for i, a in enumerate(site_anchors):
-        for j, b in enumerate(target_anchors):
-            out[i, j] = _entry(a, b, maps)
-    return out
+    return _distances(network, sites, targets)

@@ -19,15 +19,15 @@ from .errors import (
     UncoverableHierarchyError,
     ValidationError,
 )
+from .sensing import VALUE_FIELDS
 
 VARIABLES = ("flow", "density")
 UNIFORM_MODES = ("exact", "mean-only")
-_VALUE_FIELD = {"flow": "flow_veh_per_h", "density": "density_veh_per_km"}
 
 
 def _value_field(variable):
     try:
-        return _VALUE_FIELD[variable]
+        return VALUE_FIELDS[variable]
     except KeyError:
         raise ValueError(f"variable must be one of {VARIABLES}, got '{variable}'")
 

@@ -76,6 +76,10 @@ class LinkObservation:
     density_veh_per_km: float
 
 
+# LinkObservation attribute holding each estimated variable
+VALUE_FIELDS = {"flow": "flow_veh_per_h", "density": "density_veh_per_km"}
+
+
 @dataclass(frozen=True)
 class CoveragePlan:
     """A reproducible detector subsample.

@@ -251,6 +251,35 @@ def test_variogram_command_notes_a_range_at_its_bound(runner, tmp_path):
     )
     assert result.exit_code == 0, result.output
     assert "(range at search bound: no sill reached)" in result.output
+    header, row = (tmp_path / "vario" / "variogram_model.csv").read_text().splitlines()
+    assert header == "kind,nugget,sill,range_km,rss,bin_index,degenerate,range_at_bound"
+    assert row.split(",")[-2:] == ["False", "True"]
+
+
+def test_written_variogram_model_feeds_impute(runner, tmp_path):
+    equipped = tuple(i for i in range(12) if i not in (4, 7))
+    network, sites, readings = write_corridor(tmp_path, equipped=equipped, n_links=12)
+    fitted = tmp_path / "vario"
+    result = invoke(
+        runner,
+        [
+            "--output-dir", str(fitted),
+            "variogram", str(network), str(sites), str(readings),
+            "--lag-bins", "4", "--min-pairs", "1",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    result = invoke(
+        runner,
+        [
+            "--output-dir", str(tmp_path / "imputed"),
+            "impute", str(network), str(sites), str(readings),
+            "--bin-index", "0", "--model-file", str(fitted / "variogram_model.csv"),
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    assert "bin 0: network flow" in result.output
+    assert "100.0% of length covered" in result.output
 
 
 def test_impute_fills_unobserved_links(runner, tmp_path):

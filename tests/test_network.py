@@ -7,12 +7,16 @@ from scratch here so the production Dijkstra path never verifies itself.
 
 import io
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sparsemfd
 from sparsemfd.errors import SchemaError, UnreachableSiteError, ValidationError
 from sparsemfd.network import (
     DetectorSite,
@@ -249,6 +253,51 @@ def test_matrix_matches_floyd_warshall_oracle():
                 assert got[i, j] == pytest.approx(want, abs=1e-9)
 
 
+_LONG = Link("P", "a", "b", 2.0, 1)
+_SHORT = Link("Q", "b", "a", 0.5, 2)
+_TAIL = Link("C", "b", "c", 1.0, 1)
+
+EDGE_CASE_NETWORKS = {
+    "parallel-long-first": Network((_LONG, _SHORT, _TAIL)),
+    "parallel-short-first": Network((_SHORT, _LONG, _TAIL)),
+    "self-loop": Network(
+        (Link("A", "a", "b", 1.0, 1), Link("L", "b", "b", 0.7, 3), Link("B", "b", "c", 2.0, 2))
+    ),
+    "isolated-node": Network(
+        (Link("A", "a", "b", 1.0, 1), Link("B", "b", "c", 2.0, 2)), nodes=("a", "b", "c", "z")
+    ),
+    "two-components": Network(
+        (
+            Link("A", "a", "b", 1.0, 1),
+            Link("B", "b", "c", 0.4, 1),
+            Link("C", "x", "y", 0.8, 2),
+            Link("D", "y", "z", 1.5, 2),
+        )
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EDGE_CASE_NETWORKS))
+def test_edge_case_networks_match_floyd_warshall_oracle(name):
+    net = EDGE_CASE_NETWORKS[name]
+    idx, node_dist = _node_distance_oracle(net)
+    sites = tuple(
+        DetectorSite(f"{link.id}{k}", link.id, f)
+        for link in net.links
+        for k, f in enumerate((0.0, 0.3, 1.0))
+    )
+    targets = midpoint_sites(net)
+    square = site_distance_matrix(net, sites)
+    cross = cross_distance_matrix(net, sites, targets)
+    for got, columns in ((square, sites), (cross, targets)):
+        want = np.array(
+            [[_site_distance_oracle(net, a, b, idx, node_dist) for b in columns] for a in sites]
+        )
+        np.testing.assert_array_equal(np.isinf(got), np.isinf(want))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+    assert np.isinf(square).any() == (name == "two-components")
+
+
 def test_matrix_agrees_with_pairwise_calls():
     rng = np.random.default_rng(11)
     net = _random_network(rng)
@@ -338,3 +387,12 @@ def test_distance_metric_properties(case):
         for j in range(3):
             for k in range(3):
                 assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
+
+
+# --- dependencies -------------------------------------------------------------
+
+
+def test_import_does_not_load_networkx():
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparsemfd.__file__)))
+    code = "import sparsemfd, sys; assert 'networkx' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
