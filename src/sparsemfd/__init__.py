@@ -43,7 +43,6 @@ from .sensing import (
     CoveragePlan,
     DetectorReading,
     LinkObservation,
-    TimeBin,
     aggregate_to_links,
     edie_network_truth,
     load_coverage_plan,

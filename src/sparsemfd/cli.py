@@ -9,6 +9,7 @@ import functools
 import json
 import os
 import sys
+from operator import attrgetter
 from types import SimpleNamespace
 
 import click
@@ -16,26 +17,33 @@ import numpy as np
 
 from .errors import (
     EstimationError,
-    IncompleteFieldError,
     DegenerateTestError,
     NotEstimableError,
     NumericError,
     UnreachableSiteError,
 )
 from .experiment import (
+    BAND_HEADER,
     ESTIMATES_HEADER,
     ESTIMATOR_NAMES,
+    FIELD_HEADER,
+    MFD_HEADER,
+    MODEL_HEADER,
     ExperimentConfig,
+    VariogramSettings,
+    estimate_bins,
+    field_rows,
     load_experiment_config,
+    metrics_dict,
+    model_row,
+    observations_by_bin,
     run_experiment,
 )
-from .kriging import ImputationDistances, impute_network, network_mean_from_field
+from .kriging import failed_length_fraction, known_sites, observed_values
 from .metrics import compute_metrics, paired_t_test
 from .mfd import build_mfd, fit_quadratic_with_ci
 from .network import NETWORK_COLUMNS, load_detector_sites, load_network
 from .sensing import (
-    VALUE_FIELDS,
-    aggregate_to_links,
     edie_network_truth,
     load_coverage_plan,
     load_readings,
@@ -44,12 +52,7 @@ from .sensing import (
     save_coverage_plan,
     write_readings,
 )
-from .scaling import (
-    HierarchyPartition,
-    UNIFORM_MODES,
-    hierarchical_scaled_mean,
-    uniform_scaled_mean,
-)
+from .scaling import UNIFORM_MODES, VARIABLES
 from .synth import (
     DEFAULT_DIURNAL,
     SyntheticScenario,
@@ -253,50 +256,28 @@ def scale(obj, network_file, sites_file, readings_file, plan_file, fraction,
         _, retained = sample_coverage(sites, network, fraction, obj.seed)
     else:
         retained = sites
-    retained_ids = {s.detector_id for s in retained}
-    observations = aggregate_to_links(
-        [r for r in readings if r.detector_id in retained_ids], retained
+    by_bin = observations_by_bin(readings, sites, retained)
+    methods = ("uniform", "hierarchical") if method == "both" else (method,)
+    estimates = []
+    failures = []
+    for m in methods:
+        for outcome in estimate_bins(
+            m, by_bin, sorted(by_bin), VARIABLES, network,
+            uniform_mode=uniform_mode, duration_h=duration_h,
+        ):
+            if outcome.failure is not None:
+                failures.append(outcome.failure)
+                click.echo(f"{m}: not estimable ({outcome.failure})")
+            else:
+                estimates.append(outcome.estimate)
+    estimates.sort(key=attrgetter("bin_index"))  # stable: methods keep their order
+    path = write_table(
+        _table(obj, "estimates"), ESTIMATES_HEADER,
+        map(attrgetter(*ESTIMATES_HEADER), estimates), obj.delim,
     )
-    by_bin = {}
-    for obs in observations:
-        by_bin.setdefault(obs.bin_index, []).append(obs)
-
-    rows = []
-    for b in sorted(by_bin):
-        obs = by_bin[b]
-        estimates = []
-        if method in ("uniform", "both"):
-            for variable in ("flow", "density"):
-                estimates.append(
-                    uniform_scaled_mean(
-                        obs, network, variable, mode=uniform_mode, duration_h=duration_h
-                    )
-                )
-        if method in ("hierarchical", "both"):
-            partition = HierarchyPartition.from_network(
-                network, [o.link_id for o in obs]
-            )
-            for variable in ("flow", "density"):
-                estimates.append(
-                    hierarchical_scaled_mean(obs, partition, variable, duration_h=duration_h)
-                )
-        rows.extend(
-            (e.bin_index, e.method, e.variable, e.value, e.ttd_or_ttt, e.hierarchy_count)
-            for e in estimates
-        )
-    path = write_table(_table(obj, "estimates"), ESTIMATES_HEADER, rows, obj.delim)
-    click.echo(f"wrote {path} ({len(rows)} rows over {len(by_bin)} bins)")
-
-
-def _known_for_bin(network, sites, observations, bin_index, variable):
-    obs = [o for o in observations if o.bin_index == bin_index]
-    if not obs:
-        raise NotEstimableError(f"bin {bin_index}: no equipped observation")
-    field = VALUE_FIELDS[variable]
-    by_link = {o.link_id: float(getattr(o, field)) for o in obs}
-    known = [s for s in sites if s.link_id in by_link]
-    values = np.array([by_link[s.link_id] for s in known])
-    return obs, known, values
+    click.echo(f"wrote {path} ({len(estimates)} rows over {len(by_bin)} bins)")
+    if failures and not estimates:
+        raise failures[0]
 
 
 @main.command()
@@ -319,9 +300,13 @@ def variogram(obj, network_file, sites_file, readings_file, bin_index, variable,
     network = load_network(network_file, obj.delim)
     sites = load_detector_sites(sites_file, network=network, delimiter=obj.delim)
     readings = load_readings(readings_file, obj.delim)
-    observations = aggregate_to_links(readings, sites)
-    _, known, values = _known_for_bin(network, sites, observations, bin_index, variable)
-    distances = site_distance_matrix(network, known)
+    _, observed = observed_values(
+        network, observations_by_bin(readings, sites).get(bin_index, []), variable
+    )
+    known, values = known_sites(
+        observed, [s.detector_id for s in sites], [s.link_id for s in sites]
+    )
+    distances = site_distance_matrix(network, [sites[i] for i in known])
     edges = distance_bin_edges(distances, n_bins=lag_bins)
     empirical = empirical_variogram(values, distances, edges)
     model = fit_variogram(
@@ -344,11 +329,7 @@ def variogram(obj, network_file, sites_file, readings_file, bin_index, variable,
         obj.delim,
     )
     model_path = write_table(
-        _table(obj, "variogram_model"),
-        ("kind", "nugget", "sill", "range_km", "rss", "bin_index", "degenerate",
-         "range_at_bound"),
-        [(model.kind, model.nugget, model.sill, model.range_km, model.rss, bin_index,
-          model.degenerate, model.range_at_bound)],
+        _table(obj, "variogram_model"), MODEL_HEADER, [model_row(model, bin_index)],
         obj.delim,
     )
     if model.degenerate:
@@ -400,50 +381,38 @@ def impute(obj, network_file, sites_file, readings_file, bin_index, variable,
     network = load_network(network_file, obj.delim)
     sites = load_detector_sites(sites_file, network=network, delimiter=obj.delim)
     readings = load_readings(readings_file, obj.delim)
-    observations = aggregate_to_links(readings, sites)
-    bins = [bin_index] if bin_index is not None else sorted(
-        {o.bin_index for o in observations}
+    by_bin = observations_by_bin(readings, sites)
+    bins = [bin_index] if bin_index is not None else sorted(by_bin)
+    settings = VariogramSettings(
+        lag_bins=lag_bins,
+        min_pairs=min_pairs,
+        max_neighbors=max_neighbors,
+        min_neighbors=min_neighbors,
+        fixed_model=_read_model_table(model_file, obj.delim) if model_file else None,
+        min_length_coverage=min_length_coverage,
     )
-    model = _read_model_table(model_file, obj.delim) if model_file else None
-    geometry = ImputationDistances.build(network, sites)
 
     rows = []
-    failures = 0
-    last_error = None
-    for b in bins:
-        obs = [o for o in observations if o.bin_index == b]
-        field = impute_network(
-            network, obs, sites,
-            distances=geometry, model=model, variable=variable,
-            lag_bins=lag_bins, min_pairs=min_pairs,
-            max_neighbors=max_neighbors, min_neighbors=min_neighbors,
+    failures = []
+    for outcome in estimate_bins(
+        "variogram", by_bin, bins, (variable,), network, sites=sites, settings=settings
+    ):
+        b, field = outcome.bin_index, outcome.field
+        if field is not None:
+            rows.extend(field_rows(field, network))
+        if outcome.failure is not None:
+            failures.append(outcome.failure)
+            click.echo(f"bin {b}: not estimable ({outcome.failure})")
+            continue
+        covered = 1.0 - failed_length_fraction(field, network)
+        click.echo(
+            f"bin {b}: network {variable} {outcome.estimate.value:.4g} "
+            f"({covered:.1%} of length covered, {field.failed_count} links failed)"
         )
-        for link in network.links:
-            rows.append(
-                (link.id, b, variable, field.values.get(link.id),
-                 field.provenance.get(link.id))
-            )
-        try:
-            value, covered = network_mean_from_field(
-                field, network, min_length_coverage
-            )
-            click.echo(
-                f"bin {b}: network {variable} {value:.4g} "
-                f"({covered:.1%} of length covered, {field.failed_count} links failed)"
-            )
-        except IncompleteFieldError as exc:
-            failures += 1
-            last_error = exc
-            click.echo(f"bin {b}: not estimable ({exc})")
-    path = write_table(
-        _table(obj, "field"),
-        ("link_id", "bin_index", "variable", "value", "provenance"),
-        rows,
-        obj.delim,
-    )
+    path = write_table(_table(obj, "field"), FIELD_HEADER, rows, obj.delim)
     click.echo(f"wrote {path}")
-    if failures == len(bins) and last_error is not None:
-        raise last_error
+    if failures and len(failures) == len(bins):
+        raise failures[0]
 
 
 def _read_estimates(path, delimiter, method=None):
@@ -485,12 +454,7 @@ def mfd(obj, estimates_file, method, band_samples):
     flow, density = _read_estimates(estimates_file, obj.delim, method)
     points = build_mfd(flow, density)
     points_path = write_table(
-        _table(obj, "mfd_points"),
-        ("bin_index", "density_veh_per_km", "flow_veh_per_h", "speed_km_per_h"),
-        [
-            (p.bin_index, p.density_veh_per_km, p.flow_veh_per_h, p.speed_km_per_h)
-            for p in points
-        ],
+        _table(obj, "mfd_points"), MFD_HEADER, map(attrgetter(*MFD_HEADER), points),
         obj.delim,
     )
     k = [p.density_veh_per_km for p in points]
@@ -499,10 +463,7 @@ def mfd(obj, estimates_file, method, band_samples):
     grid = np.linspace(min(k), max(k), band_samples)
     fitted, low, high = fit.band(grid)
     fit_path = write_table(
-        _table(obj, "mfd_fit"),
-        ("x", "y_fit", "ci_low", "ci_high"),
-        list(zip(grid, fitted, low, high)),
-        obj.delim,
+        _table(obj, "mfd_fit"), BAND_HEADER, zip(grid, fitted, low, high), obj.delim
     )
     c0, c1, c2 = fit.coefficients
     click.echo(
@@ -542,15 +503,7 @@ def evaluate(obj, estimated_file, actual_file, variable, method, actual_method, 
         f"{variable}: rmse {report.rmse:.6g}, mae {report.mae:.6g}, "
         f"mape {mape}, r2 {r2} over {report.n_points} bins"
     )
-    payload = {
-        "variable": variable,
-        "rmse": report.rmse,
-        "mae": report.mae,
-        "mape_percent": report.mape_percent,
-        "r2": report.r2,
-        "n_points": report.n_points,
-        "mape_skipped": report.mape_skipped,
-    }
+    payload = {"variable": variable, **metrics_dict(report)}
     try:
         test = paired_t_test(est_series, act_series, alpha=alpha)
         verdict = "differ" if test.reject else "do not differ"
@@ -622,7 +575,7 @@ def synth(obj, scenario_file):
     )
     save_scenario(scenario, _out(obj, "scenario.json"))
     click.echo(
-        f"generated {len(data.network.links)} links x {len(data.bins)} bins "
+        f"generated {len(data.network.links)} links x {len(scenario.diurnal)} bins "
         f"(seed {scenario.seed}, {data.clamped_count} draws clamped at zero)"
     )
     click.echo(

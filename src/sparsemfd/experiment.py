@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 import numpy as np
 
@@ -22,11 +23,17 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .kriging import ImputationDistances, impute_network, network_mean_from_field
+from .kriging import (
+    ImputationDistances,
+    ImputedField,
+    impute_network,
+    network_mean_from_field,
+)
 from .metrics import compute_metrics, paired_t_test
 from .mfd import build_mfd, fit_quadratic_with_ci
 from .network import load_detector_sites, load_network
 from .scaling import (
+    VARIABLES,
     HierarchyPartition,
     ScaledEstimate,
     hierarchical_scaled_mean,
@@ -54,7 +61,14 @@ ESTIMATES_HEADER = (
     "bin_index", "method", "variable", "value", "ttd_or_ttt", "hierarchy_count"
 )
 FIELD_HEADER = ("link_id", "bin_index", "variable", "value", "provenance")
+MODEL_HEADER = (
+    "kind", "nugget", "sill", "range_km", "rss", "bin_index", "degenerate",
+    "range_at_bound",
+)
 BAND_HEADER = ("x", "y_fit", "ci_low", "ci_high")
+MFD_HEADER = ("bin_index", "density_veh_per_km", "flow_veh_per_h", "speed_km_per_h")
+METRIC_FIELDS = ("rmse", "mae", "mape_percent", "r2", "n_points", "mape_skipped")
+TTEST_FIELDS = ("t_statistic", "degrees_of_freedom", "p_value", "mean_difference", "reject")
 
 
 @dataclass(frozen=True)
@@ -100,6 +114,129 @@ class VariogramSettings:
             return cls(**data)
         except TypeError as exc:
             raise ValidationError(f"malformed variogram settings: {exc}")
+
+
+def model_row(model, bin_index):
+    """One ``MODEL_HEADER`` row: a variogram model and the bin it served."""
+    return (
+        model.kind, model.nugget, model.sill, model.range_km, model.rss,
+        bin_index, model.degenerate, model.range_at_bound,
+    )
+
+
+def field_rows(imputed, network):
+    """``FIELD_HEADER`` rows of one imputed field, in network link order."""
+    return [
+        (link.id, imputed.bin_index, imputed.variable, imputed.values.get(link.id),
+         imputed.provenance.get(link.id))
+        for link in network.links
+    ]
+
+
+def observations_by_bin(readings, sites, retained=None):
+    """Aggregate detector readings to link observations, grouped by bin.
+
+    ``retained`` narrows the detectors to a coverage plan's subset of
+    ``sites``; the readings of the other sites are left out. A reading of a
+    detector outside ``sites`` is an error either way.
+    """
+    if retained is None:
+        retained = sites
+    dropped = {s.detector_id for s in sites} - {s.detector_id for s in retained}
+    by_bin = {}
+    for obs in aggregate_to_links(
+        [r for r in readings if r.detector_id not in dropped], retained
+    ):
+        by_bin.setdefault(obs.bin_index, []).append(obs)
+    return by_bin
+
+
+@dataclass(frozen=True)
+class BinOutcome:
+    """One (bin, variable) of an estimator: an estimate or its failure.
+
+    Exactly one of ``estimate`` and ``failure`` is set. ``field`` is the
+    kriged field of the variogram estimator, kept also when it covers too
+    little length for an estimate.
+    """
+
+    bin_index: int
+    variable: str
+    estimate: ScaledEstimate | None = None
+    failure: NotEstimableError | None = None
+    field: ImputedField | None = None
+
+
+def estimate_bins(estimator, obs_by_bin, bins, variables, network, sites=(),
+                  distances=None, known_site_ids=None,
+                  settings=VariogramSettings(), uniform_mode="exact",
+                  duration_h=1.0):
+    """Run one estimator over every (bin, variable); yield a ``BinOutcome`` each.
+
+    A ``NotEstimableError`` fails only its own pair, as a failure reading
+    "bin {b} ({variable}): {reason}"; numeric and validation errors
+    propagate. The hierarchy partition is built once from the links
+    observed in any bin and rebuilt only for a bin that observes other
+    links. Without ``refit_per_bin`` each variable reuses the model of its
+    first estimable bin. ``sites``, ``distances`` and ``known_site_ids`` are
+    those of ``impute_network``; the distances are built once when omitted.
+    """
+    if estimator not in ESTIMATOR_NAMES:
+        raise ValidationError(f"unknown estimator '{estimator}'")
+    if estimator == "hierarchical":
+        observed = {o.link_id for b in bins for o in obs_by_bin.get(b, ())}
+        partition = HierarchyPartition.from_network(network, observed)
+    elif estimator == "variogram" and distances is None:
+        distances = ImputationDistances.build(network, sites)
+    reused = {}
+    for b in bins:
+        obs = obs_by_bin.get(b, [])
+        if estimator == "hierarchical" and obs:
+            links = {o.link_id for o in obs}
+            bin_partition = (
+                partition if links == observed
+                else HierarchyPartition.from_network(network, links)
+            )
+        for variable in variables:
+            imputed = None
+            try:
+                if not obs:
+                    raise InsufficientDataError("no equipped observation")
+                if estimator == "uniform":
+                    estimate = uniform_scaled_mean(
+                        obs, network, variable, mode=uniform_mode, duration_h=duration_h
+                    )
+                elif estimator == "hierarchical":
+                    estimate = hierarchical_scaled_mean(
+                        obs, bin_partition, variable, duration_h=duration_h
+                    )
+                else:
+                    model = settings.fixed_model
+                    if model is None and not settings.refit_per_bin:
+                        model = reused.get(variable)
+                    imputed = impute_network(
+                        network, obs, sites, distances=distances, model=model,
+                        variable=variable, kinds=settings.kinds,
+                        lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
+                        max_neighbors=settings.max_neighbors,
+                        min_neighbors=settings.min_neighbors,
+                        known_site_ids=known_site_ids,
+                    )
+                    value, _ = network_mean_from_field(
+                        imputed, network, settings.min_length_coverage
+                    )
+                    if not settings.refit_per_bin:
+                        reused.setdefault(variable, imputed.model)
+                    estimate = ScaledEstimate(
+                        bin_index=b, variable=variable, value=value,
+                        ttd_or_ttt=value * network.total_length_km * duration_h,
+                        method="variogram", hierarchy_count=0, duration_h=duration_h,
+                    )
+            except NotEstimableError as exc:
+                failure = NotEstimableError(f"bin {b} ({variable}): {exc}")
+                yield BinOutcome(b, variable, failure=failure, field=imputed)
+                continue
+            yield BinOutcome(b, variable, estimate=estimate, field=imputed)
 
 
 @dataclass(frozen=True)
@@ -212,6 +349,7 @@ class CellResult:
     quad_fit: object = None
     fit_message: str | None = None
     fields: dict = field(default_factory=dict)
+    models: dict = field(default_factory=dict)
 
     def series(self, variable):
         return {
@@ -271,81 +409,19 @@ def _truth_series(observations, network, bin_indices):
     return flow, density
 
 
-def _scaled_estimate_for(estimator, config, network, obs):
-    if estimator == "uniform":
-        flow = uniform_scaled_mean(obs, network, "flow", mode=config.uniform_mode)
-        density = uniform_scaled_mean(obs, network, "density", mode=config.uniform_mode)
-        return flow, density
-    partition = HierarchyPartition.from_network(network, [o.link_id for o in obs])
-    flow = hierarchical_scaled_mean(obs, partition, "flow")
-    density = hierarchical_scaled_mean(obs, partition, "density")
-    return flow, density
-
-
-def _run_scaled_cell(cell, config, network, obs_by_bin, bin_indices):
-    for b in bin_indices:
-        obs = obs_by_bin.get(b, [])
-        try:
-            if not obs:
-                raise InsufficientDataError(f"bin {b}: no equipped observation")
-            flow, density = _scaled_estimate_for(cell.estimator, config, network, obs)
-        except NotEstimableError as exc:
+def _record(cell, outcome):
+    b, variable = outcome.bin_index, outcome.variable
+    if outcome.field is not None:
+        cell.models[(b, variable)] = outcome.field.model
+    if outcome.failure is not None:
+        if b not in cell.failed_bins:
             cell.failed_bins.append(b)
-            if cell.message is None:
-                cell.message = str(exc)
-            continue
-        cell.estimates.append(flow)
-        cell.estimates.append(density)
-
-
-def _run_variogram_cell(cell, config, network, geometry, sites, retained_ids,
-                        obs_by_bin, bin_indices):
-    settings = config.variogram
-    total = network.total_length_km
-    reused = {}
-    for b in bin_indices:
-        obs = obs_by_bin.get(b, [])
-        for variable in ("flow", "density"):
-            model = settings.fixed_model
-            if model is None and not settings.refit_per_bin:
-                model = reused.get(variable)
-            try:
-                if not obs:
-                    raise InsufficientDataError(f"bin {b}: no equipped observation")
-                imputed = impute_network(
-                    network, obs, sites,
-                    distances=geometry,
-                    model=model,
-                    variable=variable,
-                    kinds=settings.kinds,
-                    lag_bins=settings.lag_bins,
-                    min_pairs=settings.min_pairs,
-                    max_neighbors=settings.max_neighbors,
-                    min_neighbors=settings.min_neighbors,
-                    known_site_ids=retained_ids,
-                )
-                value, _ = network_mean_from_field(
-                    imputed, network, settings.min_length_coverage
-                )
-            except NotEstimableError as exc:
-                if b not in cell.failed_bins:
-                    cell.failed_bins.append(b)
-                if cell.message is None:
-                    cell.message = f"bin {b} ({variable}): {exc}"
-                continue
-            if not settings.refit_per_bin and variable not in reused:
-                reused[variable] = imputed.model
-            cell.fields[(b, variable)] = imputed
-            cell.estimates.append(
-                ScaledEstimate(
-                    bin_index=b,
-                    variable=variable,
-                    value=value,
-                    ttd_or_ttt=value * total,
-                    method="variogram",
-                    hierarchy_count=0,
-                )
-            )
+        if cell.message is None:
+            cell.message = str(outcome.failure)
+        return
+    cell.estimates.append(outcome.estimate)
+    if outcome.field is not None:
+        cell.fields[(b, variable)] = outcome.field
 
 
 def _attach_metrics(cell, truth_flow, truth_density, bin_indices):
@@ -429,24 +505,18 @@ def run_experiment(config, output_dir=None, fmt="csv"):
         for seed in config.seeds:
             plan, retained = sample_coverage(sites, network, coverage, seed)
             retained_ids = set(plan.retained_detectors)
-            sub_obs = aggregate_to_links(
-                [r for r in readings if r.detector_id in retained_ids], retained
-            )
-            obs_by_bin = {}
-            for obs in sub_obs:
-                obs_by_bin.setdefault(obs.bin_index, []).append(obs)
+            obs_by_bin = observations_by_bin(readings, sites, retained)
             result.plans[(coverage, seed)] = plan
 
             for estimator in config.estimators:
                 cell = CellResult(coverage=coverage, seed=seed, estimator=estimator)
                 try:
-                    if estimator == "variogram":
-                        _run_variogram_cell(
-                            cell, config, network, geometry, sites, retained_ids,
-                            obs_by_bin, bin_indices,
-                        )
-                    else:
-                        _run_scaled_cell(cell, config, network, obs_by_bin, bin_indices)
+                    for outcome in estimate_bins(
+                        estimator, obs_by_bin, bin_indices, VARIABLES, network,
+                        sites=sites, distances=geometry, known_site_ids=retained_ids,
+                        settings=config.variogram, uniform_mode=config.uniform_mode,
+                    ):
+                        _record(cell, outcome)
                     if cell.failed_bins:
                         cell.status = STATUS_NOT_ESTIMABLE
                 except NumericError as exc:
@@ -462,17 +532,10 @@ def run_experiment(config, output_dir=None, fmt="csv"):
     return result
 
 
-def _metrics_dict(report):
+def metrics_dict(report):
     if report is None:
         return None
-    return {
-        "rmse": report.rmse,
-        "mae": report.mae,
-        "mape_percent": report.mape_percent,
-        "r2": report.r2,
-        "n_points": report.n_points,
-        "mape_skipped": report.mape_skipped,
-    }
+    return {name: getattr(report, name) for name in METRIC_FIELDS}
 
 
 def write_outputs(result, output_dir, fmt="csv"):
@@ -495,12 +558,22 @@ def write_outputs(result, output_dir, fmt="csv"):
         write_table(
             os.path.join(cell_dir, f"estimates.{ext}"),
             ESTIMATES_HEADER,
-            [
-                (e.bin_index, e.method, e.variable, e.value, e.ttd_or_ttt, e.hierarchy_count)
-                for e in sorted(cell.estimates, key=lambda e: (e.bin_index, e.variable))
-            ],
+            map(
+                attrgetter(*ESTIMATES_HEADER),
+                sorted(cell.estimates, key=lambda e: (e.bin_index, e.variable)),
+            ),
             delim,
         )
+        if cell.estimator == "variogram":
+            write_table(
+                os.path.join(cell_dir, f"models.{ext}"),
+                MODEL_HEADER + ("variable",),
+                [
+                    model_row(model, b) + (variable,)
+                    for (b, variable), model in sorted(cell.models.items())
+                ],
+                delim,
+            )
         manifest_cells.append(
             {
                 "coverage": cell.coverage,
@@ -510,70 +583,37 @@ def write_outputs(result, output_dir, fmt="csv"):
                 "message": cell.message,
                 "failed_bins": list(cell.failed_bins),
                 "path": f"cells/{cell.name}",
-                "metrics_flow": _metrics_dict(cell.metrics_flow),
-                "metrics_density": _metrics_dict(cell.metrics_density),
+                "metrics_flow": metrics_dict(cell.metrics_flow),
+                "metrics_density": metrics_dict(cell.metrics_density),
             }
         )
 
-    metrics_rows = []
-    for cell in result.cells:
+    metrics_rows = [
+        (cell.coverage, cell.seed, cell.estimator, variable)
+        + tuple(getattr(report, name) for name in METRIC_FIELDS)
+        for cell in result.cells
         for variable, report in (
             ("flow", cell.metrics_flow), ("density", cell.metrics_density)
-        ):
-            if report is None:
-                continue
-            metrics_rows.append(
-                (
-                    cell.coverage, cell.seed, cell.estimator, variable,
-                    report.rmse, report.mae, report.mape_percent, report.r2,
-                    report.n_points, report.mape_skipped,
-                )
-            )
+        )
+        if report is not None
+    ]
     write_table(
         os.path.join(out, f"metrics.{ext}"),
-        (
-            "coverage", "seed", "estimator", "variable",
-            "rmse", "mae", "mape_percent", "r2", "n_points", "mape_skipped",
-        ),
+        ("coverage", "seed", "estimator", "variable") + METRIC_FIELDS,
         metrics_rows,
         delim,
     )
 
+    ttest_header = ("coverage", "seed") + TTEST_FIELDS + ("message",)
     ttest_rows = []
     manifest_ttests = []
     for record in result.ttests:
-        r = record.result
-        ttest_rows.append(
-            (
-                record.coverage, record.seed,
-                r.t_statistic if r else None,
-                r.degrees_of_freedom if r else None,
-                r.p_value if r else None,
-                r.mean_difference if r else None,
-                r.reject if r else None,
-                record.message,
-            )
-        )
-        manifest_ttests.append(
-            {
-                "coverage": record.coverage,
-                "seed": record.seed,
-                "t_statistic": r.t_statistic if r else None,
-                "degrees_of_freedom": r.degrees_of_freedom if r else None,
-                "p_value": r.p_value if r else None,
-                "reject": r.reject if r else None,
-                "message": record.message,
-            }
-        )
-    write_table(
-        os.path.join(out, f"ttests.{ext}"),
-        (
-            "coverage", "seed", "t_statistic", "degrees_of_freedom",
-            "p_value", "mean_difference", "reject", "message",
-        ),
-        ttest_rows,
-        delim,
-    )
+        entry = {"coverage": record.coverage, "seed": record.seed, "message": record.message}
+        entry.update((name, getattr(record.result, name, None)) for name in TTEST_FIELDS)
+        ttest_rows.append(tuple(entry[name] for name in ttest_header))
+        del entry["mean_difference"]  # a table column only
+        manifest_ttests.append(entry)
+    write_table(os.path.join(out, f"ttests.{ext}"), ttest_header, ttest_rows, delim)
 
     manifest = {
         "version": MANIFEST_VERSION,
@@ -605,11 +645,8 @@ def emit_plot_data(result, output_dir, fmt="csv"):
         points = build_mfd(result.truth_flow, result.truth_density)
         path = write_table(
             os.path.join(out, f"mfd_actual.{ext}"),
-            ("bin_index", "density_veh_per_km", "flow_veh_per_h", "speed_km_per_h"),
-            [
-                (p.bin_index, p.density_veh_per_km, p.flow_veh_per_h, p.speed_km_per_h)
-                for p in points
-            ],
+            MFD_HEADER,
+            map(attrgetter(*MFD_HEADER), points),
             delim,
         )
         written.append(path)
@@ -661,11 +698,8 @@ def emit_plot_data(result, output_dir, fmt="csv"):
         written.append(
             write_table(
                 os.path.join(cell_dir, f"mfd_points.{ext}"),
-                ("bin_index", "density_veh_per_km", "flow_veh_per_h", "speed_km_per_h"),
-                [
-                    (p.bin_index, p.density_veh_per_km, p.flow_veh_per_h, p.speed_km_per_h)
-                    for p in cell.mfd_points
-                ],
+                MFD_HEADER,
+                map(attrgetter(*MFD_HEADER), cell.mfd_points),
                 delim,
             )
         )
@@ -683,19 +717,11 @@ def emit_plot_data(result, output_dir, fmt="csv"):
         )
 
         if cell.fields:
-            field_rows = []
-            for (b, variable), imputed in sorted(cell.fields.items()):
-                for link in result.network.links:
-                    field_rows.append(
-                        (
-                            link.id, b, variable,
-                            imputed.values.get(link.id),
-                            imputed.provenance.get(link.id),
-                        )
-                    )
+            rows = [
+                row for _, imputed in sorted(cell.fields.items())
+                for row in field_rows(imputed, result.network)
+            ]
             written.append(
-                write_table(
-                    os.path.join(cell_dir, f"field.{ext}"), FIELD_HEADER, field_rows, delim
-                )
+                write_table(os.path.join(cell_dir, f"field.{ext}"), FIELD_HEADER, rows, delim)
             )
     return written

@@ -189,6 +189,44 @@ class ImputedField:
     failed_count: int
 
 
+def observed_values(network, observations, variable="flow"):
+    """One bin's observed value per link: ``(bin_index, {link_id: value})``."""
+    if variable not in VALUE_FIELDS:
+        raise ValueError(f"variable must be one of {tuple(VALUE_FIELDS)}, got '{variable}'")
+    field = VALUE_FIELDS[variable]
+    if not observations:
+        raise InsufficientDataError("no equipped observation")
+    bins = {obs.bin_index for obs in observations}
+    if len(bins) != 1:
+        raise ValidationError(f"observations must belong to one bin, got {sorted(bins)}")
+    bin_index = bins.pop()
+
+    observed = {}
+    for obs in observations:
+        network.link(obs.link_id)
+        if obs.link_id in observed:
+            raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
+        observed[obs.link_id] = float(getattr(obs, field))
+    return bin_index, observed
+
+
+def known_sites(observed, site_ids, site_link_ids, known_site_ids=None):
+    """Positions of the sites whose link is observed, and their values.
+
+    ``observed`` maps link ids to values as returned by ``observed_values``;
+    ``known_site_ids`` optionally narrows the sites further.
+    """
+    known = [
+        i
+        for i, link_id in enumerate(site_link_ids)
+        if link_id in observed
+        and (known_site_ids is None or site_ids[i] in known_site_ids)
+    ]
+    if not known:
+        raise InsufficientDataError("no detector site sits on an observed link")
+    return known, np.array([observed[site_link_ids[i]] for i in known])
+
+
 def impute_network(
     network,
     observations,
@@ -212,34 +250,12 @@ def impute_network(
     ``model=None`` a variogram is estimated and fitted from this bin's own
     values first. Per-link failures are recorded, not raised.
     """
-    if variable not in VALUE_FIELDS:
-        raise ValueError(f"variable must be one of {tuple(VALUE_FIELDS)}, got '{variable}'")
-    field = VALUE_FIELDS[variable]
-    if not observations:
-        raise InsufficientDataError("imputation needs at least one equipped observation")
-    bins = {obs.bin_index for obs in observations}
-    if len(bins) != 1:
-        raise ValidationError(f"observations must belong to one bin, got {sorted(bins)}")
-    bin_index = bins.pop()
-
-    observed = {}
-    for obs in observations:
-        network.link(obs.link_id)
-        if obs.link_id in observed:
-            raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
-        observed[obs.link_id] = float(getattr(obs, field))
-
+    bin_index, observed = observed_values(network, observations, variable)
     if distances is None:
         distances = ImputationDistances.build(network, sites)
-    known = [
-        i
-        for i, link_id in enumerate(distances.site_link_ids)
-        if link_id in observed
-        and (known_site_ids is None or distances.site_ids[i] in known_site_ids)
-    ]
-    if not known:
-        raise InsufficientDataError("no detector site sits on an observed link")
-    known_values = np.array([observed[distances.site_link_ids[i]] for i in known])
+    known, known_values = known_sites(
+        observed, distances.site_ids, distances.site_link_ids, known_site_ids
+    )
     known_ids = tuple(distances.site_ids[i] for i in known)
     known_pairs = distances.between_sites[np.ix_(known, known)]
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from datetime import datetime
 
 import numpy as np
 
@@ -27,21 +26,6 @@ from .tableio import (
 
 READING_COLUMNS = ("detector_id", "bin_index", "flow_veh_per_h", "density_veh_per_km")
 READINGS_HEADER = READING_COLUMNS + ("speed_km_per_h",)
-
-
-@dataclass(frozen=True)
-class TimeBin:
-    """One aggregation interval; all bins of a study share the duration."""
-
-    index: int
-    start: datetime
-    duration_h: float = 1.0
-
-    def __post_init__(self):
-        if self.index < 0:
-            raise ValidationError(f"bin index must be nonnegative, got {self.index}")
-        if not (math.isfinite(self.duration_h) and self.duration_h > 0):
-            raise ValidationError(f"bin duration must be positive, got {self.duration_h}")
 
 
 @dataclass(frozen=True)

@@ -12,13 +12,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from datetime import datetime, timedelta
 
 import numpy as np
 
 from .errors import GenerationError, ValidationError
 from .network import DetectorSite, Link, Network, site_distance_matrix
-from .sensing import DetectorReading, LinkObservation, TimeBin
+from .sensing import DetectorReading, LinkObservation
 from .variogram import VariogramModel, gamma
 
 # hour-of-day factors with a morning and an evening peak
@@ -34,8 +33,6 @@ DEFAULT_DIURNAL = (
 DEFAULT_VARIOGRAM = VariogramModel(
     kind="exponential", nugget=25.0, sill=1600.0, range_km=1.0
 )
-
-_BASE_START = datetime(2000, 1, 3)  # arbitrary Monday
 
 
 def _band_class(index, count):
@@ -224,7 +221,6 @@ class ScenarioData:
     scenario: SyntheticScenario
     network: Network
     sites: tuple
-    bins: tuple
     observations: tuple
     readings: tuple
     clamped_count: int
@@ -255,7 +251,6 @@ def generate_scenario(scenario):
 
     observations = []
     readings = []
-    bins = []
     clamped = 0
     for b, diurnal in enumerate(scenario.diurnal):
         if factor is not None:
@@ -272,7 +267,6 @@ def generate_scenario(scenario):
         flow = np.maximum(flow, 0.0)
         density = np.maximum(density, 0.0)
 
-        bins.append(TimeBin(index=b, start=_BASE_START + timedelta(hours=b), duration_h=1.0))
         for i, link in enumerate(network.links):
             q = float(flow[i])
             k = float(density[i])
@@ -294,7 +288,6 @@ def generate_scenario(scenario):
         scenario=scenario,
         network=network,
         sites=sites,
-        bins=tuple(bins),
         observations=tuple(observations),
         readings=tuple(readings),
         clamped_count=clamped,

@@ -211,6 +211,82 @@ def test_scale_rejects_plan_and_fraction_together(runner, tmp_path):
     assert result.exit_code == 2
 
 
+def write_two_classes(tmp_path, d3_bins):
+    """Two links per hierarchy; hierarchy 2 has one detector, d3, which
+    reports only in ``d3_bins``."""
+    network = tmp_path / "network.csv"
+    sites = tmp_path / "sites.csv"
+    readings = tmp_path / "readings.csv"
+    write_table(
+        network,
+        NETWORK_COLUMNS,
+        [
+            ("A1", "a", "b", 1.0, 1),
+            ("A2", "b", "c", 1.0, 1),
+            ("B1", "c", "d", 2.0, 2),
+            ("B2", "d", "e", 2.0, 2),
+        ],
+    )
+    write_table(sites, ("detector_id", "link_id"), [("d1", "A1"), ("d2", "A2"), ("d3", "B1")])
+    rows = []
+    for b in range(2):
+        rows.append(("d1", b, 100.0, 10.0, 10.0))
+        rows.append(("d2", b, 120.0, 12.0, 10.0))
+        if b in d3_bins:
+            rows.append(("d3", b, 40.0, 8.0, 5.0))
+    write_table(readings, READINGS_HEADER, rows)
+    return network, sites, readings
+
+
+def test_scale_single_uncovered_bin_does_not_abort(runner, tmp_path):
+    network, sites, readings = write_two_classes(tmp_path, d3_bins=(0,))
+    out = tmp_path / "scaled"
+    result = invoke(
+        runner,
+        [
+            "--output-dir", str(out),
+            "scale", str(network), str(sites), str(readings), "--method", "hierarchical",
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    reason = "hierarchy 2 has non-equipped links but no equipped observation"
+    assert f"hierarchical: not estimable (bin 1 (flow): {reason})" in result.output
+    assert f"hierarchical: not estimable (bin 1 (density): {reason})" in result.output
+    lines = (out / "estimates.csv").read_text().splitlines()
+    assert [line.split(",")[:3] for line in lines[1:]] == [
+        ["0", "hierarchical", "flow"], ["0", "hierarchical", "density"],
+    ]
+
+
+def test_scale_exits_when_no_bin_is_estimable(runner, tmp_path):
+    network, sites, readings = write_two_classes(tmp_path, d3_bins=())
+    out = tmp_path / "scaled"
+    result = invoke(
+        runner,
+        [
+            "--output-dir", str(out),
+            "scale", str(network), str(sites), str(readings), "--method", "hierarchical",
+        ],
+    )
+    assert result.exit_code == 3
+    assert "not estimable (bin 0 (flow): hierarchy 2" in result.output
+    assert "not estimable (bin 1 (density): hierarchy 2" in result.output
+    # the table is still written, with its header only
+    assert (out / "estimates.csv").read_text().splitlines() == [",".join(ESTIMATES_HEADER)]
+
+
+def test_scale_rejects_readings_of_unknown_detectors(runner, tmp_path):
+    network, sites, readings = write_two_classes(tmp_path, d3_bins=(0, 1))
+    with open(readings, "a") as handle:
+        handle.write("d9,0,50.0,5.0,10.0\n")
+    result = invoke(
+        runner,
+        ["scale", str(network), str(sites), str(readings), "--fraction", "0.5"],
+    )
+    assert result.exit_code == 2
+    assert "unknown detector 'd9'" in result.output
+
+
 # --- variogram and imputation -------------------------------------------------
 
 
@@ -343,6 +419,31 @@ def test_impute_single_failing_bin_does_not_abort(runner, tmp_path):
     assert result.exit_code == 0, result.output
     assert "bin 0: network flow" in result.output
     assert "bin 1: not estimable" in result.output
+
+
+def test_impute_unfittable_bin_does_not_abort(runner, tmp_path):
+    equipped = tuple(i for i in range(12) if i not in (4, 7))
+    network, sites, readings = write_corridor(tmp_path, equipped=equipped, n_links=12, n_bins=1)
+    with open(readings, "a") as handle:
+        for i in (0, 1, 2):
+            flow = 100.0 + 10.0 * i + 5.0
+            handle.write(f"d{i},1,{flow},{flow / 25.0},25.0\n")
+    out = tmp_path / "refit"
+    result = invoke(
+        runner,
+        ["--output-dir", str(out), "impute", str(network), str(sites), str(readings)],
+    )
+    # bin 1's three detectors give too few populated lag bins for a fit,
+    # which fails that bin alone
+    assert result.exit_code == 0, result.output
+    assert "bin 0: network flow" in result.output
+    assert (
+        "bin 1: not estimable (bin 1 (flow): variogram fitting needs at least 3 bins"
+        in result.output
+    )
+    lines = (out / "field.csv").read_text().splitlines()
+    assert len(lines) == 13  # header plus bin 0's 12 links; bin 1 has no field
+    assert {line.split(",")[1] for line in lines[1:]} == {"0"}
 
 
 # --- mfd and evaluate ---------------------------------------------------------

@@ -1,5 +1,6 @@
 """Experiment grid runner: cells, manifest, outputs and reruns."""
 
+import csv
 import json
 import os
 
@@ -8,6 +9,7 @@ import pytest
 from sparsemfd.errors import ValidationError
 from sparsemfd.experiment import (
     ESTIMATOR_NAMES,
+    MODEL_HEADER,
     STATUS_NOT_ESTIMABLE,
     STATUS_OK,
     ExperimentConfig,
@@ -16,8 +18,9 @@ from sparsemfd.experiment import (
     run_experiment,
     save_experiment_config,
 )
-from sparsemfd.network import NETWORK_COLUMNS
-from sparsemfd.sensing import READINGS_HEADER
+from sparsemfd.network import NETWORK_COLUMNS, load_detector_sites, load_network
+from sparsemfd.scaling import HierarchyPartition, hierarchical_scaled_mean
+from sparsemfd.sensing import READINGS_HEADER, aggregate_to_links, load_readings
 from sparsemfd.synth import DEFAULT_VARIOGRAM, SyntheticScenario
 from sparsemfd.tableio import write_table
 from sparsemfd.variogram import VariogramModel
@@ -193,6 +196,34 @@ def test_sparse_short_range_cell_is_not_estimable():
     assert cell.metrics_flow is None
 
 
+def test_refit_per_bin_off_reuses_the_first_estimable_model(tmp_path):
+    config = ExperimentConfig(
+        coverages=(0.3,),
+        seeds=(0,),
+        estimators=("variogram",),
+        scenario=SyntheticScenario(rows=6, cols=6, diurnal=(0.4, 0.9, 1.0, 0.6), seed=3),
+        variogram=VariogramSettings(refit_per_bin=False),
+    )
+    (cell,) = run_experiment(config, output_dir=tmp_path).cells
+    # bin 0's density field falls below the length threshold, so density
+    # takes its model from bin 1 while flow keeps bin 0's
+    assert cell.failed_bins == [0]
+    assert (0, "density") not in cell.fields
+    cell_dir = tmp_path / "cells" / cell.name
+    with open(cell_dir / "models.csv", newline="") as handle:
+        reader = csv.DictReader(handle)
+        assert tuple(reader.fieldnames) == MODEL_HEADER + ("variable",)
+        models = {
+            (int(row.pop("bin_index")), row.pop("variable")): row for row in reader
+        }
+    assert set(models) == {(b, v) for b in range(4) for v in ("flow", "density")}
+    assert all(models[(b, "flow")] == models[(0, "flow")] for b in (1, 2, 3))
+    assert all(models[(b, "density")] == models[(1, "density")] for b in (2, 3))
+    assert models[(0, "density")] != models[(1, "density")]
+    field_rows = (cell_dir / "field.csv").read_text().splitlines()[1:]
+    assert ("0", "density") not in {tuple(r.split(",")[1:3]) for r in field_rows}
+
+
 # --- recorded data mode -------------------------------------------------------
 
 
@@ -253,6 +284,48 @@ def test_recorded_data_run(tmp_path):
     (record,) = result.ttests
     assert record.result is None
     assert record.message is not None
+
+
+def test_partition_rebuilt_only_for_a_bin_with_a_silent_detector(tmp_path, monkeypatch):
+    network_path, sites_path, readings_path = _write_recorded_inputs(tmp_path)
+    with open(readings_path, "a") as handle:
+        # bin 2 is complete again, like bin 0
+        handle.write("d1,2,90.0,9.0,10.0\nd2,2,110.0,11.0,10.0\nd3,2,50.0,9.0,5.5\n")
+    config = ExperimentConfig(
+        coverages=(1.0,),
+        seeds=(0,),
+        estimators=("hierarchical",),
+        network_path=str(network_path),
+        sites_path=str(sites_path),
+        readings_path=str(readings_path),
+    )
+    builds = []
+    from_network = HierarchyPartition.from_network.__func__
+
+    def counting(cls, network, equipped_link_ids):
+        builds.append(set(equipped_link_ids))
+        return from_network(cls, network, equipped_link_ids)
+
+    monkeypatch.setattr(HierarchyPartition, "from_network", classmethod(counting))
+    (cell,) = run_experiment(config).cells
+    # one partition for the cell, one more for bin 1 where d3 is silent
+    assert builds == [{"A1", "A2", "B1"}, {"A1", "A2"}]
+    assert cell.failed_bins == [1]
+    assert cell.message == (
+        "bin 1 (flow): hierarchy 2 has non-equipped links but no equipped observation"
+    )
+    monkeypatch.undo()
+
+    network = load_network(network_path)
+    observations = aggregate_to_links(
+        load_readings(readings_path), load_detector_sites(sites_path, network=network)
+    )
+    for b in (0, 2):
+        obs = [o for o in observations if o.bin_index == b]
+        partition = HierarchyPartition.from_network(network, [o.link_id for o in obs])
+        for variable in ("flow", "density"):
+            expected = hierarchical_scaled_mean(obs, partition, variable)
+            assert cell.series(variable)[b] == expected.value
 
 
 # --- outputs ------------------------------------------------------------------
