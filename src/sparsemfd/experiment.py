@@ -84,6 +84,30 @@ class VariogramSettings:
     fixed_model: VariogramModel | None = None
     min_length_coverage: float = 0.95
 
+    def __post_init__(self):
+        if not self.kinds or not set(self.kinds) <= set(MODEL_KINDS):
+            raise ValidationError(
+                f"kinds must be a non-empty subset of {MODEL_KINDS}, got {self.kinds!r}"
+            )
+        if self.lag_bins < 1 or self.min_pairs < 1:
+            raise ValidationError(
+                f"lag_bins and min_pairs must be at least 1, "
+                f"got {self.lag_bins} and {self.min_pairs}"
+            )
+        if not 1 <= self.min_neighbors <= self.max_neighbors:
+            raise ValidationError(
+                f"need 1 <= min_neighbors <= max_neighbors, "
+                f"got {self.min_neighbors} and {self.max_neighbors}"
+            )
+        if not 0.0 < self.min_length_coverage <= 1.0:
+            raise ValidationError(
+                f"min_length_coverage must lie in (0, 1], got {self.min_length_coverage}"
+            )
+        if self.fixed_model is not None and not isinstance(self.fixed_model, VariogramModel):
+            raise ValidationError(
+                f"fixed_model must be a VariogramModel or None, got {self.fixed_model!r}"
+            )
+
     def to_dict(self):
         out = {
             "kinds": list(self.kinds),

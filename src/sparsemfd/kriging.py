@@ -8,6 +8,7 @@ a prediction at a known site exact.
 """
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,17 +90,120 @@ def solve_kriging(
         ids = tuple(ids)
         if len(ids) != n:
             raise ValidationError(f"{len(ids)} ids for {n} values")
+    found, groups = _krige(model, values, target[:, None], pairs, max_neighbors, min_neighbors)
+    if not groups:
+        raise InsufficientNeighborsError(found=int(found[0]), required=min_neighbors)
+    _, kept, merged, solutions, rhs = groups[0]
+    m = kept.shape[1]
+    weights = solutions[0, :m]
+    lagrange = float(solutions[0, m])
+    return KrigingSolution(
+        weights=weights,
+        lagrange=lagrange,
+        prediction=float(weights @ merged[0]),
+        neighbor_ids=tuple(ids[i] for i in kept[0]),
+        variance=max(float(weights @ rhs[0, :m] + lagrange), 0.0),
+    )
+
+
+def _krige(model, values, target, pairs, max_neighbors, min_neighbors):
+    """Solve the kriging systems of many targets in stacked batches.
+
+    ``target`` holds the distances from the ``n`` known sites to ``k``
+    targets, one column each. Every column keeps its nearest in-range sites
+    (ties by site order, at most ``max_neighbors``); columns with fewer than
+    ``min_neighbors`` in range are left out. Columns whose neighbours are
+    pairwise apart share one ``np.linalg.solve`` call per neighbour count;
+    a column with coincident neighbours merges them first and is solved
+    alone.
+
+    Returns ``(found, groups)``: the in-range site count of every column,
+    and one ``(columns, kept, merged, solutions, rhs)`` tuple per batch, where
+    row ``r`` belongs to column ``columns[r]``, ``kept`` holds its neighbour
+    site indices, ``merged`` their values, ``solutions`` the weights followed
+    by the Lagrange multiplier and ``rhs`` the right-hand side. A singular
+    or non-finite system raises ``SingularSystemError`` for the first such
+    column.
+    """
     if min_neighbors < 1:
         raise ValueError(f"min_neighbors must be at least 1, got {min_neighbors}")
     if max_neighbors < min_neighbors:
         raise ValueError("max_neighbors must be at least min_neighbors")
 
-    in_range = np.flatnonzero(np.isfinite(target) & (target <= model.range_km))
-    if in_range.size < min_neighbors:
-        raise InsufficientNeighborsError(found=int(in_range.size), required=min_neighbors)
-    selected = in_range[np.argsort(target[in_range], kind="stable")][:max_neighbors]
+    in_range = np.isfinite(target) & (target <= model.range_km)
+    found = np.count_nonzero(in_range, axis=0)
+    # a stable sort keeps equal distances in site order, out-of-range last
+    order = np.argsort(np.where(in_range, target, np.inf), axis=0, kind="stable")
+    counts = np.where(found >= min_neighbors, np.minimum(found, max_neighbors), 0)
 
-    # merge neighbors at (numerically) zero mutual distance
+    batches = []
+    for m in np.unique(counts[counts > 0]):
+        columns = np.flatnonzero(counts == m)
+        kept = order[:m, columns].T
+        block = pairs[kept[:, :, None], kept[:, None, :]]
+        close = block <= _ZERO_DISTANCE
+        close[:, np.arange(m), np.arange(m)] = False
+        coincident = close.any(axis=(1, 2))
+        apart = ~coincident
+        if apart.any():
+            batches.append((
+                columns[apart], kept[apart], values[kept[apart]],
+                block[apart], target[kept[apart], columns[apart, None]],
+            ))
+        for column, selected in zip(columns[coincident], kept[coincident]):
+            merged_kept, merged = _merge_coincident(values, pairs, selected)
+            batches.append((
+                column[None], merged_kept[None], merged[None],
+                pairs[np.ix_(merged_kept, merged_kept)][None],
+                target[merged_kept, column][None],
+            ))
+
+    groups = []
+    failure = None
+    for columns, kept, merged, block, dists in batches:
+        systems, rhs, solutions, bad = _solve_batch(model, block, dists)
+        if bad.any():
+            row = int(np.argmax(bad))
+            if failure is None or columns[row] < failure[0]:
+                failure = (columns[row], systems[row])
+        groups.append((columns, kept, merged, solutions, rhs))
+    if failure is not None:
+        raise SingularSystemError(condition=float(np.linalg.cond(failure[1])))
+    return found, groups
+
+
+def _solve_batch(model, block_dists, target_dists):
+    """Assemble and solve the kriging systems of one batch in one call.
+
+    ``block_dists`` (g, m, m) and ``target_dists`` (g, m) give each row's
+    neighbour and target distances. Returns the (g, m+1, m+1) systems,
+    the right-hand sides, the solutions and a mask of the rows whose system
+    is singular or whose solution is not finite.
+    """
+    g, m = target_dists.shape
+    diagonal = np.arange(m)
+    systems = np.zeros((g, m + 1, m + 1))
+    systems[:, :m, :m] = gamma(model, block_dists)
+    systems[:, diagonal, diagonal] = 0.0
+    systems[:, :m, m] = 1.0
+    systems[:, m, :m] = 1.0
+    rhs = np.ones((g, m + 1))
+    rhs[:, :m] = np.where(target_dists <= _ZERO_DISTANCE, 0.0, gamma(model, target_dists))
+    try:
+        solutions = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # one singular system fails the whole stack: solve row by row to
+        # find which
+        solutions = np.full((g, m + 1), np.nan)
+        for row in range(g):
+            with contextlib.suppress(np.linalg.LinAlgError):
+                solutions[row] = np.linalg.solve(systems[row], rhs[row])
+    bad = ~np.all(np.isfinite(solutions), axis=1)
+    return systems, rhs, solutions, bad
+
+
+def _merge_coincident(values, pairs, selected):
+    """Merge neighbours at (numerically) zero mutual distance into running means."""
     kept = []
     merged_values = []
     merged_counts = []
@@ -113,36 +217,7 @@ def solve_kriging(
             kept.append(int(index))
             merged_values.append(float(values[index]))
             merged_counts.append(1)
-
-    m = len(kept)
-    system = np.zeros((m + 1, m + 1))
-    block = gamma(model, pairs[np.ix_(kept, kept)])
-    np.fill_diagonal(block, 0.0)
-    system[:m, :m] = block
-    system[:m, m] = 1.0
-    system[m, :m] = 1.0
-
-    rhs = np.ones(m + 1)
-    target_kept = target[kept]
-    rhs[:m] = np.where(target_kept <= _ZERO_DISTANCE, 0.0, gamma(model, target_kept))
-
-    try:
-        solution = np.linalg.solve(system, rhs)
-    except np.linalg.LinAlgError:
-        raise SingularSystemError(condition=float(np.linalg.cond(system)))
-    if not np.all(np.isfinite(solution)):
-        raise SingularSystemError(condition=float(np.linalg.cond(system)))
-
-    weights = solution[:m]
-    lagrange = float(solution[m])
-    merged = np.array(merged_values)
-    return KrigingSolution(
-        weights=weights,
-        lagrange=lagrange,
-        prediction=float(weights @ merged),
-        neighbor_ids=tuple(ids[i] for i in kept),
-        variance=max(float(weights @ rhs[:m] + lagrange), 0.0),
-    )
+    return np.array(kept), np.array(merged_values)
 
 
 @dataclass(frozen=True)
@@ -256,7 +331,6 @@ def impute_network(
     known, known_values = known_sites(
         observed, distances.site_ids, distances.site_link_ids, known_site_ids
     )
-    known_ids = tuple(distances.site_ids[i] for i in known)
     known_pairs = distances.between_sites[np.ix_(known, known)]
 
     if model is None:
@@ -264,31 +338,37 @@ def impute_network(
         empirical = empirical_variogram(known_values, known_pairs, edges)
         model = fit_variogram(empirical, kinds=kinds, min_pairs=min_pairs)
 
+    links = distances.target_link_ids
+    unobserved = [column for column, link_id in enumerate(links) if link_id not in observed]
+    predictions = {}
+    if unobserved:
+        _, groups = _krige(
+            model,
+            known_values,
+            distances.site_to_target[np.ix_(known, unobserved)],
+            known_pairs,
+            max_neighbors,
+            min_neighbors,
+        )
+        for columns, kept, merged, solutions, _ in groups:
+            m = kept.shape[1]
+            for row, column in enumerate(columns):
+                predictions[links[unobserved[column]]] = float(solutions[row, :m] @ merged[row])
+
     values = {}
     provenance = {}
     failed = 0
-    for column, link_id in enumerate(distances.target_link_ids):
+    for link_id in links:
         if link_id in observed:
             values[link_id] = observed[link_id]
             provenance[link_id] = PROVENANCE_OBSERVED
-            continue
-        try:
-            solution = solve_kriging(
-                model,
-                known_values,
-                distances.site_to_target[known, column],
-                known_pairs,
-                ids=known_ids,
-                max_neighbors=max_neighbors,
-                min_neighbors=min_neighbors,
-            )
-        except InsufficientNeighborsError:
+        elif link_id in predictions:
+            values[link_id] = predictions[link_id]
+            provenance[link_id] = PROVENANCE_IMPUTED
+        else:
             values[link_id] = float("nan")
             provenance[link_id] = PROVENANCE_FAILED
             failed += 1
-            continue
-        values[link_id] = solution.prediction
-        provenance[link_id] = PROVENANCE_IMPUTED
 
     return ImputedField(
         bin_index=bin_index,

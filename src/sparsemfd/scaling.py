@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -70,6 +71,13 @@ class HierarchyPartition:
     classes: tuple
     total_length_km: float
 
+    @cached_property
+    def equipped_ids(self):
+        """Every equipped link id, as a frozenset built on first use."""
+        return frozenset(
+            link_id for split in self.classes for link_id, _ in split.equipped
+        )
+
     @classmethod
     def from_network(cls, network, equipped_link_ids):
         equipped_ids = set(equipped_link_ids)
@@ -96,12 +104,6 @@ class HierarchyPartition:
                 )
             )
         return cls(classes=tuple(classes), total_length_km=network.total_length_km)
-
-    def equipped_ids(self):
-        out = set()
-        for split in self.classes:
-            out.update(link_id for link_id, _ in split.equipped)
-        return out
 
 
 @dataclass(frozen=True)
@@ -190,9 +192,9 @@ def hierarchical_scaled_mean(observations, partition, variable="flow", duration_
             raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
         by_link[obs.link_id] = getattr(obs, field)
 
-    expected = partition.equipped_ids()
-    observed = set(by_link)
-    if expected != observed:
+    expected = partition.equipped_ids
+    if by_link.keys() != expected:
+        observed = set(by_link)
         raise ValidationError(
             f"observations do not match the partition's equipped links "
             f"(missing {sorted(expected - observed)[:5]}, "

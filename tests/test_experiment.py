@@ -112,6 +112,30 @@ def test_variogram_settings_round_trip():
         VariogramSettings.from_dict({"window": 3})
 
 
+def test_variogram_settings_are_checked_at_construction():
+    with pytest.raises(ValidationError, match="min_length_coverage"):
+        ExperimentConfig(
+            coverages=(0.5, 0.3), seeds=(0,), scenario=SMALL_SCENARIO,
+            variogram=VariogramSettings(min_length_coverage=1.5),
+        )
+    for bad in (
+        dict(kinds=()),
+        dict(kinds=("spherical", "cubic")),
+        dict(lag_bins=0),
+        dict(min_pairs=0),
+        dict(min_neighbors=0),
+        dict(min_neighbors=5, max_neighbors=4),
+        dict(min_length_coverage=0.0),
+        dict(fixed_model={"kind": "spherical"}),
+    ):
+        with pytest.raises(ValidationError):
+            VariogramSettings(**bad)
+    with pytest.raises(ValidationError):
+        VariogramSettings.from_dict({"lag_bins": 0})
+    assert VariogramSettings(kinds=("gaussian",), min_neighbors=1, max_neighbors=1,
+                             min_length_coverage=1.0).lag_bins == 15
+
+
 # --- grid runs ----------------------------------------------------------------
 
 

@@ -5,6 +5,8 @@ full unbiasedness-constrained system from scratch and solves it with
 least squares instead of the production direct solve.
 """
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -26,10 +28,10 @@ from sparsemfd.kriging import (
     network_mean_from_field,
     solve_kriging,
 )
-from sparsemfd.network import DetectorSite, midpoint_sites
+from sparsemfd.network import DetectorSite, Link, Network, midpoint_sites
 from sparsemfd.sensing import LinkObservation
 from sparsemfd.synth import corridor_network, grid_network
-from sparsemfd.variogram import VariogramModel
+from sparsemfd.variogram import VariogramModel, gamma
 
 
 def spherical_gamma(nugget, sill, range_km, h):
@@ -281,6 +283,181 @@ def test_known_site_ids_narrow_the_detector_set():
         impute_network(
             net, obs, sites, distances=distances, model=model, known_site_ids=set()
         )
+
+
+def reference_solve(model, values, target, pairs, max_neighbors, min_neighbors):
+    """One target at a time: select, merge coincident sites, assemble, solve.
+
+    Returns ``(prediction, neighbor_count, merged)``, or None with too few
+    sites in range; raises ``SingularSystemError`` like the package.
+    """
+    in_range = np.flatnonzero(np.isfinite(target) & (target <= model.range_km))
+    if in_range.size < min_neighbors:
+        return None
+    selected = in_range[np.argsort(target[in_range], kind="stable")][:max_neighbors]
+    kept = []
+    merged_values = []
+    merged_counts = []
+    for index in selected:
+        for pos, other in enumerate(kept):
+            if pairs[index, other] <= 1e-12:
+                merged_counts[pos] += 1
+                merged_values[pos] += (values[index] - merged_values[pos]) / merged_counts[pos]
+                break
+        else:
+            kept.append(int(index))
+            merged_values.append(float(values[index]))
+            merged_counts.append(1)
+    m = len(kept)
+    system = np.zeros((m + 1, m + 1))
+    block = gamma(model, pairs[np.ix_(kept, kept)])
+    np.fill_diagonal(block, 0.0)
+    system[:m, :m] = block
+    system[:m, m] = 1.0
+    system[m, :m] = 1.0
+    rhs = np.ones(m + 1)
+    target_kept = target[kept]
+    rhs[:m] = np.where(target_kept <= 1e-12, 0.0, gamma(model, target_kept))
+    try:
+        solution = np.linalg.solve(system, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularSystemError(condition=float(np.linalg.cond(system)))
+    if not np.all(np.isfinite(solution)):
+        raise SingularSystemError(condition=float(np.linalg.cond(system)))
+    return float(solution[:m] @ np.array(merged_values)), selected.size, m < selected.size
+
+
+def reference_impute(network, observations, sites, model, max_neighbors=16, min_neighbors=3):
+    """Krige every unobserved link with its own solve, in link order.
+
+    Returns ``(values, provenance, failed_count, cases)``; ``cases`` holds
+    the neighbour count of every solved link and ``"merged"`` when a link
+    merged coincident neighbours.
+    """
+    observed = {o.link_id: float(o.flow_veh_per_h) for o in observations}
+    distances = ImputationDistances.build(network, sites)
+    known = [i for i, l in enumerate(distances.site_link_ids) if l in observed]
+    known_values = np.array([observed[distances.site_link_ids[i]] for i in known])
+    known_pairs = distances.between_sites[np.ix_(known, known)]
+    values, provenance, failed, cases = {}, {}, 0, set()
+    for column, link_id in enumerate(distances.target_link_ids):
+        if link_id in observed:
+            values[link_id] = observed[link_id]
+            provenance[link_id] = PROVENANCE_OBSERVED
+            continue
+        solved = reference_solve(
+            model, known_values, distances.site_to_target[known, column],
+            known_pairs, max_neighbors, min_neighbors,
+        )
+        if solved is None:
+            values[link_id] = float("nan")
+            provenance[link_id] = PROVENANCE_FAILED
+            failed += 1
+            continue
+        values[link_id], count, merged = solved
+        provenance[link_id] = PROVENANCE_IMPUTED
+        cases.add(count)
+        if merged:
+            cases.add("merged")
+    return values, provenance, failed, cases
+
+
+def _bits(values):
+    return {k: struct.pack("<d", v) for k, v in values.items()}
+
+
+def _two_component_layout(rng):
+    """A 6x6 grid beside a detached 8-link corridor.
+
+    About half the grid links are observed but only the corridor's first
+    link, so the corridor's targets lack neighbours. Besides a midpoint
+    detector per link, two detectors sit on the shared node of two grid
+    links, at zero distance from each other.
+    """
+    grid = grid_network(6, 6)
+    spur = [Link(f"s{i}", f"x{i}", f"x{i + 1}", 0.4, 2) for i in range(8)]
+    net = Network(grid.links + tuple(spur))
+    first = grid.links[int(rng.integers(0, 4))]
+    second = next(l for l in grid.links if l.from_node == first.to_node)
+    sites = midpoint_sites(net) + (
+        DetectorSite("end", first.id, 1.0),
+        DetectorSite("start", second.id, 0.0),
+    )
+    equipped = {first.id, second.id, "s0"} | {
+        l.id for l in grid.links if rng.random() < 0.5
+    }
+    obs = tuple(
+        LinkObservation(l.id, 0, float(rng.normal(500.0, 80.0)), 20.0)
+        for l in net.links
+        if l.id in equipped
+    )
+    return net, sites, obs
+
+
+@pytest.mark.parametrize(
+    "model, max_neighbors, min_neighbors",
+    [
+        (VariogramModel(kind="exponential", nugget=50.0, sill=4000.0, range_km=1.2), 5, 3),
+        (VariogramModel(kind="spherical", nugget=0.0, sill=900.0, range_km=1.5), 16, 4),
+        (VariogramModel(kind="gaussian", nugget=10.0, sill=2500.0, range_km=2.5), 24, 2),
+    ],
+)
+def test_batched_imputation_matches_the_per_link_reference(model, max_neighbors, min_neighbors):
+    cases = set()
+    for seed in range(4):
+        net, sites, obs = _two_component_layout(np.random.default_rng(seed))
+        distances = ImputationDistances.build(net, sites)
+        assert np.isinf(distances.site_to_target).any()
+        field = impute_network(
+            net, obs, sites, distances=distances, model=model,
+            max_neighbors=max_neighbors, min_neighbors=min_neighbors,
+        )
+        values, provenance, failed, seen = reference_impute(
+            net, obs, sites, model, max_neighbors, min_neighbors
+        )
+        assert _bits(field.values) == _bits(values)
+        assert field.provenance == provenance
+        assert field.failed_count == failed
+        cases |= seen | ({"failed"} if failed else set())
+    # the layouts reach every path: merged neighbours, short columns, and
+    # neighbour counts both below and at the cap
+    assert {"merged", "failed", max_neighbors} <= cases
+    assert any(isinstance(c, int) and c < max_neighbors for c in cases)
+
+
+def test_imputation_reports_the_first_singular_link():
+    # two detached corridors whose sites are picometres apart: a subnormal
+    # sill underflows every semivariance, so every system is singular; the
+    # longer corridor comes first in link order but has more neighbours
+    model = VariogramModel(kind="exponential", nugget=0.0, sill=1e-315, range_km=1.0)
+    links = [Link(f"a{i}", f"a{i}", f"a{i + 1}", 2e-12, 1) for i in range(12)]
+    links += [Link(f"b{i}", f"b{i}", f"b{i + 1}", 2e-12, 1) for i in range(8)]
+    net = Network(links)
+    sites = midpoint_sites(net)
+    obs = tuple(
+        LinkObservation(l.id, 0, float(i), 1.0)
+        for i, l in enumerate(net.links)
+        if i % 2 == 0
+    )
+    with pytest.raises(SingularSystemError) as err:
+        impute_network(net, obs, sites, model=model)
+    with pytest.raises(SingularSystemError) as reference:
+        reference_impute(net, obs, sites, model)
+    assert err.value.condition == reference.value.condition
+    assert err.value.condition is None or err.value.condition > 1e12
+
+
+def test_neighbor_limits_are_checked_once_a_link_is_kriged():
+    net, sites, truth, obs = _corridor_setup()
+    model = VariogramModel(kind="spherical", nugget=0.0, sill=100.0, range_km=5.0)
+    with pytest.raises(ValueError):
+        impute_network(net, obs, sites, model=model, min_neighbors=0)
+    with pytest.raises(ValueError):
+        impute_network(net, obs, sites, model=model, min_neighbors=4, max_neighbors=3)
+    # with every link observed nothing is kriged and nothing is checked
+    full = tuple(LinkObservation(l.id, 0, truth[l.id], 10.0) for l in net.links)
+    field = impute_network(net, full, sites, model=model, min_neighbors=0)
+    assert field.failed_count == 0
 
 
 def test_impute_validates_observations():

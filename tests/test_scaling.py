@@ -166,6 +166,19 @@ def test_hierarchical_observations_must_match_partition():
         )
 
 
+def test_partition_mismatch_names_the_links():
+    net = _two_class_network()
+    partition = HierarchyPartition.from_network(net, {"A1", "B1"})
+    assert partition.equipped_ids == {"A1", "B1"}
+    assert partition.equipped_ids is partition.equipped_ids
+    with pytest.raises(ValidationError) as err:
+        hierarchical_scaled_mean([_obs("A1", 1.0), _obs("B2", 1.0)], partition)
+    assert str(err.value) == (
+        "observations do not match the partition's equipped links "
+        "(missing ['B1'], unexpected ['B2'])"
+    )
+
+
 def test_partition_rejects_unknown_equipped_link():
     net = _two_class_network()
     with pytest.raises(ValidationError):
