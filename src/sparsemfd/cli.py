@@ -36,17 +36,17 @@ from .experiment import (
     load_experiment_config,
     metrics_dict,
     model_row,
-    observations_by_bin,
     run_experiment,
 )
-from .kriging import failed_length_fraction, known_sites, observed_values
+from .kriging import failed_length_fraction, known_sites
 from .metrics import compute_metrics, paired_t_test
 from .mfd import build_mfd, fit_quadratic_with_ci
 from .network import NETWORK_COLUMNS, load_detector_sites, load_network
 from .sensing import (
-    edie_network_truth,
+    edie_truth_series,
     load_coverage_plan,
     load_readings,
+    reading_columns,
     sample_coverage,
     sample_coverage_counts,
     save_coverage_plan,
@@ -217,13 +217,13 @@ def sample(obj, network_file, sites_file, fraction, counts):
 
 def _retained_from_plan(plan_file, sites):
     plan = load_coverage_plan(plan_file)
-    by_id = {s.detector_id: s for s in sites}
-    missing = [d for d in plan.retained_detectors if d not in by_id]
+    known = {s.detector_id for s in sites}
+    missing = [d for d in plan.retained_detectors if d not in known]
     if missing:
         raise EstimationError(
             f"plan references detectors missing from the site table: {missing[:5]}"
         )
-    return [by_id[d] for d in plan.retained_detectors]
+    return plan.retained_detectors
 
 
 @main.command()
@@ -250,19 +250,23 @@ def scale(obj, network_file, sites_file, readings_file, plan_file, fraction,
     readings = load_readings(readings_file, obj.delim)
     if plan_file is not None and fraction is not None:
         raise click.UsageError("give at most one of --plan or --fraction")
+    # every reading is checked, also those of detectors the plan drops
+    columns = reading_columns(readings, sites, network.link_ids)
     if plan_file is not None:
-        retained = _retained_from_plan(plan_file, sites)
+        retained_ids = _retained_from_plan(plan_file, sites)
     elif fraction is not None:
-        _, retained = sample_coverage(sites, network, fraction, obj.seed)
+        plan, _ = sample_coverage(sites, network, fraction, obj.seed)
+        retained_ids = plan.retained_detectors
     else:
-        retained = sites
-    by_bin = observations_by_bin(readings, sites, retained)
+        retained_ids = None
+    observations = columns.observe(retained_ids)
+    bins = observations.observed_bins
     methods = ("uniform", "hierarchical") if method == "both" else (method,)
     estimates = []
     failures = []
     for m in methods:
         for outcome in estimate_bins(
-            m, by_bin, sorted(by_bin), VARIABLES, network,
+            m, observations, bins, VARIABLES, network,
             uniform_mode=uniform_mode, duration_h=duration_h,
         ):
             if outcome.failure is not None:
@@ -275,7 +279,7 @@ def scale(obj, network_file, sites_file, readings_file, plan_file, fraction,
         _table(obj, "estimates"), ESTIMATES_HEADER,
         map(attrgetter(*ESTIMATES_HEADER), estimates), obj.delim,
     )
-    click.echo(f"wrote {path} ({len(estimates)} rows over {len(by_bin)} bins)")
+    click.echo(f"wrote {path} ({len(estimates)} rows over {len(bins)} bins)")
     if failures and not estimates:
         raise failures[0]
 
@@ -300,8 +304,8 @@ def variogram(obj, network_file, sites_file, readings_file, bin_index, variable,
     network = load_network(network_file, obj.delim)
     sites = load_detector_sites(sites_file, network=network, delimiter=obj.delim)
     readings = load_readings(readings_file, obj.delim)
-    _, observed = observed_values(
-        network, observations_by_bin(readings, sites).get(bin_index, []), variable
+    observed = reading_columns(readings, sites, network.link_ids).observe().observed_values(
+        bin_index, variable
     )
     known, values = known_sites(
         observed, [s.detector_id for s in sites], [s.link_id for s in sites]
@@ -381,8 +385,8 @@ def impute(obj, network_file, sites_file, readings_file, bin_index, variable,
     network = load_network(network_file, obj.delim)
     sites = load_detector_sites(sites_file, network=network, delimiter=obj.delim)
     readings = load_readings(readings_file, obj.delim)
-    by_bin = observations_by_bin(readings, sites)
-    bins = [bin_index] if bin_index is not None else sorted(by_bin)
+    observations = reading_columns(readings, sites, network.link_ids).observe()
+    bins = [bin_index] if bin_index is not None else observations.observed_bins
     settings = VariogramSettings(
         lag_bins=lag_bins,
         min_pairs=min_pairs,
@@ -395,7 +399,8 @@ def impute(obj, network_file, sites_file, readings_file, bin_index, variable,
     rows = []
     failures = []
     for outcome in estimate_bins(
-        "variogram", by_bin, bins, (variable,), network, sites=sites, settings=settings
+        "variogram", observations, bins, (variable,), network, sites=sites,
+        settings=settings,
     ):
         b, field = outcome.bin_index, outcome.field
         if field is not None:
@@ -566,8 +571,12 @@ def synth(obj, scenario_file):
     )
     readings_path = write_readings(_table(obj, "readings"), data.readings, obj.delim)
     truth_rows = []
-    for b in sorted({o.bin_index for o in data.observations}):
-        q, k = edie_network_truth(data.observations, data.network, b)
+    truth_flow, truth_density = edie_truth_series(
+        reading_columns(data.readings, data.sites, data.network.link_ids).observe(),
+        data.network,
+    )
+    for b, q in truth_flow.items():
+        k = truth_density[b]
         truth_rows.append((b, "edie", "flow", q, q * data.network.total_length_km, 0))
         truth_rows.append((b, "edie", "density", k, k * data.network.total_length_km, 0))
     truth_path = write_table(

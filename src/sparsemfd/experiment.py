@@ -23,10 +23,13 @@ from .errors import (
     NumericError,
     ValidationError,
 )
-from .kriging import (
+# impute_network is not called here; perfbench's tracer wraps it under
+# this module's name, so the import stays
+from .kriging import (  # noqa: F401
     ImputationDistances,
     ImputedField,
     impute_network,
+    impute_observed,
     network_mean_from_field,
 )
 from .metrics import compute_metrics, paired_t_test
@@ -36,13 +39,13 @@ from .scaling import (
     VARIABLES,
     HierarchyPartition,
     ScaledEstimate,
-    hierarchical_scaled_mean,
-    uniform_scaled_mean,
+    hierarchical_estimate,
+    uniform_estimate,
 )
 from .sensing import (
-    aggregate_to_links,
-    edie_network_truth,
+    edie_truth_series,
     load_readings,
+    reading_columns,
     sample_coverage,
     save_coverage_plan,
 )
@@ -157,24 +160,6 @@ def field_rows(imputed, network):
     ]
 
 
-def observations_by_bin(readings, sites, retained=None):
-    """Aggregate detector readings to link observations, grouped by bin.
-
-    ``retained`` narrows the detectors to a coverage plan's subset of
-    ``sites``; the readings of the other sites are left out. A reading of a
-    detector outside ``sites`` is an error either way.
-    """
-    if retained is None:
-        retained = sites
-    dropped = {s.detector_id for s in sites} - {s.detector_id for s in retained}
-    by_bin = {}
-    for obs in aggregate_to_links(
-        [r for r in readings if r.detector_id not in dropped], retained
-    ):
-        by_bin.setdefault(obs.bin_index, []).append(obs)
-    return by_bin
-
-
 @dataclass(frozen=True)
 class BinOutcome:
     """One (bin, variable) of an estimator: an estimate or its failure.
@@ -191,57 +176,63 @@ class BinOutcome:
     field: ImputedField | None = None
 
 
-def estimate_bins(estimator, obs_by_bin, bins, variables, network, sites=(),
+def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                   distances=None, known_site_ids=None,
                   settings=VariogramSettings(), uniform_mode="exact",
                   duration_h=1.0):
     """Run one estimator over every (bin, variable); yield a ``BinOutcome`` each.
 
-    A ``NotEstimableError`` fails only its own pair, as a failure reading
+    ``observations`` is an ``ObservationGrid`` over ``network``'s links. A
+    ``NotEstimableError`` fails only its own pair, as a failure reading
     "bin {b} ({variable}): {reason}"; numeric and validation errors
-    propagate. The hierarchy partition is built once from the links
-    observed in any bin and rebuilt only for a bin that observes other
-    links. Without ``refit_per_bin`` each variable reuses the model of its
-    first estimable bin. ``sites``, ``distances`` and ``known_site_ids`` are
-    those of ``impute_network``; the distances are built once when omitted.
+    propagate. The hierarchy partition is built once per distinct set of
+    observed links. Without ``refit_per_bin`` each variable reuses the model
+    of its first estimable bin. ``sites``, ``distances`` and
+    ``known_site_ids`` are those of ``impute_network``; the distances are
+    built once when omitted.
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ValidationError(f"unknown estimator '{estimator}'")
-    if estimator == "hierarchical":
-        observed = {o.link_id for b in bins for o in obs_by_bin.get(b, ())}
-        partition = HierarchyPartition.from_network(network, observed)
-    elif estimator == "variogram" and distances is None:
+    if estimator == "variogram" and distances is None:
         distances = ImputationDistances.build(network, sites)
+    partitions = {}
     reused = {}
     for b in bins:
-        obs = obs_by_bin.get(b, [])
-        if estimator == "hierarchical" and obs:
-            links = {o.link_id for o in obs}
-            bin_partition = (
-                partition if links == observed
-                else HierarchyPartition.from_network(network, links)
-            )
+        row = observations.row(b)
+        if row is not None:
+            equipped = observations.observed[row]
+            if estimator == "hierarchical":
+                key = equipped.tobytes()
+                if key not in partitions:
+                    partitions[key] = HierarchyPartition.from_network(
+                        network,
+                        [observations.link_ids[j] for j in np.flatnonzero(equipped).tolist()],
+                    )
+                partition = partitions[key]
         for variable in variables:
             imputed = None
             try:
-                if not obs:
+                if row is None:
                     raise InsufficientDataError("no equipped observation")
+                values = observations.values(variable)[row]
                 if estimator == "uniform":
-                    estimate = uniform_scaled_mean(
-                        obs, network, variable, mode=uniform_mode, duration_h=duration_h
+                    estimate = uniform_estimate(
+                        b, values, equipped, network, variable,
+                        mode=uniform_mode, duration_h=duration_h,
                     )
                 elif estimator == "hierarchical":
-                    estimate = hierarchical_scaled_mean(
-                        obs, bin_partition, variable, duration_h=duration_h
+                    estimate = hierarchical_estimate(
+                        b, values, partition, variable, duration_h=duration_h
                     )
                 else:
                     model = settings.fixed_model
                     if model is None and not settings.refit_per_bin:
                         model = reused.get(variable)
-                    imputed = impute_network(
-                        network, obs, sites, distances=distances, model=model,
-                        variable=variable, kinds=settings.kinds,
-                        lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
+                    imputed = impute_observed(
+                        network, b, observations.observed_values(b, variable), sites,
+                        distances=distances, model=model, variable=variable,
+                        kinds=settings.kinds, lag_bins=settings.lag_bins,
+                        min_pairs=settings.min_pairs,
                         max_neighbors=settings.max_neighbors,
                         min_neighbors=settings.min_neighbors,
                         known_site_ids=known_site_ids,
@@ -422,15 +413,11 @@ def _materialise(config):
     return network, sites, readings, None
 
 
-def _truth_series(observations, network, bin_indices):
-    flow = {}
-    density = {}
+def _truth_series(grid, network):
     try:
-        for b in bin_indices:
-            flow[b], density[b] = edie_network_truth(observations, network, b)
+        return edie_truth_series(grid, network)
     except InsufficientDataError:
         return None, None
-    return flow, density
 
 
 def _record(cell, outcome):
@@ -507,9 +494,9 @@ def _attach_ttest(result, coverage, seed):
 def run_experiment(config, output_dir=None, fmt="csv"):
     """Run the full grid; optionally write all outputs below ``output_dir``."""
     network, sites, readings, clamped = _materialise(config)
-    full_obs = aggregate_to_links(readings, sites)
-    bin_indices = tuple(sorted({o.bin_index for o in full_obs}))
-    truth_flow, truth_density = _truth_series(full_obs, network, bin_indices)
+    columns = reading_columns(readings, sites, network.link_ids)
+    bin_indices = tuple(columns.bins.tolist())
+    truth_flow, truth_density = _truth_series(columns.observe(), network)
     geometry = (
         ImputationDistances.build(network, sites)
         if "variogram" in config.estimators
@@ -527,16 +514,16 @@ def run_experiment(config, output_dir=None, fmt="csv"):
 
     for coverage in config.coverages:
         for seed in config.seeds:
-            plan, retained = sample_coverage(sites, network, coverage, seed)
+            plan, _ = sample_coverage(sites, network, coverage, seed)
             retained_ids = set(plan.retained_detectors)
-            obs_by_bin = observations_by_bin(readings, sites, retained)
+            observations = columns.observe(plan.retained_detectors)
             result.plans[(coverage, seed)] = plan
 
             for estimator in config.estimators:
                 cell = CellResult(coverage=coverage, seed=seed, estimator=estimator)
                 try:
                     for outcome in estimate_bins(
-                        estimator, obs_by_bin, bin_indices, VARIABLES, network,
+                        estimator, observations, bin_indices, VARIABLES, network,
                         sites=sites, distances=geometry, known_site_ids=retained_ids,
                         settings=config.variogram, uniform_mode=config.uniform_mode,
                     ):

@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .network import cross_distance_matrix, midpoint_sites, site_distance_matrix
-from .sensing import VALUE_FIELDS
+from .sensing import value_field
 from .variogram import MODEL_KINDS, distance_bin_edges, empirical_variogram, fit_variogram, gamma
 
 PROVENANCE_OBSERVED = "observed"
@@ -266,9 +266,7 @@ class ImputedField:
 
 def observed_values(network, observations, variable="flow"):
     """One bin's observed value per link: ``(bin_index, {link_id: value})``."""
-    if variable not in VALUE_FIELDS:
-        raise ValueError(f"variable must be one of {tuple(VALUE_FIELDS)}, got '{variable}'")
-    field = VALUE_FIELDS[variable]
+    field = value_field(variable)
     if not observations:
         raise InsufficientDataError("no equipped observation")
     bins = {obs.bin_index for obs in observations}
@@ -326,6 +324,22 @@ def impute_network(
     values first. Per-link failures are recorded, not raised.
     """
     bin_index, observed = observed_values(network, observations, variable)
+    return impute_observed(
+        network, bin_index, observed, sites, distances=distances, model=model,
+        variable=variable, kinds=kinds, lag_bins=lag_bins, min_pairs=min_pairs,
+        max_neighbors=max_neighbors, min_neighbors=min_neighbors,
+        known_site_ids=known_site_ids,
+    )
+
+
+def impute_observed(network, bin_index, observed, sites, distances=None, model=None,
+                    variable="flow", kinds=MODEL_KINDS, lag_bins=15, min_pairs=5,
+                    max_neighbors=16, min_neighbors=3, known_site_ids=None):
+    """``impute_network`` on one bin's observed ``{link_id: value}``.
+
+    The keys are not checked against ``network``; ``observed_values``
+    checks them for ``impute_network``.
+    """
     if distances is None:
         distances = ImputationDistances.build(network, sites)
     known, known_values = known_sites(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -109,12 +110,41 @@ class Network:
         # fsum keeps the total independent of link order
         self.total_length_km = math.fsum(link.length_km for link in links)
         self._by_id = by_id
+        self._position = {link.id: i for i, link in enumerate(links)}
 
     def link(self, link_id):
         try:
             return self._by_id[link_id]
         except KeyError:
             raise ValidationError(f"unknown link id '{link_id}'")
+
+    def position(self, link_id):
+        """Index of a link in ``links``."""
+        try:
+            return self._position[link_id]
+        except KeyError:
+            raise ValidationError(f"unknown link id '{link_id}'")
+
+    @cached_property
+    def link_ids(self):
+        """Link ids in link order."""
+        return tuple(link.id for link in self.links)
+
+    @cached_property
+    def lengths_km(self):
+        """Link lengths in link order, read-only."""
+        return _frozen(np.array([link.length_km for link in self.links]))
+
+    @cached_property
+    def hierarchies(self):
+        """Link hierarchy classes in link order, read-only."""
+        return _frozen(np.array([link.hierarchy for link in self.links]))
+
+    @cached_property
+    def id_order(self):
+        """Link positions sorted by link id, read-only."""
+        ids = self.link_ids
+        return _frozen(np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp))
 
     def has_link(self, link_id):
         return link_id in self._by_id
@@ -133,6 +163,11 @@ class Network:
             f"Network({len(self.links)} links, {len(self.nodes)} nodes, "
             f"{self.total_length_km:.3f} km)"
         )
+
+
+def _frozen(array):
+    array.setflags(write=False)
+    return array
 
 
 def load_network(source, delimiter=","):

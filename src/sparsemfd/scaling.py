@@ -20,17 +20,10 @@ from .errors import (
     UncoverableHierarchyError,
     ValidationError,
 )
-from .sensing import VALUE_FIELDS
+from .sensing import value_field
 
 VARIABLES = ("flow", "density")
 UNIFORM_MODES = ("exact", "mean-only")
-
-
-def _value_field(variable):
-    try:
-        return VALUE_FIELDS[variable]
-    except KeyError:
-        raise ValueError(f"variable must be one of {VARIABLES}, got '{variable}'")
 
 
 def _single_bin(observations):
@@ -42,16 +35,17 @@ def _single_bin(observations):
     return bins.pop()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierarchyClassSplit:
     """Equipped / non-equipped split of one hierarchy class.
 
-    Link entries are (link_id, length_km) pairs sorted by id.
+    ``equipped`` and ``non_equipped`` hold link positions in network link
+    order.
     """
 
     hierarchy: int
-    equipped: tuple
-    non_equipped: tuple
+    equipped: np.ndarray
+    non_equipped: np.ndarray
     equipped_length_km: float
     non_equipped_length_km: float
 
@@ -64,46 +58,52 @@ class HierarchyClassSplit:
         return len(self.non_equipped)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HierarchyPartition:
-    """Per-hierarchy equipped / non-equipped split of a whole network."""
+    """Per-hierarchy equipped / non-equipped split of a whole network.
+
+    ``link_ids`` and ``lengths_km`` list the network's links in order;
+    ``equipped`` masks the equipped ones.
+    """
 
     classes: tuple
     total_length_km: float
+    link_ids: tuple
+    lengths_km: np.ndarray
+    equipped: np.ndarray
 
     @cached_property
     def equipped_ids(self):
         """Every equipped link id, as a frozenset built on first use."""
-        return frozenset(
-            link_id for split in self.classes for link_id, _ in split.equipped
-        )
+        return frozenset(self.link_ids[j] for j in np.flatnonzero(self.equipped).tolist())
 
     @classmethod
     def from_network(cls, network, equipped_link_ids):
-        equipped_ids = set(equipped_link_ids)
-        for link_id in equipped_ids:
-            network.link(link_id)
+        equipped = np.zeros(len(network.links), dtype=bool)
+        for link_id in set(equipped_link_ids):
+            equipped[network.position(link_id)] = True
+        lengths = network.lengths_km
         classes = []
         for hierarchy in sorted(network.hierarchy_set):
-            members = network.links_of_hierarchy(hierarchy)
-            equipped = tuple(
-                (l.id, l.length_km) for l in sorted(members, key=lambda l: l.id)
-                if l.id in equipped_ids
-            )
-            non_equipped = tuple(
-                (l.id, l.length_km) for l in sorted(members, key=lambda l: l.id)
-                if l.id not in equipped_ids
-            )
+            members = network.hierarchies == hierarchy
+            on = np.flatnonzero(members & equipped)
+            off = np.flatnonzero(members & ~equipped)
             classes.append(
                 HierarchyClassSplit(
                     hierarchy=hierarchy,
-                    equipped=equipped,
-                    non_equipped=non_equipped,
-                    equipped_length_km=math.fsum(l for _, l in equipped),
-                    non_equipped_length_km=math.fsum(l for _, l in non_equipped),
+                    equipped=on,
+                    non_equipped=off,
+                    equipped_length_km=math.fsum(lengths[on].tolist()),
+                    non_equipped_length_km=math.fsum(lengths[off].tolist()),
                 )
             )
-        return cls(classes=tuple(classes), total_length_km=network.total_length_km)
+        return cls(
+            classes=tuple(classes),
+            total_length_km=network.total_length_km,
+            link_ids=network.link_ids,
+            lengths_km=lengths,
+            equipped=equipped,
+        )
 
 
 @dataclass(frozen=True)
@@ -124,6 +124,81 @@ class ScaledEstimate:
     duration_h: float = 1.0
 
 
+def _scaled(bin_index, variable, travelled_rate, total, method, hierarchy_count, duration_h):
+    return ScaledEstimate(
+        bin_index=bin_index,
+        variable=variable,
+        value=travelled_rate / total,
+        ttd_or_ttt=travelled_rate * duration_h,
+        method=method,
+        hierarchy_count=hierarchy_count,
+        duration_h=duration_h,
+    )
+
+
+def uniform_estimate(bin_index, values, equipped, network, variable="flow",
+                     mode="exact", duration_h=1.0):
+    """The uniform estimate of one bin from its link values in network order.
+
+    ``equipped`` masks the links observed in the bin; ``values`` elsewhere
+    is ignored. The equipped mean and the measured travelled total reduce
+    over the equipped links in link-id order, the order in which
+    ``aggregate_to_links`` lists them, so a bin gives the same bits from
+    the arrays as from its observation list.
+    """
+    links = network.id_order[equipped[network.id_order]]
+    values = values[links]
+    lengths = network.lengths_km[links]
+    equipped_mean = float(values.mean())
+    total = network.total_length_km
+    non_equipped_length = max(total - math.fsum(lengths.tolist()), 0.0)
+    if mode == "exact":
+        travelled_rate = float(values @ lengths) + equipped_mean * non_equipped_length
+    else:
+        travelled_rate = equipped_mean * total
+    return _scaled(bin_index, variable, travelled_rate, total, "uniform", 1, duration_h)
+
+
+def hierarchical_estimate(bin_index, values, partition, variable="flow", duration_h=1.0):
+    """The hierarchical estimate of one bin from its link values in network order.
+
+    ``partition`` splits the network by the links observed in the bin;
+    ``values`` off its equipped links is ignored.
+    """
+    travelled_rate = 0.0
+    for split in partition.classes:
+        if split.equipped_count == 0:
+            if split.non_equipped_count > 0:
+                raise UncoverableHierarchyError(split.hierarchy)
+            continue
+        equipped = split.equipped
+        # fsum is exact, so the order of the links does not matter
+        equipped_rate = math.fsum(
+            (values[equipped] * partition.lengths_km[equipped]).tolist()
+        )
+        travelled_rate += equipped_rate
+        if split.non_equipped_count > 0:
+            travelled_rate += equipped_rate * (
+                split.non_equipped_length_km / split.equipped_length_km
+            )
+    return _scaled(
+        bin_index, variable, travelled_rate, partition.total_length_km,
+        "hierarchical", len(partition.classes), duration_h,
+    )
+
+
+def _observed_by_link(observations, variable):
+    """One bin's ``(bin_index, {link_id: value})``; a link may appear once."""
+    field = value_field(variable)
+    bin_index = _single_bin(observations)
+    by_link = {}
+    for obs in observations:
+        if obs.link_id in by_link:
+            raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
+        by_link[obs.link_id] = getattr(obs, field)
+    return bin_index, by_link
+
+
 def uniform_scaled_mean(observations, network, variable="flow", mode="exact", duration_h=1.0):
     """Estimate the network mean from equipped links with a single-class scale.
 
@@ -134,41 +209,17 @@ def uniform_scaled_mean(observations, network, variable="flow", mode="exact", du
     """
     if mode not in UNIFORM_MODES:
         raise ValueError(f"mode must be one of {UNIFORM_MODES}, got '{mode}'")
-    field = _value_field(variable)
+    value_field(variable)
     if not observations:
         raise InsufficientDataError("uniform scaling needs at least one equipped observation")
-    bin_index = _single_bin(observations)
-
-    seen = set()
-    values = []
-    lengths = []
-    for obs in observations:
-        if obs.link_id in seen:
-            raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
-        seen.add(obs.link_id)
-        values.append(getattr(obs, field))
-        lengths.append(network.link(obs.link_id).length_km)
-    values = np.array(values)
-    lengths = np.array(lengths)
-
-    equipped_mean = float(values.mean())
-    total = network.total_length_km
-    equipped_length = math.fsum(lengths)
-    non_equipped_length = max(total - equipped_length, 0.0)
-    if mode == "exact":
-        travelled_rate = float(values @ lengths) + equipped_mean * non_equipped_length
-    else:
-        travelled_rate = equipped_mean * total
-
-    return ScaledEstimate(
-        bin_index=bin_index,
-        variable=variable,
-        value=travelled_rate / total,
-        ttd_or_ttt=travelled_rate * duration_h,
-        method="uniform",
-        hierarchy_count=1,
-        duration_h=duration_h,
-    )
+    bin_index, by_link = _observed_by_link(observations, variable)
+    values = np.zeros(len(network.links))
+    equipped = np.zeros(len(network.links), dtype=bool)
+    for link_id, value in by_link.items():
+        position = network.position(link_id)
+        values[position] = value
+        equipped[position] = True
+    return uniform_estimate(bin_index, values, equipped, network, variable, mode, duration_h)
 
 
 def hierarchical_scaled_mean(observations, partition, variable="flow", duration_h=1.0):
@@ -179,19 +230,12 @@ def hierarchical_scaled_mean(observations, partition, variable="flow", duration_
     Requires an equipped observation in every class that has unequipped
     links; the partition's equipped set must match the observations.
     """
-    field = _value_field(variable)
+    value_field(variable)
     if not observations:
         raise InsufficientDataError(
             "hierarchical scaling needs at least one equipped observation"
         )
-    bin_index = _single_bin(observations)
-
-    by_link = {}
-    for obs in observations:
-        if obs.link_id in by_link:
-            raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
-        by_link[obs.link_id] = getattr(obs, field)
-
+    bin_index, by_link = _observed_by_link(observations, variable)
     expected = partition.equipped_ids
     if by_link.keys() != expected:
         observed = set(by_link)
@@ -200,32 +244,10 @@ def hierarchical_scaled_mean(observations, partition, variable="flow", duration_
             f"(missing {sorted(expected - observed)[:5]}, "
             f"unexpected {sorted(observed - expected)[:5]})"
         )
-
-    travelled_rate = 0.0
-    for split in partition.classes:
-        if split.equipped_count == 0:
-            if split.non_equipped_count > 0:
-                raise UncoverableHierarchyError(split.hierarchy)
-            continue
-        equipped_rate = math.fsum(
-            by_link[link_id] * length for link_id, length in split.equipped
-        )
-        travelled_rate += equipped_rate
-        if split.non_equipped_count > 0:
-            travelled_rate += equipped_rate * (
-                split.non_equipped_length_km / split.equipped_length_km
-            )
-
-    total = partition.total_length_km
-    return ScaledEstimate(
-        bin_index=bin_index,
-        variable=variable,
-        value=travelled_rate / total,
-        ttd_or_ttt=travelled_rate * duration_h,
-        method="hierarchical",
-        hierarchy_count=len(partition.classes),
-        duration_h=duration_h,
-    )
+    values = np.zeros(len(partition.link_ids))
+    for j in np.flatnonzero(partition.equipped).tolist():
+        values[j] = by_link[partition.link_ids[j]]
+    return hierarchical_estimate(bin_index, values, partition, variable, duration_h)
 
 
 @dataclass(frozen=True)

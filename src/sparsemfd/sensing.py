@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -64,6 +65,14 @@ class LinkObservation:
 VALUE_FIELDS = {"flow": "flow_veh_per_h", "density": "density_veh_per_km"}
 
 
+def value_field(variable):
+    """The ``LinkObservation`` attribute of a variable."""
+    try:
+        return VALUE_FIELDS[variable]
+    except KeyError:
+        raise ValueError(f"variable must be one of {tuple(VALUE_FIELDS)}, got '{variable}'")
+
+
 @dataclass(frozen=True)
 class CoveragePlan:
     """A reproducible detector subsample.
@@ -101,46 +110,170 @@ def write_readings(path, readings, delimiter=","):
     return write_table(path, READINGS_HEADER, rows, delimiter)
 
 
-def aggregate_to_links(readings, sites):
-    """Average detector readings into one observation per (link, bin).
+@dataclass(frozen=True, eq=False)
+class ReadingColumns:
+    """Validated detector readings as arrays, in reading order.
 
-    Every reading's detector must appear in ``sites``; a detector may report
-    at most once per bin. Links whose detectors are silent in a bin simply
-    have no observation for that bin.
+    ``site`` indexes ``site_ids`` and ``link`` indexes ``link_ids``, the
+    link axis of every grid built from these readings. ``bins`` lists the
+    distinct bin indices in order and ``row`` gives each reading's position
+    in it.
     """
-    site_link = {}
+
+    site_ids: tuple
+    link_ids: tuple
+    site: np.ndarray
+    link: np.ndarray
+    bins: np.ndarray
+    row: np.ndarray
+    flow: np.ndarray
+    density: np.ndarray
+
+    def observe(self, retained_ids=None):
+        """Average the readings per (bin, link) into an ``ObservationGrid``.
+
+        ``retained_ids`` narrows the detectors to a coverage plan's subset;
+        the readings of the other detectors are left out. A bin keeps its
+        row even when no retained detector reports in it.
+        """
+        if retained_ids is None:
+            keep = np.ones(self.site.size, dtype=bool)
+        else:
+            position = {d: i for i, d in enumerate(self.site_ids)}
+            retained = np.zeros(len(self.site_ids), dtype=bool)
+            retained[[position[d] for d in retained_ids]] = True
+            keep = retained[self.site]
+        shape = (self.bins.size, len(self.link_ids))
+        key = self.row[keep] * shape[1] + self.link[keep]
+        size = shape[0] * shape[1]
+        # bincount adds in reading order, like a running sum per (bin, link)
+        counts = np.bincount(key, minlength=size).reshape(shape)
+        sums = [
+            np.bincount(key, weights=values[keep], minlength=size).reshape(shape)
+            for values in (self.flow, self.density)
+        ]
+        with np.errstate(invalid="ignore"):
+            flow, density = (total / counts for total in sums)
+        return ObservationGrid(
+            bins=self.bins, link_ids=self.link_ids, flow=flow, density=density,
+            observed=counts > 0,
+        )
+
+
+def reading_columns(readings, sites, link_ids):
+    """Validate every reading once and hold the readings as ``ReadingColumns``.
+
+    Every reading's detector must appear in ``sites``, every site's link in
+    ``link_ids``, and a detector may report at most once per bin. The first
+    offending reading, in reading order, is reported.
+    """
+    link_position = {link_id: i for i, link_id in enumerate(link_ids)}
+    site_position = {}
+    site_link = []
     for site in sites:
-        if site.detector_id in site_link:
+        if site.detector_id in site_position:
             raise ValidationError(f"duplicate detector id '{site.detector_id}'")
-        site_link[site.detector_id] = site.link_id
+        if site.link_id not in link_position:
+            raise ValidationError(f"unknown link id '{site.link_id}'")
+        site_position[site.detector_id] = len(site_link)
+        site_link.append(link_position[site.link_id])
 
     seen = set()
-    sums = {}
+    site_column = []
     for reading in readings:
-        link_id = site_link.get(reading.detector_id)
-        if link_id is None:
+        position = site_position.get(reading.detector_id)
+        if position is None:
             raise ValidationError(
                 f"reading references unknown detector '{reading.detector_id}'"
             )
-        key = (reading.detector_id, reading.bin_index)
+        key = (position, reading.bin_index)
         if key in seen:
             raise ValidationError(
                 f"detector '{reading.detector_id}' reports twice in bin {reading.bin_index}"
             )
         seen.add(key)
-        acc = sums.setdefault((reading.bin_index, link_id), [0.0, 0.0, 0])
-        acc[0] += reading.flow_veh_per_h
-        acc[1] += reading.density_veh_per_km
-        acc[2] += 1
+        site_column.append(position)
 
+    site_column = np.array(site_column, dtype=np.intp)
+    bins, row = np.unique(
+        np.array([r.bin_index for r in readings], dtype=np.int64), return_inverse=True
+    )
+    return ReadingColumns(
+        site_ids=tuple(site_position),
+        link_ids=tuple(link_ids),
+        site=site_column,
+        link=np.array(site_link, dtype=np.intp)[site_column],
+        bins=bins,
+        row=row,
+        flow=np.array([r.flow_veh_per_h for r in readings], dtype=float),
+        density=np.array([r.density_veh_per_km for r in readings], dtype=float),
+    )
+
+
+@dataclass(frozen=True, eq=False)
+class ObservationGrid:
+    """Per-link means of every bin, as (bins x links) arrays.
+
+    Row ``r`` belongs to bin ``bins[r]`` and column ``j`` to link
+    ``link_ids[j]``. ``observed`` marks the cells with at least one
+    reading; the other cells of ``flow`` and ``density`` hold NaN.
+    """
+
+    bins: np.ndarray
+    link_ids: tuple
+    flow: np.ndarray
+    density: np.ndarray
+    observed: np.ndarray
+
+    @cached_property
+    def _rows(self):
+        observed = self.observed.any(axis=1)
+        return {b: r for r, b in enumerate(self.bins.tolist()) if observed[r]}
+
+    @property
+    def observed_bins(self):
+        """The bins with at least one observed link, in order."""
+        return list(self._rows)
+
+    def row(self, bin_index):
+        """The row of a bin, or None when no link is observed in it."""
+        return self._rows.get(bin_index)
+
+    def values(self, variable):
+        value_field(variable)
+        return self.flow if variable == "flow" else self.density
+
+    def observed_values(self, bin_index, variable):
+        """One bin's observed value per link, as ``{link_id: value}``."""
+        values = self.values(variable)
+        row = self.row(bin_index)
+        if row is None:
+            raise InsufficientDataError("no equipped observation")
+        return {
+            self.link_ids[j]: float(values[row, j])
+            for j in np.flatnonzero(self.observed[row]).tolist()
+        }
+
+
+def aggregate_to_links(readings, sites):
+    """Average detector readings into one observation per (link, bin).
+
+    Every reading's detector must appear in ``sites``; a detector may report
+    at most once per bin. Links whose detectors are silent in a bin simply
+    have no observation for that bin. Observations come sorted by bin and
+    link id.
+    """
+    link_ids = sorted({site.link_id for site in sites})
+    grid = reading_columns(readings, sites, link_ids).observe()
+    rows, links = np.nonzero(grid.observed)
     return [
         LinkObservation(
-            link_id=link_id,
-            bin_index=bin_index,
-            flow_veh_per_h=q_sum / count,
-            density_veh_per_km=k_sum / count,
+            link_id=link_ids[j],
+            bin_index=int(grid.bins[r]),
+            flow_veh_per_h=float(grid.flow[r, j]),
+            density_veh_per_km=float(grid.density[r, j]),
         )
-        for (bin_index, link_id), (q_sum, k_sum, count) in sorted(sums.items())
+        for r, j in zip(rows.tolist(), links.tolist())
     ]
 
 
@@ -170,10 +303,11 @@ def sample_coverage(sites, network, fraction, seed):
     if not (isinstance(fraction, (int, float)) and 0.0 < fraction <= 1.0):
         raise ValueError(f"coverage fraction must lie in (0, 1], got {fraction}")
     groups = _sites_by_hierarchy(sites, network)
-    counts = {}
-    for hierarchy, members in sorted(groups.items()):
-        counts[hierarchy] = min(len(members), max(1, round(fraction * len(members))))
-    return sample_coverage_counts(sites, network, counts, seed, fraction=float(fraction))
+    counts = {
+        hierarchy: min(len(members), max(1, round(fraction * len(members))))
+        for hierarchy, members in groups.items()
+    }
+    return _sample_groups(groups, counts, seed, float(fraction))
 
 
 def sample_coverage_counts(sites, network, counts, seed, fraction=None):
@@ -194,7 +328,11 @@ def sample_coverage_counts(sites, network, counts, seed, fraction=None):
             raise ValidationError(
                 f"hierarchy {hierarchy}: count must lie in [1, {size}], got {count}"
             )
+    return _sample_groups(groups, counts, seed, fraction)
 
+
+def _sample_groups(groups, counts, seed, fraction):
+    """Draw ``counts[h]`` sites of every hierarchy group, classes in order."""
     rng = np.random.default_rng(seed)
     retained = []
     for hierarchy, members in sorted(groups.items()):
@@ -240,6 +378,39 @@ def load_coverage_plan(path):
         raise ValidationError(f"malformed coverage plan: {exc}")
 
 
+def _edie_means(flows, densities, network):
+    """Length-weighted means of one bin's link values, given in link order.
+
+    A 1-D dot per bin fixes the reduction order of a bin, however many bins
+    are evaluated.
+    """
+    lengths = network.lengths_km
+    total = network.total_length_km
+    return float(flows @ lengths / total), float(densities @ lengths / total)
+
+
+def _missing_links_error(bin_index, missing):
+    shown = ", ".join(missing[:10])
+    more = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
+    return InsufficientDataError(f"bin {bin_index}: no observation for links {shown}{more}")
+
+
+def edie_truth_series(grid, network):
+    """Edie truth of every bin of a fully covered grid over ``network``'s links.
+
+    Returns two ``{bin_index: value}`` dicts, flow and density. A bin that
+    misses a link raises ``InsufficientDataError`` naming the links.
+    """
+    flow = {}
+    density = {}
+    for r, b in enumerate(grid.bins.tolist()):
+        if not grid.observed[r].all():
+            missing = np.flatnonzero(~grid.observed[r])
+            raise _missing_links_error(b, [grid.link_ids[j] for j in missing.tolist()])
+        flow[b], density[b] = _edie_means(grid.flow[r], grid.density[r], network)
+    return flow, density
+
+
 def edie_network_truth(observations, network, bin_index):
     """Length-weighted network mean flow and density for one fully covered bin.
 
@@ -257,16 +428,12 @@ def edie_network_truth(observations, network, bin_index):
             )
         by_link[obs.link_id] = obs
 
-    missing = [link.id for link in network.links if link.id not in by_link]
+    missing = [link_id for link_id in network.link_ids if link_id not in by_link]
     if missing:
-        shown = ", ".join(missing[:10])
-        more = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
-        raise InsufficientDataError(
-            f"bin {bin_index}: no observation for links {shown}{more}"
-        )
-
-    lengths = np.array([link.length_km for link in network.links])
-    flows = np.array([by_link[link.id].flow_veh_per_h for link in network.links])
-    densities = np.array([by_link[link.id].density_veh_per_km for link in network.links])
-    total = network.total_length_km
-    return float(flows @ lengths / total), float(densities @ lengths / total)
+        raise _missing_links_error(bin_index, missing)
+    observed = [by_link[link_id] for link_id in network.link_ids]
+    return _edie_means(
+        np.array([obs.flow_veh_per_h for obs in observed]),
+        np.array([obs.density_veh_per_km for obs in observed]),
+        network,
+    )

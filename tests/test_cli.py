@@ -6,8 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from sparsemfd.cli import main
-from sparsemfd.network import NETWORK_COLUMNS
-from sparsemfd.sensing import READINGS_HEADER
+from sparsemfd.network import NETWORK_COLUMNS, load_detector_sites, load_network
+from sparsemfd.sensing import READINGS_HEADER, sample_coverage
 from sparsemfd.tableio import write_table
 
 ESTIMATES_HEADER = (
@@ -285,6 +285,22 @@ def test_scale_rejects_readings_of_unknown_detectors(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "unknown detector 'd9'" in result.output
+
+
+def test_scale_checks_readings_of_detectors_the_plan_drops(runner, tmp_path):
+    network, sites, readings = write_two_classes(tmp_path, d3_bins=(0, 1))
+    net = load_network(network)
+    site_table = load_detector_sites(sites, network=net)
+    plan, _ = sample_coverage(site_table, net, 0.5, seed=0)
+    (dropped,) = {s.detector_id for s in site_table} - set(plan.retained_detectors)
+    with open(readings, "a") as handle:
+        handle.write(f"{dropped},1,50.0,5.0,10.0\n")
+    result = invoke(
+        runner,
+        ["--seed", "0", "scale", str(network), str(sites), str(readings), "--fraction", "0.5"],
+    )
+    assert result.exit_code == 2
+    assert f"detector '{dropped}' reports twice in bin 1" in result.output
 
 
 # --- variogram and imputation -------------------------------------------------

@@ -1,5 +1,8 @@
 """Uniform and hierarchical scaling estimators and the covariance diagnostic."""
 
+import math
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,17 +11,27 @@ from hypothesis import strategies as st
 from sparsemfd.errors import (
     AlignmentError,
     InsufficientDataError,
+    NotEstimableError,
     UncoverableHierarchyError,
     ValidationError,
 )
+from sparsemfd.experiment import estimate_bins
 from sparsemfd.network import Link, Network
 from sparsemfd.scaling import (
+    VARIABLES,
     HierarchyPartition,
     flow_length_covariance,
     hierarchical_scaled_mean,
     uniform_scaled_mean,
 )
-from sparsemfd.sensing import LinkObservation, edie_network_truth
+from sparsemfd.sensing import (
+    VALUE_FIELDS,
+    LinkObservation,
+    edie_network_truth,
+    reading_columns,
+    sample_coverage,
+)
+from conftest import CLASS_GAP_BIN, READING_BINS, make_reading_scenario, reference_aggregate
 
 
 def _obs(link_id, q, k=10.0, b=0):
@@ -221,6 +234,117 @@ def test_estimate_value_consistent_with_travelled_total(quad_network):
         assert est.value == pytest.approx(
             est.ttd_or_ttt / (10.0 * est.duration_h), rel=1e-9
         )
+
+
+# --- array estimators against the object-list estimators they replaced -------
+
+
+def reference_uniform(observations, network, variable, mode, duration_h):
+    """The object-list uniform estimator: ``(value, ttd_or_ttt)``, reducing
+    in the order of ``observations``."""
+    field = VALUE_FIELDS[variable]
+    values = np.array([getattr(o, field) for o in observations])
+    lengths = np.array([network.link(o.link_id).length_km for o in observations])
+    equipped_mean = float(values.mean())
+    total = network.total_length_km
+    non_equipped_length = max(total - math.fsum(lengths), 0.0)
+    if mode == "exact":
+        rate = float(values @ lengths) + equipped_mean * non_equipped_length
+    else:
+        rate = equipped_mean * total
+    return rate / total, rate * duration_h
+
+
+def reference_hierarchical(observations, network, variable, duration_h):
+    """The object-list hierarchical estimator over (link id, length) pairs."""
+    field = VALUE_FIELDS[variable]
+    by_link = {o.link_id: getattr(o, field) for o in observations}
+    rate = 0.0
+    for hierarchy in sorted(network.hierarchy_set):
+        members = sorted(network.links_of_hierarchy(hierarchy), key=lambda l: l.id)
+        equipped = [(l.id, l.length_km) for l in members if l.id in by_link]
+        non_equipped = [l.length_km for l in members if l.id not in by_link]
+        if not equipped:
+            if non_equipped:
+                raise UncoverableHierarchyError(hierarchy)
+            continue
+        equipped_rate = math.fsum(by_link[link_id] * length for link_id, length in equipped)
+        rate += equipped_rate
+        if non_equipped:
+            rate += equipped_rate * (
+                math.fsum(non_equipped) / math.fsum(length for _, length in equipped)
+            )
+    total = network.total_length_km
+    return rate / total, rate * duration_h
+
+
+def _bits(*values):
+    return [struct.pack("<d", v) for v in values]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_array_estimators_match_the_object_references(seed):
+    """Bit for bit, on plans whose bins miss readings, whole classes or
+    every detector, with several detectors on some links."""
+    network, sites, readings = make_reading_scenario(seed)
+    columns = reading_columns(readings, sites, network.link_ids)
+    bins = range(max(READING_BINS) + 1)
+    failures = set()
+    for fraction in (1.0, 0.3, 0.05):
+        plan, retained = sample_coverage(sites, network, fraction, seed)
+        kept = set(plan.retained_detectors)
+        by_bin = {}
+        for obs in reference_aggregate([r for r in readings if r.detector_id in kept], retained):
+            by_bin.setdefault(obs.bin_index, []).append(obs)
+        grid = columns.observe(plan.retained_detectors)
+        for estimator, mode in (
+            ("uniform", "exact"), ("uniform", "mean-only"), ("hierarchical", "exact"),
+        ):
+            for outcome in estimate_bins(
+                estimator, grid, bins, VARIABLES, network, uniform_mode=mode, duration_h=0.25,
+            ):
+                b, variable = outcome.bin_index, outcome.variable
+                obs = by_bin.get(b, [])
+                try:
+                    if not obs:
+                        raise InsufficientDataError("no equipped observation")
+                    if estimator == "uniform":
+                        expected = reference_uniform(obs, network, variable, mode, 0.25)
+                        adapted = uniform_scaled_mean(obs, network, variable, mode, 0.25)
+                    else:
+                        expected = reference_hierarchical(obs, network, variable, 0.25)
+                        partition = HierarchyPartition.from_network(
+                            network, [o.link_id for o in obs]
+                        )
+                        adapted = hierarchical_scaled_mean(obs, partition, variable, 0.25)
+                except NotEstimableError as exc:
+                    assert str(outcome.failure) == f"bin {b} ({variable}): {exc}"
+                    failures.add((type(exc), b))
+                    continue
+                assert outcome.failure is None
+                estimate = outcome.estimate
+                assert _bits(estimate.value, estimate.ttd_or_ttt) == _bits(*expected)
+                assert _bits(adapted.value, adapted.ttd_or_ttt) == _bits(*expected)
+    assert (UncoverableHierarchyError, CLASS_GAP_BIN) in failures
+    assert (InsufficientDataError, 1) in failures
+
+
+def test_uncovered_class_keeps_the_partition_and_coverage_texts():
+    network, sites, readings = make_reading_scenario(0)
+    observations = [o for o in reference_aggregate(readings, sites) if o.bin_index == CLASS_GAP_BIN]
+    missing = sorted(set(network.link_ids) - {o.link_id for o in observations})
+    assert any(link_id.startswith("h3_") for link_id in missing)
+    whole = HierarchyPartition.from_network(network, network.link_ids)
+    with pytest.raises(ValidationError) as err:
+        hierarchical_scaled_mean(observations, whole)
+    assert str(err.value) == (
+        "observations do not match the partition's equipped links "
+        f"(missing {missing[:5]}, unexpected [])"
+    )
+    partition = HierarchyPartition.from_network(network, [o.link_id for o in observations])
+    with pytest.raises(UncoverableHierarchyError) as err:
+        hierarchical_scaled_mean(observations, partition)
+    assert str(err.value) == "hierarchy 3 has non-equipped links but no equipped observation"
 
 
 # --- covariance diagnostic ----------------------------------------------------

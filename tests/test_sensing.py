@@ -1,7 +1,9 @@
 """Reading aggregation, stratified coverage sampling and reference truth."""
 
 import io
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,14 +15,21 @@ from sparsemfd.sensing import (
     LinkObservation,
     aggregate_to_links,
     edie_network_truth,
+    edie_truth_series,
     load_coverage_plan,
     load_readings,
+    reading_columns,
     sample_coverage,
     sample_coverage_counts,
     save_coverage_plan,
     write_readings,
 )
-from conftest import make_tiered_sites
+from conftest import (
+    READING_BINS,
+    make_reading_scenario,
+    make_tiered_sites,
+    reference_aggregate,
+)
 
 
 def _reading(det, b, q, k):
@@ -98,6 +107,66 @@ def test_aggregation_ignores_reading_order():
     b = aggregate_to_links(list(reversed(readings)), sites)
     assert a[0].flow_veh_per_h == pytest.approx(b[0].flow_veh_per_h, rel=1e-12)
     assert a[0].density_veh_per_km == pytest.approx(b[0].density_veh_per_km, rel=1e-12)
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _observation_bits(observations):
+    return [
+        (o.link_id, o.bin_index, _bits(o.flow_veh_per_h), _bits(o.density_veh_per_km))
+        for o in observations
+    ]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_columnar_aggregation_matches_the_reference_loop(seed):
+    network, sites, readings = make_reading_scenario(seed)
+    assert _observation_bits(aggregate_to_links(readings, sites)) == _observation_bits(
+        reference_aggregate(readings, sites)
+    )
+
+    columns = reading_columns(readings, sites, network.link_ids)
+    plan, retained = sample_coverage(sites, network, 0.3, seed)
+    for retained_ids, subset in ((None, sites), (plan.retained_detectors, retained)):
+        kept = {s.detector_id for s in subset}
+        expected = {
+            (o.bin_index, o.link_id): o
+            for o in reference_aggregate([r for r in readings if r.detector_id in kept], subset)
+        }
+        grid = columns.observe(retained_ids)
+        assert grid.bins.tolist() == list(READING_BINS)
+        for r, b in enumerate(READING_BINS):
+            for j, link_id in enumerate(network.link_ids):
+                obs = expected.get((b, link_id))
+                assert grid.observed[r, j] == (obs is not None)
+                if obs is not None:
+                    assert _bits(grid.flow[r, j]) == _bits(obs.flow_veh_per_h)
+                    assert _bits(grid.density[r, j]) == _bits(obs.density_veh_per_km)
+
+
+@pytest.mark.parametrize(
+    "readings, message",
+    [
+        (
+            [_reading("d1", 0, 1.0, 1.0), _reading("d1", 0, 2.0, 2.0),
+             _reading("ghost", 1, 1.0, 1.0)],
+            "detector 'd1' reports twice in bin 0",
+        ),
+        (
+            [_reading("d1", 0, 1.0, 1.0), _reading("ghost", 1, 1.0, 1.0),
+             _reading("d1", 0, 2.0, 2.0)],
+            "reading references unknown detector 'ghost'",
+        ),
+    ],
+)
+def test_first_offending_reading_is_reported(readings, message):
+    sites = (DetectorSite("d1", "A"),)
+    for aggregate in (reference_aggregate, aggregate_to_links):
+        with pytest.raises(ValidationError) as err:
+            aggregate(readings, sites)
+        assert str(err.value) == message
 
 
 # --- stratified sampling ------------------------------------------------------
@@ -232,6 +301,56 @@ def test_truth_rejects_duplicate_observation():
     obs = [LinkObservation("A", 0, 1.0, 1.0), LinkObservation("A", 0, 2.0, 2.0)]
     with pytest.raises(ValidationError):
         edie_network_truth(obs, net, 0)
+
+
+def reference_truth(observations, network, bin_index):
+    """The per-bin Edie truth that ``edie_network_truth`` computed before the
+    link-indexed arrays: fresh arrays and one dot per bin, in link order."""
+    by_link = {}
+    for obs in observations:
+        if obs.bin_index != bin_index:
+            continue
+        if obs.link_id in by_link:
+            raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
+        by_link[obs.link_id] = obs
+    missing = [link.id for link in network.links if link.id not in by_link]
+    if missing:
+        shown = ", ".join(missing[:10])
+        more = "" if len(missing) <= 10 else f" and {len(missing) - 10} more"
+        raise InsufficientDataError(f"bin {bin_index}: no observation for links {shown}{more}")
+    lengths = np.array([link.length_km for link in network.links])
+    flows = np.array([by_link[link.id].flow_veh_per_h for link in network.links])
+    densities = np.array([by_link[link.id].density_veh_per_km for link in network.links])
+    total = network.total_length_km
+    return float(flows @ lengths / total), float(densities @ lengths / total)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_truth_series_matches_the_reference_bit_for_bit(seed):
+    network, sites, readings = make_reading_scenario(seed, silent=0.0, class_gap=False)
+    observations = reference_aggregate(readings, sites)
+    flow, density = edie_truth_series(
+        reading_columns(readings, sites, network.link_ids).observe(), network
+    )
+    assert list(flow) == list(READING_BINS)
+    for b in READING_BINS:
+        expected = tuple(map(_bits, reference_truth(observations, network, b)))
+        assert (_bits(flow[b]), _bits(density[b])) == expected
+        assert tuple(map(_bits, edie_network_truth(observations, network, b))) == expected
+
+
+def test_truth_series_names_the_missing_links_of_the_first_short_bin():
+    network, sites, readings = make_reading_scenario(0)
+    observations = reference_aggregate(readings, sites)
+    short = next(
+        b for b in READING_BINS
+        if len({o.link_id for o in observations if o.bin_index == b}) < len(network.links)
+    )
+    with pytest.raises(InsufficientDataError) as expected:
+        reference_truth(observations, network, short)
+    with pytest.raises(InsufficientDataError) as err:
+        edie_truth_series(reading_columns(readings, sites, network.link_ids).observe(), network)
+    assert str(err.value) == str(expected.value)
 
 
 def test_truth_invariant_under_link_split():
