@@ -41,7 +41,7 @@ from .experiment import (
 from .kriging import failed_length_fraction, known_sites
 from .metrics import compute_metrics, paired_t_test
 from .mfd import build_mfd, fit_quadratic_with_ci
-from .network import NETWORK_COLUMNS, load_detector_sites, load_network
+from .network import NETWORK_COLUMNS, load_detector_sites, load_network, site_distance_matrix
 from .sensing import (
     edie_truth_series,
     load_coverage_plan,
@@ -68,7 +68,6 @@ from .variogram import (
     empirical_variogram,
     fit_variogram,
 )
-from .network import site_distance_matrix
 
 EXIT_VALIDATION = 2
 EXIT_NOT_ESTIMABLE = 3

@@ -4,9 +4,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtr, stdtrit
 
-from .errors import AlignmentError, DegenerateTestError, InsufficientDataError
+from .errors import AlignmentError, DegenerateTestError, InsufficientDataError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -26,6 +26,16 @@ class MetricsReport:
     mape_skipped: int
 
 
+def _require_finite(values, name):
+    """Reject a series holding NaN or an infinity, naming the series."""
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        i = int(bad[0])
+        raise ValidationError(
+            f"{name} series holds a non-finite value ({values[i]}) at position {i}"
+        )
+
+
 def compute_metrics(estimated, actual):
     est = np.asarray(estimated, dtype=float)
     act = np.asarray(actual, dtype=float)
@@ -33,6 +43,8 @@ def compute_metrics(estimated, actual):
         raise AlignmentError(
             f"series must be equal-length vectors, got {est.shape} and {act.shape}"
         )
+    _require_finite(est, "estimated")
+    _require_finite(act, "actual")
     if est.size == 0:
         raise InsufficientDataError("metrics need at least one point")
 
@@ -77,7 +89,8 @@ def paired_t_test(a, b, alpha=0.05):
 
     The statistic is the mean difference over its standard error with n - 1
     degrees of freedom. Identical series have zero variance and make the
-    statistic undefined, which is reported as a degenerate test.
+    statistic undefined, which is reported as a degenerate test. A NaN or
+    an infinity in either series is rejected as invalid input.
     """
     a_arr = np.asarray(a, dtype=float)
     b_arr = np.asarray(b, dtype=float)
@@ -85,6 +98,8 @@ def paired_t_test(a, b, alpha=0.05):
         raise AlignmentError(
             f"series must be equal-length vectors, got {a_arr.shape} and {b_arr.shape}"
         )
+    _require_finite(a_arr, "first")
+    _require_finite(b_arr, "second")
     n = a_arr.size
     if n < 2:
         raise InsufficientDataError(f"paired test needs at least 2 pairs, got {n}")
@@ -100,7 +115,7 @@ def paired_t_test(a, b, alpha=0.05):
     mean_diff = float(diffs.mean())
     t_statistic = mean_diff / (spread / np.sqrt(n))
     df = n - 1
-    p_value = float(2.0 * stats.t.sf(abs(t_statistic), df))
+    p_value = float(2.0 * stdtr(df, -abs(t_statistic)))
     return PairedTTestResult(
         t_statistic=float(t_statistic),
         degrees_of_freedom=df,
@@ -117,7 +132,7 @@ def t_critical_value(degrees_of_freedom, confidence=0.95):
         raise ValueError(f"degrees of freedom must be positive, got {degrees_of_freedom}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    return float(stats.t.ppf(0.5 + confidence / 2.0, degrees_of_freedom))
+    return float(stdtrit(degrees_of_freedom, 0.5 + confidence / 2.0))
 
 
 def combine_metrics(reports):

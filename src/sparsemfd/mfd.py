@@ -10,9 +10,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import AlignmentError, InsufficientDataError, RankDeficiencyError, ValidationError
+from .metrics import t_critical_value
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,9 @@ class QuadraticFit:
         if kind not in ("mean", "prediction"):
             raise ValueError(f"kind must be 'mean' or 'prediction', got '{kind}'")
         level = self.confidence if confidence is None else confidence
-        if not 0.0 < level < 1.0:
-            raise ValueError(f"confidence must lie in (0, 1), got {level}")
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         fitted = self(x_arr)
-        critical = float(stats.t.ppf(0.5 + level / 2.0, self.degrees_of_freedom))
+        critical = t_critical_value(self.degrees_of_freedom, level)
         margin = critical * self._standard_error(x_arr, kind == "prediction")
         return fitted, fitted - margin, fitted + margin
 

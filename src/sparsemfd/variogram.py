@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import (
     EmptyVariogramError,
@@ -251,6 +250,10 @@ def _improves(rss, best_rss):
 def _best_range(kind, h, g, counts, sill_floor, range_bounds):
     """The range of least weighted RSS: a log-grid scan, then a bounded
     scalar refinement over the two grid steps around the best grid range."""
+    # Imported here, its only use, so that importing the package does not
+    # load scipy.optimize.
+    from scipy.optimize import minimize_scalar
+
     ranges = np.geomspace(*range_bounds, RANGE_GRID)
     grid_rss = _linear_fits(kind, ranges, h, g, counts, sill_floor)[0].min(axis=0)
     i = int(np.argmin(grid_rss))

@@ -1,6 +1,7 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import math
 
 import pytest
 from click.testing import CliRunner
@@ -573,6 +574,24 @@ def test_evaluate_mismatched_bins(runner, tmp_path):
     result = invoke(runner, ["evaluate", str(est), str(act)])
     assert result.exit_code == 2
     assert "bin sets differ" in result.output
+
+
+def test_evaluate_rejects_non_finite_values(runner, tmp_path):
+    est = tmp_path / "est.csv"
+    act = tmp_path / "act.csv"
+    write_table(
+        est, ESTIMATES_HEADER,
+        _estimates_rows("uniform", (1.0, 2.0, math.inf), (10.0, 20.0, 30.0)),
+    )
+    write_table(
+        act, ESTIMATES_HEADER,
+        _estimates_rows("edie", (0.5, 1.0, 2.0), (10.0, 20.0, 30.0)),
+    )
+    out = tmp_path / "eval"
+    result = invoke(runner, ["--output-dir", str(out), "evaluate", str(est), str(act)])
+    assert result.exit_code == 2
+    assert "estimated series holds a non-finite value (inf)" in result.output
+    assert not (out / "evaluation.json").exists()
 
 
 # --- experiment ---------------------------------------------------------------

@@ -9,6 +9,7 @@ from sparsemfd.errors import (
     AlignmentError,
     DegenerateTestError,
     InsufficientDataError,
+    ValidationError,
 )
 from sparsemfd.metrics import (
     combine_metrics,
@@ -16,6 +17,7 @@ from sparsemfd.metrics import (
     paired_t_test,
     t_critical_value,
 )
+from sparsemfd.mfd import QuadraticFit
 
 
 def test_metrics_worked_example():
@@ -71,6 +73,8 @@ def test_metrics_input_validation():
         compute_metrics([1.0, 2.0], [1.0])
     with pytest.raises(InsufficientDataError):
         compute_metrics([], [])
+    with pytest.raises(ValidationError, match="actual series holds a non-finite value"):
+        compute_metrics([1.0, 2.0], [1.0, math.inf])
 
 
 # --- paired t test ------------------------------------------------------------
@@ -129,6 +133,8 @@ def test_t_test_input_validation():
         paired_t_test([1.0, 2.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         paired_t_test([1.0, 2.0], [2.0, 1.0], alpha=0.0)
+    with pytest.raises(ValidationError, match=r"first series holds a non-finite value \(inf\)"):
+        paired_t_test([1.0, 2.0, math.inf], [0.5, 1.0, 2.0])
 
 
 def test_critical_value_table_entry():
@@ -136,6 +142,32 @@ def test_critical_value_table_entry():
     assert t_critical_value(2) == pytest.approx(4.3027, abs=5e-4)
     with pytest.raises(ValueError):
         t_critical_value(0)
+
+
+def test_t_distribution_matches_scipy_stats_bit_for_bit():
+    from scipy import stats
+
+    rng = np.random.default_rng(3)
+    levels = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
+    for df in [*range(1, 201), 1000, 10_000, 100_000]:
+        quantiles = [stats.t.ppf(0.5 + level / 2.0, df) for level in levels]
+        assert [t_critical_value(df, level) for level in levels] == quantiles
+
+        fit = QuadraticFit(
+            coefficients=(1.0, 2.0, -0.1), xtx_inv=np.eye(3), residual_variance=4.0,
+            n_points=df + 3,
+        )
+        x = np.array([0.0, 3.5])
+        spread = fit._standard_error(x, False)
+        for level, quantile in zip(levels, quantiles):
+            fitted, low, high = fit.band(x, confidence=level)
+            assert np.array_equal(low, fitted - quantile * spread)
+            assert np.array_equal(high, fitted + quantile * spread)
+
+        # a mean shift of 2 / sqrt(n) keeps t near 2 at every df
+        a = rng.normal(2.0 / math.sqrt(df + 1), 1.0, size=df + 1)
+        result = paired_t_test(a, np.zeros(df + 1))
+        assert result.p_value == 2.0 * stats.t.sf(abs(result.t_statistic), df)
 
 
 # --- combination --------------------------------------------------------------
