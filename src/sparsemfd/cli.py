@@ -18,6 +18,7 @@ import numpy as np
 from .errors import (
     EstimationError,
     DegenerateTestError,
+    InsufficientDataError,
     NotEstimableError,
     NumericError,
     UnreachableSiteError,
@@ -303,11 +304,13 @@ def variogram(obj, network_file, sites_file, readings_file, bin_index, variable,
     network = load_network(network_file, obj.delim)
     sites = load_detector_sites(sites_file, network=network, delimiter=obj.delim)
     readings = load_readings(readings_file, obj.delim)
-    observed = reading_columns(readings, sites, network.link_ids).observe().observed_values(
-        bin_index, variable
-    )
+    grid = reading_columns(readings, sites, network.link_ids).observe()
+    row = grid.row(bin_index)
+    if row is None:
+        raise InsufficientDataError("no equipped observation")
     known, values = known_sites(
-        observed, [s.detector_id for s in sites], [s.link_id for s in sites]
+        grid.values(variable)[row], grid.observed[row],
+        np.array([network.position(s.link_id) for s in sites], dtype=np.intp),
     )
     distances = site_distance_matrix(network, [sites[i] for i in known])
     edges = distance_bin_edges(distances, n_bins=lag_bins)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass, field
+from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -153,11 +154,10 @@ def model_row(model, bin_index):
 
 def field_rows(imputed, network):
     """``FIELD_HEADER`` rows of one imputed field, in network link order."""
-    return [
-        (link.id, imputed.bin_index, imputed.variable, imputed.values.get(link.id),
-         imputed.provenance.get(link.id))
-        for link in network.links
-    ]
+    return list(zip(
+        network.link_ids, repeat(imputed.bin_index), repeat(imputed.variable),
+        imputed.values.tolist(), imputed.provenance.tolist(),
+    ))
 
 
 @dataclass(frozen=True)
@@ -193,8 +193,10 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ValidationError(f"unknown estimator '{estimator}'")
-    if estimator == "variogram" and distances is None:
-        distances = ImputationDistances.build(network, sites)
+    if estimator == "variogram":
+        if distances is None:
+            distances = ImputationDistances.build(network, sites)
+        retained = distances.site_mask(known_site_ids)
     partitions = {}
     reused = {}
     for b in bins:
@@ -229,13 +231,12 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                     if model is None and not settings.refit_per_bin:
                         model = reused.get(variable)
                     imputed = impute_observed(
-                        network, b, observations.observed_values(b, variable), sites,
-                        distances=distances, model=model, variable=variable,
+                        b, values, equipped, distances, model=model, variable=variable,
                         kinds=settings.kinds, lag_bins=settings.lag_bins,
                         min_pairs=settings.min_pairs,
                         max_neighbors=settings.max_neighbors,
                         min_neighbors=settings.min_neighbors,
-                        known_site_ids=known_site_ids,
+                        retained=retained,
                     )
                     value, _ = network_mean_from_field(
                         imputed, network, settings.min_length_coverage

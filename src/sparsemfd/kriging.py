@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .network import cross_distance_matrix, midpoint_sites, site_distance_matrix
-from .sensing import value_field
+from .sensing import bin_arrays, value_field
 from .variogram import MODEL_KINDS, distance_bin_edges, empirical_variogram, fit_variogram, gamma
 
 PROVENANCE_OBSERVED = "observed"
@@ -225,12 +225,13 @@ class ImputationDistances:
     """Precomputed along-network distances for repeated imputation.
 
     Built once per network and detector layout, then shared across bins and
-    variables; nothing here depends on observed values.
+    variables; nothing here depends on observed values. ``site_links``
+    holds each site's link position, and the columns of ``site_to_target``
+    are the link midpoints in network link order.
     """
 
     site_ids: tuple
-    site_link_ids: tuple
-    target_link_ids: tuple
+    site_links: np.ndarray
     between_sites: np.ndarray
     site_to_target: np.ndarray
 
@@ -239,65 +240,55 @@ class ImputationDistances:
         targets = midpoint_sites(network)
         return cls(
             site_ids=tuple(s.detector_id for s in sites),
-            site_link_ids=tuple(s.link_id for s in sites),
-            target_link_ids=tuple(l.id for l in network.links),
+            site_links=np.array([network.position(s.link_id) for s in sites], dtype=np.intp),
             between_sites=site_distance_matrix(network, sites),
             site_to_target=cross_distance_matrix(network, sites, targets),
         )
 
+    def site_mask(self, site_ids):
+        """Mask of the sites listed in ``site_ids``; None stays None (every site)."""
+        if site_ids is None:
+            return None
+        wanted = set(site_ids)
+        return np.array([site_id in wanted for site_id in self.site_ids], dtype=bool)
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class ImputedField:
-    """Per-link values for one bin with their provenance.
+    """Link values of one bin with their provenance, in network link order.
 
     Equipped links keep their observation ("observed"), the rest receive a
     kriged midpoint value ("imputed") or NaN where too few neighbors were in
-    range ("failed"). A field with failures is still a valid result; whether
-    it supports a network mean is decided later.
+    range ("failed"); ``provenance`` holds these labels. A field with
+    failures is still a valid result; whether it supports a network mean is
+    decided later.
     """
 
     bin_index: int
     variable: str
-    values: dict
-    provenance: dict
+    values: np.ndarray
+    provenance: np.ndarray
     model: object
-    failed_count: int
+
+    @property
+    def failed_count(self):
+        return int(np.count_nonzero(self.provenance == PROVENANCE_FAILED))
 
 
-def observed_values(network, observations, variable="flow"):
-    """One bin's observed value per link: ``(bin_index, {link_id: value})``."""
-    field = value_field(variable)
-    if not observations:
-        raise InsufficientDataError("no equipped observation")
-    bins = {obs.bin_index for obs in observations}
-    if len(bins) != 1:
-        raise ValidationError(f"observations must belong to one bin, got {sorted(bins)}")
-    bin_index = bins.pop()
-
-    observed = {}
-    for obs in observations:
-        network.link(obs.link_id)
-        if obs.link_id in observed:
-            raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
-        observed[obs.link_id] = float(getattr(obs, field))
-    return bin_index, observed
-
-
-def known_sites(observed, site_ids, site_link_ids, known_site_ids=None):
+def known_sites(values, observed, site_links, retained=None):
     """Positions of the sites whose link is observed, and their values.
 
-    ``observed`` maps link ids to values as returned by ``observed_values``;
-    ``known_site_ids`` optionally narrows the sites further.
+    ``values`` and ``observed`` are one bin's link-order arrays and
+    ``site_links`` each site's link position; the mask ``retained``
+    optionally narrows the sites further.
     """
-    known = [
-        i
-        for i, link_id in enumerate(site_link_ids)
-        if link_id in observed
-        and (known_site_ids is None or site_ids[i] in known_site_ids)
-    ]
-    if not known:
+    usable = observed[site_links]
+    if retained is not None:
+        usable &= retained
+    known = np.flatnonzero(usable)
+    if known.size == 0:
         raise InsufficientDataError("no detector site sits on an observed link")
-    return known, np.array([observed[site_link_ids[i]] for i in known])
+    return known, values[site_links[known]]
 
 
 def impute_network(
@@ -323,28 +314,29 @@ def impute_network(
     ``model=None`` a variogram is estimated and fitted from this bin's own
     values first. Per-link failures are recorded, not raised.
     """
-    bin_index, observed = observed_values(network, observations, variable)
-    return impute_observed(
-        network, bin_index, observed, sites, distances=distances, model=model,
-        variable=variable, kinds=kinds, lag_bins=lag_bins, min_pairs=min_pairs,
-        max_neighbors=max_neighbors, min_neighbors=min_neighbors,
-        known_site_ids=known_site_ids,
-    )
-
-
-def impute_observed(network, bin_index, observed, sites, distances=None, model=None,
-                    variable="flow", kinds=MODEL_KINDS, lag_bins=15, min_pairs=5,
-                    max_neighbors=16, min_neighbors=3, known_site_ids=None):
-    """``impute_network`` on one bin's observed ``{link_id: value}``.
-
-    The keys are not checked against ``network``; ``observed_values``
-    checks them for ``impute_network``.
-    """
+    value_field(variable)
+    if not observations:
+        raise InsufficientDataError("no equipped observation")
+    bin_index, values, observed = bin_arrays(observations, network, variable)
     if distances is None:
         distances = ImputationDistances.build(network, sites)
-    known, known_values = known_sites(
-        observed, distances.site_ids, distances.site_link_ids, known_site_ids
+    return impute_observed(
+        bin_index, values, observed, distances, model=model, variable=variable,
+        kinds=kinds, lag_bins=lag_bins, min_pairs=min_pairs,
+        max_neighbors=max_neighbors, min_neighbors=min_neighbors,
+        retained=distances.site_mask(known_site_ids),
     )
+
+
+def impute_observed(bin_index, values, observed, distances, model=None, variable="flow",
+                    kinds=MODEL_KINDS, lag_bins=15, min_pairs=5, max_neighbors=16,
+                    min_neighbors=3, retained=None):
+    """``impute_network`` on one bin's link-order ``values`` and ``observed`` mask.
+
+    ``values`` off the observed links is ignored. ``retained`` is the
+    ``distances.site_mask`` of ``known_site_ids``.
+    """
+    known, known_values = known_sites(values, observed, distances.site_links, retained)
     known_pairs = distances.between_sites[np.ix_(known, known)]
 
     if model is None:
@@ -352,10 +344,10 @@ def impute_observed(network, bin_index, observed, sites, distances=None, model=N
         empirical = empirical_variogram(known_values, known_pairs, edges)
         model = fit_variogram(empirical, kinds=kinds, min_pairs=min_pairs)
 
-    links = distances.target_link_ids
-    unobserved = [column for column, link_id in enumerate(links) if link_id not in observed]
-    predictions = {}
-    if unobserved:
+    field_values = np.where(observed, values, np.nan)
+    imputed = np.zeros(observed.shape, dtype=bool)
+    unobserved = np.flatnonzero(~observed)
+    if unobserved.size:
         _, groups = _krige(
             model,
             known_values,
@@ -366,42 +358,38 @@ def impute_observed(network, bin_index, observed, sites, distances=None, model=N
         )
         for columns, kept, merged, solutions, _ in groups:
             m = kept.shape[1]
-            for row, column in enumerate(columns):
-                predictions[links[unobserved[column]]] = float(solutions[row, :m] @ merged[row])
+            targets = unobserved[columns]
+            field_values[targets] = [
+                solutions[row, :m] @ merged[row] for row in range(columns.size)
+            ]
+            imputed[targets] = True
 
-    values = {}
-    provenance = {}
-    failed = 0
-    for link_id in links:
-        if link_id in observed:
-            values[link_id] = observed[link_id]
-            provenance[link_id] = PROVENANCE_OBSERVED
-        elif link_id in predictions:
-            values[link_id] = predictions[link_id]
-            provenance[link_id] = PROVENANCE_IMPUTED
-        else:
-            values[link_id] = float("nan")
-            provenance[link_id] = PROVENANCE_FAILED
-            failed += 1
-
+    provenance = np.where(
+        observed,
+        PROVENANCE_OBSERVED,
+        np.where(imputed, PROVENANCE_IMPUTED, PROVENANCE_FAILED),
+    )
     return ImputedField(
         bin_index=bin_index,
         variable=variable,
-        values=values,
+        values=field_values,
         provenance=provenance,
         model=model,
-        failed_count=failed,
     )
+
+
+def _running_sum(terms):
+    """Add ``terms`` one at a time in order, as a Python loop would.
+
+    ``np.sum`` adds pairwise and may change the last bits.
+    """
+    return float(np.cumsum(terms)[-1])
 
 
 def failed_length_fraction(field, network):
     """Share of network length whose links could not be imputed."""
-    failed = sum(
-        link.length_km
-        for link in network.links
-        if field.provenance.get(link.id) == PROVENANCE_FAILED
-    )
-    return failed / network.total_length_km
+    failed = field.provenance == PROVENANCE_FAILED
+    return _running_sum(np.where(failed, network.lengths_km, 0.0)) / network.total_length_km
 
 
 def network_mean_from_field(field, network, min_length_coverage=0.95):
@@ -415,14 +403,11 @@ def network_mean_from_field(field, network, min_length_coverage=0.95):
         raise ValueError(
             f"coverage threshold must lie in (0, 1], got {min_length_coverage}"
         )
-    covered_length = 0.0
-    weighted_sum = 0.0
-    for link in network.links:
-        source = field.provenance.get(link.id)
-        if source in (PROVENANCE_OBSERVED, PROVENANCE_IMPUTED):
-            covered_length += link.length_km
-            weighted_sum += field.values[link.id] * link.length_km
+    covered = field.provenance != PROVENANCE_FAILED
+    lengths = network.lengths_km
+    covered_length = _running_sum(np.where(covered, lengths, 0.0))
     coverage = covered_length / network.total_length_km
     if coverage < min_length_coverage:
         raise IncompleteFieldError(coverage=coverage, threshold=min_length_coverage)
+    weighted_sum = _running_sum(np.where(covered, field.values * lengths, 0.0))
     return weighted_sum / covered_length, coverage

@@ -14,25 +14,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import (
-    AlignmentError,
-    InsufficientDataError,
-    UncoverableHierarchyError,
-    ValidationError,
-)
-from .sensing import value_field
+from .errors import InsufficientDataError, UncoverableHierarchyError, ValidationError
+from .sensing import bin_arrays, single_bin, value_field
 
 VARIABLES = ("flow", "density")
 UNIFORM_MODES = ("exact", "mean-only")
-
-
-def _single_bin(observations):
-    bins = {obs.bin_index for obs in observations}
-    if len(bins) != 1:
-        raise AlignmentError(
-            f"observations must belong to one bin, got bins {sorted(bins)}"
-        )
-    return bins.pop()
 
 
 @dataclass(frozen=True, eq=False)
@@ -190,7 +176,7 @@ def hierarchical_estimate(bin_index, values, partition, variable="flow", duratio
 def _observed_by_link(observations, variable):
     """One bin's ``(bin_index, {link_id: value})``; a link may appear once."""
     field = value_field(variable)
-    bin_index = _single_bin(observations)
+    bin_index = single_bin(observations)
     by_link = {}
     for obs in observations:
         if obs.link_id in by_link:
@@ -212,13 +198,7 @@ def uniform_scaled_mean(observations, network, variable="flow", mode="exact", du
     value_field(variable)
     if not observations:
         raise InsufficientDataError("uniform scaling needs at least one equipped observation")
-    bin_index, by_link = _observed_by_link(observations, variable)
-    values = np.zeros(len(network.links))
-    equipped = np.zeros(len(network.links), dtype=bool)
-    for link_id, value in by_link.items():
-        position = network.position(link_id)
-        values[position] = value
-        equipped[position] = True
+    bin_index, values, equipped = bin_arrays(observations, network, variable)
     return uniform_estimate(bin_index, values, equipped, network, variable, mode, duration_h)
 
 
@@ -271,7 +251,7 @@ def flow_length_covariance(observations, network):
         raise InsufficientDataError(
             "covariance needs at least two equipped observations"
         )
-    _single_bin(observations)
+    single_bin(observations)
     flows = np.array([obs.flow_veh_per_h for obs in observations])
     lengths = np.array([network.link(obs.link_id).length_km for obs in observations])
     covariance = float((flows * lengths).mean() - flows.mean() * lengths.mean())

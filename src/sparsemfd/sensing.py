@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import InsufficientDataError, ValidationError
+from .errors import AlignmentError, InsufficientDataError, ValidationError
 from .tableio import (
     iter_rows,
     parse_float,
@@ -71,6 +71,36 @@ def value_field(variable):
         return VALUE_FIELDS[variable]
     except KeyError:
         raise ValueError(f"variable must be one of {tuple(VALUE_FIELDS)}, got '{variable}'")
+
+
+def single_bin(observations):
+    """The one bin index of ``observations``; a mix of bins is an ``AlignmentError``."""
+    bins = {obs.bin_index for obs in observations}
+    if len(bins) != 1:
+        raise AlignmentError(
+            f"observations must belong to one bin, got bins {sorted(bins)}"
+        )
+    return bins.pop()
+
+
+def bin_arrays(observations, network, variable="flow"):
+    """One bin's observations as ``(bin_index, values, observed)``.
+
+    ``values`` and ``observed`` are in ``network``'s link order: each
+    observed link's value, NaN elsewhere, and the mask of observed links.
+    A link may be observed once.
+    """
+    field = value_field(variable)
+    bin_index = single_bin(observations)
+    values = np.full(len(network.links), np.nan)
+    observed = np.zeros(len(network.links), dtype=bool)
+    for obs in observations:
+        j = network.position(obs.link_id)
+        if observed[j]:
+            raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
+        values[j] = getattr(obs, field)
+        observed[j] = True
+    return bin_index, values, observed
 
 
 @dataclass(frozen=True)
@@ -242,17 +272,6 @@ class ObservationGrid:
     def values(self, variable):
         value_field(variable)
         return self.flow if variable == "flow" else self.density
-
-    def observed_values(self, bin_index, variable):
-        """One bin's observed value per link, as ``{link_id: value}``."""
-        values = self.values(variable)
-        row = self.row(bin_index)
-        if row is None:
-            raise InsufficientDataError("no equipped observation")
-        return {
-            self.link_ids[j]: float(values[row, j])
-            for j in np.flatnonzero(self.observed[row]).tolist()
-        }
 
 
 def aggregate_to_links(readings, sites):

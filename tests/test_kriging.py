@@ -28,6 +28,7 @@ from sparsemfd.kriging import (
     network_mean_from_field,
     solve_kriging,
 )
+from sparsemfd.experiment import field_rows
 from sparsemfd.network import DetectorSite, Link, Network, midpoint_sites
 from sparsemfd.sensing import LinkObservation
 from sparsemfd.synth import corridor_network, grid_network
@@ -224,8 +225,8 @@ def test_full_coverage_passes_observations_through():
     model = VariogramModel(kind="spherical", nugget=0.0, sill=100.0, range_km=5.0)
     field = impute_network(net, obs, sites, model=model)
     assert field.failed_count == 0
-    assert all(p == PROVENANCE_OBSERVED for p in field.provenance.values())
-    assert field.values == {l.id: truth[l.id] for l in net.links}
+    assert field.provenance.tolist() == [PROVENANCE_OBSERVED] * len(net.links)
+    assert field.values.tolist() == [truth[l.id] for l in net.links]
 
 
 def test_alternating_coverage_recovers_a_linear_profile():
@@ -235,9 +236,9 @@ def test_alternating_coverage_recovers_a_linear_profile():
     assert field.failed_count == 0
     for i, link in enumerate(net.links):
         if i % 2 == 1:
-            assert field.provenance[link.id] == PROVENANCE_IMPUTED
+            assert field.provenance[i] == PROVENANCE_IMPUTED
             if 2 <= i <= 17:  # interior links, away from the flat boundary
-                assert field.values[link.id] == pytest.approx(
+                assert field.values[i] == pytest.approx(
                     truth[link.id], rel=0.05
                 )
 
@@ -330,32 +331,33 @@ def reference_solve(model, values, target, pairs, max_neighbors, min_neighbors):
 def reference_impute(network, observations, sites, model, max_neighbors=16, min_neighbors=3):
     """Krige every unobserved link with its own solve, in link order.
 
-    Returns ``(values, provenance, failed_count, cases)``; ``cases`` holds
-    the neighbour count of every solved link and ``"merged"`` when a link
-    merged coincident neighbours.
+    Returns ``(values, provenance, failed_count, cases)``, the first two as
+    lists in link order; ``cases`` holds the neighbour count of every solved
+    link and ``"merged"`` when a link merged coincident neighbours.
     """
     observed = {o.link_id: float(o.flow_veh_per_h) for o in observations}
     distances = ImputationDistances.build(network, sites)
-    known = [i for i, l in enumerate(distances.site_link_ids) if l in observed]
-    known_values = np.array([observed[distances.site_link_ids[i]] for i in known])
+    known = [i for i, site in enumerate(sites) if site.link_id in observed]
+    known_values = np.array([observed[sites[i].link_id] for i in known])
     known_pairs = distances.between_sites[np.ix_(known, known)]
-    values, provenance, failed, cases = {}, {}, 0, set()
-    for column, link_id in enumerate(distances.target_link_ids):
-        if link_id in observed:
-            values[link_id] = observed[link_id]
-            provenance[link_id] = PROVENANCE_OBSERVED
+    values, provenance, failed, cases = [], [], 0, set()
+    for column, link in enumerate(network.links):
+        if link.id in observed:
+            values.append(observed[link.id])
+            provenance.append(PROVENANCE_OBSERVED)
             continue
         solved = reference_solve(
             model, known_values, distances.site_to_target[known, column],
             known_pairs, max_neighbors, min_neighbors,
         )
         if solved is None:
-            values[link_id] = float("nan")
-            provenance[link_id] = PROVENANCE_FAILED
+            values.append(float("nan"))
+            provenance.append(PROVENANCE_FAILED)
             failed += 1
             continue
-        values[link_id], count, merged = solved
-        provenance[link_id] = PROVENANCE_IMPUTED
+        value, count, merged = solved
+        values.append(value)
+        provenance.append(PROVENANCE_IMPUTED)
         cases.add(count)
         if merged:
             cases.add("merged")
@@ -363,7 +365,7 @@ def reference_impute(network, observations, sites, model, max_neighbors=16, min_
 
 
 def _bits(values):
-    return {k: struct.pack("<d", v) for k, v in values.items()}
+    return [struct.pack("<d", v) for v in values]
 
 
 def _two_component_layout(rng):
@@ -415,8 +417,8 @@ def test_batched_imputation_matches_the_per_link_reference(model, max_neighbors,
         values, provenance, failed, seen = reference_impute(
             net, obs, sites, model, max_neighbors, min_neighbors
         )
-        assert _bits(field.values) == _bits(values)
-        assert field.provenance == provenance
+        assert _bits(field.values.tolist()) == _bits(values)
+        assert field.provenance.tolist() == provenance
         assert field.failed_count == failed
         cases |= seen | ({"failed"} if failed else set())
     # the layouts reach every path: merged neighbours, short columns, and
@@ -479,21 +481,18 @@ def test_impute_validates_observations():
 
 
 def _field(values, provenance):
+    """A field from link-order lists of values and provenance labels."""
     return ImputedField(
-        bin_index=0, variable="flow", values=values, provenance=provenance,
-        model=None, failed_count=sum(p == PROVENANCE_FAILED for p in provenance.values()),
+        bin_index=0, variable="flow", values=np.array(values, dtype=float),
+        provenance=np.array(provenance), model=None,
     )
 
 
 def test_network_mean_is_length_weighted():
     net = corridor_network(2, edge_km=1.0)
-    ids = [l.id for l in net.links]
     # unequal lengths via a handmade network would repeat other tests; here
     # equal lengths make the mean a plain average
-    field = _field(
-        {ids[0]: 10.0, ids[1]: 30.0},
-        {ids[0]: PROVENANCE_OBSERVED, ids[1]: PROVENANCE_IMPUTED},
-    )
+    field = _field([10.0, 30.0], [PROVENANCE_OBSERVED, PROVENANCE_IMPUTED])
     value, coverage = network_mean_from_field(field, net)
     assert value == 20.0
     assert coverage == 1.0
@@ -501,10 +500,8 @@ def test_network_mean_is_length_weighted():
 
 def test_network_mean_constant_field():
     net = grid_network(3, 3)
-    field = _field(
-        {l.id: 7.0 for l in net.links},
-        {l.id: PROVENANCE_OBSERVED for l in net.links},
-    )
+    n = len(net.links)
+    field = _field([7.0] * n, [PROVENANCE_OBSERVED] * n)
     value, coverage = network_mean_from_field(field, net)
     assert value == pytest.approx(7.0, rel=1e-14)
     assert coverage == pytest.approx(1.0, rel=1e-14)
@@ -512,12 +509,10 @@ def test_network_mean_constant_field():
 
 def test_network_mean_respects_the_coverage_threshold():
     net = corridor_network(5, edge_km=1.0)
-    ids = [l.id for l in net.links]
-    values = {i: 10.0 for i in ids[:3]}
-    values.update({i: float("nan") for i in ids[3:]})
-    provenance = {i: PROVENANCE_OBSERVED for i in ids[:3]}
-    provenance.update({i: PROVENANCE_FAILED for i in ids[3:]})
-    field = _field(values, provenance)
+    field = _field(
+        [10.0] * 3 + [float("nan")] * 2,
+        [PROVENANCE_OBSERVED] * 3 + [PROVENANCE_FAILED] * 2,
+    )
     with pytest.raises(IncompleteFieldError) as err:
         network_mean_from_field(field, net)
     assert err.value.coverage == pytest.approx(0.6, rel=1e-12)
@@ -532,12 +527,91 @@ def test_network_mean_respects_the_coverage_threshold():
 
 def test_failed_length_fraction():
     net = corridor_network(4, edge_km=1.0)
-    ids = [l.id for l in net.links]
-    provenance = {
-        ids[0]: PROVENANCE_OBSERVED,
-        ids[1]: PROVENANCE_IMPUTED,
-        ids[2]: PROVENANCE_FAILED,
-        ids[3]: PROVENANCE_FAILED,
-    }
-    field = _field({i: 1.0 for i in ids}, provenance)
+    provenance = [
+        PROVENANCE_OBSERVED, PROVENANCE_IMPUTED, PROVENANCE_FAILED, PROVENANCE_FAILED,
+    ]
+    field = _field([1.0] * 4, provenance)
     assert failed_length_fraction(field, net) == pytest.approx(0.5, rel=1e-12)
+
+
+# the per-link dict loops the array reductions replaced, kept as references
+
+
+def reference_network_mean(values, provenance, network, min_length_coverage):
+    covered_length = 0.0
+    weighted_sum = 0.0
+    for link in network.links:
+        if provenance[link.id] in (PROVENANCE_OBSERVED, PROVENANCE_IMPUTED):
+            covered_length += link.length_km
+            weighted_sum += values[link.id] * link.length_km
+    coverage = covered_length / network.total_length_km
+    if coverage < min_length_coverage:
+        raise IncompleteFieldError(coverage=coverage, threshold=min_length_coverage)
+    return weighted_sum / covered_length, coverage
+
+
+def reference_failed_fraction(provenance, network):
+    failed = sum(
+        link.length_km for link in network.links if provenance[link.id] == PROVENANCE_FAILED
+    )
+    return failed / network.total_length_km
+
+
+def reference_field_rows(bin_index, variable, values, provenance, network):
+    return [
+        (link.id, bin_index, variable, values[link.id], provenance[link.id])
+        for link in network.links
+    ]
+
+
+def _outcome_bits(reduce):
+    """The bits of a reduction's floats, or of the coverage it raised with."""
+    try:
+        return [struct.pack("<d", v) for v in reduce()]
+    except IncompleteFieldError as exc:
+        return ["raised", struct.pack("<d", exc.coverage)]
+
+
+def _row_bits(rows):
+    return [
+        (link_id, b, variable, type(value), struct.pack("<d", value), source)
+        for link_id, b, variable, value, source in rows
+    ]
+
+
+def test_field_reductions_match_the_per_link_loops_bit_for_bit():
+    rng = np.random.default_rng(8)
+    # a corridor of 300 links with lengths over two decades, in shuffled id order
+    names = [f"l{i}" for i in rng.permutation(300)]
+    net = Network([
+        Link(name, f"n{i}", f"n{i + 1}", float(rng.uniform(0.02, 3.0)), int(rng.integers(1, 4)))
+        for i, name in enumerate(names)
+    ])
+    labels = np.array([PROVENANCE_OBSERVED, PROVENANCE_IMPUTED, PROVENANCE_FAILED])
+    raised = 0
+    for seed in range(40):
+        draw = np.random.default_rng(seed)
+        failed_share = draw.uniform(0.0, 0.4)
+        shares = [(1.0 - failed_share) / 2] * 2 + [failed_share]
+        provenance = labels[draw.choice(3, size=300, p=shares)]
+        values = draw.lognormal(5.0, 1.5, size=300) * draw.choice([-1.0, 1.0], size=300)
+        values[provenance == PROVENANCE_FAILED] = np.nan
+        field = ImputedField(
+            bin_index=seed, variable="density", values=values, provenance=provenance, model=None,
+        )
+        by_id = dict(zip(net.link_ids, values.tolist()))
+        source = dict(zip(net.link_ids, provenance.tolist()))
+        for threshold in (1.0, 0.75, 0.01):
+            got = _outcome_bits(lambda: network_mean_from_field(field, net, threshold))
+            want = _outcome_bits(lambda: reference_network_mean(by_id, source, net, threshold))
+            assert got == want
+            raised += got[0] == "raised"
+        assert struct.pack("<d", failed_length_fraction(field, net)) == struct.pack(
+            "<d", reference_failed_fraction(source, net)
+        )
+        assert field.failed_count == sum(p == PROVENANCE_FAILED for p in source.values())
+        assert _row_bits(field_rows(field, net)) == _row_bits(
+            reference_field_rows(seed, "density", by_id, source, net)
+        )
+    # both branches of the coverage threshold are compared
+    assert 0 < raised < 120

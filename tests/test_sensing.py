@@ -8,12 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemfd.errors import InsufficientDataError, ValidationError
-from sparsemfd.network import DetectorSite, Link, Network
+from sparsemfd.errors import AlignmentError, InsufficientDataError, ValidationError
+from sparsemfd.kriging import impute_network
+from sparsemfd.network import DetectorSite, Link, Network, midpoint_sites
+from sparsemfd.scaling import uniform_scaled_mean
 from sparsemfd.sensing import (
     DetectorReading,
     LinkObservation,
     aggregate_to_links,
+    bin_arrays,
     edie_network_truth,
     edie_truth_series,
     load_coverage_plan,
@@ -86,6 +89,30 @@ def test_detector_silent_in_a_bin_averages_the_present_ones():
         LinkObservation("A", 0, 150.0, 20.0),
         LinkObservation("A", 1, 60.0, 6.0),
     ]
+
+
+def test_bin_arrays_follow_network_link_order():
+    net = Network([
+        Link("b", "n0", "n1", 1.0, 1), Link("a", "n1", "n2", 2.0, 1), Link("c", "n2", "n3", 1.0, 2),
+    ])
+    obs = [LinkObservation("c", 4, 5.0, 0.5), LinkObservation("b", 4, 7.0, 0.7)]
+    bin_index, values, observed = bin_arrays(obs, net, "density")
+    assert bin_index == 4
+    assert observed.tolist() == [True, False, True]
+    assert values[observed].tolist() == [0.7, 0.5]
+    assert np.isnan(values[1])
+    with pytest.raises(ValidationError):
+        bin_arrays(obs + [LinkObservation("b", 4, 1.0, 0.1)], net)
+    with pytest.raises(ValidationError):
+        bin_arrays([LinkObservation("z", 4, 1.0, 0.1)], net)
+    # both one-bin adapters read their observations through bin_arrays
+    mixed = obs + [LinkObservation("a", 5, 1.0, 0.1)]
+    with pytest.raises(AlignmentError):
+        bin_arrays(mixed, net)
+    with pytest.raises(AlignmentError):
+        uniform_scaled_mean(mixed, net)
+    with pytest.raises(AlignmentError):
+        impute_network(net, mixed, midpoint_sites(net))
 
 
 def test_unknown_detector_rejected():
