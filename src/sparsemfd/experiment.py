@@ -187,9 +187,12 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
     "bin {b} ({variable}): {reason}"; numeric and validation errors
     propagate. The hierarchy partition is built once per distinct set of
     observed links. Without ``refit_per_bin`` each variable reuses the model
-    of its first estimable bin. ``sites``, ``distances`` and
-    ``known_site_ids`` are those of ``impute_network``; the distances are
-    built once when omitted.
+    of its first estimable bin. A given model (``fixed_model``, or the one
+    ``refit_per_bin=False`` reuses) has its kriging weights solved once per
+    distinct set of observed links and applied to every bin and variable
+    observed there; the weights are held for this call only. ``sites``,
+    ``distances`` and ``known_site_ids`` are those of ``impute_network``;
+    the distances are built once when omitted.
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ValidationError(f"unknown estimator '{estimator}'")
@@ -197,6 +200,7 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
         if distances is None:
             distances = ImputationDistances.build(network, sites)
         retained = distances.site_mask(known_site_ids)
+        weights = {}
     partitions = {}
     reused = {}
     for b in bins:
@@ -236,7 +240,7 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                         min_pairs=settings.min_pairs,
                         max_neighbors=settings.max_neighbors,
                         min_neighbors=settings.min_neighbors,
-                        retained=retained,
+                        retained=retained, shared_weights=weights,
                     )
                     value, _ = network_mean_from_field(
                         imputed, network, settings.min_length_coverage

@@ -90,23 +90,23 @@ def solve_kriging(
         ids = tuple(ids)
         if len(ids) != n:
             raise ValidationError(f"{len(ids)} ids for {n} values")
-    found, groups = _krige(model, values, target[:, None], pairs, max_neighbors, min_neighbors)
-    if not groups:
+    found, batches = _kriging_weights(model, target[:, None], pairs, max_neighbors, min_neighbors)
+    if not batches:
         raise InsufficientNeighborsError(found=int(found[0]), required=min_neighbors)
-    _, kept, merged, solutions, rhs = groups[0]
+    _, kept, groups, solutions, rhs = batches[0]
     m = kept.shape[1]
     weights = solutions[0, :m]
     lagrange = float(solutions[0, m])
     return KrigingSolution(
         weights=weights,
         lagrange=lagrange,
-        prediction=float(weights @ merged[0]),
+        prediction=float(weights @ _merged_values(values, kept, groups)[0]),
         neighbor_ids=tuple(ids[i] for i in kept[0]),
         variance=max(float(weights @ rhs[0, :m] + lagrange), 0.0),
     )
 
 
-def _krige(model, values, target, pairs, max_neighbors, min_neighbors):
+def _kriging_weights(model, target, pairs, max_neighbors, min_neighbors):
     """Solve the kriging systems of many targets in stacked batches.
 
     ``target`` holds the distances from the ``n`` known sites to ``k``
@@ -115,15 +115,18 @@ def _krige(model, values, target, pairs, max_neighbors, min_neighbors):
     ``min_neighbors`` in range are left out. Columns whose neighbours are
     pairwise apart share one ``np.linalg.solve`` call per neighbour count;
     a column with coincident neighbours merges them first and is solved
-    alone.
+    alone. No site value enters, so the weights serve every bin and
+    variable observed at the same sites; ``_merged_values`` supplies the
+    values they apply to.
 
-    Returns ``(found, groups)``: the in-range site count of every column,
-    and one ``(columns, kept, merged, solutions, rhs)`` tuple per batch, where
-    row ``r`` belongs to column ``columns[r]``, ``kept`` holds its neighbour
-    site indices, ``merged`` their values, ``solutions`` the weights followed
-    by the Lagrange multiplier and ``rhs`` the right-hand side. A singular
-    or non-finite system raises ``SingularSystemError`` for the first such
-    column.
+    Returns ``(found, batches)``: the in-range site count of every column,
+    and one ``(columns, kept, groups, solutions, rhs)`` tuple per batch,
+    where row ``r`` belongs to column ``columns[r]``, ``kept`` holds its
+    neighbour site indices, ``groups`` is None or, for a merged column, the
+    site indices averaged into each kept site, ``solutions`` the weights
+    followed by the Lagrange multiplier and ``rhs`` the right-hand side. A
+    singular or non-finite system raises ``SingularSystemError`` for the
+    first such column.
     """
     if min_neighbors < 1:
         raise ValueError(f"min_neighbors must be at least 1, got {min_neighbors}")
@@ -147,29 +150,30 @@ def _krige(model, values, target, pairs, max_neighbors, min_neighbors):
         apart = ~coincident
         if apart.any():
             batches.append((
-                columns[apart], kept[apart], values[kept[apart]],
+                columns[apart], kept[apart], None,
                 block[apart], target[kept[apart], columns[apart, None]],
             ))
         for column, selected in zip(columns[coincident], kept[coincident]):
-            merged_kept, merged = _merge_coincident(values, pairs, selected)
+            groups = _coincident_groups(pairs, selected)
+            merged_kept = np.array([group[0] for group in groups])
             batches.append((
-                column[None], merged_kept[None], merged[None],
+                column[None], merged_kept[None], groups,
                 pairs[np.ix_(merged_kept, merged_kept)][None],
                 target[merged_kept, column][None],
             ))
 
-    groups = []
+    solved = []
     failure = None
-    for columns, kept, merged, block, dists in batches:
+    for columns, kept, groups, block, dists in batches:
         systems, rhs, solutions, bad = _solve_batch(model, block, dists)
         if bad.any():
             row = int(np.argmax(bad))
             if failure is None or columns[row] < failure[0]:
                 failure = (columns[row], systems[row])
-        groups.append((columns, kept, merged, solutions, rhs))
+        solved.append((columns, kept, groups, solutions, rhs))
     if failure is not None:
         raise SingularSystemError(condition=float(np.linalg.cond(failure[1])))
-    return found, groups
+    return found, solved
 
 
 def _solve_batch(model, block_dists, target_dists):
@@ -202,22 +206,38 @@ def _solve_batch(model, block_dists, target_dists):
     return systems, rhs, solutions, bad
 
 
-def _merge_coincident(values, pairs, selected):
-    """Merge neighbours at (numerically) zero mutual distance into running means."""
-    kept = []
-    merged_values = []
-    merged_counts = []
+def _coincident_groups(pairs, selected):
+    """Group neighbours at (numerically) zero distance from a group's first site.
+
+    Sites are taken in ``selected`` order; each joins the first group whose
+    first site coincides with it, or starts a new group.
+    """
+    groups = []
     for index in selected:
-        for pos, other in enumerate(kept):
-            if pairs[index, other] <= _ZERO_DISTANCE:
-                merged_counts[pos] += 1
-                merged_values[pos] += (values[index] - merged_values[pos]) / merged_counts[pos]
+        for group in groups:
+            if pairs[index, group[0]] <= _ZERO_DISTANCE:
+                group.append(int(index))
                 break
         else:
-            kept.append(int(index))
-            merged_values.append(float(values[index]))
-            merged_counts.append(1)
-    return np.array(kept), np.array(merged_values)
+            groups.append([int(index)])
+    return groups
+
+
+def _merged_values(values, kept, groups):
+    """One batch's neighbour values, shaped like ``kept``.
+
+    Without ``groups`` these are the kept sites' values; a merged column
+    takes the running mean of each group, in group order.
+    """
+    if groups is None:
+        return values[kept]
+    means = []
+    for first, *rest in groups:
+        mean = float(values[first])
+        for count, index in enumerate(rest, start=2):
+            mean += (values[index] - mean) / count
+        means.append(mean)
+    return np.array(means)[None]
 
 
 @dataclass(frozen=True)
@@ -246,10 +266,18 @@ class ImputationDistances:
         )
 
     def site_mask(self, site_ids):
-        """Mask of the sites listed in ``site_ids``; None stays None (every site)."""
+        """Mask of the sites listed in ``site_ids``; None stays None (every site).
+
+        An id that names no site raises ``ValidationError``.
+        """
         if site_ids is None:
             return None
         wanted = set(site_ids)
+        unknown = sorted(wanted.difference(self.site_ids))
+        if unknown:
+            shown = ", ".join(repr(site_id) for site_id in unknown[:10])
+            more = f" and {len(unknown) - 10} more" if len(unknown) > 10 else ""
+            raise ValidationError(f"unknown detector ids in known_site_ids: {shown}{more}")
         return np.array([site_id in wanted for site_id in self.site_ids], dtype=bool)
 
 
@@ -330,39 +358,51 @@ def impute_network(
 
 def impute_observed(bin_index, values, observed, distances, model=None, variable="flow",
                     kinds=MODEL_KINDS, lag_bins=15, min_pairs=5, max_neighbors=16,
-                    min_neighbors=3, retained=None):
+                    min_neighbors=3, retained=None, shared_weights=None):
     """``impute_network`` on one bin's link-order ``values`` and ``observed`` mask.
 
     ``values`` off the observed links is ignored. ``retained`` is the
-    ``distances.site_mask`` of ``known_site_ids``.
+    ``distances.site_mask`` of ``known_site_ids``. ``shared_weights`` is an
+    optional dict kept across calls with the same ``distances``,
+    ``retained`` and neighbour limits: the kriging weights of a given
+    ``model`` are stored there under ``(model, observed mask)`` and reused
+    by a later call with the same key, since they do not depend on the
+    values. Weights of a model fitted here are not stored.
     """
     known, known_values = known_sites(values, observed, distances.site_links, retained)
-    known_pairs = distances.between_sites[np.ix_(known, known)]
-
-    if model is None:
-        edges = distance_bin_edges(known_pairs, n_bins=lag_bins)
-        empirical = empirical_variogram(known_values, known_pairs, edges)
-        model = fit_variogram(empirical, kinds=kinds, min_pairs=min_pairs)
+    unobserved = np.flatnonzero(~observed)
+    key = None
+    if model is not None and shared_weights is not None:
+        key = (model, observed.tobytes())
+    batches = None if key is None else shared_weights.get(key)
+    if batches is None:
+        known_pairs = distances.between_sites[np.ix_(known, known)]
+        if model is None:
+            edges = distance_bin_edges(known_pairs, n_bins=lag_bins)
+            empirical = empirical_variogram(known_values, known_pairs, edges)
+            model = fit_variogram(empirical, kinds=kinds, min_pairs=min_pairs)
+        batches = []
+        if unobserved.size:
+            _, batches = _kriging_weights(
+                model,
+                distances.site_to_target[np.ix_(known, unobserved)],
+                known_pairs,
+                max_neighbors,
+                min_neighbors,
+            )
+        if key is not None:
+            shared_weights[key] = batches
 
     field_values = np.where(observed, values, np.nan)
     imputed = np.zeros(observed.shape, dtype=bool)
-    unobserved = np.flatnonzero(~observed)
-    if unobserved.size:
-        _, groups = _krige(
-            model,
-            known_values,
-            distances.site_to_target[np.ix_(known, unobserved)],
-            known_pairs,
-            max_neighbors,
-            min_neighbors,
-        )
-        for columns, kept, merged, solutions, _ in groups:
-            m = kept.shape[1]
-            targets = unobserved[columns]
-            field_values[targets] = [
-                solutions[row, :m] @ merged[row] for row in range(columns.size)
-            ]
-            imputed[targets] = True
+    for columns, kept, groups, solutions, _ in batches:
+        m = kept.shape[1]
+        merged = _merged_values(known_values, kept, groups)
+        targets = unobserved[columns]
+        field_values[targets] = [
+            solutions[row, :m] @ merged[row] for row in range(columns.size)
+        ]
+        imputed[targets] = True
 
     provenance = np.where(
         observed,

@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .errors import UnreachableSiteError, ValidationError
 from .tableio import iter_rows, parse_float, parse_int, parse_optional_float, parse_str
@@ -240,6 +238,11 @@ def _distances(network, sites, targets):
     of them and self-loop links never shorten a path between nodes.
     Unreachable pairs are inf.
     """
+    # Imported here, its only use, so that importing the package does not
+    # load scipy.sparse (about 0.1 s of every start-up).
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
     index = {node: i for i, node in enumerate(sorted(network.nodes))}
     n = len(index)
     # coo_matrix would sum parallel links, so keep the shortest per node pair

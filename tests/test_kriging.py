@@ -10,6 +10,7 @@ import struct
 import numpy as np
 import pytest
 
+from sparsemfd import kriging
 from sparsemfd.errors import (
     IncompleteFieldError,
     InsufficientDataError,
@@ -25,12 +26,13 @@ from sparsemfd.kriging import (
     ImputedField,
     failed_length_fraction,
     impute_network,
+    impute_observed,
     network_mean_from_field,
     solve_kriging,
 )
-from sparsemfd.experiment import field_rows
+from sparsemfd.experiment import VariogramSettings, estimate_bins, field_rows
 from sparsemfd.network import DetectorSite, Link, Network, midpoint_sites
-from sparsemfd.sensing import LinkObservation
+from sparsemfd.sensing import DetectorReading, LinkObservation, reading_columns
 from sparsemfd.synth import corridor_network, grid_network
 from sparsemfd.variogram import VariogramModel, gamma
 
@@ -475,6 +477,211 @@ def test_impute_validates_observations():
         impute_network(net, mixed, sites, model=model)
     with pytest.raises(ValueError):
         impute_network(net, obs, sites, model=model, variable="speed")
+
+
+def test_known_site_ids_must_name_detector_sites():
+    net, sites, truth, obs = _corridor_setup()
+    model = VariogramModel(kind="spherical", nugget=0.0, sill=100.0, range_km=5.0)
+    distances = ImputationDistances.build(net, sites)
+    with pytest.raises(ValidationError, match="known_site_ids: 'typo'$"):
+        impute_network(
+            net, obs, sites, distances=distances, model=model,
+            known_site_ids={sites[0].detector_id, "typo"},
+        )
+    # at most ten unknown ids are named
+    unknown = {f"x{i:02d}" for i in range(12)}
+    with pytest.raises(ValidationError) as err:
+        distances.site_mask(unknown)
+    assert str(err.value) == (
+        "unknown detector ids in known_site_ids: "
+        + ", ".join(f"'x{i:02d}'" for i in range(10))
+        + " and 2 more"
+    )
+
+
+# --- weights shared across bins and variables ---------------------------------
+
+
+SHARED_MODEL = VariogramModel(kind="exponential", nugget=20.0, sill=3000.0, range_km=1.6)
+SHARED_BINS = (0, 1, 2, 3)
+
+
+def _shared_weights_scenario(seed, silent_bin=None):
+    """Readings of a 6x6 grid over four bins, about 60 % of links equipped.
+
+    Besides a midpoint detector per equipped link, three detectors sit on
+    the shared node of three equipped links, at zero distance from each
+    other. Values follow a smooth trend plus noise, so a refit finds
+    structure. With ``silent_bin`` one midpoint detector, alone on its
+    link, reports in every bin but that one.
+    """
+    rng = np.random.default_rng(seed)
+    net = grid_network(6, 6)
+    first = net.links[int(rng.integers(0, 4))]
+    second, third = [l for l in net.links if l.from_node == first.to_node]
+    node_links = {first.id, second.id, third.id}
+    equipped = node_links | {l.id for l in net.links if rng.random() < 0.6}
+    sites = tuple(
+        DetectorSite("@" + l.id, l.id, 0.5) for l in net.links if l.id in equipped
+    ) + (
+        DetectorSite("end", first.id, 1.0),
+        DetectorSite("start", second.id, 0.0),
+        DetectorSite("down", third.id, 0.0),
+    )
+    silent = next(s.detector_id for s in sites if s.link_id not in node_links)
+    trend = {l.id: 400.0 + 150.0 * np.sin(0.4 * i) for i, l in enumerate(net.links)}
+    readings = [
+        DetectorReading(
+            site.detector_id, b,
+            float(trend[site.link_id] * (0.5 + 0.3 * b) + rng.normal(0.0, 25.0)),
+            float(trend[site.link_id] / 20.0 + rng.normal(0.0, 1.5)),
+        )
+        for b in SHARED_BINS
+        for site in sites
+        if not (b == silent_bin and site.detector_id == silent)
+    ]
+    grid = reading_columns(readings, sites, net.link_ids).observe()
+    return net, sites, grid
+
+
+def reference_estimate_bins(grid, network, sites, settings):
+    """Per (bin, variable), one unshared ``impute_observed`` call and its mean.
+
+    Returns ``(bin, variable, field, value, failure text)`` tuples; the
+    model choice follows ``VariogramSettings``.
+    """
+    distances = ImputationDistances.build(network, sites)
+    reused = {}
+    out = []
+    for b in SHARED_BINS:
+        row = grid.row(b)
+        for variable in ("flow", "density"):
+            model = settings.fixed_model
+            if model is None and not settings.refit_per_bin:
+                model = reused.get(variable)
+            field = impute_observed(
+                b, grid.values(variable)[row], grid.observed[row], distances,
+                model=model, variable=variable, kinds=settings.kinds,
+                lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
+                max_neighbors=settings.max_neighbors, min_neighbors=settings.min_neighbors,
+            )
+            try:
+                value, _ = network_mean_from_field(
+                    field, network, settings.min_length_coverage
+                )
+            except IncompleteFieldError as exc:
+                out.append((b, variable, field, None, f"bin {b} ({variable}): {exc}"))
+                continue
+            if not settings.refit_per_bin:
+                reused.setdefault(variable, field.model)
+            out.append((b, variable, field, value, None))
+    return out
+
+
+def _count_weight_solves(monkeypatch):
+    calls = []
+    solve = kriging._kriging_weights
+
+    def counting(*args):
+        found, batches = solve(*args)
+        calls.append(batches)
+        return found, batches
+
+    monkeypatch.setattr(kriging, "_kriging_weights", counting)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "settings",
+    [
+        VariogramSettings(fixed_model=SHARED_MODEL, min_length_coverage=0.5),
+        VariogramSettings(refit_per_bin=False, lag_bins=8, min_length_coverage=0.5),
+        VariogramSettings(lag_bins=8, min_length_coverage=0.5),
+    ],
+    ids=["fixed", "reused", "refit"],
+)
+def test_shared_weights_match_one_solve_per_bin_and_variable(settings, monkeypatch):
+    merged = False
+    for seed in range(3):
+        net, sites, grid = _shared_weights_scenario(seed, silent_bin=2)
+        calls = _count_weight_solves(monkeypatch)
+        outcomes = list(estimate_bins(
+            "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
+            settings=settings,
+        ))
+        monkeypatch.undo()
+        merged |= any(groups is not None for batches in calls for *_, groups, _, _ in batches)
+        expected = reference_estimate_bins(grid, net, sites, settings)
+        assert len(outcomes) == len(expected)
+        for outcome, (b, variable, field, value, failure) in zip(outcomes, expected):
+            assert (outcome.bin_index, outcome.variable) == (b, variable)
+            assert outcome.field.values.tobytes() == field.values.tobytes()
+            assert outcome.field.provenance.tolist() == field.provenance.tolist()
+            assert outcome.field.model == field.model
+            if failure is None:
+                assert outcome.failure is None
+                assert _bits([outcome.estimate.value]) == _bits([value])
+            else:
+                assert outcome.estimate is None
+                assert str(outcome.failure) == failure
+        if settings.fixed_model is not None:
+            # the silent bin has its own observed links, the others share one set
+            assert len(calls) == 2
+            # the per-link reference agrees on the flow fields too
+            for outcome in outcomes[::2]:
+                row = grid.row(outcome.bin_index)
+                obs = tuple(
+                    LinkObservation(net.link_ids[j], outcome.bin_index, float(grid.flow[row, j]), 1.0)
+                    for j in np.flatnonzero(grid.observed[row])
+                )
+                values, provenance, _, _ = reference_impute(net, obs, sites, SHARED_MODEL)
+                assert _bits(outcome.field.values.tolist()) == _bits(values)
+                assert outcome.field.provenance.tolist() == provenance
+    assert merged
+
+
+def test_fixed_model_weights_are_solved_once_per_observed_link_set(monkeypatch):
+    net, sites, grid = _shared_weights_scenario(5)
+    calls = _count_weight_solves(monkeypatch)
+    outcomes = list(estimate_bins(
+        "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
+        settings=VariogramSettings(fixed_model=SHARED_MODEL),
+    ))
+    assert len(outcomes) == 2 * len(SHARED_BINS)
+    assert len(calls) == 1
+    # a per-bin fit gets new weights every time
+    calls.clear()
+    list(estimate_bins(
+        "variogram", grid, SHARED_BINS, ("flow",), net, sites=sites,
+        settings=VariogramSettings(lag_bins=8),
+    ))
+    assert len(calls) == len(SHARED_BINS)
+
+
+def test_shared_weights_report_the_same_singular_link():
+    # the subnormal-sill corridors of the per-link singular test, two bins
+    model = VariogramModel(kind="exponential", nugget=0.0, sill=1e-315, range_km=1.0)
+    links = [Link(f"a{i}", f"a{i}", f"a{i + 1}", 2e-12, 1) for i in range(12)]
+    links += [Link(f"b{i}", f"b{i}", f"b{i + 1}", 2e-12, 1) for i in range(8)]
+    net = Network(links)
+    sites = midpoint_sites(net)
+    equipped = [l for i, l in enumerate(net.links) if i % 2 == 0]
+    readings = [
+        DetectorReading("@" + l.id, b, float(i), 1.0)
+        for b in (0, 1)
+        for i, l in enumerate(equipped)
+    ]
+    grid = reading_columns(readings, sites, net.link_ids).observe()
+    with pytest.raises(SingularSystemError) as err:
+        list(estimate_bins(
+            "variogram", grid, (0, 1), ("flow", "density"), net, sites=sites,
+            settings=VariogramSettings(fixed_model=model),
+        ))
+    obs = tuple(LinkObservation(l.id, 0, float(i), 1.0) for i, l in enumerate(equipped))
+    with pytest.raises(SingularSystemError) as reference:
+        reference_impute(net, obs, sites, model)
+    assert str(err.value) == str(reference.value)
+    assert err.value.condition == reference.value.condition
 
 
 # --- field reduction ----------------------------------------------------------
