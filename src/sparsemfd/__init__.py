@@ -41,8 +41,8 @@ from .network import (
 )
 from .sensing import (
     CoveragePlan,
-    DetectorReading,
     LinkObservation,
+    Readings,
     aggregate_to_links,
     edie_network_truth,
     load_coverage_plan,

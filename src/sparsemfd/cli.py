@@ -163,11 +163,9 @@ def ingest(obj, network_file, sites_file, readings_file):
         click.echo(f"sites: {len(sites)} detectors ({breakdown})")
     if readings_file:
         readings = load_readings(readings_file, obj.delim)
-        detectors = {r.detector_id for r in readings}
-        bins = {r.bin_index for r in readings}
         click.echo(
-            f"readings: {len(readings)} rows, {len(detectors)} detectors, "
-            f"{len(bins)} bins"
+            f"readings: {len(readings)} rows, {len(set(readings.detector_ids))} detectors, "
+            f"{np.unique(readings.bin_index).size} bins"
         )
     click.echo("ok")
 
@@ -215,17 +213,6 @@ def sample(obj, network_file, sites_file, fraction, counts):
     click.echo(f"wrote {plan_path} and {sites_path}")
 
 
-def _retained_from_plan(plan_file, sites):
-    plan = load_coverage_plan(plan_file)
-    known = {s.detector_id for s in sites}
-    missing = [d for d in plan.retained_detectors if d not in known]
-    if missing:
-        raise EstimationError(
-            f"plan references detectors missing from the site table: {missing[:5]}"
-        )
-    return plan.retained_detectors
-
-
 @main.command()
 @click.argument("network_file", type=click.Path(exists=True, dir_okay=False))
 @click.argument("sites_file", type=click.Path(exists=True, dir_okay=False))
@@ -253,7 +240,7 @@ def scale(obj, network_file, sites_file, readings_file, plan_file, fraction,
     # every reading is checked, also those of detectors the plan drops
     columns = reading_columns(readings, sites, network.link_ids)
     if plan_file is not None:
-        retained_ids = _retained_from_plan(plan_file, sites)
+        retained_ids = load_coverage_plan(plan_file).retained_detectors
     elif fraction is not None:
         plan, _ = sample_coverage(sites, network, fraction, obj.seed)
         retained_ids = plan.retained_detectors

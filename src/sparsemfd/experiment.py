@@ -411,7 +411,7 @@ class ExperimentResult:
 def _materialise(config):
     if config.scenario is not None:
         data = generate_scenario(config.scenario)
-        return data.network, list(data.sites), list(data.readings), data.clamped_count
+        return data.network, list(data.sites), data.readings, data.clamped_count
     network = load_network(config.network_path)
     sites = load_detector_sites(config.sites_path, network=network)
     readings = load_readings(config.readings_path)

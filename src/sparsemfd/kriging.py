@@ -21,7 +21,7 @@ from .errors import (
     ValidationError,
 )
 from .network import cross_distance_matrix, midpoint_sites, site_distance_matrix
-from .sensing import bin_arrays, value_field
+from .sensing import bin_arrays, detector_mask, value_field
 from .variogram import MODEL_KINDS, distance_bin_edges, empirical_variogram, fit_variogram, gamma
 
 PROVENANCE_OBSERVED = "observed"
@@ -272,13 +272,7 @@ class ImputationDistances:
         """
         if site_ids is None:
             return None
-        wanted = set(site_ids)
-        unknown = sorted(wanted.difference(self.site_ids))
-        if unknown:
-            shown = ", ".join(repr(site_id) for site_id in unknown[:10])
-            more = f" and {len(unknown) - 10} more" if len(unknown) > 10 else ""
-            raise ValidationError(f"unknown detector ids in known_site_ids: {shown}{more}")
-        return np.array([site_id in wanted for site_id in self.site_ids], dtype=bool)
+        return detector_mask(self.site_ids, site_ids, "known_site_ids")
 
 
 @dataclass(frozen=True, eq=False)
@@ -364,17 +358,16 @@ def impute_observed(bin_index, values, observed, distances, model=None, variable
     ``values`` off the observed links is ignored. ``retained`` is the
     ``distances.site_mask`` of ``known_site_ids``. ``shared_weights`` is an
     optional dict kept across calls with the same ``distances``,
-    ``retained`` and neighbour limits: the kriging weights of a given
-    ``model`` are stored there under ``(model, observed mask)`` and reused
-    by a later call with the same key, since they do not depend on the
-    values. Weights of a model fitted here are not stored.
+    ``retained`` and neighbour limits: the kriging weights of every model,
+    given or fitted here, are stored there under ``(model, observed mask)``
+    and reused by a later call with the same key, since they do not depend
+    on the values.
     """
     known, known_values = known_sites(values, observed, distances.site_links, retained)
     unobserved = np.flatnonzero(~observed)
-    key = None
+    batches = None
     if model is not None and shared_weights is not None:
-        key = (model, observed.tobytes())
-    batches = None if key is None else shared_weights.get(key)
+        batches = shared_weights.get((model, observed.tobytes()))
     if batches is None:
         known_pairs = distances.between_sites[np.ix_(known, known)]
         if model is None:
@@ -390,8 +383,8 @@ def impute_observed(bin_index, values, observed, distances, model=None, variable
                 max_neighbors,
                 min_neighbors,
             )
-        if key is not None:
-            shared_weights[key] = batches
+        if shared_weights is not None:
+            shared_weights[(model, observed.tobytes())] = batches
 
     field_values = np.where(observed, values, np.nan)
     imputed = np.zeros(observed.shape, dtype=bool)

@@ -144,9 +144,6 @@ class Network:
         ids = self.link_ids
         return _frozen(np.array(sorted(range(len(ids)), key=ids.__getitem__), dtype=np.intp))
 
-    def has_link(self, link_id):
-        return link_id in self._by_id
-
     def links_of_hierarchy(self, hierarchy):
         return tuple(link for link in self.links if link.hierarchy == hierarchy)
 

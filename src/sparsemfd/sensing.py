@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import AlignmentError, InsufficientDataError, ValidationError
+from .errors import AlignmentError, InsufficientDataError, SchemaError, ValidationError
 from .tableio import (
     iter_rows,
     parse_float,
@@ -29,26 +29,39 @@ READING_COLUMNS = ("detector_id", "bin_index", "flow_veh_per_h", "density_veh_pe
 READINGS_HEADER = READING_COLUMNS + ("speed_km_per_h",)
 
 
-@dataclass(frozen=True)
-class DetectorReading:
-    detector_id: str
-    bin_index: int
-    flow_veh_per_h: float
-    density_veh_per_km: float
-    speed_km_per_h: float | None = None
+@dataclass(frozen=True, eq=False)
+class Readings:
+    """Detector readings as columns in row order; ``speed`` is NaN where blank.
+
+    A negative bin, or a flow or density that is negative or not finite,
+    raises ``ValidationError`` for the first offending reading.
+    """
+
+    detector_ids: tuple
+    bin_index: np.ndarray
+    flow: np.ndarray
+    density: np.ndarray
+    speed: np.ndarray
 
     def __post_init__(self):
-        if self.bin_index < 0:
+        bad_flow, bad_density = (
+            ~(np.isfinite(values) & (values >= 0)) for values in (self.flow, self.density)
+        )
+        bad = np.flatnonzero((self.bin_index < 0) | bad_flow | bad_density)
+        if bad.size:
+            i, detector = bad[0], self.detector_ids[bad[0]]
+            if self.bin_index[i] < 0:
+                raise ValidationError(f"detector '{detector}': bin index must be nonnegative")
+            name, values = "flow_veh_per_h", self.flow
+            if not bad_flow[i]:
+                name, values = "density_veh_per_km", self.density
             raise ValidationError(
-                f"detector '{self.detector_id}': bin index must be nonnegative"
+                f"detector '{detector}' bin {int(self.bin_index[i])}: "
+                f"{name} must be nonnegative, got {float(values[i])}"
             )
-        for name in ("flow_veh_per_h", "density_veh_per_km"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValidationError(
-                    f"detector '{self.detector_id}' bin {self.bin_index}: "
-                    f"{name} must be nonnegative, got {value}"
-                )
+
+    def __len__(self):
+        return len(self.detector_ids)
 
 
 @dataclass(frozen=True)
@@ -118,25 +131,40 @@ class CoveragePlan:
 
 
 def load_readings(source, delimiter=","):
-    readings = []
-    for lineno, row in iter_rows(source, READING_COLUMNS, delimiter):
-        readings.append(
-            DetectorReading(
-                detector_id=parse_str(row, "detector_id", lineno),
-                bin_index=parse_int(row, "bin_index", lineno),
-                flow_veh_per_h=parse_float(row, "flow_veh_per_h", lineno),
-                density_veh_per_km=parse_float(row, "density_veh_per_km", lineno),
-                speed_km_per_h=parse_optional_float(row, "speed_km_per_h", lineno),
-            )
-        )
+    """Read a readings table into ``Readings``; a blank or absent speed is NaN.
+
+    The first faulty row is reported: a malformed cell as ``SchemaError``,
+    a value that ``Readings`` rejects as ``ValidationError``.
+    """
+    ids, bins, flows, densities, speeds = [], [], [], [], []
+    fault = None
+    try:
+        for lineno, row in iter_rows(source, READING_COLUMNS, delimiter):
+            ids.append(parse_str(row, "detector_id", lineno))
+            bins.append(parse_int(row, "bin_index", lineno))
+            flows.append(parse_float(row, "flow_veh_per_h", lineno))
+            densities.append(parse_float(row, "density_veh_per_km", lineno))
+            speeds.append(parse_optional_float(row, "speed_km_per_h", lineno, math.nan))
+    except SchemaError as exc:
+        fault = exc
+    n = len(speeds)  # the rows parsed in full
+    readings = Readings(
+        detector_ids=tuple(ids[:n]),
+        bin_index=np.array(bins[:n], dtype=np.int64),
+        flow=np.array(flows[:n], dtype=float),
+        density=np.array(densities[:n], dtype=float),
+        speed=np.array(speeds[:n], dtype=float),
+    )
+    if fault is not None:
+        raise fault
     return readings
 
 
 def write_readings(path, readings, delimiter=","):
-    rows = [
-        (r.detector_id, r.bin_index, r.flow_veh_per_h, r.density_veh_per_km, r.speed_km_per_h)
-        for r in readings
-    ]
+    rows = zip(
+        readings.detector_ids, readings.bin_index.tolist(), readings.flow.tolist(),
+        readings.density.tolist(), readings.speed.tolist(),
+    )
     return write_table(path, READINGS_HEADER, rows, delimiter)
 
 
@@ -164,15 +192,13 @@ class ReadingColumns:
 
         ``retained_ids`` narrows the detectors to a coverage plan's subset;
         the readings of the other detectors are left out. A bin keeps its
-        row even when no retained detector reports in it.
+        row even when no retained detector reports in it. An id that names
+        no site raises ``ValidationError``.
         """
         if retained_ids is None:
             keep = np.ones(self.site.size, dtype=bool)
         else:
-            position = {d: i for i, d in enumerate(self.site_ids)}
-            retained = np.zeros(len(self.site_ids), dtype=bool)
-            retained[[position[d] for d in retained_ids]] = True
-            keep = retained[self.site]
+            keep = detector_mask(self.site_ids, retained_ids, "retained_ids")[self.site]
         shape = (self.bins.size, len(self.link_ids))
         key = self.row[keep] * shape[1] + self.link[keep]
         size = shape[0] * shape[1]
@@ -190,8 +216,23 @@ class ReadingColumns:
         )
 
 
+def detector_mask(site_ids, ids, argument):
+    """Mask over ``site_ids`` of the detectors listed in ``ids``.
+
+    An id not in ``site_ids`` raises ``ValidationError`` naming up to 10
+    such ids and ``argument``, the name of the argument that listed them.
+    """
+    wanted = set(ids)
+    unknown = sorted(wanted.difference(site_ids))
+    if unknown:
+        shown = ", ".join(repr(d) for d in unknown[:10])
+        more = "" if len(unknown) <= 10 else f" and {len(unknown) - 10} more"
+        raise ValidationError(f"unknown detector ids in {argument}: {shown}{more}")
+    return np.array([d in wanted for d in site_ids], dtype=bool)
+
+
 def reading_columns(readings, sites, link_ids):
-    """Validate every reading once and hold the readings as ``ReadingColumns``.
+    """Validate ``Readings`` against the sites and hold them as ``ReadingColumns``.
 
     Every reading's detector must appear in ``sites``, every site's link in
     ``link_ids``, and a detector may report at most once per bin. The first
@@ -208,35 +249,31 @@ def reading_columns(readings, sites, link_ids):
         site_position[site.detector_id] = len(site_link)
         site_link.append(link_position[site.link_id])
 
-    seen = set()
-    site_column = []
-    for reading in readings:
-        position = site_position.get(reading.detector_id)
-        if position is None:
-            raise ValidationError(
-                f"reading references unknown detector '{reading.detector_id}'"
-            )
-        key = (position, reading.bin_index)
-        if key in seen:
-            raise ValidationError(
-                f"detector '{reading.detector_id}' reports twice in bin {reading.bin_index}"
-            )
-        seen.add(key)
-        site_column.append(position)
-
-    site_column = np.array(site_column, dtype=np.intp)
-    bins, row = np.unique(
-        np.array([r.bin_index for r in readings], dtype=np.int64), return_inverse=True
-    )
+    site = np.array([site_position.get(d, -1) for d in readings.detector_ids], dtype=np.intp)
+    bins, row = np.unique(readings.bin_index, return_inverse=True)
+    # a reading of an unknown detector gets a key of its own, so a repeated
+    # key is a known detector's second reading in a bin
+    key = np.where(site < 0, -1 - np.arange(site.size), site * bins.size + row)
+    first = np.unique(key, return_index=True)[1]
+    fault = np.ones(site.size, dtype=bool)
+    fault[first] = site[first] < 0
+    if fault.any():
+        i = int(np.argmax(fault))
+        detector = readings.detector_ids[i]
+        if site[i] < 0:
+            raise ValidationError(f"reading references unknown detector '{detector}'")
+        raise ValidationError(
+            f"detector '{detector}' reports twice in bin {int(readings.bin_index[i])}"
+        )
     return ReadingColumns(
         site_ids=tuple(site_position),
         link_ids=tuple(link_ids),
-        site=site_column,
-        link=np.array(site_link, dtype=np.intp)[site_column],
+        site=site,
+        link=np.array(site_link, dtype=np.intp)[site],
         bins=bins,
         row=row,
-        flow=np.array([r.flow_veh_per_h for r in readings], dtype=float),
-        density=np.array([r.density_veh_per_km for r in readings], dtype=float),
+        flow=readings.flow,
+        density=readings.density,
     )
 
 

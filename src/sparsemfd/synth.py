@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import GenerationError, ValidationError
 from .network import DetectorSite, Link, Network, site_distance_matrix
-from .sensing import DetectorReading, LinkObservation
+from .sensing import Readings
 from .variogram import VariogramModel, gamma
 
 # hour-of-day factors with a morning and an evening peak
@@ -210,10 +210,10 @@ def simulate_correlated_field(distances, model, rng, factor=None):
 
 @dataclass(frozen=True)
 class ScenarioData:
-    """A generated ground truth: network, detectors, readings, observations.
+    """A generated ground truth: network, detectors and their readings.
 
-    ``observations`` hold the exact per-link truth of every bin;
-    ``readings`` present the same values as detector output so coverage
+    ``readings`` hold the exact per-link truth of every bin as detector
+    output, bin by bin and in link order within a bin, so coverage
     sampling and aggregation run exactly like on field data.
     ``clamped_count`` says how many draws were cut at zero.
     """
@@ -221,8 +221,7 @@ class ScenarioData:
     scenario: SyntheticScenario
     network: Network
     sites: tuple
-    observations: tuple
-    readings: tuple
+    readings: Readings
     clamped_count: int
 
 
@@ -232,10 +231,9 @@ def generate_scenario(scenario):
     sites = tuple(
         DetectorSite("d" + link.id, link.id, 0.5) for link in network.links
     )
-    n = len(network.links)
-    class_flow = np.array([scenario.mean_flows[l.hierarchy - 1] for l in network.links])
-    class_density = np.array(
-        [scenario.mean_densities[l.hierarchy - 1] for l in network.links]
+    class_flow, class_density = (
+        np.array(means, dtype=float)[network.hierarchies - 1]
+        for means in (scenario.mean_flows, scenario.mean_densities)
     )
     density_ratio = (
         scenario.density_noise_ratio
@@ -249,47 +247,33 @@ def generate_scenario(scenario):
         factor = covariance_factor(distances, scenario.variogram)
     rng = np.random.default_rng(scenario.seed)
 
-    observations = []
-    readings = []
-    clamped = 0
-    for b, diurnal in enumerate(scenario.diurnal):
-        if factor is not None:
-            flow = class_flow * diurnal + scenario.noise_scale * (
-                factor @ rng.standard_normal(n)
+    # (bins x links): a bin's flow and density residuals are drawn in turn
+    flow = np.outer(np.array(scenario.diurnal, dtype=float), class_flow)
+    density = np.outer([f**scenario.density_exponent for f in scenario.diurnal], class_density)
+    if factor is not None:
+        for b in range(scenario.n_bins):
+            flow[b] += scenario.noise_scale * simulate_correlated_field(
+                distances, scenario.variogram, rng, factor=factor
             )
-            density = class_density * diurnal**scenario.density_exponent + (
-                scenario.noise_scale * density_ratio * (factor @ rng.standard_normal(n))
+            density[b] += scenario.noise_scale * density_ratio * simulate_correlated_field(
+                distances, scenario.variogram, rng, factor=factor
             )
-        else:
-            flow = class_flow * diurnal
-            density = class_density * diurnal**scenario.density_exponent
-        clamped += int((flow < 0).sum() + (density < 0).sum())
-        flow = np.maximum(flow, 0.0)
-        density = np.maximum(density, 0.0)
-
-        for i, link in enumerate(network.links):
-            q = float(flow[i])
-            k = float(density[i])
-            observations.append(
-                LinkObservation(
-                    link_id=link.id, bin_index=b,
-                    flow_veh_per_h=q, density_veh_per_km=k,
-                )
-            )
-            readings.append(
-                DetectorReading(
-                    detector_id=sites[i].detector_id, bin_index=b,
-                    flow_veh_per_h=q, density_veh_per_km=k,
-                    speed_km_per_h=q / k if k > 0 else None,
-                )
-            )
+    clamped = int((flow < 0).sum() + (density < 0).sum())
+    flow = np.maximum(flow, 0.0).ravel()
+    density = np.maximum(density, 0.0).ravel()
+    speed = np.divide(flow, density, out=np.full(flow.size, np.nan), where=density > 0)
 
     return ScenarioData(
         scenario=scenario,
         network=network,
         sites=sites,
-        observations=tuple(observations),
-        readings=tuple(readings),
+        readings=Readings(
+            detector_ids=tuple(s.detector_id for s in sites) * scenario.n_bins,
+            bin_index=np.repeat(np.arange(scenario.n_bins, dtype=np.int64), len(sites)),
+            flow=flow,
+            density=density,
+            speed=speed,
+        ),
         clamped_count=clamped,
     )
 

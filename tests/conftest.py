@@ -1,12 +1,85 @@
 """Shared fixtures: small handwritten networks and one reusable synthetic run."""
 
+import math
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 
 from sparsemfd.errors import ValidationError
 from sparsemfd.network import DetectorSite, Link, Network
-from sparsemfd.sensing import DetectorReading, LinkObservation
+from sparsemfd.sensing import READING_COLUMNS, LinkObservation, Readings
 from sparsemfd.synth import SyntheticScenario, generate_scenario
+from sparsemfd.tableio import (
+    iter_rows,
+    parse_float,
+    parse_int,
+    parse_optional_float,
+    parse_str,
+)
+
+
+def make_readings(rows):
+    """``Readings`` from ``(detector_id, bin_index, flow, density[, speed])``
+    tuples; a missing or None speed reads as NaN."""
+    rows = [tuple(row) + (None,) * (5 - len(row)) for row in rows]
+    return Readings(
+        detector_ids=tuple(row[0] for row in rows),
+        bin_index=np.array([row[1] for row in rows], dtype=np.int64),
+        flow=np.array([row[2] for row in rows], dtype=float),
+        density=np.array([row[3] for row in rows], dtype=float),
+        speed=np.array([math.nan if row[4] is None else row[4] for row in rows], dtype=float),
+    )
+
+
+def reading_rows(readings):
+    """The ``(detector_id, bin_index, flow, density)`` tuples of ``Readings``."""
+    return list(zip(
+        readings.detector_ids, readings.bin_index.tolist(),
+        readings.flow.tolist(), readings.density.tolist(),
+    ))
+
+
+@dataclass(frozen=True)
+class ReferenceReading:
+    """One reading as an object checked on construction: the per-row form
+    that readings took before they were held as columns."""
+
+    detector_id: str
+    bin_index: int
+    flow_veh_per_h: float
+    density_veh_per_km: float
+    speed_km_per_h: float | None = None
+
+    def __post_init__(self):
+        if self.bin_index < 0:
+            raise ValidationError(
+                f"detector '{self.detector_id}': bin index must be nonnegative"
+            )
+        for name in ("flow_veh_per_h", "density_veh_per_km"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValidationError(
+                    f"detector '{self.detector_id}' bin {self.bin_index}: "
+                    f"{name} must be nonnegative, got {value}"
+                )
+
+
+def reference_load_readings(source, delimiter=","):
+    """The row-by-row reader that built one ``ReferenceReading`` per row:
+    the oracle for ``load_readings``' values, error types and texts."""
+    readings = []
+    for lineno, row in iter_rows(source, READING_COLUMNS, delimiter):
+        readings.append(
+            ReferenceReading(
+                detector_id=parse_str(row, "detector_id", lineno),
+                bin_index=parse_int(row, "bin_index", lineno),
+                flow_veh_per_h=parse_float(row, "flow_veh_per_h", lineno),
+                density_veh_per_km=parse_float(row, "density_veh_per_km", lineno),
+                speed_km_per_h=parse_optional_float(row, "speed_km_per_h", lineno),
+            )
+        )
+    return readings
 
 
 @pytest.fixture
@@ -58,7 +131,7 @@ def make_reading_scenario(seed, silent=0.1, class_gap=True):
     not contiguous, and the readings come shuffled. With ``class_gap`` no
     detector of hierarchy 3 reports in ``CLASS_GAP_BIN``.
 
-    Returns (network, sites, readings).
+    Returns (network, sites, readings), the readings as ``Readings``.
     """
     rng = np.random.default_rng(seed)
     links = []
@@ -80,12 +153,12 @@ def make_reading_scenario(seed, silent=0.1, class_gap=True):
                 continue
             if class_gap and b == CLASS_GAP_BIN and hierarchy[site.link_id] == 3:
                 continue
-            readings.append(DetectorReading(
+            readings.append((
                 site.detector_id, b, float(rng.uniform(0.0, 2000.0)),
                 float(rng.uniform(0.0, 80.0)),
             ))
     readings = [readings[i] for i in rng.permutation(len(readings))]
-    return Network(links), tuple(sites), readings
+    return Network(links), tuple(sites), make_readings(readings)
 
 
 def reference_aggregate(readings, sites):
@@ -99,21 +172,21 @@ def reference_aggregate(readings, sites):
 
     seen = set()
     sums = {}
-    for reading in readings:
-        link_id = site_link.get(reading.detector_id)
+    for detector_id, bin_index, flow, density in reading_rows(readings):
+        link_id = site_link.get(detector_id)
         if link_id is None:
             raise ValidationError(
-                f"reading references unknown detector '{reading.detector_id}'"
+                f"reading references unknown detector '{detector_id}'"
             )
-        key = (reading.detector_id, reading.bin_index)
+        key = (detector_id, bin_index)
         if key in seen:
             raise ValidationError(
-                f"detector '{reading.detector_id}' reports twice in bin {reading.bin_index}"
+                f"detector '{detector_id}' reports twice in bin {bin_index}"
             )
         seen.add(key)
-        acc = sums.setdefault((reading.bin_index, link_id), [0.0, 0.0, 0])
-        acc[0] += reading.flow_veh_per_h
-        acc[1] += reading.density_veh_per_km
+        acc = sums.setdefault((bin_index, link_id), [0.0, 0.0, 0])
+        acc[0] += flow
+        acc[1] += density
         acc[2] += 1
 
     return [

@@ -29,6 +29,7 @@ from sparsemfd.scaling import (
 )
 from sparsemfd.sensing import (
     LinkObservation,
+    aggregate_to_links,
     edie_network_truth,
     sample_coverage,
     sample_coverage_counts,
@@ -310,7 +311,7 @@ def test_hierarchical_scaling_is_exact_for_class_constant_fields(capsys):
 
 def _truth_by_bin(data):
     by_bin = {}
-    for obs in data.observations:
+    for obs in aggregate_to_links(data.readings, data.sites):
         by_bin.setdefault(obs.bin_index, []).append(obs)
     truth = {
         b: edie_network_truth(by_bin[b], data.network, b)[0] for b in sorted(by_bin)
@@ -354,7 +355,7 @@ def _equipped_observations(data, retained, bin_index):
     equipped = {site.link_id for site in retained}
     return (
         [
-            o for o in data.observations
+            o for o in aggregate_to_links(data.readings, data.sites)
             if o.bin_index == bin_index and o.link_id in equipped
         ],
         {site.detector_id for site in retained},
@@ -499,8 +500,9 @@ def test_all_estimators_match_the_reference_at_full_coverage(capsys):
     for trial in range(20):
         scenario = _random_small_scenario(rng, seed=trial)
         data = generate_scenario(scenario)
-        obs = [o for o in data.observations if o.bin_index == 0]
-        truth_q, _ = edie_network_truth(data.observations, data.network, 0)
+        observations = aggregate_to_links(data.readings, data.sites)
+        obs = [o for o in observations if o.bin_index == 0]
+        truth_q, _ = edie_network_truth(observations, data.network, 0)
 
         estimates = []
         estimates.append(uniform_scaled_mean(obs, data.network).value)

@@ -288,6 +288,20 @@ def test_scale_rejects_readings_of_unknown_detectors(runner, tmp_path):
     assert "unknown detector 'd9'" in result.output
 
 
+def test_scale_rejects_a_plan_naming_unknown_detectors(runner, tmp_path):
+    network, sites, readings = write_two_classes(tmp_path, d3_bins=(0, 1))
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({
+        "fraction": 0.5, "seed": 0, "per_hierarchy_counts": {"1": 1, "2": 1},
+        "retained_detectors": ["d1", "ghost"],
+    }))
+    result = invoke(
+        runner, ["scale", str(network), str(sites), str(readings), "--plan", str(plan)]
+    )
+    assert result.exit_code == 2
+    assert "unknown detector ids in retained_ids: 'ghost'" in result.output
+
+
 def test_scale_checks_readings_of_detectors_the_plan_drops(runner, tmp_path):
     network, sites, readings = write_two_classes(tmp_path, d3_bins=(0, 1))
     net = load_network(network)

@@ -32,9 +32,10 @@ from sparsemfd.kriging import (
 )
 from sparsemfd.experiment import VariogramSettings, estimate_bins, field_rows
 from sparsemfd.network import DetectorSite, Link, Network, midpoint_sites
-from sparsemfd.sensing import DetectorReading, LinkObservation, reading_columns
+from sparsemfd.sensing import LinkObservation, reading_columns
 from sparsemfd.synth import corridor_network, grid_network
 from sparsemfd.variogram import VariogramModel, gamma
+from conftest import make_readings
 
 
 def spherical_gamma(nugget, sill, range_km, h):
@@ -530,8 +531,8 @@ def _shared_weights_scenario(seed, silent_bin=None):
     )
     silent = next(s.detector_id for s in sites if s.link_id not in node_links)
     trend = {l.id: 400.0 + 150.0 * np.sin(0.4 * i) for i, l in enumerate(net.links)}
-    readings = [
-        DetectorReading(
+    readings = make_readings(
+        (
             site.detector_id, b,
             float(trend[site.link_id] * (0.5 + 0.3 * b) + rng.normal(0.0, 25.0)),
             float(trend[site.link_id] / 20.0 + rng.normal(0.0, 1.5)),
@@ -539,7 +540,7 @@ def _shared_weights_scenario(seed, silent_bin=None):
         for b in SHARED_BINS
         for site in sites
         if not (b == silent_bin and site.detector_id == silent)
-    ]
+    )
     grid = reading_columns(readings, sites, net.link_ids).observe()
     return net, sites, grid
 
@@ -649,6 +650,14 @@ def test_fixed_model_weights_are_solved_once_per_observed_link_set(monkeypatch):
     ))
     assert len(outcomes) == 2 * len(SHARED_BINS)
     assert len(calls) == 1
+    # the model each variable fits in its first bin keeps its weights for
+    # the bins that reuse it
+    calls.clear()
+    list(estimate_bins(
+        "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
+        settings=VariogramSettings(refit_per_bin=False, lag_bins=8),
+    ))
+    assert len(calls) == 2
     # a per-bin fit gets new weights every time
     calls.clear()
     list(estimate_bins(
@@ -666,11 +675,11 @@ def test_shared_weights_report_the_same_singular_link():
     net = Network(links)
     sites = midpoint_sites(net)
     equipped = [l for i, l in enumerate(net.links) if i % 2 == 0]
-    readings = [
-        DetectorReading("@" + l.id, b, float(i), 1.0)
+    readings = make_readings(
+        ("@" + l.id, b, float(i), 1.0)
         for b in (0, 1)
         for i, l in enumerate(equipped)
-    ]
+    )
     grid = reading_columns(readings, sites, net.link_ids).observe()
     with pytest.raises(SingularSystemError) as err:
         list(estimate_bins(

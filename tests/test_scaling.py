@@ -31,7 +31,14 @@ from sparsemfd.sensing import (
     reading_columns,
     sample_coverage,
 )
-from conftest import CLASS_GAP_BIN, READING_BINS, make_reading_scenario, reference_aggregate
+from conftest import (
+    CLASS_GAP_BIN,
+    READING_BINS,
+    make_reading_scenario,
+    make_readings,
+    reading_rows,
+    reference_aggregate,
+)
 
 
 def _obs(link_id, q, k=10.0, b=0):
@@ -294,7 +301,8 @@ def test_array_estimators_match_the_object_references(seed):
         plan, retained = sample_coverage(sites, network, fraction, seed)
         kept = set(plan.retained_detectors)
         by_bin = {}
-        for obs in reference_aggregate([r for r in readings if r.detector_id in kept], retained):
+        kept_readings = make_readings(r for r in reading_rows(readings) if r[0] in kept)
+        for obs in reference_aggregate(kept_readings, retained):
             by_bin.setdefault(obs.bin_index, []).append(obs)
         grid = columns.observe(plan.retained_detectors)
         for estimator, mode in (

@@ -13,7 +13,6 @@ from sparsemfd.kriging import impute_network
 from sparsemfd.network import DetectorSite, Link, Network, midpoint_sites
 from sparsemfd.scaling import uniform_scaled_mean
 from sparsemfd.sensing import (
-    DetectorReading,
     LinkObservation,
     aggregate_to_links,
     bin_arrays,
@@ -30,28 +29,82 @@ from sparsemfd.sensing import (
 from conftest import (
     READING_BINS,
     make_reading_scenario,
+    make_readings,
     make_tiered_sites,
+    reading_rows,
     reference_aggregate,
+    reference_load_readings,
 )
-
-
-def _reading(det, b, q, k):
-    return DetectorReading(
-        detector_id=det, bin_index=b, flow_veh_per_h=q, density_veh_per_km=k
-    )
 
 
 # --- reading I/O --------------------------------------------------------------
 
 
+def _column_bits(readings):
+    return (
+        readings.detector_ids, readings.bin_index.dtype, readings.bin_index.tolist(),
+        readings.flow.tobytes(), readings.density.tobytes(), readings.speed.tobytes(),
+    )
+
+
 def test_readings_round_trip(tmp_path):
-    readings = [
-        DetectorReading("d1", 0, 100.0, 10.0, 10.0),
-        DetectorReading("d2", 0, 50.0, 0.0, None),
-    ]
+    readings = make_readings([("d1", 0, 100.0, 10.0, 10.0), ("d2", 0, 50.0, 0.0, None)])
     path = tmp_path / "readings.csv"
     write_readings(path, readings)
-    assert load_readings(path) == readings
+    assert _column_bits(load_readings(path)) == _column_bits(readings)
+
+
+def _reference_bits(readings):
+    """``_column_bits`` of the oracle's reading objects."""
+    return _column_bits(make_readings([
+        (r.detector_id, r.bin_index, r.flow_veh_per_h, r.density_veh_per_km, r.speed_km_per_h)
+        for r in readings
+    ]))
+
+
+HEADER = "detector_id,bin_index,flow_veh_per_h,density_veh_per_km"
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        HEADER + ",speed_km_per_h\nd1,0,100,10,10\nd2,3,50.5,0,\nd1,1,1e3,2.5,400\n",
+        HEADER + "\nd1,0,100,10\nd2,3,50.5,0\n",
+        HEADER + ",speed_km_per_h\n\nd1 , 2 ,  7.25,0.5 ,\n,,,,\n d2,0,0,0,  \n",
+        HEADER + "\n",
+        # value faults: inf, negative, a negative bin; the first row in order wins
+        HEADER + "\nd1,0,1,1\nd2,1,inf,1\nd3,-1,1,1\n",
+        HEADER + "\nd1,0,1,-inf\n",
+        HEADER + "\nd1,-2,-1,-1\n",
+        HEADER + "\nd1,0,-0.5,1\nd2,0,1,-3\n",
+        HEADER + "\nd1,4,2,-3\n",
+        # parse faults: NaN, non-numeric cells, a missing id or column
+        HEADER + "\nd1,0,nan,1\n",
+        HEADER + ",speed_km_per_h\nd1,0,1,1,fast\n",
+        HEADER + "\nd1,x,1,1\n",
+        HEADER + "\nd1,1.5,1,1\n",
+        HEADER + "\n,0,1,1\n",
+        "detector_id,bin_index,flow_veh_per_h\nd1,0,1\n",
+        "",
+        # both fault orders
+        HEADER + "\nd1,0,1,1\nd2,0,-1,1\nd3,0,one,1\n",
+        HEADER + "\nd1,0,1,1\nd3,0,one,1\nd2,0,-1,1\n",
+        HEADER + "\nd1,0,1,1\nd2,-1,1,1\nd3,0,1,\n",
+        HEADER + "\nd1,0,-1,x\n",
+    ],
+)
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_load_readings_matches_the_per_row_reference(doc, delimiter):
+    doc = doc.replace(",", delimiter)
+    try:
+        expected = _reference_bits(reference_load_readings(io.StringIO(doc), delimiter))
+    except Exception as exc:
+        with pytest.raises(type(exc)) as err:
+            load_readings(io.StringIO(doc), delimiter)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+    else:
+        assert _column_bits(load_readings(io.StringIO(doc), delimiter)) == expected
 
 
 def test_load_readings_rejects_negative_flow():
@@ -65,25 +118,25 @@ def test_load_readings_rejects_negative_flow():
 
 def test_single_reading_passes_through():
     sites = (DetectorSite("d1", "A"),)
-    obs = aggregate_to_links([_reading("d1", 0, 100.0, 10.0)], sites)
+    obs = aggregate_to_links(make_readings([("d1", 0, 100.0, 10.0)]), sites)
     assert obs == [LinkObservation("A", 0, 100.0, 10.0)]
 
 
 def test_two_detectors_on_one_link_average():
     sites = (DetectorSite("d1", "A", 0.2), DetectorSite("d2", "A", 0.8))
     obs = aggregate_to_links(
-        [_reading("d1", 0, 100.0, 10.0), _reading("d2", 0, 200.0, 30.0)], sites
+        make_readings([("d1", 0, 100.0, 10.0), ("d2", 0, 200.0, 30.0)]), sites
     )
     assert obs == [LinkObservation("A", 0, 150.0, 20.0)]
 
 
 def test_detector_silent_in_a_bin_averages_the_present_ones():
     sites = (DetectorSite("d1", "A", 0.2), DetectorSite("d2", "A", 0.8))
-    readings = [
-        _reading("d1", 0, 100.0, 10.0),
-        _reading("d2", 0, 200.0, 30.0),
-        _reading("d1", 1, 60.0, 6.0),
-    ]
+    readings = make_readings([
+        ("d1", 0, 100.0, 10.0),
+        ("d2", 0, 200.0, 30.0),
+        ("d1", 1, 60.0, 6.0),
+    ])
     obs = aggregate_to_links(readings, sites)
     assert obs == [
         LinkObservation("A", 0, 150.0, 20.0),
@@ -117,21 +170,21 @@ def test_bin_arrays_follow_network_link_order():
 
 def test_unknown_detector_rejected():
     with pytest.raises(ValidationError):
-        aggregate_to_links([_reading("ghost", 0, 1.0, 1.0)], (DetectorSite("d1", "A"),))
+        aggregate_to_links(make_readings([("ghost", 0, 1.0, 1.0)]), (DetectorSite("d1", "A"),))
 
 
 def test_double_report_rejected():
     sites = (DetectorSite("d1", "A"),)
-    readings = [_reading("d1", 0, 1.0, 1.0), _reading("d1", 0, 2.0, 2.0)]
+    readings = make_readings([("d1", 0, 1.0, 1.0), ("d1", 0, 2.0, 2.0)])
     with pytest.raises(ValidationError):
         aggregate_to_links(readings, sites)
 
 
 def test_aggregation_ignores_reading_order():
     sites = (DetectorSite("d1", "A", 0.2), DetectorSite("d2", "A", 0.8))
-    readings = [_reading("d1", 0, 101.7, 11.3), _reading("d2", 0, 207.9, 31.9)]
-    a = aggregate_to_links(readings, sites)
-    b = aggregate_to_links(list(reversed(readings)), sites)
+    rows = [("d1", 0, 101.7, 11.3), ("d2", 0, 207.9, 31.9)]
+    a = aggregate_to_links(make_readings(rows), sites)
+    b = aggregate_to_links(make_readings(reversed(rows)), sites)
     assert a[0].flow_veh_per_h == pytest.approx(b[0].flow_veh_per_h, rel=1e-12)
     assert a[0].density_veh_per_km == pytest.approx(b[0].density_veh_per_km, rel=1e-12)
 
@@ -160,7 +213,9 @@ def test_columnar_aggregation_matches_the_reference_loop(seed):
         kept = {s.detector_id for s in subset}
         expected = {
             (o.bin_index, o.link_id): o
-            for o in reference_aggregate([r for r in readings if r.detector_id in kept], subset)
+            for o in reference_aggregate(
+                make_readings(r for r in reading_rows(readings) if r[0] in kept), subset
+            )
         }
         grid = columns.observe(retained_ids)
         assert grid.bins.tolist() == list(READING_BINS)
@@ -173,17 +228,29 @@ def test_columnar_aggregation_matches_the_reference_loop(seed):
                     assert _bits(grid.density[r, j]) == _bits(obs.density_veh_per_km)
 
 
+def test_observe_names_retained_ids_that_name_no_site():
+    network, sites, readings = make_reading_scenario(0)
+    columns = reading_columns(readings, sites, network.link_ids)
+    with pytest.raises(ValidationError) as err:
+        columns.observe(["d_h1_0", "typo"])
+    assert str(err.value) == "unknown detector ids in retained_ids: 'typo'"
+    with pytest.raises(ValidationError) as err:
+        columns.observe(["d_h1_0"] + [f"x{i:02d}" for i in range(12)])
+    assert str(err.value) == (
+        "unknown detector ids in retained_ids: 'x00', 'x01', 'x02', 'x03', 'x04', "
+        "'x05', 'x06', 'x07', 'x08', 'x09' and 2 more"
+    )
+
+
 @pytest.mark.parametrize(
     "readings, message",
     [
         (
-            [_reading("d1", 0, 1.0, 1.0), _reading("d1", 0, 2.0, 2.0),
-             _reading("ghost", 1, 1.0, 1.0)],
+            make_readings([("d1", 0, 1.0, 1.0), ("d1", 0, 2.0, 2.0), ("ghost", 1, 1.0, 1.0)]),
             "detector 'd1' reports twice in bin 0",
         ),
         (
-            [_reading("d1", 0, 1.0, 1.0), _reading("ghost", 1, 1.0, 1.0),
-             _reading("d1", 0, 2.0, 2.0)],
+            make_readings([("d1", 0, 1.0, 1.0), ("ghost", 1, 1.0, 1.0), ("d1", 0, 2.0, 2.0)]),
             "reading references unknown detector 'ghost'",
         ),
     ],

@@ -144,8 +144,9 @@ def test_generation_is_deterministic():
     scenario = SyntheticScenario(rows=5, cols=5, diurnal=(0.5, 1.0))
     a = generate_scenario(scenario)
     b = generate_scenario(scenario)
-    assert a.observations == b.observations
-    assert a.readings == b.readings
+    for column in ("detector_ids", "bin_index", "flow", "density", "speed"):
+        first, second = getattr(a.readings, column), getattr(b.readings, column)
+        assert np.asarray(first).tobytes() == np.asarray(second).tobytes()
     assert a.clamped_count == b.clamped_count
 
 
@@ -155,7 +156,13 @@ def test_noiseless_generation_is_exact_class_means():
     )
     data = generate_scenario(scenario)
     assert data.clamped_count == 0
-    for obs in data.observations:
+    # bin by bin, and one reading per link in link order within a bin
+    n = len(data.network.links)
+    assert data.readings.detector_ids == tuple(s.detector_id for s in data.sites) * 2
+    assert data.readings.bin_index.tolist() == [0] * n + [1] * n
+    observations = aggregate_to_links(data.readings, data.sites)
+    assert len(observations) == 2 * n
+    for obs in observations:
         link = data.network.link(obs.link_id)
         factor = scenario.diurnal[obs.bin_index]
         assert obs.flow_veh_per_h == scenario.mean_flows[link.hierarchy - 1] * factor
@@ -169,17 +176,71 @@ def test_generated_values_are_clamped_nonnegative():
     scenario = SyntheticScenario(rows=5, cols=5, diurnal=(0.15,), noise_scale=4.0)
     data = generate_scenario(scenario)
     assert data.clamped_count > 0
-    assert all(o.flow_veh_per_h >= 0.0 for o in data.observations)
-    assert all(o.density_veh_per_km >= 0.0 for o in data.observations)
+    assert (data.readings.flow >= 0.0).all()
+    assert (data.readings.density >= 0.0).all()
 
 
-def test_readings_mirror_observations_through_aggregation():
-    scenario = SyntheticScenario(rows=4, cols=4, diurnal=(1.0,))
-    data = generate_scenario(scenario)
-    aggregated = aggregate_to_links(data.readings, data.sites)
-    assert aggregated == sorted(
-        data.observations, key=lambda o: (o.bin_index, o.link_id)
+def reference_generate(scenario):
+    """The per-bin, per-link loop that generated readings before they were
+    built as arrays: flow, density and speed lists in bin-major link order,
+    and the clamped count."""
+    network = grid_network(scenario.rows, scenario.cols, scenario.edge_lengths_km)
+    sites = tuple(DetectorSite("d" + link.id, link.id, 0.5) for link in network.links)
+    n = len(network.links)
+    class_flow = np.array([scenario.mean_flows[l.hierarchy - 1] for l in network.links])
+    class_density = np.array([scenario.mean_densities[l.hierarchy - 1] for l in network.links])
+    density_ratio = (
+        scenario.density_noise_ratio
+        if scenario.density_noise_ratio is not None
+        else float(np.mean(scenario.mean_densities) / np.mean(scenario.mean_flows))
     )
+    factor = None
+    if scenario.noise_scale > 0:
+        factor = covariance_factor(site_distance_matrix(network, sites), scenario.variogram)
+    rng = np.random.default_rng(scenario.seed)
+    flows, densities, speeds = [], [], []
+    clamped = 0
+    for diurnal in scenario.diurnal:
+        if factor is not None:
+            flow = class_flow * diurnal + scenario.noise_scale * (
+                factor @ rng.standard_normal(n)
+            )
+            density = class_density * diurnal**scenario.density_exponent + (
+                scenario.noise_scale * density_ratio * (factor @ rng.standard_normal(n))
+            )
+        else:
+            flow = class_flow * diurnal
+            density = class_density * diurnal**scenario.density_exponent
+        clamped += int((flow < 0).sum() + (density < 0).sum())
+        for q, k in zip(np.maximum(flow, 0.0), np.maximum(density, 0.0)):
+            flows.append(float(q))
+            densities.append(float(k))
+            speeds.append(float(q) / float(k) if k > 0 else None)
+    return flows, densities, speeds, clamped
+
+
+@pytest.mark.parametrize(
+    "scenario",
+    [
+        SyntheticScenario(rows=5, cols=4, diurnal=(0.5, 1.0, 0.8), seed=3),
+        SyntheticScenario(rows=4, cols=4, diurnal=(0.5, 1.0), noise_scale=0.0),
+        SyntheticScenario(
+            rows=4, cols=5, diurnal=(1, 2), mean_flows=(1000, 400, 150),
+            mean_densities=(45, 30, 18), density_exponent=2,
+        ),
+        SyntheticScenario(rows=5, cols=5, diurnal=(0.15, 0.3), noise_scale=4.0,
+                          density_noise_ratio=0.2),
+    ],
+    ids=["noisy", "noiseless", "integers", "clamped"],
+)
+def test_generated_readings_match_the_per_link_loop(scenario):
+    flows, densities, speeds, clamped = reference_generate(scenario)
+    readings = generate_scenario(scenario).readings
+    assert readings.flow.tobytes() == np.array(flows).tobytes()
+    assert readings.density.tobytes() == np.array(densities).tobytes()
+    expected_speed = np.array([np.nan if v is None else v for v in speeds])
+    assert readings.speed.tobytes() == expected_speed.tobytes()
+    assert generate_scenario(scenario).clamped_count == clamped
 
 
 def test_default_scenario_bins():
