@@ -4,7 +4,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import stdtr, stdtrit
 
 from .errors import AlignmentError, DegenerateTestError, InsufficientDataError, ValidationError
 
@@ -112,6 +111,10 @@ def paired_t_test(a, b, alpha=0.05):
         raise DegenerateTestError(
             "differences have zero variance, the paired statistic is undefined"
         )
+    # Imported here and in t_critical_value, its only uses, so that
+    # importing the package does not load scipy.special.
+    from scipy.special import stdtr
+
     mean_diff = float(diffs.mean())
     t_statistic = mean_diff / (spread / np.sqrt(n))
     df = n - 1
@@ -132,6 +135,8 @@ def t_critical_value(degrees_of_freedom, confidence=0.95):
         raise ValueError(f"degrees of freedom must be positive, got {degrees_of_freedom}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
+    from scipy.special import stdtrit
+
     return float(stdtrit(degrees_of_freedom, 0.5 + confidence / 2.0))
 
 

@@ -12,14 +12,15 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import AlignmentError, InsufficientDataError, SchemaError, ValidationError
 from .tableio import (
-    iter_rows,
+    iter_blocks,
     parse_float,
-    parse_int,
+    parse_int64,
     parse_optional_float,
     parse_str,
     write_table,
@@ -133,31 +134,68 @@ class CoveragePlan:
 def load_readings(source, delimiter=","):
     """Read a readings table into ``Readings``; a blank or absent speed is NaN.
 
-    The first faulty row is reported: a malformed cell as ``SchemaError``,
-    a value that ``Readings`` rejects as ``ValidationError``.
+    Rows are converted a block and a column at a time. The first faulty row
+    is reported: a malformed cell, or a bin beyond 64 bits, as
+    ``SchemaError``, a value that ``Readings`` rejects as ``ValidationError``.
+    """
+    blocks = [_NO_READINGS]
+    fault = None
+    for block in iter_blocks(source, READING_COLUMNS, delimiter):
+        try:
+            blocks.append((
+                block.strings("detector_id"),
+                block.ints("bin_index"),
+                block.floats("flow_veh_per_h"),
+                block.floats("density_veh_per_km"),
+                block.optional_floats("speed_km_per_h"),
+            ))
+        except (ValueError, OverflowError):
+            columns, fault = _parse_records(block)
+            blocks.append(columns)
+            if fault is not None:
+                break
+    ids, bins, flows, densities, speeds = zip(*blocks)
+    readings = Readings(
+        detector_ids=tuple(chain.from_iterable(ids)),
+        bin_index=np.concatenate(bins),
+        flow=np.concatenate(flows),
+        density=np.concatenate(densities),
+        speed=np.concatenate(speeds),
+    )
+    if fault is not None:
+        raise fault
+    return readings
+
+
+_NO_READINGS = ((), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0))
+
+
+def _parse_records(block):
+    """A block's readings parsed cell by cell, up to its first faulty row.
+
+    Returns the columns of the rows before that row and its ``SchemaError``,
+    or None when every row parses.
     """
     ids, bins, flows, densities, speeds = [], [], [], [], []
     fault = None
     try:
-        for lineno, row in iter_rows(source, READING_COLUMNS, delimiter):
+        for lineno, row in block.records():
             ids.append(parse_str(row, "detector_id", lineno))
-            bins.append(parse_int(row, "bin_index", lineno))
+            bins.append(parse_int64(row, "bin_index", lineno))
             flows.append(parse_float(row, "flow_veh_per_h", lineno))
             densities.append(parse_float(row, "density_veh_per_km", lineno))
             speeds.append(parse_optional_float(row, "speed_km_per_h", lineno, math.nan))
     except SchemaError as exc:
         fault = exc
     n = len(speeds)  # the rows parsed in full
-    readings = Readings(
-        detector_ids=tuple(ids[:n]),
-        bin_index=np.array(bins[:n], dtype=np.int64),
-        flow=np.array(flows[:n], dtype=float),
-        density=np.array(densities[:n], dtype=float),
-        speed=np.array(speeds[:n], dtype=float),
+    columns = (
+        ids[:n],
+        np.array(bins[:n], dtype=np.int64),
+        np.array(flows[:n], dtype=float),
+        np.array(densities[:n], dtype=float),
+        np.array(speeds, dtype=float),
     )
-    if fault is not None:
-        raise fault
-    return readings
+    return columns, fault
 
 
 def write_readings(path, readings, delimiter=","):

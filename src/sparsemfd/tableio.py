@@ -2,16 +2,28 @@
 
 All package inputs and outputs are plain text tables. Field names are exact
 and case sensitive; parse errors report the offending line and field.
+
+Tables are read and written in blocks of up to ``BLOCK_ROWS`` rows, one
+column at a time. A block that does not convert as a whole is walked again
+cell by cell through the ``parse_*`` helpers, which raise the fault of its
+first faulty row.
 """
 from __future__ import annotations
 
 import csv
 import math
 import os
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import islice
+from types import NoneType
+
+import numpy as np
 
 from .errors import SchemaError
 
 DELIMITERS = {"csv": ",", "tsv": "\t"}
+BLOCK_ROWS = 1024
 
 
 def delimiter_for(fmt):
@@ -21,31 +33,134 @@ def delimiter_for(fmt):
         raise ValueError(f"unknown table format '{fmt}', expected one of {sorted(DELIMITERS)}")
 
 
+@dataclass(frozen=True, eq=False)
+class RowBlock:
+    """Consecutive records of a table, blank ones included.
+
+    ``rows`` holds each record's cells and ``lines`` the line it ends on,
+    counting the header as line 1. The column methods convert a field of
+    every record at once; each raises ``ValueError`` when a record is too
+    short for the field or a cell does not convert, and ``records`` then
+    serves the per-cell parsers.
+    """
+
+    header: list
+    position: dict
+    rows: list
+    lines: list
+
+    @cached_property
+    def _columns(self):
+        return list(zip(*self.rows))
+
+    def cells(self, field):
+        """The raw cells of ``field``, or None when the header lacks it."""
+        i = self.position.get(field)
+        if i is None:
+            return None
+        if i >= len(self._columns):
+            raise ValueError(f"a record has no cell for '{field}'")
+        return self._columns[i]
+
+    def strings(self, field):
+        values = list(map(str.strip, self.cells(field)))
+        if not all(values):
+            raise ValueError(f"empty '{field}' cell")
+        return values
+
+    def ints(self, field):
+        """int64 values; a cell beyond 64 bits raises ``OverflowError``."""
+        return np.fromiter(map(int, self.cells(field)), np.int64, len(self.rows))
+
+    def floats(self, field):
+        values = np.fromiter(map(float, self.cells(field)), float, len(self.rows))
+        if np.isnan(values).any():
+            raise ValueError(f"NaN in '{field}'")
+        return values
+
+    def optional_floats(self, field):
+        """Float values, NaN where the cell is blank or the header lacks the field."""
+        cells = self.cells(field)
+        if cells is None:
+            return np.full(len(self.rows), math.nan)
+        cells = list(map(str.strip, cells))
+        if all(cells):
+            return self.floats(field)
+        values = np.fromiter(
+            (float(c) if c else math.nan for c in cells), float, len(self.rows)
+        )
+        filled = np.fromiter(map(bool, cells), bool, len(self.rows))
+        if np.isnan(values[filled]).any():
+            raise ValueError(f"NaN in '{field}'")
+        return values
+
+    def records(self):
+        """Yield (line_number, row_dict) for every non-blank record.
+
+        The dicts are those of ``csv.DictReader``: a short record gives None
+        for its missing fields and a long one keeps its extra cells under
+        the key None. A record is blank when none of its fields holds more
+        than whitespace.
+        """
+        width = len(self.header)
+        for lineno, cells in zip(self.lines, self.rows):
+            row = dict(zip(self.header, cells))
+            if len(cells) > width:
+                row[None] = cells[width:]
+            elif len(cells) < width:
+                row.update(dict.fromkeys(self.header[len(cells):]))
+            if any(isinstance(v, str) and v.strip() for v in row.values()):
+                yield lineno, row
+
+
+def iter_blocks(source, required, delimiter=","):
+    """Yield the records of a path or an open text stream as ``RowBlock``s.
+
+    Checks that every name in ``required`` appears in the header. Each block
+    holds ``BLOCK_ROWS`` records, the last one fewer.
+    """
+    if hasattr(source, "read"):
+        yield from _iter_blocks(source, required, delimiter)
+    else:
+        with open(os.fspath(source), newline="") as handle:
+            yield from _iter_blocks(handle, required, delimiter)
+
+
+def _iter_blocks(handle, required, delimiter):
+    reader = csv.reader(handle, delimiter=delimiter)
+    header = next(reader, None)
+    if header is None:
+        raise SchemaError("document is empty, expected a header row")
+    for name in required:
+        if name not in header:
+            raise SchemaError("missing required column", field=name)
+    # a repeated name reads its last column, as in csv.DictReader
+    position = {name: i for i, name in enumerate(header)}
+    while True:
+        rows, lines = [], []
+        try:
+            for cells in islice(reader, BLOCK_ROWS):
+                rows.append(cells)
+                lines.append(reader.line_num)
+        except (csv.Error, ValueError):
+            # the records before an unreadable or undecodable one are
+            # still checked first
+            if rows:
+                yield RowBlock(header, position, rows, lines)
+            raise
+        if not rows:
+            return
+        yield RowBlock(header, position, rows, lines)
+
+
 def iter_rows(source, required, delimiter=","):
     """Yield (line_number, row_dict) from a path or an open text stream.
 
     Checks that every name in ``required`` appears in the header and skips
     blank lines. Line numbers start at 1 for the header row.
     """
-    if hasattr(source, "read"):
-        yield from _iter_handle(source, required, delimiter)
-    else:
-        with open(os.fspath(source), newline="") as handle:
-            yield from _iter_handle(handle, required, delimiter)
-
-
-def _iter_handle(handle, required, delimiter):
-    reader = csv.DictReader(handle, delimiter=delimiter)
-    header = reader.fieldnames
-    if header is None:
-        raise SchemaError("document is empty, expected a header row")
-    for name in required:
-        if name not in header:
-            raise SchemaError("missing required column", field=name)
-    for row in reader:
-        if not any(isinstance(v, str) and v.strip() for v in row.values()):
-            continue
-        yield reader.line_num, row
+    for block in iter_blocks(source, required, delimiter):
+        yield from block.records()
 
 
 def cell(row, field):
@@ -79,6 +194,17 @@ def parse_int(row, field, lineno):
         raise SchemaError(f"not an integer: '{raw}'", line=lineno, field=field)
 
 
+def parse_int64(row, field, lineno):
+    """``parse_int`` limited to the int64 range of ``RowBlock.ints``."""
+    value = parse_int(row, field, lineno)
+    int64 = np.iinfo(np.int64)
+    if not int64.min <= value <= int64.max:
+        raise SchemaError(
+            f"integer beyond 64 bits: '{cell(row, field)}'", line=lineno, field=field
+        )
+    return value
+
+
 def parse_optional_float(row, field, lineno, default=None):
     value = cell(row, field)
     if not value:
@@ -96,11 +222,57 @@ def format_value(value):
     return str(value)
 
 
+_format_float = "{:.12g}".format
+
+
+def _format_column(values):
+    """``format_value`` of every value of a column, one pass per column.
+
+    A column of floats (NaN and None allowed) is formatted with ``.12g``,
+    one without floats and None with ``str``; only a column that mixes
+    floats or None with other types goes through ``format_value`` per cell.
+    """
+    kinds = set(map(type, values))
+    floats = {kind for kind in kinds if issubclass(kind, float)}
+    if not floats and NoneType not in kinds:
+        return list(map(str, values))
+    if kinds - floats - {NoneType}:
+        return list(map(format_value, values))
+    if NoneType in kinds:
+        values = [math.nan if v is None else v for v in values]
+    cells = list(map(_format_float, values))
+    if "nan" in cells:
+        cells = ["" if c == "nan" else c for c in cells]
+    return cells
+
+
 def write_table(path, header, rows, delimiter=","):
-    """Write a table; ``rows`` is an iterable of sequences matching ``header``."""
+    """Write a table; ``rows`` is an iterable of sequences matching ``header``.
+
+    Rows are formatted a block and a column at a time. A block whose cells
+    need quoting is written by ``csv.writer``; the others as joined lines,
+    which are the bytes ``csv.writer`` would write for them. A row whose
+    length differs from the header's raises ``ValueError``.
+    """
+    if not header:
+        raise ValueError("a table needs at least one column")
+    rows = iter(rows)
     with open(os.fspath(path), "w", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([format_value(v) for v in row])
+        while block := list(islice(rows, BLOCK_ROWS)):
+            if set(map(len, block)) != {len(header)}:
+                raise ValueError(f"every row must have the {len(header)} cells of the header")
+            columns = [_format_column(values) for values in zip(*block)]
+            if len(columns) < 2 or any(_needs_quoting(c, delimiter) for c in columns):
+                # csv.writer also quotes the empty cell of a one-column row
+                writer.writerows(zip(*columns))
+            else:
+                handle.write("\n".join(map(delimiter.join, zip(*columns))) + "\n")
     return path
+
+
+def _needs_quoting(cells, delimiter):
+    # a "\r" goes to csv.writer too, so that its own rule for it decides
+    text = "".join(cells)
+    return delimiter in text or '"' in text or "\r" in text or "\n" in text

@@ -1,17 +1,19 @@
 """Shared fixtures: small handwritten networks and one reusable synthetic run."""
 
+import csv
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
-from sparsemfd.errors import ValidationError
+from sparsemfd.errors import SchemaError, ValidationError
 from sparsemfd.network import DetectorSite, Link, Network
 from sparsemfd.sensing import READING_COLUMNS, LinkObservation, Readings
 from sparsemfd.synth import SyntheticScenario, generate_scenario
 from sparsemfd.tableio import (
-    iter_rows,
+    format_value,
     parse_float,
     parse_int,
     parse_optional_float,
@@ -65,11 +67,35 @@ class ReferenceReading:
                 )
 
 
+def reference_iter_rows(source, required, delimiter=","):
+    """The ``csv.DictReader`` loop that read tables before they were read in
+    row blocks: the oracle for ``iter_rows``' rows and line numbers."""
+    if hasattr(source, "read"):
+        yield from _reference_rows(source, required, delimiter)
+    else:
+        with open(os.fspath(source), newline="") as handle:
+            yield from _reference_rows(handle, required, delimiter)
+
+
+def _reference_rows(handle, required, delimiter):
+    reader = csv.DictReader(handle, delimiter=delimiter)
+    header = reader.fieldnames
+    if header is None:
+        raise SchemaError("document is empty, expected a header row")
+    for name in required:
+        if name not in header:
+            raise SchemaError("missing required column", field=name)
+    for row in reader:
+        if not any(isinstance(v, str) and v.strip() for v in row.values()):
+            continue
+        yield reader.line_num, row
+
+
 def reference_load_readings(source, delimiter=","):
     """The row-by-row reader that built one ``ReferenceReading`` per row:
     the oracle for ``load_readings``' values, error types and texts."""
     readings = []
-    for lineno, row in iter_rows(source, READING_COLUMNS, delimiter):
+    for lineno, row in reference_iter_rows(source, READING_COLUMNS, delimiter):
         readings.append(
             ReferenceReading(
                 detector_id=parse_str(row, "detector_id", lineno),
@@ -80,6 +106,17 @@ def reference_load_readings(source, delimiter=","):
             )
         )
     return readings
+
+
+def reference_write_table(path, header, rows, delimiter=","):
+    """The writer that formatted and wrote one cell at a time before tables
+    were written in row blocks: the oracle for ``write_table``'s bytes."""
+    with open(os.fspath(path), "w", newline="") as handle:
+        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format_value(v) for v in row])
+    return path
 
 
 @pytest.fixture

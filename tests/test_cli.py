@@ -117,6 +117,24 @@ def test_ingest_rejects_malformed_network(runner, tmp_path):
     assert "error:" in result.output
 
 
+def test_ingest_rejects_a_bin_beyond_64_bits(runner, tmp_path):
+    data = synth_dir(runner, tmp_path)
+    readings = tmp_path / "readings.csv"
+    readings.write_text(
+        ",".join(READINGS_HEADER[:4]) + "\ndh0_0,0,100,10\ndh0_0,99999999999999999999,100,10\n"
+    )
+    result = runner.invoke(main, [
+        "ingest", str(data / "network.csv"), "--sites", str(data / "sites.csv"),
+        "--readings", str(readings),
+    ])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert (
+        "error: integer beyond 64 bits: '99999999999999999999' "
+        "[field 'bin_index'] [line 3]"
+    ) in result.output
+
+
 # --- sampling -----------------------------------------------------------------
 
 

@@ -393,14 +393,14 @@ def test_distance_metric_properties(case):
 
 
 def test_import_does_not_load_networkx():
-    # scipy.stats, scipy.optimize and scipy.sparse are also kept out:
-    # together they cost over a second of every start-up
+    # scipy.stats, scipy.optimize, scipy.sparse and scipy.special are also
+    # kept out: together they cost over a second of every start-up
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparsemfd.__file__)))
     for module in ("sparsemfd", "sparsemfd.cli"):
         code = (
             f"import sys, {module}; "
-            "loaded = [m for m in ('networkx', 'scipy.stats', 'scipy.optimize', 'scipy.sparse') "
-            "if m in sys.modules]; "
+            "loaded = [m for m in ('networkx', 'scipy.stats', 'scipy.optimize', 'scipy.sparse', "
+            "'scipy.special') if m in sys.modules]; "
             "assert not loaded, loaded"
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsemfd.errors import AlignmentError, InsufficientDataError, ValidationError
+from sparsemfd.errors import AlignmentError, InsufficientDataError, SchemaError, ValidationError
 from sparsemfd.kriging import impute_network
 from sparsemfd.network import DetectorSite, Link, Network, midpoint_sites
 from sparsemfd.scaling import uniform_scaled_mean
@@ -26,6 +26,7 @@ from sparsemfd.sensing import (
     save_coverage_plan,
     write_readings,
 )
+from sparsemfd.tableio import BLOCK_ROWS
 from conftest import (
     READING_BINS,
     make_reading_scenario,
@@ -65,6 +66,20 @@ def _reference_bits(readings):
 HEADER = "detector_id,bin_index,flow_veh_per_h,density_veh_per_km"
 
 
+def _long_doc(fault_row, fault, rows=BLOCK_ROWS + 40, quoted_every=0):
+    """A readings table of ``rows`` rows whose row ``fault_row`` (0-based)
+    is ``fault``; with ``quoted_every`` every such row has a two-line id."""
+    lines = [HEADER]
+    for i in range(rows):
+        if i == fault_row:
+            lines.append(fault)
+        elif quoted_every and i % quoted_every == 0:
+            lines.append(f'"d\n{i}",{i % 7},{i * 0.5},{i % 13}')
+        else:
+            lines.append(f"d{i},{i % 7},{i * 0.5},{i % 13}")
+    return "\n".join(lines) + "\n"
+
+
 @pytest.mark.parametrize(
     "doc",
     [
@@ -91,20 +106,67 @@ HEADER = "detector_id,bin_index,flow_veh_per_h,density_veh_per_km"
         HEADER + "\nd1,0,1,1\nd3,0,one,1\nd2,0,-1,1\n",
         HEADER + "\nd1,0,1,1\nd2,-1,1,1\nd3,0,1,\n",
         HEADER + "\nd1,0,-1,x\n",
+        # rows past the first block: a parse fault, a value fault, a value
+        # fault in the first block before a parse fault in the second, and a
+        # fault after two-line ids in both blocks
+        _long_doc(BLOCK_ROWS + 5, "d,0,1,x"),
+        _long_doc(BLOCK_ROWS + 5, "d,0,-1,1"),
+        _long_doc(3, "d,0,-1,1").replace(f"\nd{BLOCK_ROWS + 9},", "\nd,x,"),
+        _long_doc(BLOCK_ROWS + 30, "d,0,1,", quoted_every=97),
+        _long_doc(-1, "", quoted_every=97),
+        # a fault after a multi-line quoted id
+        HEADER + '\n"d\n1",0,1,1\n"d\n\n2",1,1,1\nd3,1,?,1\n',
+        # extra cells, a short row, a whitespace-only row, a blank row
+        HEADER + "\nd1,0,1,1,9,9\n   \n\nd2,0,1,1\n",
+        HEADER + ",speed_km_per_h\nd1,0,1,1\nd2,0,1,1,5\n",
+        HEADER + "\nd1,0,1,1\nd2,0,1\n",
+        HEADER + "\nd1,0,1,1\n,,,,x\n",
+        # a NaN speed among blank ones; a repeated column reads its last cell
+        HEADER + ",speed_km_per_h\nd1,0,1,1,\nd2,0,1,1,nan\n",
+        HEADER + ",flow_veh_per_h\nd1,0,1,1,5\nd2,0,2,1,6\n",
+        # bins with a sign and with underscores
+        HEADER + "\nd1,+3,1,1\nd2,1_000,1_0.5,1\n",
+        # a bare CR inside a row that a stream reads as one line stops the
+        # csv reader; a fault in an earlier row of its block still wins
+        HEADER + "\nd1,0,x,1\nd2,0,1,1\nd\r3,0,1,1\n",
+        HEADER + "\nd1,0,1,1\nd\r3,0,1,1\n",
+        # a quoted id holding the delimiter and a quote
+        HEADER + ',speed_km_per_h\n"d,1",0,1,1,\n"say ""d2""",0,1,1,2\n',
     ],
 )
 @pytest.mark.parametrize("delimiter", [",", "\t"])
-def test_load_readings_matches_the_per_row_reference(doc, delimiter):
+@pytest.mark.parametrize("from_path", [False, True])
+def test_load_readings_matches_the_per_row_reference(doc, delimiter, from_path, tmp_path):
     doc = doc.replace(",", delimiter)
+    if from_path:
+        path = tmp_path / "readings.txt"
+        path.write_text(doc, newline="")
+        source = lambda: path  # noqa: E731
+    else:
+        source = lambda: io.StringIO(doc)  # noqa: E731
     try:
-        expected = _reference_bits(reference_load_readings(io.StringIO(doc), delimiter))
+        expected = _reference_bits(reference_load_readings(source(), delimiter))
     except Exception as exc:
         with pytest.raises(type(exc)) as err:
-            load_readings(io.StringIO(doc), delimiter)
+            load_readings(source(), delimiter)
         assert type(err.value) is type(exc)
         assert str(err.value) == str(exc)
     else:
-        assert _column_bits(load_readings(io.StringIO(doc), delimiter)) == expected
+        assert _column_bits(load_readings(source(), delimiter)) == expected
+
+
+@pytest.mark.parametrize(
+    "bin_text", ["99999999999999999999", "-99999999999999999999", "9223372036854775808"]
+)
+def test_load_readings_rejects_a_bin_beyond_64_bits(bin_text):
+    # the per-row reference takes any Python int, so this case is not in its corpus
+    doc = HEADER + f"\nd1,9223372036854775807,1,1\nd2,{bin_text},1,1\n"
+    with pytest.raises(SchemaError) as err:
+        load_readings(io.StringIO(doc))
+    assert (err.value.line, err.value.field) == (3, "bin_index")
+    assert str(err.value) == (
+        f"integer beyond 64 bits: '{bin_text}' [field 'bin_index'] [line 3]"
+    )
 
 
 def test_load_readings_rejects_negative_flow():
