@@ -25,7 +25,6 @@ from .errors import (
     SchemaError,
     SingularSystemError,
     UncoverableHierarchyError,
-    UnreachableSiteError,
     ValidationError,
 )
 from .network import (
@@ -33,7 +32,6 @@ from .network import (
     Link,
     Network,
     cross_distance_matrix,
-    detector_path_distance,
     load_detector_sites,
     load_network,
     midpoint_sites,
@@ -53,11 +51,9 @@ from .sensing import (
     write_readings,
 )
 from .scaling import (
-    CovarianceDiagnostic,
     HierarchyClassSplit,
     HierarchyPartition,
     ScaledEstimate,
-    flow_length_covariance,
     hierarchical_scaled_mean,
     uniform_scaled_mean,
 )
@@ -83,12 +79,10 @@ from .mfd import (
     QuadraticFit,
     build_mfd,
     fit_quadratic_with_ci,
-    speed_series_from_mfd,
 )
 from .metrics import (
     MetricsReport,
     PairedTTestResult,
-    combine_metrics,
     compute_metrics,
     paired_t_test,
     t_critical_value,

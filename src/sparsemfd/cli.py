@@ -21,7 +21,7 @@ from .errors import (
     InsufficientDataError,
     NotEstimableError,
     NumericError,
-    UnreachableSiteError,
+    ValidationError,
 )
 from .experiment import (
     BAND_HEADER,
@@ -91,8 +91,6 @@ def guarded(func):
             _abort(exc, EXIT_NOT_ESTIMABLE)
         except NumericError as exc:
             _abort(exc, EXIT_NUMERIC)
-        except UnreachableSiteError as exc:
-            _abort(exc, EXIT_VALIDATION)
         except (EstimationError, ValueError) as exc:
             _abort(exc, EXIT_VALIDATION)
 
@@ -342,6 +340,8 @@ def _read_model_table(path, delimiter):
     rows = list(iter_rows(path, ("kind", "nugget", "sill", "range_km"), delimiter))
     if not rows:
         raise EstimationError(f"model table '{path}' has no rows")
+    if len(rows) > 1:
+        raise ValidationError(f"model table '{path}' has {len(rows)} rows, expected one")
     lineno, row = rows[0]
     return VariogramModel(
         kind=parse_str(row, "kind", lineno),

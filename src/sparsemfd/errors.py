@@ -32,10 +32,6 @@ class AlignmentError(ValidationError):
     """Two series that must share an index set do not."""
 
 
-class UnreachableSiteError(EstimationError):
-    """No path exists between two detector sites."""
-
-
 class NotEstimableError(EstimationError):
     """The requested estimate cannot be produced from the data provided."""
 

@@ -339,7 +339,7 @@ def impute_network(
     value_field(variable)
     if not observations:
         raise InsufficientDataError("no equipped observation")
-    bin_index, values, observed = bin_arrays(observations, network, variable)
+    bin_index, values, observed = bin_arrays(observations, network.link_ids, variable)
     if distances is None:
         distances = ImputationDistances.build(network, sites)
     return impute_observed(

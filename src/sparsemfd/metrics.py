@@ -138,28 +138,3 @@ def t_critical_value(degrees_of_freedom, confidence=0.95):
     from scipy.special import stdtrit
 
     return float(stdtrit(degrees_of_freedom, 0.5 + confidence / 2.0))
-
-
-def combine_metrics(reports):
-    """Average several MetricsReports field by field.
-
-    Useful to report per-period metrics as one figure; None fields stay None
-    if any member is undefined.
-    """
-    reports = list(reports)
-    if not reports:
-        raise InsufficientDataError("nothing to combine")
-
-    def mean_or_none(values):
-        if any(v is None for v in values):
-            return None
-        return float(np.mean(values))
-
-    return MetricsReport(
-        rmse=float(np.mean([r.rmse for r in reports])),
-        mae=float(np.mean([r.mae for r in reports])),
-        mape_percent=mean_or_none([r.mape_percent for r in reports]),
-        r2=mean_or_none([r.r2 for r in reports]),
-        n_points=sum(r.n_points for r in reports),
-        mape_skipped=sum(r.mape_skipped for r in reports),
-    )

@@ -82,10 +82,6 @@ class QuadraticFit:
     def degrees_of_freedom(self):
         return self.n_points - 3
 
-    @property
-    def coefficient_covariance(self):
-        return self.residual_variance * self.xtx_inv
-
     def __call__(self, x):
         x_arr = np.asarray(x, dtype=float)
         c0, c1, c2 = self.coefficients
@@ -152,16 +148,3 @@ def fit_quadratic_with_ci(x, y, confidence=0.95):
         n_points=n,
         confidence=confidence,
     )
-
-
-def speed_series_from_mfd(fit, densities):
-    """Network speed v = q(k) / k from a fitted flow MFD.
-
-    Entries with nonpositive density have no defined speed and come back as
-    NaN.
-    """
-    k = np.atleast_1d(np.asarray(densities, dtype=float))
-    speeds = np.full(k.shape, np.nan)
-    positive = k > 0
-    speeds[positive] = fit(k[positive]) / k[positive]
-    return speeds

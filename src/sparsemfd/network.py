@@ -14,7 +14,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import UnreachableSiteError, ValidationError
+from .errors import ValidationError
 from .tableio import iter_rows, parse_float, parse_int, parse_optional_float, parse_str
 
 NETWORK_COLUMNS = ("link_id", "from_node", "to_node", "length_km", "hierarchy")
@@ -264,20 +264,6 @@ def _distances(network, sites, targets):
             through = s_off[:, None] + node_dist[rows, t_node[None, :]] + t_off[None, :]
             np.minimum(best, through, out=best)
     return best
-
-
-def detector_path_distance(network, site_a, site_b):
-    """Shortest along-network distance between two detector sites, in km.
-
-    Symmetric and zero for coincident sites. Raises UnreachableSiteError when
-    the sites sit in disconnected components.
-    """
-    distance = site_distance_matrix(network, (site_a, site_b))[0, 1]
-    if not math.isfinite(distance):
-        raise UnreachableSiteError(
-            f"no path between detectors '{site_a.detector_id}' and '{site_b.detector_id}'"
-        )
-    return float(distance)
 
 
 def site_distance_matrix(network, sites):

@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .errors import InsufficientDataError, UncoverableHierarchyError, ValidationError
-from .sensing import bin_arrays, single_bin, value_field
+from .sensing import bin_arrays, value_field
 
 VARIABLES = ("flow", "density")
 UNIFORM_MODES = ("exact", "mean-only")
@@ -57,11 +57,6 @@ class HierarchyPartition:
     link_ids: tuple
     lengths_km: np.ndarray
     equipped: np.ndarray
-
-    @cached_property
-    def equipped_ids(self):
-        """Every equipped link id, as a frozenset built on first use."""
-        return frozenset(self.link_ids[j] for j in np.flatnonzero(self.equipped).tolist())
 
     @classmethod
     def from_network(cls, network, equipped_link_ids):
@@ -173,18 +168,6 @@ def hierarchical_estimate(bin_index, values, partition, variable="flow", duratio
     )
 
 
-def _observed_by_link(observations, variable):
-    """One bin's ``(bin_index, {link_id: value})``; a link may appear once."""
-    field = value_field(variable)
-    bin_index = single_bin(observations)
-    by_link = {}
-    for obs in observations:
-        if obs.link_id in by_link:
-            raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
-        by_link[obs.link_id] = getattr(obs, field)
-    return bin_index, by_link
-
-
 def uniform_scaled_mean(observations, network, variable="flow", mode="exact", duration_h=1.0):
     """Estimate the network mean from equipped links with a single-class scale.
 
@@ -198,7 +181,7 @@ def uniform_scaled_mean(observations, network, variable="flow", mode="exact", du
     value_field(variable)
     if not observations:
         raise InsufficientDataError("uniform scaling needs at least one equipped observation")
-    bin_index, values, equipped = bin_arrays(observations, network, variable)
+    bin_index, values, equipped = bin_arrays(observations, network.link_ids, variable)
     return uniform_estimate(bin_index, values, equipped, network, variable, mode, duration_h)
 
 
@@ -215,52 +198,17 @@ def hierarchical_scaled_mean(observations, partition, variable="flow", duration_
         raise InsufficientDataError(
             "hierarchical scaling needs at least one equipped observation"
         )
-    bin_index, by_link = _observed_by_link(observations, variable)
-    expected = partition.equipped_ids
-    if by_link.keys() != expected:
-        observed = set(by_link)
+    # a link outside the partition is placed after its links, so that it
+    # shows as unexpected
+    link_ids = tuple(dict.fromkeys(chain(partition.link_ids, (o.link_id for o in observations))))
+    bin_index, values, observed = bin_arrays(observations, link_ids, variable)
+    expected = np.zeros(len(link_ids), dtype=bool)
+    expected[:len(partition.link_ids)] = partition.equipped
+    if (observed != expected).any():
+        missing = sorted(link_ids[j] for j in np.flatnonzero(expected & ~observed).tolist())
+        unexpected = sorted(link_ids[j] for j in np.flatnonzero(observed & ~expected).tolist())
         raise ValidationError(
             f"observations do not match the partition's equipped links "
-            f"(missing {sorted(expected - observed)[:5]}, "
-            f"unexpected {sorted(observed - expected)[:5]})"
+            f"(missing {missing[:5]}, unexpected {unexpected[:5]})"
         )
-    values = np.zeros(len(partition.link_ids))
-    for j in np.flatnonzero(partition.equipped).tolist():
-        values[j] = by_link[partition.link_ids[j]]
     return hierarchical_estimate(bin_index, values, partition, variable, duration_h)
-
-
-@dataclass(frozen=True)
-class CovarianceDiagnostic:
-    """Population covariance between equipped flows and link lengths.
-
-    The uniform estimator is unbiased exactly when this covariance vanishes;
-    ``ratio`` relates it to the product of the means, so magnitudes well
-    below one indicate the single-class shortcut is safe.
-    """
-
-    covariance: float
-    mean_flow: float
-    mean_length_km: float
-    ratio: float | None
-
-
-def flow_length_covariance(observations, network):
-    """Diagnose how strongly equipped flows co-vary with link lengths."""
-    if len(observations) < 2:
-        raise InsufficientDataError(
-            "covariance needs at least two equipped observations"
-        )
-    single_bin(observations)
-    flows = np.array([obs.flow_veh_per_h for obs in observations])
-    lengths = np.array([network.link(obs.link_id).length_km for obs in observations])
-    covariance = float((flows * lengths).mean() - flows.mean() * lengths.mean())
-    mean_flow = float(flows.mean())
-    mean_length = float(lengths.mean())
-    product = mean_flow * mean_length
-    return CovarianceDiagnostic(
-        covariance=covariance,
-        mean_flow=mean_flow,
-        mean_length_km=mean_length,
-        ratio=covariance / product if product != 0 else None,
-    )

@@ -8,6 +8,7 @@ detectors hierarchy by hierarchy so that every class keeps at least one.
 """
 from __future__ import annotations
 
+import csv
 import json
 import math
 from dataclasses import dataclass
@@ -87,29 +88,25 @@ def value_field(variable):
         raise ValueError(f"variable must be one of {tuple(VALUE_FIELDS)}, got '{variable}'")
 
 
-def single_bin(observations):
-    """The one bin index of ``observations``; a mix of bins is an ``AlignmentError``."""
-    bins = {obs.bin_index for obs in observations}
-    if len(bins) != 1:
-        raise AlignmentError(
-            f"observations must belong to one bin, got bins {sorted(bins)}"
-        )
-    return bins.pop()
-
-
-def bin_arrays(observations, network, variable="flow"):
+def bin_arrays(observations, link_ids, variable="flow"):
     """One bin's observations as ``(bin_index, values, observed)``.
 
-    ``values`` and ``observed`` are in ``network``'s link order: each
-    observed link's value, NaN elsewhere, and the mask of observed links.
-    A link may be observed once.
+    ``values`` and ``observed`` follow ``link_ids``: each observed link's
+    value, NaN elsewhere, and the mask of observed links. A mix of bins is
+    an ``AlignmentError``; a link may be observed once.
     """
     field = value_field(variable)
-    bin_index = single_bin(observations)
-    values = np.full(len(network.links), np.nan)
-    observed = np.zeros(len(network.links), dtype=bool)
+    bins = {obs.bin_index for obs in observations}
+    if len(bins) != 1:
+        raise AlignmentError(f"observations must belong to one bin, got bins {sorted(bins)}")
+    bin_index = bins.pop()
+    position = {link_id: j for j, link_id in enumerate(link_ids)}
+    values = np.full(len(link_ids), np.nan)
+    observed = np.zeros(len(link_ids), dtype=bool)
     for obs in observations:
-        j = network.position(obs.link_id)
+        j = position.get(obs.link_id)
+        if j is None:
+            raise ValidationError(f"unknown link id '{obs.link_id}'")
         if observed[j]:
             raise ValidationError(f"link '{obs.link_id}' observed twice in bin {bin_index}")
         values[j] = getattr(obs, field)
@@ -136,24 +133,31 @@ def load_readings(source, delimiter=","):
 
     Rows are converted a block and a column at a time. The first faulty row
     is reported: a malformed cell, or a bin beyond 64 bits, as
-    ``SchemaError``, a value that ``Readings`` rejects as ``ValidationError``.
+    ``SchemaError``, a value that ``Readings`` rejects as ``ValidationError``,
+    and a record that the table reader rejects (text beyond the header, an
+    unreadable line) with the reader's error.
     """
     blocks = [_NO_READINGS]
     fault = None
-    for block in iter_blocks(source, READING_COLUMNS, delimiter):
-        try:
-            blocks.append((
-                block.strings("detector_id"),
-                block.ints("bin_index"),
-                block.floats("flow_veh_per_h"),
-                block.floats("density_veh_per_km"),
-                block.optional_floats("speed_km_per_h"),
-            ))
-        except (ValueError, OverflowError):
-            columns, fault = _parse_records(block)
-            blocks.append(columns)
-            if fault is not None:
-                break
+    try:
+        for block in iter_blocks(source, READING_COLUMNS, delimiter):
+            try:
+                blocks.append((
+                    block.strings("detector_id"),
+                    block.ints("bin_index"),
+                    block.floats("flow_veh_per_h"),
+                    block.floats("density_veh_per_km"),
+                    block.optional_floats("speed_km_per_h"),
+                ))
+            except (ValueError, OverflowError):
+                columns, fault = _parse_records(block)
+                blocks.append(columns)
+                if fault is not None:
+                    break
+    except (csv.Error, ValueError, SchemaError) as exc:
+        # the rows read before the record the reader rejects are still
+        # checked first
+        fault = exc
     ids, bins, flows, densities, speeds = zip(*blocks)
     readings = Readings(
         detector_ids=tuple(chain.from_iterable(ids)),
@@ -509,25 +513,16 @@ def edie_network_truth(observations, network, bin_index):
     """Length-weighted network mean flow and density for one fully covered bin.
 
     This is the reference aggregation: with every link observed, the network
-    flow is sum(q_i * l_i) / sum(l_i) and likewise for density. Returns the
-    tuple (flow_veh_per_h, density_veh_per_km).
+    flow is sum(q_i * l_i) / sum(l_i) and likewise for density. Observations
+    of other bins are ignored. Returns the tuple (flow_veh_per_h,
+    density_veh_per_km).
     """
-    by_link = {}
-    for obs in observations:
-        if obs.bin_index != bin_index:
-            continue
-        if obs.link_id in by_link:
-            raise ValidationError(
-                f"link '{obs.link_id}' observed twice in bin {bin_index}"
-            )
-        by_link[obs.link_id] = obs
-
-    missing = [link_id for link_id in network.link_ids if link_id not in by_link]
-    if missing:
-        raise _missing_links_error(bin_index, missing)
-    observed = [by_link[link_id] for link_id in network.link_ids]
-    return _edie_means(
-        np.array([obs.flow_veh_per_h for obs in observed]),
-        np.array([obs.density_veh_per_km for obs in observed]),
-        network,
-    )
+    observations = [obs for obs in observations if obs.bin_index == bin_index]
+    observed = np.zeros(len(network.links), dtype=bool)
+    if observations:
+        _, flows, observed = bin_arrays(observations, network.link_ids, "flow")
+    if not observed.all():
+        missing = np.flatnonzero(~observed).tolist()
+        raise _missing_links_error(bin_index, [network.link_ids[j] for j in missing])
+    _, densities, _ = bin_arrays(observations, network.link_ids, "density")
+    return _edie_means(flows, densities, network)

@@ -10,8 +10,7 @@ spatially correlated residual drawn from the scenario's variogram model.
 from __future__ import annotations
 
 import json
-import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -276,8 +275,3 @@ def generate_scenario(scenario):
         ),
         clamped_count=clamped,
     )
-
-
-def with_seed(scenario, seed):
-    """The same scenario with another seed; convenience for replications."""
-    return replace(scenario, seed=seed)

@@ -98,9 +98,9 @@ class RowBlock:
         """Yield (line_number, row_dict) for every non-blank record.
 
         The dicts are those of ``csv.DictReader``: a short record gives None
-        for its missing fields and a long one keeps its extra cells under
-        the key None. A record is blank when none of its fields holds more
-        than whitespace.
+        for its missing fields and a long one keeps its extra cells, all
+        blank, under the key None. A record is blank when none of its
+        fields holds more than whitespace.
         """
         width = len(self.header)
         for lineno, cells in zip(self.lines, self.rows):
@@ -117,7 +117,9 @@ def iter_blocks(source, required, delimiter=","):
     """Yield the records of a path or an open text stream as ``RowBlock``s.
 
     Checks that every name in ``required`` appears in the header. Each block
-    holds ``BLOCK_ROWS`` records, the last one fewer.
+    holds ``BLOCK_ROWS`` records, the last one fewer. A record with text in
+    a cell beyond the header raises ``SchemaError`` naming its line, after
+    the block of the records before it.
     """
     if hasattr(source, "read"):
         yield from _iter_blocks(source, required, delimiter)
@@ -136,15 +138,20 @@ def _iter_blocks(handle, required, delimiter):
             raise SchemaError("missing required column", field=name)
     # a repeated name reads its last column, as in csv.DictReader
     position = {name: i for i, name in enumerate(header)}
+    width = len(header)
     while True:
         rows, lines = [], []
         try:
             for cells in islice(reader, BLOCK_ROWS):
+                if len(cells) > width and any(map(str.strip, cells[width:])):
+                    raise SchemaError(
+                        f"text beyond the {width} columns of the header", line=reader.line_num
+                    )
                 rows.append(cells)
                 lines.append(reader.line_num)
-        except (csv.Error, ValueError):
-            # the records before an unreadable or undecodable one are
-            # still checked first
+        except (csv.Error, ValueError, SchemaError):
+            # the records before an unreadable, undecodable or overlong
+            # one are still checked first
             if rows:
                 yield RowBlock(header, position, rows, lines)
             raise

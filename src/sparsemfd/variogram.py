@@ -131,10 +131,6 @@ class EmpiricalVariogram:
     def populated(self):
         return self.pair_counts > 0
 
-    @property
-    def n_populated(self):
-        return int(self.populated.sum())
-
 
 def distance_bin_edges(distances, n_bins=15, lower_pct=1.0, upper_pct=95.0):
     """Equal-width lag bins spanning the given percentile range of pair distances.

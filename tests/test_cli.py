@@ -6,7 +6,15 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from sparsemfd.cli import main
+from sparsemfd.cli import guarded, main
+from sparsemfd.errors import (
+    EstimationError,
+    InsufficientDataError,
+    NotEstimableError,
+    NumericError,
+    SingularSystemError,
+    ValidationError,
+)
 from sparsemfd.network import NETWORK_COLUMNS, load_detector_sites, load_network
 from sparsemfd.sensing import READINGS_HEADER, sample_coverage
 from sparsemfd.tableio import write_table
@@ -69,6 +77,32 @@ def write_model(path, kind="spherical", nugget=0.0, sill=100.0, range_km=5.0):
         [(kind, nugget, sill, range_km)],
     )
     return path
+
+
+# --- exit codes ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (NotEstimableError("no estimate"), 3),
+        (InsufficientDataError("too few"), 3),
+        (NumericError("broke down"), 4),
+        (SingularSystemError(), 4),
+        (EstimationError("bad input"), 2),
+        (ValidationError("invalid"), 2),
+        (ValueError("out of range"), 2),
+    ],
+)
+def test_guarded_maps_each_error_family_to_its_exit_code(error, code, capsys):
+    @guarded
+    def command():
+        raise error
+
+    with pytest.raises(SystemExit) as exited:
+        command()
+    assert exited.value.code == code
+    assert capsys.readouterr().err == f"error: {error}\n"
 
 
 # --- ingest and synth ---------------------------------------------------------
@@ -493,6 +527,26 @@ def test_impute_unfittable_bin_does_not_abort(runner, tmp_path):
     lines = (out / "field.csv").read_text().splitlines()
     assert len(lines) == 13  # header plus bin 0's 12 links; bin 1 has no field
     assert {line.split(",")[1] for line in lines[1:]} == {"0"}
+
+
+def test_impute_rejects_a_model_table_of_two_rows(runner, tmp_path):
+    network, sites, readings = write_corridor(tmp_path, equipped=(0, 2, 5))
+    model = tmp_path / "model.csv"
+    write_table(
+        model,
+        ("kind", "nugget", "sill", "range_km"),
+        [("spherical", 0, 100, 5), ("exponential", 0, 9000, 0.1)],
+    )
+    result = invoke(
+        runner,
+        [
+            "--output-dir", str(tmp_path / "imputed"),
+            "impute", str(network), str(sites), str(readings),
+            "--bin-index", "0", "--model-file", str(model),
+        ],
+    )
+    assert result.exit_code == 2
+    assert f"error: model table '{model}' has 2 rows, expected one" in result.output
 
 
 # --- mfd and evaluate ---------------------------------------------------------

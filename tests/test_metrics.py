@@ -12,7 +12,6 @@ from sparsemfd.errors import (
     ValidationError,
 )
 from sparsemfd.metrics import (
-    combine_metrics,
     compute_metrics,
     paired_t_test,
     t_critical_value,
@@ -168,24 +167,3 @@ def test_t_distribution_matches_scipy_stats_bit_for_bit():
         a = rng.normal(2.0 / math.sqrt(df + 1), 1.0, size=df + 1)
         result = paired_t_test(a, np.zeros(df + 1))
         assert result.p_value == 2.0 * stats.t.sf(abs(result.t_statistic), df)
-
-
-# --- combination --------------------------------------------------------------
-
-
-def test_combine_metrics_averages_fields():
-    a = compute_metrics([110.0, 190.0], [100.0, 200.0])
-    b = compute_metrics([100.0, 200.0], [100.0, 200.0])
-    combined = combine_metrics([a, b])
-    assert combined.rmse == pytest.approx(5.0, rel=1e-12)
-    assert combined.n_points == 4
-    assert combined.r2 == pytest.approx((a.r2 + b.r2) / 2.0, rel=1e-12)
-
-
-def test_combine_metrics_propagates_none():
-    a = compute_metrics([1.0, 2.0], [5.0, 5.0])  # r2 undefined
-    b = compute_metrics([110.0, 190.0], [100.0, 200.0])
-    combined = combine_metrics([a, b])
-    assert combined.r2 is None
-    with pytest.raises(InsufficientDataError):
-        combine_metrics([])

@@ -17,7 +17,6 @@ from sparsemfd.mfd import (
     MFDPoint,
     build_mfd,
     fit_quadratic_with_ci,
-    speed_series_from_mfd,
 )
 
 
@@ -138,27 +137,3 @@ def test_fit_input_requirements():
         fit_quadratic_with_ci([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
     with pytest.raises(ValueError):
         fit_quadratic_with_ci([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], confidence=1.0)
-
-
-# --- speeds from a fitted MFD -------------------------------------------------
-
-
-def test_speed_from_linear_mfd():
-    k = np.linspace(1.0, 30.0, 10)
-    fit = fit_quadratic_with_ci(k, 30.0 * k)
-    speeds = speed_series_from_mfd(fit, [5.0, 10.0, 20.0])
-    assert speeds == pytest.approx([30.0, 30.0, 30.0], abs=1e-8)
-
-
-def test_speed_from_concave_mfd():
-    k = np.linspace(1.0, 35.0, 12)
-    fit = fit_quadratic_with_ci(k, 2.0 * k - 0.05 * k**2)
-    assert speed_series_from_mfd(fit, [20.0])[0] == pytest.approx(1.0, abs=1e-8)
-
-
-def test_speed_undefined_at_zero_density():
-    k = np.linspace(1.0, 30.0, 10)
-    fit = fit_quadratic_with_ci(k, 30.0 * k)
-    speeds = speed_series_from_mfd(fit, [0.0, 10.0])
-    assert np.isnan(speeds[0])
-    assert speeds[1] == pytest.approx(30.0, abs=1e-8)

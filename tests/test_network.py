@@ -17,13 +17,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsemfd
-from sparsemfd.errors import SchemaError, UnreachableSiteError, ValidationError
+from sparsemfd.errors import SchemaError, ValidationError
 from sparsemfd.network import (
     DetectorSite,
     Link,
     Network,
     cross_distance_matrix,
-    detector_path_distance,
     load_detector_sites,
     load_network,
     midpoint_sites,
@@ -128,45 +127,41 @@ def test_midpoint_sites(chain_network):
 # --- worked distance examples -------------------------------------------------
 
 
+def pair_distance(network, a, b):
+    return site_distance_matrix(network, (a, b))[0, 1]
+
+
 def test_distance_same_site_is_zero(chain_network):
     site = DetectorSite("d", "A", 0.3)
-    assert detector_path_distance(chain_network, site, site) == 0.0
+    assert pair_distance(chain_network, site, site) == 0.0
 
 
 def test_distance_same_link(chain_network):
     a = DetectorSite("d1", "A", 0.2)
     b = DetectorSite("d2", "A", 0.8)
-    assert detector_path_distance(chain_network, a, b) == pytest.approx(0.6, abs=1e-12)
+    assert pair_distance(chain_network, a, b) == pytest.approx(0.6, abs=1e-12)
 
 
 def test_distance_adjacent_links_touching(chain_network):
     # end of A coincides with start of B
     a = DetectorSite("d1", "A", 1.0)
     b = DetectorSite("d2", "B", 0.0)
-    assert detector_path_distance(chain_network, a, b) == 0.0
+    assert pair_distance(chain_network, a, b) == 0.0
 
 
 def test_distance_midpoints_across_shared_node(chain_network):
     a = DetectorSite("d1", "A", 0.5)
     b = DetectorSite("d2", "B", 0.5)
     # 0.5 km to the shared node plus 1.0 km into the longer link
-    assert detector_path_distance(chain_network, a, b) == pytest.approx(1.5, abs=1e-12)
+    assert pair_distance(chain_network, a, b) == pytest.approx(1.5, abs=1e-12)
 
 
 def test_distance_is_symmetric(chain_network):
     a = DetectorSite("d1", "A", 0.2)
     b = DetectorSite("d2", "B", 0.9)
-    ab = detector_path_distance(chain_network, a, b)
-    ba = detector_path_distance(chain_network, b, a)
+    ab = pair_distance(chain_network, a, b)
+    ba = pair_distance(chain_network, b, a)
     assert ab == ba
-
-
-def test_unreachable_pair_raises():
-    net = Network((Link("A", "a", "b", 1.0, 1), Link("B", "c", "d", 1.0, 1)))
-    a = DetectorSite("d1", "A")
-    b = DetectorSite("d2", "B")
-    with pytest.raises(UnreachableSiteError):
-        detector_path_distance(net, a, b)
 
 
 def test_matrix_marks_unreachable_as_inf():
@@ -312,11 +307,11 @@ def test_matrix_agrees_with_pairwise_calls():
             if i < j:
                 # the matrix fills the upper triangle directly, so these
                 # entries repeat the pairwise computation bit for bit
-                assert matrix[i, j] == detector_path_distance(net, a, b)
+                assert matrix[i, j] == pair_distance(net, a, b)
             else:
                 # mirrored entries sum the same terms in another order
                 assert matrix[i, j] == pytest.approx(
-                    detector_path_distance(net, a, b), rel=1e-12
+                    pair_distance(net, a, b), rel=1e-12
                 )
 
 
@@ -326,7 +321,7 @@ def test_cross_matrix_agrees_with_pairwise_calls(chain_network):
     out = cross_distance_matrix(chain_network, sites, targets)
     assert out.shape == (1, 2)
     for j, t in enumerate(targets):
-        assert out[0, j] == detector_path_distance(chain_network, sites[0], t)
+        assert out[0, j] == pair_distance(chain_network, sites[0], t)
 
 
 def test_removing_unused_link_keeps_distances():
@@ -339,8 +334,8 @@ def test_removing_unused_link_keeps_distances():
     net = Network(links)
     a = DetectorSite("d1", "A", 0.5)
     b = DetectorSite("d2", "B", 0.5)
-    with_detour = detector_path_distance(net, a, b)
-    without = detector_path_distance(Network(links[:2]), a, b)
+    with_detour = pair_distance(net, a, b)
+    without = pair_distance(Network(links[:2]), a, b)
     assert with_detour == without == 1.0
 
 

@@ -1,4 +1,4 @@
-"""Uniform and hierarchical scaling estimators and the covariance diagnostic."""
+"""Uniform and hierarchical scaling estimators."""
 
 import math
 import struct
@@ -20,7 +20,6 @@ from sparsemfd.network import Link, Network
 from sparsemfd.scaling import (
     VARIABLES,
     HierarchyPartition,
-    flow_length_covariance,
     hierarchical_scaled_mean,
     uniform_scaled_mean,
 )
@@ -189,13 +188,18 @@ def test_hierarchical_observations_must_match_partition():
 def test_partition_mismatch_names_the_links():
     net = _two_class_network()
     partition = HierarchyPartition.from_network(net, {"A1", "B1"})
-    assert partition.equipped_ids == {"A1", "B1"}
-    assert partition.equipped_ids is partition.equipped_ids
     with pytest.raises(ValidationError) as err:
         hierarchical_scaled_mean([_obs("A1", 1.0), _obs("B2", 1.0)], partition)
     assert str(err.value) == (
         "observations do not match the partition's equipped links "
         "(missing ['B1'], unexpected ['B2'])"
+    )
+    # a link outside the network is unexpected too
+    with pytest.raises(ValidationError) as err:
+        hierarchical_scaled_mean([_obs("A1", 1.0), _obs("B1", 1.0), _obs("Z9", 1.0)], partition)
+    assert str(err.value) == (
+        "observations do not match the partition's equipped links "
+        "(missing [], unexpected ['Z9'])"
     )
 
 
@@ -353,45 +357,3 @@ def test_uncovered_class_keeps_the_partition_and_coverage_texts():
     with pytest.raises(UncoverableHierarchyError) as err:
         hierarchical_scaled_mean(observations, partition)
     assert str(err.value) == "hierarchy 3 has non-equipped links but no equipped observation"
-
-
-# --- covariance diagnostic ----------------------------------------------------
-
-
-def test_covariance_worked_example():
-    net = Network((Link("A", "a", "b", 1.0, 1), Link("B", "b", "c", 2.0, 1)))
-    diag = flow_length_covariance([_obs("A", 100.0), _obs("B", 200.0)], net)
-    assert diag.covariance == 25.0
-    assert diag.mean_flow == 150.0
-    assert diag.mean_length_km == 1.5
-    assert diag.ratio == pytest.approx(25.0 / 225.0, rel=1e-14)
-
-
-def test_covariance_vanishes_for_constant_flow():
-    net = Network((
-        Link("A", "a", "b", 1.0, 1),
-        Link("B", "b", "c", 2.0, 1),
-        Link("C", "c", "d", 3.0, 1),
-    ))
-    obs = [_obs("A", 100.0), _obs("B", 100.0), _obs("C", 100.0)]
-    assert flow_length_covariance(obs, net).covariance == 0.0
-
-
-def test_covariance_small_for_independent_draws():
-    """Independent flows and lengths keep the ratio close to zero."""
-    rng = np.random.default_rng(321)
-    n = 2000
-    lengths = rng.uniform(0.5, 2.0, size=n)
-    flows = rng.uniform(50.0, 150.0, size=n)
-    links = tuple(
-        Link(f"L{i}", f"n{i}", f"n{i + 1}", float(lengths[i]), 1) for i in range(n)
-    )
-    net = Network(links)
-    obs = [_obs(f"L{i}", float(flows[i])) for i in range(n)]
-    diag = flow_length_covariance(obs, net)
-    assert abs(diag.ratio) < 0.05
-
-
-def test_covariance_needs_two_observations(quad_network):
-    with pytest.raises(InsufficientDataError):
-        flow_length_covariance([_obs("L0", 1.0)], quad_network)

@@ -13,6 +13,7 @@ from sparsemfd.kriging import impute_network
 from sparsemfd.network import DetectorSite, Link, Network, midpoint_sites
 from sparsemfd.scaling import uniform_scaled_mean
 from sparsemfd.sensing import (
+    READING_COLUMNS,
     LinkObservation,
     aggregate_to_links,
     bin_arrays,
@@ -26,7 +27,7 @@ from sparsemfd.sensing import (
     save_coverage_plan,
     write_readings,
 )
-from sparsemfd.tableio import BLOCK_ROWS
+from sparsemfd.tableio import BLOCK_ROWS, iter_rows
 from conftest import (
     READING_BINS,
     make_reading_scenario,
@@ -112,15 +113,16 @@ def _long_doc(fault_row, fault, rows=BLOCK_ROWS + 40, quoted_every=0):
         _long_doc(BLOCK_ROWS + 5, "d,0,1,x"),
         _long_doc(BLOCK_ROWS + 5, "d,0,-1,1"),
         _long_doc(3, "d,0,-1,1").replace(f"\nd{BLOCK_ROWS + 9},", "\nd,x,"),
+        _long_doc(3, "d,0,-1,1").replace(f"\nd{BLOCK_ROWS + 9},", "\nd\r3,"),
         _long_doc(BLOCK_ROWS + 30, "d,0,1,", quoted_every=97),
         _long_doc(-1, "", quoted_every=97),
         # a fault after a multi-line quoted id
         HEADER + '\n"d\n1",0,1,1\n"d\n\n2",1,1,1\nd3,1,?,1\n',
-        # extra cells, a short row, a whitespace-only row, a blank row
-        HEADER + "\nd1,0,1,1,9,9\n   \n\nd2,0,1,1\n",
+        # empty and blank cells beyond the header, a short row, a
+        # whitespace-only row, a blank row
+        HEADER + "\nd1,0,1,1,,\n   \n\nd2,0,1,1, \n",
         HEADER + ",speed_km_per_h\nd1,0,1,1\nd2,0,1,1,5\n",
         HEADER + "\nd1,0,1,1\nd2,0,1\n",
-        HEADER + "\nd1,0,1,1\n,,,,x\n",
         # a NaN speed among blank ones; a repeated column reads its last cell
         HEADER + ",speed_km_per_h\nd1,0,1,1,\nd2,0,1,1,nan\n",
         HEADER + ",flow_veh_per_h\nd1,0,1,1,5\nd2,0,2,1,6\n",
@@ -169,6 +171,43 @@ def test_load_readings_rejects_a_bin_beyond_64_bits(bin_text):
     )
 
 
+@pytest.mark.parametrize(
+    "doc, line",
+    [
+        (HEADER + "\nd1,0,1,1,9,9\n   \n\nd2,0,1,1\n", 2),
+        (HEADER + "\nd1,0,1,1\n,,,,x\n", 3),
+        # past the first block: the header, 1029 rows and 11 two-line ids
+        (_long_doc(BLOCK_ROWS + 5, "d,0,1,1,,x", quoted_every=97), BLOCK_ROWS + 18),
+    ],
+)
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_tables_reject_text_beyond_the_header(doc, line, delimiter):
+    doc = doc.replace(",", delimiter)
+    for read in (
+        lambda: load_readings(io.StringIO(doc), delimiter),
+        lambda: list(iter_rows(io.StringIO(doc), READING_COLUMNS, delimiter)),
+    ):
+        with pytest.raises(SchemaError) as err:
+            read()
+        assert err.value.line == line
+        assert str(err.value) == f"text beyond the 4 columns of the header [line {line}]"
+
+
+@pytest.mark.parametrize(
+    "doc, error, text",
+    [
+        (HEADER + "\nd1,0,x,1\nd2,0,1,1,9\n", SchemaError,
+         "not a number: 'x' [field 'flow_veh_per_h'] [line 2]"),
+        (_long_doc(3, "d,0,-1,1") + "d,0,1,1,9\n", ValidationError,
+         "detector 'd' bin 0: flow_veh_per_h must be nonnegative, got -1.0"),
+    ],
+)
+def test_an_earlier_fault_wins_over_text_beyond_the_header(doc, error, text):
+    with pytest.raises(error) as err:
+        load_readings(io.StringIO(doc))
+    assert str(err.value) == text
+
+
 def test_load_readings_rejects_negative_flow():
     doc = "detector_id,bin_index,flow_veh_per_h,density_veh_per_km\nd1,0,-5,1\n"
     with pytest.raises(ValidationError):
@@ -211,19 +250,21 @@ def test_bin_arrays_follow_network_link_order():
         Link("b", "n0", "n1", 1.0, 1), Link("a", "n1", "n2", 2.0, 1), Link("c", "n2", "n3", 1.0, 2),
     ])
     obs = [LinkObservation("c", 4, 5.0, 0.5), LinkObservation("b", 4, 7.0, 0.7)]
-    bin_index, values, observed = bin_arrays(obs, net, "density")
+    bin_index, values, observed = bin_arrays(obs, net.link_ids, "density")
     assert bin_index == 4
     assert observed.tolist() == [True, False, True]
     assert values[observed].tolist() == [0.7, 0.5]
     assert np.isnan(values[1])
     with pytest.raises(ValidationError):
-        bin_arrays(obs + [LinkObservation("b", 4, 1.0, 0.1)], net)
+        bin_arrays(obs + [LinkObservation("b", 4, 1.0, 0.1)], net.link_ids)
     with pytest.raises(ValidationError):
-        bin_arrays([LinkObservation("z", 4, 1.0, 0.1)], net)
+        bin_arrays([LinkObservation("z", 4, 1.0, 0.1)], net.link_ids)
     # both one-bin adapters read their observations through bin_arrays
     mixed = obs + [LinkObservation("a", 5, 1.0, 0.1)]
     with pytest.raises(AlignmentError):
-        bin_arrays(mixed, net)
+        bin_arrays(mixed, net.link_ids)
+    with pytest.raises(AlignmentError):
+        bin_arrays([], net.link_ids)
     with pytest.raises(AlignmentError):
         uniform_scaled_mean(mixed, net)
     with pytest.raises(AlignmentError):
@@ -455,8 +496,21 @@ def test_truth_requires_full_coverage():
 def test_truth_rejects_duplicate_observation():
     net = Network((Link("A", "a", "b", 1.0, 1),))
     obs = [LinkObservation("A", 0, 1.0, 1.0), LinkObservation("A", 0, 2.0, 2.0)]
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         edie_network_truth(obs, net, 0)
+    assert str(err.value) == "link 'A' observed twice in bin 0"
+
+
+def test_truth_reads_only_its_bin_and_rejects_unknown_links():
+    net = Network((Link("A", "a", "b", 1.0, 1), Link("B", "b", "c", 3.0, 1)))
+    obs = [LinkObservation("A", 0, 100.0, 10.0), LinkObservation("B", 1, 300.0, 30.0)]
+    with pytest.raises(InsufficientDataError) as err:
+        edie_network_truth(obs, net, 2)
+    assert str(err.value) == "bin 2: no observation for links A, B"
+    assert edie_network_truth(obs + [LinkObservation("B", 0, 300.0, 30.0)], net, 0) == (250.0, 25.0)
+    with pytest.raises(ValidationError) as err:
+        edie_network_truth(obs + [LinkObservation("Z", 0, 1.0, 1.0)], net, 0)
+    assert str(err.value) == "unknown link id 'Z'"
 
 
 def reference_truth(observations, network, bin_index):

@@ -15,7 +15,6 @@ from sparsemfd.synth import (
     load_scenario,
     save_scenario,
     simulate_correlated_field,
-    with_seed,
 )
 from sparsemfd.variogram import (
     VariogramModel,
@@ -84,13 +83,6 @@ def test_scenario_json_round_trip(tmp_path):
 def test_scenario_from_dict_rejects_unknown_fields():
     with pytest.raises(ValidationError):
         SyntheticScenario.from_dict({"rows": 5, "wheels": 4})
-
-
-def test_with_seed_changes_only_the_seed():
-    scenario = SyntheticScenario(seed=0)
-    other = with_seed(scenario, 9)
-    assert other.seed == 9
-    assert other.mean_flows == scenario.mean_flows
 
 
 # --- correlated residual fields -----------------------------------------------

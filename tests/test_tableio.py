@@ -83,8 +83,8 @@ def test_write_table_round_trip(tmp_path):
     [
         "a,b\n1,2\n",
         "a,b\n1,2\n\n\n3,4\n   \n ,\n5,6",
-        # short and long rows, a row whose only text is an extra cell
-        "a,b,c\n1\n1,2,3,4\n,,,x\n",
+        # a short row, a long row whose extra cells are blank
+        "a,b,c\n1\n1,2,3,, \n",
         # a repeated name reads its last column
         "a,b,a\n1,2,3\n1,2\n,2,\n1\n",
         # quoted cells over several lines, with CRLF and CR line ends
@@ -113,6 +113,13 @@ def test_iter_rows_matches_the_dict_reader(doc, from_path, tmp_path):
             return str(exc)
 
     assert rows(iter_rows) == rows(reference_iter_rows)
+
+
+def test_iter_rows_rejects_text_beyond_the_header():
+    doc = "a,b,c\n1\n1,2,3,4\n,,,x\n"
+    with pytest.raises(SchemaError) as err:
+        list(iter_rows(io.StringIO(doc), ("a",)))
+    assert str(err.value) == "text beyond the 3 columns of the header [line 3]"
 
 
 def _long_table(quoted):
