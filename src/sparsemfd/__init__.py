@@ -47,9 +47,9 @@ from .sensing import (
     load_readings,
     sample_coverage,
     sample_coverage_counts,
-    save_coverage_plan,
     write_readings,
 )
+from .tableio import write_json
 from .scaling import (
     HierarchyClassSplit,
     HierarchyPartition,
@@ -94,7 +94,6 @@ from .synth import (
     generate_scenario,
     grid_network,
     load_scenario,
-    save_scenario,
     simulate_correlated_field,
 )
 from .experiment import (
@@ -103,6 +102,5 @@ from .experiment import (
     VariogramSettings,
     load_experiment_config,
     run_experiment,
-    save_experiment_config,
     write_outputs,
 )

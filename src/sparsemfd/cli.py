@@ -6,7 +6,6 @@ applicable to the data, 4 for numeric failures.
 from __future__ import annotations
 
 import functools
-import json
 import os
 import sys
 from operator import attrgetter
@@ -35,7 +34,6 @@ from .experiment import (
     estimate_bins,
     field_rows,
     load_experiment_config,
-    metrics_dict,
     model_row,
     run_experiment,
 )
@@ -50,7 +48,6 @@ from .sensing import (
     reading_columns,
     sample_coverage,
     sample_coverage_counts,
-    save_coverage_plan,
     write_readings,
 )
 from .scaling import UNIFORM_MODES, VARIABLES
@@ -59,9 +56,17 @@ from .synth import (
     SyntheticScenario,
     generate_scenario,
     load_scenario,
-    save_scenario,
 )
-from .tableio import delimiter_for, iter_rows, parse_float, parse_int, parse_str, write_table
+from .tableio import (
+    delimiter_for,
+    encode,
+    iter_rows,
+    parse_float,
+    parse_int,
+    parse_str,
+    write_json,
+    write_table,
+)
 from .variogram import (
     MODEL_KINDS,
     VariogramModel,
@@ -69,6 +74,9 @@ from .variogram import (
     empirical_variogram,
     fit_variogram,
 )
+
+# the CLI's variogram and kriging defaults are those of an experiment
+DEFAULTS = VariogramSettings()
 
 EXIT_VALIDATION = 2
 EXIT_NOT_ESTIMABLE = 3
@@ -197,7 +205,7 @@ def sample(obj, network_file, sites_file, fraction, counts):
         )
     else:
         plan, retained = sample_coverage(sites, network, fraction, obj.seed)
-    plan_path = save_coverage_plan(plan, _out(obj, "plan.json"))
+    plan_path = write_json(_out(obj, "plan.json"), plan)
     sites_path = write_table(
         _table(obj, "retained_sites"),
         ("detector_id", "link_id", "offset_fraction"),
@@ -276,8 +284,8 @@ def scale(obj, network_file, sites_file, readings_file, plan_file, fraction,
 @click.option("--bin-index", type=int, default=0, show_default=True)
 @click.option("--variable", type=click.Choice(("flow", "density")), default="flow",
               show_default=True)
-@click.option("--lag-bins", type=int, default=15, show_default=True)
-@click.option("--min-pairs", type=int, default=5, show_default=True)
+@click.option("--lag-bins", type=int, default=DEFAULTS.lag_bins, show_default=True)
+@click.option("--min-pairs", type=int, default=DEFAULTS.min_pairs, show_default=True)
 @click.option("--kind", "kinds", multiple=True, type=click.Choice(MODEL_KINDS),
               help="Candidate model shapes; default all three.")
 @click.option("--fixed-range-km", type=float, help="Pin the range instead of fitting it.")
@@ -360,11 +368,12 @@ def _read_model_table(path, delimiter):
               show_default=True)
 @click.option("--model-file", type=click.Path(exists=True, dir_okay=False),
               help="Variogram model table; fitted per bin when omitted.")
-@click.option("--max-neighbors", type=int, default=16, show_default=True)
-@click.option("--min-neighbors", type=int, default=3, show_default=True)
-@click.option("--lag-bins", type=int, default=15, show_default=True)
-@click.option("--min-pairs", type=int, default=5, show_default=True)
-@click.option("--min-length-coverage", type=float, default=0.95, show_default=True)
+@click.option("--max-neighbors", type=int, default=DEFAULTS.max_neighbors, show_default=True)
+@click.option("--min-neighbors", type=int, default=DEFAULTS.min_neighbors, show_default=True)
+@click.option("--lag-bins", type=int, default=DEFAULTS.lag_bins, show_default=True)
+@click.option("--min-pairs", type=int, default=DEFAULTS.min_pairs, show_default=True)
+@click.option("--min-length-coverage", type=float, default=DEFAULTS.min_length_coverage,
+              show_default=True)
 @click.pass_obj
 @guarded
 def impute(obj, network_file, sites_file, readings_file, bin_index, variable,
@@ -497,7 +506,7 @@ def evaluate(obj, estimated_file, actual_file, variable, method, actual_method, 
         f"{variable}: rmse {report.rmse:.6g}, mae {report.mae:.6g}, "
         f"mape {mape}, r2 {r2} over {report.n_points} bins"
     )
-    payload = {"variable": variable, **metrics_dict(report)}
+    payload = {"variable": variable, **encode(report)}
     try:
         test = paired_t_test(est_series, act_series, alpha=alpha)
         verdict = "differ" if test.reject else "do not differ"
@@ -514,10 +523,7 @@ def evaluate(obj, estimated_file, actual_file, variable, method, actual_method, 
     except DegenerateTestError as exc:
         click.echo(f"paired test undefined: {exc}")
         payload["t_test"] = None
-    path = _out(obj, "evaluation.json")
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    path = write_json(_out(obj, "evaluation.json"), payload)
     click.echo(f"wrote {path}")
 
 
@@ -571,7 +577,7 @@ def synth(obj, scenario_file):
     truth_path = write_table(
         _table(obj, "truth"), ESTIMATES_HEADER, truth_rows, obj.delim
     )
-    save_scenario(scenario, _out(obj, "scenario.json"))
+    write_json(_out(obj, "scenario.json"), scenario)
     click.echo(
         f"generated {len(data.network.links)} links x {len(scenario.diurnal)} bins "
         f"(seed {scenario.seed}, {data.clamped_count} draws clamped at zero)"

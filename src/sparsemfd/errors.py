@@ -47,10 +47,9 @@ class RankDeficiencyError(InsufficientDataError):
 class UncoverableHierarchyError(NotEstimableError):
     """A hierarchy with unequipped links has no equipped observation at all."""
 
-    def __init__(self, hierarchy, message=None):
+    def __init__(self, hierarchy):
         super().__init__(
-            message
-            or f"hierarchy {hierarchy} has non-equipped links but no equipped observation"
+            f"hierarchy {hierarchy} has non-equipped links but no equipped observation"
         )
         self.hierarchy = hierarchy
 
@@ -58,11 +57,8 @@ class UncoverableHierarchyError(NotEstimableError):
 class InsufficientNeighborsError(NotEstimableError):
     """Fewer known sites within the interpolation range than required."""
 
-    def __init__(self, found, required, message=None):
-        super().__init__(
-            message
-            or f"only {found} known site(s) within range, {required} required"
-        )
+    def __init__(self, found, required):
+        super().__init__(f"only {found} known site(s) within range, {required} required")
         self.found = found
         self.required = required
 
@@ -74,10 +70,9 @@ class EmptyVariogramError(NotEstimableError):
 class IncompleteFieldError(NotEstimableError):
     """Imputed field covers too little network length for a network mean."""
 
-    def __init__(self, coverage, threshold, message=None):
+    def __init__(self, coverage, threshold):
         super().__init__(
-            message
-            or f"field covers {coverage:.1%} of network length, "
+            f"field covers {coverage:.1%} of network length, "
             f"below the required {threshold:.1%}"
         )
         self.coverage = coverage
@@ -95,8 +90,8 @@ class NumericError(EstimationError):
 class SingularSystemError(NumericError):
     """Linear system could not be solved."""
 
-    def __init__(self, condition=None, message=None):
-        detail = message or "kriging system is singular"
+    def __init__(self, condition=None):
+        detail = "kriging system is singular"
         if condition is not None:
             detail += f" (condition number {condition:.3e})"
         super().__init__(detail)

@@ -48,10 +48,9 @@ from .sensing import (
     load_readings,
     reading_columns,
     sample_coverage,
-    save_coverage_plan,
 )
 from .synth import SyntheticScenario, generate_scenario
-from .tableio import delimiter_for, write_table
+from .tableio import delimiter_for, record, write_json, write_table
 from .variogram import MODEL_KINDS, VariogramModel
 
 ESTIMATOR_NAMES = ("uniform", "hierarchical", "variogram")
@@ -112,36 +111,9 @@ class VariogramSettings:
                 f"fixed_model must be a VariogramModel or None, got {self.fixed_model!r}"
             )
 
-    def to_dict(self):
-        out = {
-            "kinds": list(self.kinds),
-            "lag_bins": self.lag_bins,
-            "min_pairs": self.min_pairs,
-            "max_neighbors": self.max_neighbors,
-            "min_neighbors": self.min_neighbors,
-            "refit_per_bin": self.refit_per_bin,
-            "min_length_coverage": self.min_length_coverage,
-            "fixed_model": None,
-        }
-        if self.fixed_model is not None:
-            m = self.fixed_model
-            out["fixed_model"] = {
-                "kind": m.kind, "nugget": m.nugget,
-                "sill": m.sill, "range_km": m.range_km,
-            }
-        return out
-
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        if "kinds" in data:
-            data["kinds"] = tuple(data["kinds"])
-        if data.get("fixed_model") is not None:
-            data["fixed_model"] = VariogramModel(**data["fixed_model"])
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ValidationError(f"malformed variogram settings: {exc}")
+        return record(cls, data, "variogram settings", fixed_model=VariogramModel.from_dict)
 
 
 def model_row(model, bin_index):
@@ -311,45 +283,17 @@ class ExperimentConfig:
         if self.band_samples < 2:
             raise ValidationError("band_samples must be at least 2")
 
-    def to_dict(self):
-        return {
-            "coverages": list(self.coverages),
-            "seeds": list(self.seeds),
-            "estimators": list(self.estimators),
-            "scenario": self.scenario.to_dict() if self.scenario else None,
-            "network_path": self.network_path,
-            "sites_path": self.sites_path,
-            "readings_path": self.readings_path,
-            "uniform_mode": self.uniform_mode,
-            "variogram": self.variogram.to_dict(),
-            "band_samples": self.band_samples,
-        }
-
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        if data.get("scenario") is not None:
-            data["scenario"] = SyntheticScenario.from_dict(data["scenario"])
-        if data.get("variogram") is not None:
-            data["variogram"] = VariogramSettings.from_dict(data["variogram"])
-        else:
-            data.pop("variogram", None)
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ValidationError(f"malformed experiment config: {exc}")
+        return record(
+            cls, data, "experiment config",
+            scenario=SyntheticScenario.from_dict, variogram=VariogramSettings.from_dict,
+        )
 
 
 def load_experiment_config(path):
     with open(path) as handle:
         return ExperimentConfig.from_dict(json.load(handle))
-
-
-def save_experiment_config(config, path):
-    with open(path, "w") as handle:
-        json.dump(config.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 @dataclass
@@ -548,12 +492,6 @@ def run_experiment(config, output_dir=None, fmt="csv"):
     return result
 
 
-def metrics_dict(report):
-    if report is None:
-        return None
-    return {name: getattr(report, name) for name in METRIC_FIELDS}
-
-
 def write_outputs(result, output_dir, fmt="csv"):
     """Write manifest, plans, estimates, metrics and plot tables."""
     delim = delimiter_for(fmt)
@@ -563,9 +501,7 @@ def write_outputs(result, output_dir, fmt="csv"):
     os.makedirs(os.path.join(out, "cells"), exist_ok=True)
 
     for (coverage, seed), plan in sorted(result.plans.items()):
-        save_coverage_plan(
-            plan, os.path.join(out, "plans", f"cov{coverage:g}_seed{seed}.json")
-        )
+        write_json(os.path.join(out, "plans", f"cov{coverage:g}_seed{seed}.json"), plan)
 
     manifest_cells = []
     for cell in result.cells:
@@ -597,10 +533,10 @@ def write_outputs(result, output_dir, fmt="csv"):
                 "estimator": cell.estimator,
                 "status": cell.status,
                 "message": cell.message,
-                "failed_bins": list(cell.failed_bins),
+                "failed_bins": cell.failed_bins,
                 "path": f"cells/{cell.name}",
-                "metrics_flow": metrics_dict(cell.metrics_flow),
-                "metrics_density": metrics_dict(cell.metrics_density),
+                "metrics_flow": cell.metrics_flow,
+                "metrics_density": cell.metrics_density,
             }
         )
 
@@ -633,19 +569,17 @@ def write_outputs(result, output_dir, fmt="csv"):
 
     manifest = {
         "version": MANIFEST_VERSION,
-        "config": result.config.to_dict(),
-        "bin_indices": list(result.bin_indices),
+        "config": result.config,
+        "bin_indices": result.bin_indices,
         "truth_available": result.truth_flow is not None,
         "clamped_count": result.clamped_count,
         "cells": manifest_cells,
         "ttests": manifest_ttests,
     }
-    with open(os.path.join(out, "manifest.json"), "w") as handle:
-        json.dump(manifest, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    path = write_json(os.path.join(out, "manifest.json"), manifest)
 
     emit_plot_data(result, output_dir, fmt)
-    return os.path.join(out, "manifest.json")
+    return path
 
 
 def emit_plot_data(result, output_dir, fmt="csv"):

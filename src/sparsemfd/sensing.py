@@ -24,6 +24,7 @@ from .tableio import (
     parse_int64,
     parse_optional_float,
     parse_str,
+    record,
     write_table,
 )
 
@@ -447,33 +448,16 @@ def _sample_groups(groups, counts, seed, fraction):
     return plan, retained
 
 
-def save_coverage_plan(plan, path):
-    payload = {
-        "fraction": plan.fraction,
-        "seed": plan.seed,
-        "per_hierarchy_counts": {str(h): c for h, c in plan.per_hierarchy_counts.items()},
-        "retained_detectors": list(plan.retained_detectors),
-    }
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
 def load_coverage_plan(path):
     with open(path) as handle:
-        payload = json.load(handle)
-    try:
-        return CoveragePlan(
-            fraction=float(payload["fraction"]),
-            seed=int(payload["seed"]),
-            per_hierarchy_counts={
-                int(h): int(c) for h, c in payload["per_hierarchy_counts"].items()
-            },
-            retained_detectors=tuple(payload["retained_detectors"]),
+        return record(
+            CoveragePlan, json.load(handle), "coverage plan",
+            fraction=float, seed=int, per_hierarchy_counts=_int_counts,
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"malformed coverage plan: {exc}")
+
+
+def _int_counts(counts):
+    return {int(h): int(c) for h, c in counts.items()}
 
 
 def _edie_means(flows, densities, network):

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import GenerationError, ValidationError
 from .network import DetectorSite, Link, Network, site_distance_matrix
 from .sensing import Readings
+from .tableio import record
 from .variogram import VariogramModel, gamma
 
 # hour-of-day factors with a morning and an evening peak
@@ -133,49 +134,14 @@ class SyntheticScenario:
     def n_bins(self):
         return len(self.diurnal)
 
-    def to_dict(self):
-        v = self.variogram
-        return {
-            "rows": self.rows,
-            "cols": self.cols,
-            "edge_lengths_km": list(self.edge_lengths_km),
-            "mean_flows": list(self.mean_flows),
-            "mean_densities": list(self.mean_densities),
-            "diurnal": list(self.diurnal),
-            "density_exponent": self.density_exponent,
-            "variogram": {
-                "kind": v.kind, "nugget": v.nugget,
-                "sill": v.sill, "range_km": v.range_km,
-            },
-            "noise_scale": self.noise_scale,
-            "density_noise_ratio": self.density_noise_ratio,
-            "seed": self.seed,
-        }
-
     @classmethod
     def from_dict(cls, data):
-        data = dict(data)
-        for name in ("edge_lengths_km", "mean_flows", "mean_densities", "diurnal"):
-            if name in data:
-                data[name] = tuple(data[name])
-        if "variogram" in data and isinstance(data["variogram"], dict):
-            data["variogram"] = VariogramModel(**data["variogram"])
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ValidationError(f"malformed scenario: {exc}")
+        return record(cls, data, "scenario", variogram=VariogramModel.from_dict)
 
 
 def load_scenario(path):
     with open(path) as handle:
         return SyntheticScenario.from_dict(json.load(handle))
-
-
-def save_scenario(scenario, path):
-    with open(path, "w") as handle:
-        json.dump(scenario.to_dict(), handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
 
 
 def covariance_factor(distances, model, jitter=1e-8):

@@ -1,26 +1,33 @@
-"""Helpers for delimiter-separated tables with a header row.
+"""Package I/O: delimiter-separated tables with a header row, and JSON records.
 
-All package inputs and outputs are plain text tables. Field names are exact
-and case sensitive; parse errors report the offending line and field.
+Readings, networks, sites, estimates and the figure data are plain text
+tables. Field names are exact and case sensitive; parse errors report the
+offending line and field.
 
 Tables are read and written in blocks of up to ``BLOCK_ROWS`` rows, one
 column at a time. A block that does not convert as a whole is walked again
 cell by cell through the ``parse_*`` helpers, which raise the fault of its
 first faulty row.
+
+Scenarios, experiment configs, coverage plans and reports are JSON, written
+by ``write_json``: a dataclass field by field, minus fields marked
+``NOT_STORED``, with keys sorted. ``record`` builds a dataclass back from
+its JSON object and reports any wrong shape as ``ValidationError``.
 """
 from __future__ import annotations
 
 import csv
+import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property
 from itertools import islice
 from types import NoneType
 
 import numpy as np
 
-from .errors import SchemaError
+from .errors import SchemaError, ValidationError
 
 DELIMITERS = {"csv": ",", "tsv": "\t"}
 BLOCK_ROWS = 1024
@@ -283,3 +290,61 @@ def _needs_quoting(cells, delimiter):
     # a "\r" goes to csv.writer too, so that its own rule for it decides
     text = "".join(cells)
     return delimiter in text or '"' in text or "\r" in text or "\n" in text
+
+
+# field metadata of a dataclass field that JSON records leave out
+NOT_STORED = {"stored": False}
+
+
+def encode(value):
+    """The JSON data of ``value``.
+
+    A dataclass becomes an object of its fields, minus those marked
+    ``NOT_STORED``; mapping keys become text and tuples lists.
+    """
+    if isinstance(value, (str, int, float)) or value is None:
+        return value
+    if isinstance(value, dict):
+        return {str(k): encode(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return list(map(encode, value))
+    if is_dataclass(value):
+        return {
+            f.name: encode(getattr(value, f.name))
+            for f in fields(value) if f.metadata.get("stored", True)
+        }
+    return value
+
+
+def write_json(path, value):
+    """Write ``encode(value)`` indented, keys sorted, with a final newline."""
+    with open(os.fspath(path), "w") as handle:
+        json.dump(encode(value), handle, indent=2, sort_keys=True)
+        handle.write("\n")
+    return path
+
+
+def record(cls, payload, what, **convert):
+    """Build dataclass ``cls`` from the JSON object ``payload``.
+
+    ``convert`` maps a field to the converter of its nested value, and a
+    null there leaves the field at its default; other lists become tuples.
+    A missing or unknown key, or a value of the wrong shape, raises
+    ``ValidationError`` "malformed {what}: ..."; a ``ValidationError`` of
+    ``cls`` itself passes through.
+    """
+    try:
+        if not isinstance(payload, dict):
+            raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+        values = {}
+        for name, value in payload.items():
+            if name in convert:
+                if value is None:
+                    continue
+                value = convert[name](value)
+            elif isinstance(value, list):
+                value = tuple(value)
+            values[name] = value
+        return cls(**values)
+    except (TypeError, ValueError, AttributeError) as exc:
+        raise ValidationError(f"malformed {what}: {exc}") from exc

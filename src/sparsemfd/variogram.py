@@ -8,7 +8,7 @@ the distance where the model has reached (almost) its sill.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -18,6 +18,7 @@ from .errors import (
     InsufficientDataError,
     ValidationError,
 )
+from .tableio import NOT_STORED, record
 
 MODEL_KINDS = ("spherical", "exponential", "gaussian")
 
@@ -40,16 +41,17 @@ class VariogramModel:
     where the sill collapsed to its lower bound, meaning the data showed no
     usable spatial structure. ``range_at_bound`` marks fits whose range ran
     to the upper end of the search, 1e3 times the largest usable lag: the
-    data never levelled off, so range and sill are extrapolated.
+    data never levelled off, so range and sill are extrapolated. A JSON
+    record stores the four parameters, not these fit diagnostics.
     """
 
     kind: str
     nugget: float
     sill: float
     range_km: float
-    rss: float | None = None
-    degenerate: bool = False
-    range_at_bound: bool = False
+    rss: float | None = field(default=None, metadata=NOT_STORED)
+    degenerate: bool = field(default=False, metadata=NOT_STORED)
+    range_at_bound: bool = field(default=False, metadata=NOT_STORED)
 
     def __post_init__(self):
         if self.kind not in MODEL_KINDS:
@@ -60,6 +62,10 @@ class VariogramModel:
             raise ValidationError(f"sill must be positive, got {self.sill}")
         if not (math.isfinite(self.range_km) and self.range_km > 0):
             raise ValidationError(f"range must be positive, got {self.range_km}")
+
+    @classmethod
+    def from_dict(cls, data):
+        return record(cls, data, "variogram model")
 
 
 def _shape(kind, h, range_km):

@@ -17,7 +17,7 @@ from sparsemfd.errors import (
 )
 from sparsemfd.network import NETWORK_COLUMNS, load_detector_sites, load_network
 from sparsemfd.sensing import READINGS_HEADER, sample_coverage
-from sparsemfd.tableio import write_table
+from sparsemfd.tableio import write_json, write_table
 
 ESTIMATES_HEADER = (
     "bin_index", "method", "variable", "value", "ttd_or_ttt", "hierarchy_count"
@@ -684,7 +684,7 @@ def test_evaluate_rejects_non_finite_values(runner, tmp_path):
 
 
 def test_experiment_with_config_file(runner, tmp_path):
-    from sparsemfd.experiment import ExperimentConfig, save_experiment_config
+    from sparsemfd.experiment import ExperimentConfig
     from sparsemfd.synth import SyntheticScenario
 
     config = ExperimentConfig(
@@ -694,7 +694,7 @@ def test_experiment_with_config_file(runner, tmp_path):
         scenario=SyntheticScenario(rows=4, cols=4, diurnal=(0.5, 1.0, 0.75, 0.6), seed=1),
     )
     config_path = tmp_path / "config.json"
-    save_experiment_config(config, config_path)
+    write_json(config_path, config)
     out = tmp_path / "run"
     result = invoke(
         runner,

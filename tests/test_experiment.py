@@ -16,13 +16,12 @@ from sparsemfd.experiment import (
     VariogramSettings,
     load_experiment_config,
     run_experiment,
-    save_experiment_config,
 )
 from sparsemfd.network import NETWORK_COLUMNS, load_detector_sites, load_network
 from sparsemfd.scaling import HierarchyPartition, hierarchical_scaled_mean
 from sparsemfd.sensing import READINGS_HEADER, aggregate_to_links, load_readings
 from sparsemfd.synth import DEFAULT_VARIOGRAM, SyntheticScenario
-from sparsemfd.tableio import write_table
+from sparsemfd.tableio import encode, write_json, write_table
 from sparsemfd.variogram import VariogramModel
 
 SMALL_SCENARIO = SyntheticScenario(
@@ -101,13 +100,13 @@ def test_config_json_round_trip(tmp_path):
         )
     )
     path = tmp_path / "config.json"
-    save_experiment_config(config, path)
+    write_json(path, config)
     assert load_experiment_config(path) == config
 
 
 def test_variogram_settings_round_trip():
     settings = VariogramSettings(refit_per_bin=False, min_pairs=8)
-    assert VariogramSettings.from_dict(settings.to_dict()) == settings
+    assert VariogramSettings.from_dict(encode(settings)) == settings
     with pytest.raises(ValidationError):
         VariogramSettings.from_dict({"window": 3})
 

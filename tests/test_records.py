@@ -1,0 +1,262 @@
+"""JSON records: the exact text written, and malformed input rejected."""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+
+from sparsemfd.cli import main
+from sparsemfd.errors import ValidationError
+from sparsemfd.experiment import ExperimentConfig, VariogramSettings, load_experiment_config
+from sparsemfd.network import NETWORK_COLUMNS
+from sparsemfd.sensing import READINGS_HEADER, CoveragePlan, load_coverage_plan
+from sparsemfd.synth import SyntheticScenario, load_scenario
+from sparsemfd.tableio import write_json, write_table
+from sparsemfd.variogram import VariogramModel
+
+# --- golden bytes -------------------------------------------------------------
+
+DEFAULT_SCENARIO_TEXT = """\
+{
+  "cols": 10,
+  "density_exponent": 1.3,
+  "density_noise_ratio": null,
+  "diurnal": [
+    0.25,
+    0.18,
+    0.15,
+    0.15,
+    0.2,
+    0.35,
+    0.6,
+    0.9,
+    1.0,
+    0.85,
+    0.75,
+    0.72,
+    0.7,
+    0.72,
+    0.75,
+    0.8,
+    0.95,
+    1.0,
+    0.9,
+    0.7,
+    0.55,
+    0.45,
+    0.35,
+    0.3
+  ],
+  "edge_lengths_km": [
+    0.65,
+    0.625,
+    0.235
+  ],
+  "mean_densities": [
+    45.0,
+    30.0,
+    18.0
+  ],
+  "mean_flows": [
+    1000.0,
+    400.0,
+    150.0
+  ],
+  "noise_scale": 1.0,
+  "rows": 10,
+  "seed": 0,
+  "variogram": {
+    "kind": "exponential",
+    "nugget": 25.0,
+    "range_km": 1.0,
+    "sill": 1600.0
+  }
+}
+"""
+
+# the fit diagnostics of the fixed model are not stored
+FIXED_MODEL_CONFIG = ExperimentConfig(
+    coverages=(0.5,), seeds=(1,), network_path="network.csv", sites_path="sites.csv",
+    readings_path="readings.csv",
+    variogram=VariogramSettings(
+        kinds=("spherical",),
+        fixed_model=VariogramModel(
+            "spherical", 1.5, 100.0, 2.0, rss=3.0, degenerate=True, range_at_bound=True
+        ),
+    ),
+)
+FIXED_MODEL_CONFIG_TEXT = """\
+{
+  "band_samples": 50,
+  "coverages": [
+    0.5
+  ],
+  "estimators": [
+    "uniform",
+    "hierarchical",
+    "variogram"
+  ],
+  "network_path": "network.csv",
+  "readings_path": "readings.csv",
+  "scenario": null,
+  "seeds": [
+    1
+  ],
+  "sites_path": "sites.csv",
+  "uniform_mode": "exact",
+  "variogram": {
+    "fixed_model": {
+      "kind": "spherical",
+      "nugget": 1.5,
+      "range_km": 2.0,
+      "sill": 100.0
+    },
+    "kinds": [
+      "spherical"
+    ],
+    "lag_bins": 15,
+    "max_neighbors": 16,
+    "min_length_coverage": 0.95,
+    "min_neighbors": 3,
+    "min_pairs": 5,
+    "refit_per_bin": true
+  }
+}
+"""
+
+# hierarchy keys are text, so "10" sorts before "2"
+PLAN = CoveragePlan(0.25, 4, {2: 3, 10: 1}, ("d1", "d2", "d3", "d9"))
+PLAN_TEXT = """\
+{
+  "fraction": 0.25,
+  "per_hierarchy_counts": {
+    "10": 1,
+    "2": 3
+  },
+  "retained_detectors": [
+    "d1",
+    "d2",
+    "d3",
+    "d9"
+  ],
+  "seed": 4
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (SyntheticScenario(), DEFAULT_SCENARIO_TEXT),
+        (FIXED_MODEL_CONFIG, FIXED_MODEL_CONFIG_TEXT),
+        (PLAN, PLAN_TEXT),
+    ],
+    ids=["default-scenario", "fixed-model-config", "plan"],
+)
+def test_records_are_written_to_the_byte(tmp_path, value, text):
+    path = tmp_path / "record.json"
+    assert write_json(path, value) == path
+    assert path.read_text() == text
+
+
+# --- malformed input ----------------------------------------------------------
+
+CONFIG = {"coverages": [0.5], "seeds": [0]}
+MODEL = {"kind": "exponential", "nugget": 1, "sill": 100}
+PLAN_PAYLOAD = {
+    "fraction": 1.0, "seed": 0, "per_hierarchy_counts": {"1": 1},
+    "retained_detectors": ["d0"],
+}
+
+# (record, payload, the record the error names)
+MALFORMED = [
+    pytest.param(
+        "config", {**CONFIG, "scenario": {"variogram": {**MODEL, "range": 1}}},
+        "variogram model", id="model-with-unknown-key",
+    ),
+    pytest.param(
+        "config", {**CONFIG, "scenario": {}, "variogram": {"fixed_model": MODEL}},
+        "variogram model", id="fixed-model-without-range",
+    ),
+    pytest.param("config", [1, 2], "experiment config", id="config-not-an-object"),
+    pytest.param(
+        "config", {**CONFIG, "scenario": {"mean_flows": 5}}, "scenario",
+        id="mean-flows-not-a-list",
+    ),
+    pytest.param(
+        "config", {**CONFIG, "scenario": {}, "variogram": {"kinds": 5}},
+        "variogram settings", id="kinds-not-a-list",
+    ),
+    pytest.param(
+        "plan", {**PLAN_PAYLOAD, "per_hierarchy_counts": [1]}, "coverage plan",
+        id="counts-not-an-object",
+    ),
+    pytest.param("scenario", {"variogram": MODEL}, "variogram model", id="model-without-range"),
+    pytest.param(
+        "plan", {**PLAN_PAYLOAD, "retained": ["d0"]}, "coverage plan", id="plan-with-unknown-key",
+    ),
+]
+LOADERS = {
+    "config": load_experiment_config, "scenario": load_scenario, "plan": load_coverage_plan,
+}
+COMMANDS = {
+    "config": ("experiment", "--config"), "scenario": ("synth", "--scenario"),
+    "plan": ("scale", "--plan"),
+}
+
+
+def write_payload(tmp_path, payload):
+    path = tmp_path / "payload.json"
+    path.write_text(json.dumps(payload))
+    return path
+
+
+@pytest.mark.parametrize("kind, payload, what", MALFORMED)
+def test_malformed_records_raise_validation_error(tmp_path, kind, payload, what):
+    with pytest.raises(ValidationError, match=f"^malformed {what}: "):
+        LOADERS[kind](write_payload(tmp_path, payload))
+
+
+def one_detector_tables(tmp_path):
+    """Network, sites and readings of one equipped link."""
+    paths = [tmp_path / name for name in ("network.csv", "sites.csv", "readings.csv")]
+    write_table(paths[0], NETWORK_COLUMNS, [("L0", "a", "b", 1.0, 1)])
+    write_table(paths[1], ("detector_id", "link_id"), [("d0", "L0")])
+    write_table(paths[2], READINGS_HEADER, [("d0", 0, 100.0, 10.0, 10.0)])
+    return [str(p) for p in paths]
+
+
+@pytest.mark.parametrize("kind, payload, what", MALFORMED)
+def test_malformed_records_exit_2_without_a_traceback(tmp_path, kind, payload, what):
+    args = [*COMMANDS[kind], str(write_payload(tmp_path, payload))]
+    if kind == "plan":
+        args += one_detector_tables(tmp_path)
+    result = CliRunner().invoke(main, ["--output-dir", str(tmp_path / "out"), *args])
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)
+    assert f"error: malformed {what}: " in result.output
+    assert "Traceback" not in result.output
+
+
+def test_a_null_nested_record_takes_its_default():
+    config = ExperimentConfig.from_dict(
+        {**CONFIG, "scenario": {"variogram": None}, "variogram": None}
+    )
+    assert config.variogram == VariogramSettings()
+    assert config.scenario == SyntheticScenario()
+    assert VariogramSettings.from_dict({"fixed_model": None}) == VariogramSettings()
+
+
+def test_a_record_keeps_the_text_of_its_own_validation_error():
+    with pytest.raises(ValidationError, match="^lag_bins and min_pairs must be at least 1"):
+        ExperimentConfig.from_dict({**CONFIG, "scenario": {}, "variogram": {"lag_bins": 0}})
+    with pytest.raises(ValidationError, match="^range must be positive"):
+        SyntheticScenario.from_dict({"variogram": {**MODEL, "range_km": -1}})
+
+
+def test_a_plan_converts_its_fraction_and_seed(tmp_path):
+    payload = {**PLAN_PAYLOAD, "fraction": 1, "seed": "0"}
+    plan = load_coverage_plan(write_payload(tmp_path, payload))
+    assert (type(plan.fraction), plan.seed) == (float, 0)
+    with pytest.raises(ValidationError, match="^malformed coverage plan: "):
+        load_coverage_plan(write_payload(tmp_path, {**PLAN_PAYLOAD, "fraction": "most"}))

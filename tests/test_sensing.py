@@ -24,10 +24,9 @@ from sparsemfd.sensing import (
     reading_columns,
     sample_coverage,
     sample_coverage_counts,
-    save_coverage_plan,
     write_readings,
 )
-from sparsemfd.tableio import BLOCK_ROWS, iter_rows
+from sparsemfd.tableio import BLOCK_ROWS, iter_rows, write_json
 from conftest import (
     READING_BINS,
     make_reading_scenario,
@@ -456,7 +455,7 @@ def test_plan_round_trip(tmp_path, tiered_sites):
     net, sites = tiered_sites
     plan, _ = sample_coverage(sites, net, 0.3, seed=9)
     path = tmp_path / "plan.json"
-    save_coverage_plan(plan, path)
+    write_json(path, plan)
     loaded = load_coverage_plan(path)
     assert loaded == plan
 

@@ -13,9 +13,9 @@ from sparsemfd.synth import (
     generate_scenario,
     grid_network,
     load_scenario,
-    save_scenario,
     simulate_correlated_field,
 )
+from sparsemfd.tableio import write_json
 from sparsemfd.variogram import (
     VariogramModel,
     empirical_variogram,
@@ -76,7 +76,7 @@ def test_scenario_validation():
 def test_scenario_json_round_trip(tmp_path):
     scenario = SyntheticScenario(rows=5, cols=6, seed=11, noise_scale=0.5)
     path = tmp_path / "scenario.json"
-    save_scenario(scenario, path)
+    write_json(path, scenario)
     assert load_scenario(path) == scenario
 
 
