@@ -40,7 +40,13 @@ from .experiment import (
 from .kriging import failed_length_fraction, known_sites
 from .metrics import compute_metrics, paired_t_test
 from .mfd import build_mfd, fit_quadratic_with_ci
-from .network import NETWORK_COLUMNS, load_detector_sites, load_network, site_distance_matrix
+from .network import (
+    NETWORK_COLUMNS,
+    SITE_COLUMNS,
+    load_detector_sites,
+    load_network,
+    site_distance_matrix,
+)
 from .sensing import (
     edie_truth_series,
     load_coverage_plan,
@@ -57,16 +63,7 @@ from .synth import (
     generate_scenario,
     load_scenario,
 )
-from .tableio import (
-    delimiter_for,
-    encode,
-    iter_rows,
-    parse_float,
-    parse_int,
-    parse_str,
-    write_json,
-    write_table,
-)
+from .tableio import FLOAT, INT, TEXT, delimiter_for, encode, read_table, write_json, write_table
 from .variogram import (
     MODEL_KINDS,
     VariogramModel,
@@ -208,7 +205,7 @@ def sample(obj, network_file, sites_file, fraction, counts):
     plan_path = write_json(_out(obj, "plan.json"), plan)
     sites_path = write_table(
         _table(obj, "retained_sites"),
-        ("detector_id", "link_id", "offset_fraction"),
+        SITE_COLUMNS,
         [(s.detector_id, s.link_id, s.offset_fraction) for s in retained],
         obj.delim,
     )
@@ -345,18 +342,19 @@ def variogram(obj, network_file, sites_file, readings_file, bin_index, variable,
 
 
 def _read_model_table(path, delimiter):
-    rows = list(iter_rows(path, ("kind", "nugget", "sill", "range_km"), delimiter))
-    if not rows:
+    """The one variogram model of a model table.
+
+    The models of the rows before the first faulty row are checked first,
+    then that row's fault, then the row count.
+    """
+    table = read_table(path, dict(zip(MODEL_HEADER[:4], (TEXT, FLOAT, FLOAT, FLOAT))), delimiter)
+    models = [VariogramModel(*row) for row in table.rows()]
+    table.check()
+    if not models:
         raise EstimationError(f"model table '{path}' has no rows")
-    if len(rows) > 1:
-        raise ValidationError(f"model table '{path}' has {len(rows)} rows, expected one")
-    lineno, row = rows[0]
-    return VariogramModel(
-        kind=parse_str(row, "kind", lineno),
-        nugget=parse_float(row, "nugget", lineno),
-        sill=parse_float(row, "sill", lineno),
-        range_km=parse_float(row, "range_km", lineno),
-    )
+    if len(models) > 1:
+        raise ValidationError(f"model table '{path}' has {len(models)} rows, expected one")
+    return models[0]
 
 
 @main.command()
@@ -419,28 +417,27 @@ def impute(obj, network_file, sites_file, readings_file, bin_index, variable,
 
 
 def _read_estimates(path, delimiter, method=None):
-    kept = []
-    methods = set()
-    for lineno, row in iter_rows(path, ESTIMATES_HEADER[:4], delimiter):
-        row_method = parse_str(row, "method", lineno)
-        if method is not None and row_method != method:
-            continue
-        methods.add(row_method)
-        kept.append((lineno, row))
+    """Flow and density series ``{bin_index: value}`` of one method's rows.
+
+    Every row is read, also those of the methods ``method`` leaves out; the
+    rows before the first faulty row are checked first, then its fault.
+    """
+    table = read_table(path, dict(zip(ESTIMATES_HEADER[:4], (INT, TEXT, TEXT, FLOAT))), delimiter)
+    methods = set(table["method"])
     if method is None and len(methods) > 1:
         raise EstimationError(
             f"table '{path}' mixes methods {sorted(methods)}; pick one with --method"
         )
     series = {}
-    for lineno, row in kept:
-        variable = parse_str(row, "variable", lineno)
-        b = parse_int(row, "bin_index", lineno)
-        key = (variable, b)
-        if key in series:
+    for b, row_method, variable, value in table.rows():
+        if method is not None and row_method != method:
+            continue
+        if (variable, b) in series:
             raise EstimationError(
                 f"duplicate entry for variable '{variable}' bin {b} in '{path}'"
             )
-        series[key] = parse_float(row, "value", lineno)
+        series[variable, b] = value
+    table.check()
     flow = {b: v for (variable, b), v in series.items() if variable == "flow"}
     density = {b: v for (variable, b), v in series.items() if variable == "density"}
     return flow, density
@@ -514,12 +511,7 @@ def evaluate(obj, estimated_file, actual_file, variable, method, actual_method, 
             f"paired test: t {test.t_statistic:.4f}, df {test.degrees_of_freedom}, "
             f"p {test.p_value:.4g}; series {verdict} at alpha {alpha:g}"
         )
-        payload["t_test"] = {
-            "t_statistic": test.t_statistic,
-            "degrees_of_freedom": test.degrees_of_freedom,
-            "p_value": test.p_value,
-            "reject": test.reject,
-        }
+        payload["t_test"] = encode(test)
     except DegenerateTestError as exc:
         click.echo(f"paired test undefined: {exc}")
         payload["t_test"] = None
@@ -560,7 +552,7 @@ def synth(obj, scenario_file):
     )
     sites_path = write_table(
         _table(obj, "sites"),
-        ("detector_id", "link_id", "offset_fraction"),
+        SITE_COLUMNS,
         [(s.detector_id, s.link_id, s.offset_fraction) for s in data.sites],
         obj.delim,
     )

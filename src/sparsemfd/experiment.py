@@ -33,10 +33,11 @@ from .kriging import (  # noqa: F401
     impute_observed,
     network_mean_from_field,
 )
-from .metrics import compute_metrics, paired_t_test
+from .metrics import PairedTTestResult, compute_metrics, paired_t_test
 from .mfd import build_mfd, fit_quadratic_with_ci
 from .network import load_detector_sites, load_network
 from .scaling import (
+    UNIFORM_MODES,
     VARIABLES,
     HierarchyPartition,
     ScaledEstimate,
@@ -50,7 +51,7 @@ from .sensing import (
     sample_coverage,
 )
 from .synth import SyntheticScenario, generate_scenario
-from .tableio import delimiter_for, record, write_json, write_table
+from .tableio import delimiter_for, encode, record, write_json, write_table
 from .variogram import MODEL_KINDS, VariogramModel
 
 ESTIMATOR_NAMES = ("uniform", "hierarchical", "variogram")
@@ -72,6 +73,8 @@ BAND_HEADER = ("x", "y_fit", "ci_low", "ci_high")
 MFD_HEADER = ("bin_index", "density_veh_per_km", "flow_veh_per_h", "speed_km_per_h")
 METRIC_FIELDS = ("rmse", "mae", "mape_percent", "r2", "n_points", "mape_skipped")
 TTEST_FIELDS = ("t_statistic", "degrees_of_freedom", "p_value", "mean_difference", "reject")
+# the fields of a t test without a result, all written as null
+NO_TTEST = PairedTTestResult(None, None, None, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -278,7 +281,7 @@ class ExperimentConfig:
             raise ValidationError(
                 "recorded-data mode needs network_path, sites_path and readings_path"
             )
-        if self.uniform_mode not in ("exact", "mean-only"):
+        if self.uniform_mode not in UNIFORM_MODES:
             raise ValidationError(f"unknown uniform mode '{self.uniform_mode}'")
         if self.band_samples < 2:
             raise ValidationError("band_samples must be at least 2")
@@ -559,12 +562,15 @@ def write_outputs(result, output_dir, fmt="csv"):
     ttest_header = ("coverage", "seed") + TTEST_FIELDS + ("message",)
     ttest_rows = []
     manifest_ttests = []
-    for record in result.ttests:
-        entry = {"coverage": record.coverage, "seed": record.seed, "message": record.message}
-        entry.update((name, getattr(record.result, name, None)) for name in TTEST_FIELDS)
-        ttest_rows.append(tuple(entry[name] for name in ttest_header))
-        del entry["mean_difference"]  # a table column only
-        manifest_ttests.append(entry)
+    for ttest in result.ttests:
+        tested = ttest.result or NO_TTEST
+        ttest_rows.append(
+            (ttest.coverage, ttest.seed) + attrgetter(*TTEST_FIELDS)(tested) + (ttest.message,)
+        )
+        manifest_ttests.append(
+            {"coverage": ttest.coverage, "seed": ttest.seed, "message": ttest.message,
+             **encode(tested)}
+        )
     write_table(os.path.join(out, f"ttests.{ext}"), ttest_header, ttest_rows, delim)
 
     manifest = {

@@ -1,11 +1,12 @@
 """Error metrics and the paired comparison test between estimators."""
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AlignmentError, DegenerateTestError, InsufficientDataError, ValidationError
+from .tableio import NOT_STORED
 
 
 @dataclass(frozen=True)
@@ -73,13 +74,17 @@ def compute_metrics(estimated, actual):
 
 @dataclass(frozen=True)
 class PairedTTestResult:
-    """Two-sided paired t test on the differences a - b."""
+    """Two-sided paired t test on the differences a - b.
+
+    A JSON record stores the statistic, its degrees of freedom, the p value
+    and the verdict; ``mean_difference`` is a table column only.
+    """
 
     t_statistic: float
     degrees_of_freedom: int
     p_value: float
-    mean_difference: float
-    alpha: float
+    mean_difference: float = field(metadata=NOT_STORED)
+    alpha: float = field(metadata=NOT_STORED)
     reject: bool
 
 

@@ -15,10 +15,10 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ValidationError
-from .tableio import iter_rows, parse_float, parse_int, parse_optional_float, parse_str
+from .tableio import FLOAT, INT, OPTIONAL_FLOAT, TEXT, read_table
 
 NETWORK_COLUMNS = ("link_id", "from_node", "to_node", "length_km", "hierarchy")
-SITE_COLUMNS = ("detector_id", "link_id")
+SITE_COLUMNS = ("detector_id", "link_id", "offset_fraction")
 DEFAULT_OFFSET = 0.5
 
 
@@ -167,39 +167,31 @@ def _frozen(array):
 
 def load_network(source, delimiter=","):
     """Read a network table with columns link_id, from_node, to_node, length_km, hierarchy."""
-    links = []
-    for lineno, row in iter_rows(source, NETWORK_COLUMNS, delimiter):
-        links.append(
-            Link(
-                id=parse_str(row, "link_id", lineno),
-                from_node=parse_str(row, "from_node", lineno),
-                to_node=parse_str(row, "to_node", lineno),
-                length_km=parse_float(row, "length_km", lineno),
-                hierarchy=parse_int(row, "hierarchy", lineno),
-            )
-        )
+    schema = dict(zip(NETWORK_COLUMNS, (TEXT, TEXT, TEXT, FLOAT, INT)))
+    table = read_table(source, schema, delimiter)
+    links = [Link(*row) for row in table.rows()]
+    table.check()
     return Network(links)
 
 
 def load_detector_sites(source, network=None, delimiter=","):
     """Read a detector table with columns detector_id, link_id, offset_fraction (optional).
 
+    A blank or absent offset places the detector at ``DEFAULT_OFFSET``.
     When ``network`` is given every referenced link must exist in it.
     """
+    table = read_table(source, dict(zip(SITE_COLUMNS, (TEXT, TEXT, OPTIONAL_FLOAT))), delimiter)
     sites = []
     seen = set()
-    for lineno, row in iter_rows(source, SITE_COLUMNS, delimiter):
-        site = DetectorSite(
-            detector_id=parse_str(row, "detector_id", lineno),
-            link_id=parse_str(row, "link_id", lineno),
-            offset_fraction=parse_optional_float(row, "offset_fraction", lineno, DEFAULT_OFFSET),
-        )
+    for detector_id, link_id, offset in table.rows():
+        site = DetectorSite(detector_id, link_id, DEFAULT_OFFSET if math.isnan(offset) else offset)
         if site.detector_id in seen:
             raise ValidationError(f"duplicate detector id '{site.detector_id}'")
         seen.add(site.detector_id)
         if network is not None:
             network.link(site.link_id)
         sites.append(site)
+    table.check()
     return sites
 
 

@@ -8,25 +8,14 @@ detectors hierarchy by hierarchy so that every class keeps at least one.
 """
 from __future__ import annotations
 
-import csv
 import json
-import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .errors import AlignmentError, InsufficientDataError, SchemaError, ValidationError
-from .tableio import (
-    iter_blocks,
-    parse_float,
-    parse_int64,
-    parse_optional_float,
-    parse_str,
-    record,
-    write_table,
-)
+from .errors import AlignmentError, InsufficientDataError, ValidationError
+from .tableio import FLOAT, INT64, OPTIONAL_FLOAT, TEXT, read_table, record, write_table
 
 READING_COLUMNS = ("detector_id", "bin_index", "flow_veh_per_h", "density_veh_per_km")
 READINGS_HEADER = READING_COLUMNS + ("speed_km_per_h",)
@@ -132,75 +121,22 @@ class CoveragePlan:
 def load_readings(source, delimiter=","):
     """Read a readings table into ``Readings``; a blank or absent speed is NaN.
 
-    Rows are converted a block and a column at a time. The first faulty row
-    is reported: a malformed cell, or a bin beyond 64 bits, as
-    ``SchemaError``, a value that ``Readings`` rejects as ``ValidationError``,
-    and a record that the table reader rejects (text beyond the header, an
-    unreadable line) with the reader's error.
+    The first faulty row is reported: a malformed cell, or a bin beyond 64
+    bits, as ``SchemaError``, a value that ``Readings`` rejects as
+    ``ValidationError``, and a record that the table reader rejects (text
+    beyond the header, an unreadable line) with the reader's error.
     """
-    blocks = [_NO_READINGS]
-    fault = None
-    try:
-        for block in iter_blocks(source, READING_COLUMNS, delimiter):
-            try:
-                blocks.append((
-                    block.strings("detector_id"),
-                    block.ints("bin_index"),
-                    block.floats("flow_veh_per_h"),
-                    block.floats("density_veh_per_km"),
-                    block.optional_floats("speed_km_per_h"),
-                ))
-            except (ValueError, OverflowError):
-                columns, fault = _parse_records(block)
-                blocks.append(columns)
-                if fault is not None:
-                    break
-    except (csv.Error, ValueError, SchemaError) as exc:
-        # the rows read before the record the reader rejects are still
-        # checked first
-        fault = exc
-    ids, bins, flows, densities, speeds = zip(*blocks)
+    schema = dict(zip(READINGS_HEADER, (TEXT, INT64, FLOAT, FLOAT, OPTIONAL_FLOAT)))
+    table = read_table(source, schema, delimiter)
     readings = Readings(
-        detector_ids=tuple(chain.from_iterable(ids)),
-        bin_index=np.concatenate(bins),
-        flow=np.concatenate(flows),
-        density=np.concatenate(densities),
-        speed=np.concatenate(speeds),
+        detector_ids=tuple(table["detector_id"]),
+        bin_index=table["bin_index"],
+        flow=table["flow_veh_per_h"],
+        density=table["density_veh_per_km"],
+        speed=table["speed_km_per_h"],
     )
-    if fault is not None:
-        raise fault
+    table.check()
     return readings
-
-
-_NO_READINGS = ((), np.empty(0, dtype=np.int64), np.empty(0), np.empty(0), np.empty(0))
-
-
-def _parse_records(block):
-    """A block's readings parsed cell by cell, up to its first faulty row.
-
-    Returns the columns of the rows before that row and its ``SchemaError``,
-    or None when every row parses.
-    """
-    ids, bins, flows, densities, speeds = [], [], [], [], []
-    fault = None
-    try:
-        for lineno, row in block.records():
-            ids.append(parse_str(row, "detector_id", lineno))
-            bins.append(parse_int64(row, "bin_index", lineno))
-            flows.append(parse_float(row, "flow_veh_per_h", lineno))
-            densities.append(parse_float(row, "density_veh_per_km", lineno))
-            speeds.append(parse_optional_float(row, "speed_km_per_h", lineno, math.nan))
-    except SchemaError as exc:
-        fault = exc
-    n = len(speeds)  # the rows parsed in full
-    columns = (
-        ids[:n],
-        np.array(bins[:n], dtype=np.int64),
-        np.array(flows[:n], dtype=float),
-        np.array(densities[:n], dtype=float),
-        np.array(speeds, dtype=float),
-    )
-    return columns, fault
 
 
 def write_readings(path, readings, delimiter=","):

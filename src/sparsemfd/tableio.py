@@ -4,10 +4,14 @@ Readings, networks, sites, estimates and the figure data are plain text
 tables. Field names are exact and case sensitive; parse errors report the
 offending line and field.
 
-Tables are read and written in blocks of up to ``BLOCK_ROWS`` rows, one
-column at a time. A block that does not convert as a whole is walked again
-cell by cell through the ``parse_*`` helpers, which raise the fault of its
-first faulty row.
+Every input table is read by ``read_table`` through a schema that maps
+each field to a column kind: ``TEXT``, ``INT``, ``INT64``, ``FLOAT`` or
+``OPTIONAL_FLOAT``. Tables are read and written in blocks of up to
+``BLOCK_ROWS`` rows, one column at a time. Only a block that does not
+convert as a whole is walked cell by cell, to find its first faulty row.
+The reader returns the rows before that row and holds its fault, so that a
+loader checks the values of those rows first: the first faulty row wins,
+whether its fault lies in a cell or in a value.
 
 Scenarios, experiment configs, coverage plans and reports are JSON, written
 by ``write_json``: a dataclass field by field, minus fields marked
@@ -21,9 +25,9 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, is_dataclass
-from functools import cached_property
-from itertools import islice
+from itertools import chain, islice
 from types import NoneType
+from typing import get_args, get_type_hints
 
 import numpy as np
 
@@ -40,102 +44,71 @@ def delimiter_for(fmt):
         raise ValueError(f"unknown table format '{fmt}', expected one of {sorted(DELIMITERS)}")
 
 
-@dataclass(frozen=True, eq=False)
-class RowBlock:
-    """Consecutive records of a table, blank ones included.
+# column kinds of a table schema
+TEXT = "text"
+INT = "int"
+INT64 = "int64"
+FLOAT = "float"
+OPTIONAL_FLOAT = "optional float"
 
-    ``rows`` holds each record's cells and ``lines`` the line it ends on,
-    counting the header as line 1. The column methods convert a field of
-    every record at once; each raises ``ValueError`` when a record is too
-    short for the field or a cell does not convert, and ``records`` then
-    serves the per-cell parsers.
+_INT64_RANGE = np.iinfo(np.int64)
+
+
+@dataclass(frozen=True, eq=False)
+class Table:
+    """The rows of a table before its first faulty row, as typed columns.
+
+    ``columns`` maps each schema field to its column: a list of str for
+    ``TEXT``, of int for ``INT``, an int64 array for ``INT64`` and a float
+    array for ``FLOAT`` and ``OPTIONAL_FLOAT``, NaN where an optional cell
+    is blank or the header lacks the field. ``lines`` holds the line each
+    row ends on, counting the header as line 1, and ``fault`` the error of
+    the first faulty row, or None when every row was read.
     """
 
-    header: list
-    position: dict
-    rows: list
+    columns: dict
     lines: list
+    fault: Exception | None
 
-    @cached_property
-    def _columns(self):
-        return list(zip(*self.rows))
+    def __getitem__(self, field):
+        return self.columns[field]
 
-    def cells(self, field):
-        """The raw cells of ``field``, or None when the header lacks it."""
-        i = self.position.get(field)
-        if i is None:
-            return None
-        if i >= len(self._columns):
-            raise ValueError(f"a record has no cell for '{field}'")
-        return self._columns[i]
+    def rows(self):
+        """The rows as tuples of Python values, fields in schema order."""
+        return zip(*(
+            c.tolist() if isinstance(c, np.ndarray) else c for c in self.columns.values()
+        ))
 
-    def strings(self, field):
-        values = list(map(str.strip, self.cells(field)))
-        if not all(values):
-            raise ValueError(f"empty '{field}' cell")
-        return values
-
-    def ints(self, field):
-        """int64 values; a cell beyond 64 bits raises ``OverflowError``."""
-        return np.fromiter(map(int, self.cells(field)), np.int64, len(self.rows))
-
-    def floats(self, field):
-        values = np.fromiter(map(float, self.cells(field)), float, len(self.rows))
-        if np.isnan(values).any():
-            raise ValueError(f"NaN in '{field}'")
-        return values
-
-    def optional_floats(self, field):
-        """Float values, NaN where the cell is blank or the header lacks the field."""
-        cells = self.cells(field)
-        if cells is None:
-            return np.full(len(self.rows), math.nan)
-        cells = list(map(str.strip, cells))
-        if all(cells):
-            return self.floats(field)
-        values = np.fromiter(
-            (float(c) if c else math.nan for c in cells), float, len(self.rows)
-        )
-        filled = np.fromiter(map(bool, cells), bool, len(self.rows))
-        if np.isnan(values[filled]).any():
-            raise ValueError(f"NaN in '{field}'")
-        return values
-
-    def records(self):
-        """Yield (line_number, row_dict) for every non-blank record.
-
-        The dicts are those of ``csv.DictReader``: a short record gives None
-        for its missing fields and a long one keeps its extra cells, all
-        blank, under the key None. A record is blank when none of its
-        fields holds more than whitespace.
-        """
-        width = len(self.header)
-        for lineno, cells in zip(self.lines, self.rows):
-            row = dict(zip(self.header, cells))
-            if len(cells) > width:
-                row[None] = cells[width:]
-            elif len(cells) < width:
-                row.update(dict.fromkeys(self.header[len(cells):]))
-            if any(isinstance(v, str) and v.strip() for v in row.values()):
-                yield lineno, row
+    def check(self):
+        """Raise the fault of the first faulty row, if there is one."""
+        if self.fault is not None:
+            raise self.fault
 
 
-def iter_blocks(source, required, delimiter=","):
-    """Yield the records of a path or an open text stream as ``RowBlock``s.
+def read_table(source, schema, delimiter=","):
+    """Read a path or an open text stream into a ``Table``.
 
-    Checks that every name in ``required`` appears in the header. Each block
-    holds ``BLOCK_ROWS`` records, the last one fewer. A record with text in
-    a cell beyond the header raises ``SchemaError`` naming its line, after
-    the block of the records before it.
+    ``schema`` maps each field to its column kind. Every field but an
+    ``OPTIONAL_FLOAT`` one is required, and a schema needs one at least; a
+    required field missing from the header raises ``SchemaError`` at once.
+    Blank records are skipped. Reading stops at the first faulty row: a
+    malformed cell (``SchemaError`` naming its line and its first faulty
+    field in schema order), text in a cell beyond the header
+    (``SchemaError`` naming the line) or an unreadable record (the error of
+    ``csv.reader`` or of decoding). That error becomes ``Table.fault``, so
+    that a loader checks the rows before it first.
     """
     if hasattr(source, "read"):
-        yield from _iter_blocks(source, required, delimiter)
-    else:
-        with open(os.fspath(source), newline="") as handle:
-            yield from _iter_blocks(handle, required, delimiter)
+        return _read_table(source, schema, delimiter)
+    with open(os.fspath(source), newline="") as handle:
+        return _read_table(handle, schema, delimiter)
 
 
-def _iter_blocks(handle, required, delimiter):
+def _read_table(handle, schema, delimiter):
+    required = [name for name, kind in schema.items() if kind != OPTIONAL_FLOAT]
+    if not required:
+        # a blank record converts only where a required cell fails
+        raise ValueError("a table schema needs a field that is not OPTIONAL_FLOAT")
     reader = csv.reader(handle, delimiter=delimiter)
     header = next(reader, None)
     if header is None:
@@ -146,8 +119,9 @@ def _iter_blocks(handle, required, delimiter):
     # a repeated name reads its last column, as in csv.DictReader
     position = {name: i for i, name in enumerate(header)}
     width = len(header)
-    while True:
-        rows, lines = [], []
+    blocks, lines, fault = [], [], None
+    while fault is None:
+        rows, block_lines = [], []
         try:
             for cells in islice(reader, BLOCK_ROWS):
                 if len(cells) > width and any(map(str.strip, cells[width:])):
@@ -155,75 +129,137 @@ def _iter_blocks(handle, required, delimiter):
                         f"text beyond the {width} columns of the header", line=reader.line_num
                     )
                 rows.append(cells)
-                lines.append(reader.line_num)
-        except (csv.Error, ValueError, SchemaError):
+                block_lines.append(reader.line_num)
+        except (csv.Error, ValueError, SchemaError) as exc:
             # the records before an unreadable, undecodable or overlong
             # one are still checked first
-            if rows:
-                yield RowBlock(header, position, rows, lines)
-            raise
+            fault = exc
         if not rows:
-            return
-        yield RowBlock(header, position, rows, lines)
+            break
+        try:
+            blocks.append(_convert_block(rows, position, schema))
+        except (ValueError, OverflowError):
+            columns, block_lines, row_fault = _walk_block(rows, block_lines, position, schema)
+            blocks.append(columns)
+            fault = row_fault or fault
+        lines.extend(block_lines)
+    columns = {
+        field: _join(kind, [block[field] for block in blocks]) for field, kind in schema.items()
+    }
+    return Table(columns, lines, fault)
 
 
-def iter_rows(source, required, delimiter=","):
-    """Yield (line_number, row_dict) from a path or an open text stream.
+def _convert_block(rows, position, schema):
+    """Every field of a block converted a column at a time.
 
-    Checks that every name in ``required`` appears in the header and skips
-    blank lines. Line numbers start at 1 for the header row.
+    Raises ``ValueError`` or ``OverflowError`` when a record is blank or too
+    short for a field, or a cell does not convert.
     """
-    for block in iter_blocks(source, required, delimiter):
-        yield from block.records()
+    cells = list(zip(*rows))  # as long as the shortest record
+    columns = {}
+    for field, kind in schema.items():
+        i = position.get(field)
+        if i is None:
+            columns[field] = np.full(len(rows), math.nan)
+        elif i >= len(cells):
+            raise ValueError(f"a record has no cell for '{field}'")
+        else:
+            columns[field] = _COLUMN[kind](cells[i])
+    return columns
 
 
-def cell(row, field):
-    value = row.get(field)
-    return value.strip() if isinstance(value, str) else None
+def _texts(cells):
+    values = list(map(str.strip, cells))
+    if not all(values):
+        raise ValueError("empty cell")
+    return values
 
 
-def parse_str(row, field, lineno):
-    value = cell(row, field)
-    if not value:
-        raise SchemaError("empty value", line=lineno, field=field)
-    return value
+def _floats(cells):
+    values = np.fromiter(map(float, cells), float, len(cells))
+    if np.isnan(values).any():
+        raise ValueError("NaN cell")
+    return values
 
 
-def parse_float(row, field, lineno):
-    raw = parse_str(row, field, lineno)
+def _optional_floats(cells):
+    cells = list(map(str.strip, cells))
+    if all(cells):
+        return _floats(cells)
+    values = np.fromiter((float(c) if c else math.nan for c in cells), float, len(cells))
+    if np.isnan(values).sum() != cells.count(""):
+        raise ValueError("NaN cell")
+    return values
+
+
+_COLUMN = {
+    TEXT: _texts,
+    INT: lambda cells: list(map(int, cells)),
+    INT64: lambda cells: np.fromiter(map(int, cells), np.int64, len(cells)),
+    FLOAT: _floats,
+    OPTIONAL_FLOAT: _optional_floats,
+}
+_DTYPE = {INT64: np.int64, FLOAT: float, OPTIONAL_FLOAT: float}
+
+
+def _walk_block(rows, lines, position, schema):
+    """A block converted cell by cell, up to its first faulty row.
+
+    Returns the columns, as lists, and the lines of the non-blank rows
+    before that row, and its ``SchemaError``, or None when every row
+    converts.
+    """
+    columns = {field: [] for field in schema}
+    kept = []
+    for cells, line in zip(rows, lines):
+        # blank: no column that a header name reads holds text
+        if not any(cells[i].strip() for i in position.values() if i < len(cells)):
+            continue
+        try:
+            row = [
+                _cell(cells, position.get(field), kind, field, line)
+                for field, kind in schema.items()
+            ]
+        except SchemaError as exc:
+            return columns, kept, exc
+        for column, value in zip(columns.values(), row):
+            column.append(value)
+        kept.append(line)
+    return columns, kept, None
+
+
+def _cell(cells, i, kind, field, line):
+    """One cell converted to ``kind``, or its ``SchemaError``."""
+    raw = cells[i].strip() if i is not None and i < len(cells) else ""
+    if not raw:
+        if kind == OPTIONAL_FLOAT:
+            return math.nan
+        raise SchemaError("empty value", line=line, field=field)
+    if kind == TEXT:
+        return raw
+    if kind in (INT, INT64):
+        try:
+            value = int(raw)
+        except ValueError:
+            raise SchemaError(f"not an integer: '{raw}'", line=line, field=field)
+        if kind == INT64 and not _INT64_RANGE.min <= value <= _INT64_RANGE.max:
+            raise SchemaError(f"integer beyond 64 bits: '{raw}'", line=line, field=field)
+        return value
     try:
         value = float(raw)
     except ValueError:
-        raise SchemaError(f"not a number: '{raw}'", line=lineno, field=field)
+        raise SchemaError(f"not a number: '{raw}'", line=line, field=field)
     if math.isnan(value):
-        raise SchemaError("NaN is not a valid value", line=lineno, field=field)
+        raise SchemaError("NaN is not a valid value", line=line, field=field)
     return value
 
 
-def parse_int(row, field, lineno):
-    raw = parse_str(row, field, lineno)
-    try:
-        return int(raw)
-    except ValueError:
-        raise SchemaError(f"not an integer: '{raw}'", line=lineno, field=field)
-
-
-def parse_int64(row, field, lineno):
-    """``parse_int`` limited to the int64 range of ``RowBlock.ints``."""
-    value = parse_int(row, field, lineno)
-    int64 = np.iinfo(np.int64)
-    if not int64.min <= value <= int64.max:
-        raise SchemaError(
-            f"integer beyond 64 bits: '{cell(row, field)}'", line=lineno, field=field
-        )
-    return value
-
-
-def parse_optional_float(row, field, lineno, default=None):
-    value = cell(row, field)
-    if not value:
-        return default
-    return parse_float(row, field, lineno)
+def _join(kind, parts):
+    """One column of a kind from the columns of its blocks."""
+    if kind in _DTYPE:
+        dtype = _DTYPE[kind]
+        return np.concatenate([np.empty(0, dtype), *(np.asarray(p, dtype) for p in parts)])
+    return list(chain.from_iterable(parts))
 
 
 def format_value(value):
@@ -329,22 +365,48 @@ def record(cls, payload, what, **convert):
 
     ``convert`` maps a field to the converter of its nested value, and a
     null there leaves the field at its default; other lists become tuples.
-    A missing or unknown key, or a value of the wrong shape, raises
-    ``ValidationError`` "malformed {what}: ..."; a ``ValidationError`` of
-    ``cls`` itself passes through.
+    A field annotated with a scalar type (``int``, ``float``, ``str`` or
+    ``bool``, optionally ``| None``) and no converter must hold a value of
+    that type: an int for ``int``, an int or a float for ``float``, never a
+    bool for a number. A missing or unknown key, or a value of the wrong
+    type or shape, raises ``ValidationError`` "malformed {what}: ..."; a
+    ``ValidationError`` of ``cls`` itself passes through.
     """
     try:
         if not isinstance(payload, dict):
             raise TypeError(f"expected a JSON object, got {type(payload).__name__}")
+        annotations = get_type_hints(cls)
         values = {}
         for name, value in payload.items():
             if name in convert:
                 if value is None:
                     continue
                 value = convert[name](value)
-            elif isinstance(value, list):
-                value = tuple(value)
+            else:
+                if name in annotations:
+                    _check_scalar(name, value, annotations[name])
+                if isinstance(value, list):
+                    value = tuple(value)
             values[name] = value
         return cls(**values)
     except (TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"malformed {what}: {exc}") from exc
+
+
+# the JSON values that each scalar annotation takes
+_SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
+
+
+def _check_scalar(name, value, annotation):
+    """Raise ``TypeError`` when ``value`` does not fit a scalar ``annotation``;
+    other annotations are left to the dataclass."""
+    options = get_args(annotation) or (annotation,)
+    if not set(options) <= {*_SCALARS, NoneType} or (value is None and NoneType in options):
+        return
+    if isinstance(value, bool):
+        fits = bool in options
+    else:
+        fits = isinstance(value, tuple(chain.from_iterable(_SCALARS.get(t, ()) for t in options)))
+    if not fits:
+        expected = " or ".join("null" if t is NoneType else t.__name__ for t in options)
+        raise TypeError(f"'{name}' must be {expected}, got {value!r}")

@@ -8,17 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from sparsemfd.errors import SchemaError, ValidationError
-from sparsemfd.network import DetectorSite, Link, Network
+from sparsemfd.errors import EstimationError, SchemaError, ValidationError
+from sparsemfd.network import DEFAULT_OFFSET, NETWORK_COLUMNS, DetectorSite, Link, Network
 from sparsemfd.sensing import READING_COLUMNS, LinkObservation, Readings
 from sparsemfd.synth import SyntheticScenario, generate_scenario
-from sparsemfd.tableio import (
-    format_value,
-    parse_float,
-    parse_int,
-    parse_optional_float,
-    parse_str,
-)
+from sparsemfd.tableio import FLOAT, INT, INT64, OPTIONAL_FLOAT, TEXT, format_value
+from sparsemfd.variogram import VariogramModel
 
 
 def make_readings(rows):
@@ -69,7 +64,7 @@ class ReferenceReading:
 
 def reference_iter_rows(source, required, delimiter=","):
     """The ``csv.DictReader`` loop that read tables before they were read in
-    row blocks: the oracle for ``iter_rows``' rows and line numbers."""
+    row blocks: the oracle for the rows and line numbers of ``read_table``."""
     if hasattr(source, "read"):
         yield from _reference_rows(source, required, delimiter)
     else:
@@ -91,6 +86,86 @@ def _reference_rows(handle, required, delimiter):
         yield reader.line_num, row
 
 
+# The per-cell parsers that converted table cells before tables were read
+# as typed columns: the oracle for the values and error texts of
+# ``read_table``. They share no code with it.
+
+
+def cell(row, field):
+    value = row.get(field)
+    return value.strip() if isinstance(value, str) else None
+
+
+def parse_str(row, field, lineno):
+    value = cell(row, field)
+    if not value:
+        raise SchemaError("empty value", line=lineno, field=field)
+    return value
+
+
+def parse_float(row, field, lineno):
+    raw = parse_str(row, field, lineno)
+    try:
+        value = float(raw)
+    except ValueError:
+        raise SchemaError(f"not a number: '{raw}'", line=lineno, field=field)
+    if math.isnan(value):
+        raise SchemaError("NaN is not a valid value", line=lineno, field=field)
+    return value
+
+
+def parse_int(row, field, lineno):
+    raw = parse_str(row, field, lineno)
+    try:
+        return int(raw)
+    except ValueError:
+        raise SchemaError(f"not an integer: '{raw}'", line=lineno, field=field)
+
+
+def parse_int64(row, field, lineno):
+    """``parse_int`` limited to the int64 range."""
+    value = parse_int(row, field, lineno)
+    int64 = np.iinfo(np.int64)
+    if not int64.min <= value <= int64.max:
+        raise SchemaError(
+            f"integer beyond 64 bits: '{cell(row, field)}'", line=lineno, field=field
+        )
+    return value
+
+
+def parse_optional_float(row, field, lineno, default=None):
+    value = cell(row, field)
+    if not value:
+        return default
+    return parse_float(row, field, lineno)
+
+
+REFERENCE_PARSERS = {
+    TEXT: parse_str,
+    INT: parse_int,
+    INT64: parse_int64,
+    FLOAT: parse_float,
+    OPTIONAL_FLOAT: lambda row, field, lineno: parse_optional_float(row, field, lineno, math.nan),
+}
+
+
+def reference_read_table(source, schema, delimiter=","):
+    """``(lines, {field: values}, fault)`` of a table read row by row: the
+    lines and values of the rows before the first faulty row, and the text
+    of its fault, or None."""
+    required = [name for name, kind in schema.items() if kind != OPTIONAL_FLOAT]
+    lines, columns = [], {field: [] for field in schema}
+    try:
+        for lineno, row in reference_iter_rows(source, required, delimiter):
+            values = [REFERENCE_PARSERS[kind](row, f, lineno) for f, kind in schema.items()]
+            lines.append(lineno)
+            for field, value in zip(schema, values):
+                columns[field].append(value)
+    except SchemaError as exc:
+        return lines, columns, str(exc)
+    return lines, columns, None
+
+
 def reference_load_readings(source, delimiter=","):
     """The row-by-row reader that built one ``ReferenceReading`` per row:
     the oracle for ``load_readings``' values, error types and texts."""
@@ -106,6 +181,88 @@ def reference_load_readings(source, delimiter=","):
             )
         )
     return readings
+
+
+def reference_load_network(source, delimiter=","):
+    """The row-by-row network reader: the oracle for ``load_network``."""
+    links = []
+    for lineno, row in reference_iter_rows(source, NETWORK_COLUMNS, delimiter):
+        links.append(
+            Link(
+                id=parse_str(row, "link_id", lineno),
+                from_node=parse_str(row, "from_node", lineno),
+                to_node=parse_str(row, "to_node", lineno),
+                length_km=parse_float(row, "length_km", lineno),
+                hierarchy=parse_int(row, "hierarchy", lineno),
+            )
+        )
+    return Network(links)
+
+
+def reference_load_detector_sites(source, network=None, delimiter=","):
+    """The row-by-row sites reader: the oracle for ``load_detector_sites``."""
+    sites = []
+    seen = set()
+    for lineno, row in reference_iter_rows(source, ("detector_id", "link_id"), delimiter):
+        site = DetectorSite(
+            detector_id=parse_str(row, "detector_id", lineno),
+            link_id=parse_str(row, "link_id", lineno),
+            offset_fraction=parse_optional_float(row, "offset_fraction", lineno, DEFAULT_OFFSET),
+        )
+        if site.detector_id in seen:
+            raise ValidationError(f"duplicate detector id '{site.detector_id}'")
+        seen.add(site.detector_id)
+        if network is not None:
+            network.link(site.link_id)
+        sites.append(site)
+    return sites
+
+
+def reference_read_model_table(path, delimiter=","):
+    """The row-by-row model table reader: the oracle for the CLI's."""
+    rows = list(reference_iter_rows(path, ("kind", "nugget", "sill", "range_km"), delimiter))
+    if not rows:
+        raise EstimationError(f"model table '{path}' has no rows")
+    if len(rows) > 1:
+        raise ValidationError(f"model table '{path}' has {len(rows)} rows, expected one")
+    lineno, row = rows[0]
+    return VariogramModel(
+        kind=parse_str(row, "kind", lineno),
+        nugget=parse_float(row, "nugget", lineno),
+        sill=parse_float(row, "sill", lineno),
+        range_km=parse_float(row, "range_km", lineno),
+    )
+
+
+def reference_read_estimates(path, delimiter=",", method=None):
+    """The two-pass estimates reader, which parsed only the rows of the
+    chosen method: the oracle for the CLI's."""
+    kept = []
+    methods = set()
+    required = ("bin_index", "method", "variable", "value")
+    for lineno, row in reference_iter_rows(path, required, delimiter):
+        row_method = parse_str(row, "method", lineno)
+        if method is not None and row_method != method:
+            continue
+        methods.add(row_method)
+        kept.append((lineno, row))
+    if method is None and len(methods) > 1:
+        raise EstimationError(
+            f"table '{path}' mixes methods {sorted(methods)}; pick one with --method"
+        )
+    series = {}
+    for lineno, row in kept:
+        variable = parse_str(row, "variable", lineno)
+        b = parse_int(row, "bin_index", lineno)
+        key = (variable, b)
+        if key in series:
+            raise EstimationError(
+                f"duplicate entry for variable '{variable}' bin {b} in '{path}'"
+            )
+        series[key] = parse_float(row, "value", lineno)
+    flow = {b: v for (variable, b), v in series.items() if variable == "flow"}
+    density = {b: v for (variable, b), v in series.items() if variable == "density"}
+    return flow, density
 
 
 def reference_write_table(path, header, rows, delimiter=","):

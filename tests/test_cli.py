@@ -6,18 +6,20 @@ import math
 import pytest
 from click.testing import CliRunner
 
-from sparsemfd.cli import guarded, main
+from sparsemfd.cli import _read_estimates, _read_model_table, guarded, main
 from sparsemfd.errors import (
     EstimationError,
     InsufficientDataError,
     NotEstimableError,
     NumericError,
+    SchemaError,
     SingularSystemError,
     ValidationError,
 )
 from sparsemfd.network import NETWORK_COLUMNS, load_detector_sites, load_network
 from sparsemfd.sensing import READINGS_HEADER, sample_coverage
-from sparsemfd.tableio import write_json, write_table
+from sparsemfd.tableio import BLOCK_ROWS, write_json, write_table
+from conftest import reference_read_estimates, reference_read_model_table
 
 ESTIMATES_HEADER = (
     "bin_index", "method", "variable", "value", "ttd_or_ttt", "hierarchy_count"
@@ -547,6 +549,135 @@ def test_impute_rejects_a_model_table_of_two_rows(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert f"error: model table '{model}' has 2 rows, expected one" in result.output
+
+
+def _same_outcome(read, reference, path, delimiter, *args):
+    """``read`` and ``reference`` on one table give equal values, or errors
+    of one type and text."""
+    try:
+        expected = reference(str(path), delimiter, *args)
+    except Exception as exc:
+        with pytest.raises(type(exc)) as err:
+            read(str(path), delimiter, *args)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+    else:
+        assert read(str(path), delimiter, *args) == expected
+
+
+MODEL_HEADER_TEXT = "kind,nugget,sill,range_km"
+MODEL_CORPUS = [
+    MODEL_HEADER_TEXT + "\nspherical,0,100,5\n",
+    # the table the variogram command writes
+    MODEL_HEADER_TEXT + ",rss,bin_index,degenerate,range_at_bound\n"
+    "exponential,47690.5,140700.25,19.0,1.017e12,1,False,False\n",
+    "\n" + MODEL_HEADER_TEXT + "\n\n  gaussian , 1e0 ,2, 3 \n ,,, \n",
+    MODEL_HEADER_TEXT + "\nspherical,0,100,5\nexponential,0,9000,0.1\n",
+    MODEL_HEADER_TEXT + "\n",
+    MODEL_HEADER_TEXT + "\n\n,,,\n",
+    # a short row, a repeated column
+    MODEL_HEADER_TEXT + "\nspherical,0,100\n",
+    MODEL_HEADER_TEXT + ",sill\nspherical,0,x,5,7\n",
+    # parse faults and value faults
+    MODEL_HEADER_TEXT + "\nspherical,0,nan,5\n",
+    MODEL_HEADER_TEXT + "\nspherical,zero,100,5\n",
+    MODEL_HEADER_TEXT + "\nspherical,0,-100,5\n",
+    MODEL_HEADER_TEXT + "\nlinear,0,100,5\n",
+    MODEL_HEADER_TEXT + "\n,0,100,5\n",
+    "kind,nugget,sill\nspherical,0,100\n",
+    "",
+]
+
+
+@pytest.mark.parametrize("doc", MODEL_CORPUS)
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_model_table_matches_the_per_row_reference(doc, delimiter, tmp_path):
+    path = tmp_path / "model.txt"
+    path.write_text(doc.replace(",", delimiter), newline="")
+    _same_outcome(_read_model_table, reference_read_model_table, path, delimiter)
+
+
+@pytest.mark.parametrize(
+    "rows, text",
+    [
+        (["spherical,0,100,5", "exponential,0,nan,0.1"],
+         "NaN is not a valid value [field 'sill'] [line 3]"),
+        (["spherical,0,100,5"] * (BLOCK_ROWS + 5) + ["exponential,0,100,?"],
+         f"not a number: '?' [field 'range_km'] [line {BLOCK_ROWS + 7}]"),
+    ],
+)
+def test_a_model_table_reports_a_faulty_row_before_its_row_count(rows, text, tmp_path):
+    # the rows before the faulty one are models; the per-row reader
+    # reported the row count here
+    path = tmp_path / "model.csv"
+    path.write_text("\n".join([MODEL_HEADER_TEXT, *rows]) + "\n")
+    with pytest.raises(SchemaError) as err:
+        _read_model_table(str(path), ",")
+    assert str(err.value) == text
+
+
+EST_HEADER = ",".join(ESTIMATES_HEADER)
+
+
+def _long_estimates(fault_row, fault, rows=BLOCK_ROWS + 40):
+    """An estimates table of ``rows`` rows of method "u", flow and density
+    in turn, whose row ``fault_row`` (0-based) is ``fault``."""
+    lines = [EST_HEADER]
+    for i in range(rows):
+        variable = ("flow", "density")[i % 2]
+        lines.append(fault if i == fault_row else f"{i // 2},u,{variable},{i * 0.5},1,1")
+    return "\n".join(lines) + "\n"
+
+
+ESTIMATES_CORPUS = [
+    EST_HEADER + "\n0,u,flow,100,300,1\n0,u,density,10,30,1\n1,u,flow,120.5,3,1\n",
+    # only the four read columns, blank and short rows, padded cells
+    "bin_index,method,variable,value\n 0 , u , flow , 1e2 \n\n,,,\n+1,u,density,7\n",
+    EST_HEADER + "\n0,u,flow\n",
+    EST_HEADER + "\n0,u,flow,1,,\n0,u\n",
+    # a repeated column reads its last cell
+    EST_HEADER + ",value\n0,u,flow,x,1,1,5\n",
+    # mixed methods, duplicates
+    EST_HEADER + "\n0,u,flow,1,1,1\n0,h,flow,2,1,1\n",
+    EST_HEADER + "\n0,u,flow,1,1,1\n0,u,flow,2,1,1\n",
+    EST_HEADER + "\n0,u,flow,1,1,1\n0,h,flow,2,1,1\n0,u,flow,3,1,1\n",
+    # parse faults
+    EST_HEADER + "\n0,u,flow,nan,1,1\n",
+    EST_HEADER + "\n0.5,u,flow,1,1,1\n",
+    EST_HEADER + "\n0,u,,1,1,1\n",
+    EST_HEADER + "\n0,u,flow,1,1,1\n1,u,flow,inf,1,1\n2,u,flow,-,1,1\n",
+    "bin_index,method,variable\n0,u,flow\n",
+    "",
+    # past the first block: a parse fault, and a duplicate before one
+    _long_estimates(BLOCK_ROWS + 5, "9999,u,flow,x,1,1"),
+    _long_estimates(3, "0,u,flow,7,1,1") + "9999,u,flow,x,1,1\n",
+    _long_estimates(-1, ""),
+]
+
+
+@pytest.mark.parametrize("doc", ESTIMATES_CORPUS)
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+@pytest.mark.parametrize("method", [None, "u"])
+def test_estimates_table_matches_the_per_row_reference(doc, delimiter, method, tmp_path):
+    path = tmp_path / "estimates.txt"
+    path.write_text(doc.replace(",", delimiter), newline="")
+    _same_outcome(_read_estimates, reference_read_estimates, path, delimiter, method)
+
+
+def test_every_row_of_an_estimates_table_is_checked(runner, tmp_path):
+    # the row of the method that --method leaves out was not parsed before
+    est = tmp_path / "estimates.csv"
+    rows = _estimates_rows("uniform", (600.0, 1000.0, 1200.0, 1300.0), (10.0, 20.0, 30.0, 40.0))
+    est.write_text(
+        ",".join(ESTIMATES_HEADER) + "\n"
+        + "".join(",".join(map(str, row)) + "\n" for row in rows)
+        + "x,hierarchical,flow,1,1,1\n"
+    )
+    result = invoke(
+        runner, ["--output-dir", str(tmp_path / "m"), "mfd", str(est), "--method", "uniform"]
+    )
+    assert result.exit_code == 2
+    assert f"not an integer: 'x' [field 'bin_index'] [line {len(rows) + 2}]" in result.output
 
 
 # --- mfd and evaluate ---------------------------------------------------------

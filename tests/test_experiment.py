@@ -309,6 +309,27 @@ def test_recorded_data_run(tmp_path):
     assert record.message is not None
 
 
+def test_a_t_test_without_a_result_is_written_with_null_fields(tmp_path):
+    network_path, sites_path, readings_path = _write_recorded_inputs(tmp_path)
+    config = ExperimentConfig(
+        coverages=(1.0,), seeds=(0,), estimators=("uniform", "hierarchical"),
+        network_path=str(network_path), sites_path=str(sites_path),
+        readings_path=str(readings_path),
+    )
+    run_experiment(config, output_dir=tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["ttests"] == [{
+        "coverage": 1.0, "seed": 0, "message": "missing MFD fit for at least one method",
+        "t_statistic": None, "degrees_of_freedom": None, "p_value": None, "reject": None,
+    }]
+    with open(tmp_path / "out" / "ttests.csv") as handle:
+        assert list(csv.reader(handle)) == [
+            ["coverage", "seed", "t_statistic", "degrees_of_freedom", "p_value",
+             "mean_difference", "reject", "message"],
+            ["1", "0", "", "", "", "", "", "missing MFD fit for at least one method"],
+        ]
+
+
 def test_partition_rebuilt_only_for_a_bin_with_a_silent_detector(tmp_path, monkeypatch):
     network_path, sites_path, readings_path = _write_recorded_inputs(tmp_path)
     with open(readings_path, "a") as handle:

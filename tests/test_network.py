@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -28,6 +29,8 @@ from sparsemfd.network import (
     midpoint_sites,
     site_distance_matrix,
 )
+from sparsemfd.tableio import BLOCK_ROWS
+from conftest import reference_load_detector_sites, reference_load_network
 
 NETWORK_DOC = """link_id,from_node,to_node,length_km,hierarchy
 A,a,b,1.0,1
@@ -100,6 +103,115 @@ def test_load_detector_sites_duplicate_id():
     doc = "detector_id,link_id\nd1,A\nd1,B\n"
     with pytest.raises(ValidationError):
         load_detector_sites(io.StringIO(doc))
+
+
+NET_HEADER = "link_id,from_node,to_node,length_km,hierarchy"
+
+
+def _long_network(fault_row, fault, rows=BLOCK_ROWS + 40):
+    """A network table of ``rows`` links whose row ``fault_row`` (0-based)
+    is ``fault``."""
+    lines = [NET_HEADER]
+    for i in range(rows):
+        lines.append(fault if i == fault_row else f"L{i},n{i},n{i + 1},{0.5 + i % 3},{1 + i % 3}")
+    return "\n".join(lines) + "\n"
+
+
+NETWORK_CORPUS = [
+    NETWORK_DOC,
+    NET_HEADER + "\n A , a ,b, 1e0 , +2 \n\nB,b,c,2,1_0\n   \n,,,,\n",
+    # a hierarchy beyond 64 bits is a Python int
+    NET_HEADER + "\nA,a,b,1,99999999999999999999\nB,b,c,1,-99999999999999999999\n",
+    # short rows, a long row with blank extra cells
+    NET_HEADER + "\nA,a,b,1\n",
+    NET_HEADER + "\nA,a,b,1,1,,\nB,b\n",
+    # a repeated column reads its last cell
+    NET_HEADER + ",length_km\nA,a,b,x,1,2.5\n",
+    NET_HEADER + ",length_km\nA,a,b,1,1,\n",
+    # parse faults and value faults; the first row in order wins
+    NET_HEADER + "\nA,a,b,nan,1\n",
+    NET_HEADER + "\nA,a,b,1,1.5\n",
+    NET_HEADER + "\nA,a,b,1,x\nB,b,c,-1,1\n",
+    NET_HEADER + "\nA,a,b,-1,1\nB,b,c,x,1\n",
+    NET_HEADER + "\nA,a,b,inf,1\n",
+    NET_HEADER + "\n,a,b,1,1\n",
+    NET_HEADER + "\nA,a,b,1,1\nA,b,c,1,1\n",
+    NET_HEADER + "\nA,a,b,1,1\nA,b,c,1,1\nB,c,d,?,1\n",
+    NET_HEADER + "\n",
+    "link_id,from_node,to_node,length_km\nA,a,b,1\n",
+    "",
+    # past the first block: a parse fault, a value fault, and a value fault
+    # in the first block before a parse fault in the second
+    _long_network(BLOCK_ROWS + 5, "X,a,b,1,one"),
+    _long_network(BLOCK_ROWS + 5, "X,a,b,0,1"),
+    _long_network(3, "X,a,b,0,1").replace(f"\nL{BLOCK_ROWS + 9},", "\nL,a,b,x,"),
+    _long_network(-1, ""),
+]
+
+
+def _network_values(network):
+    return [[(v, type(v)) for v in astuple(link)] for link in network.links]
+
+
+@pytest.mark.parametrize("doc", NETWORK_CORPUS)
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_load_network_matches_the_per_row_reference(doc, delimiter):
+    doc = doc.replace(",", delimiter)
+    try:
+        expected = _network_values(reference_load_network(io.StringIO(doc), delimiter))
+    except Exception as exc:
+        with pytest.raises(type(exc)) as err:
+            load_network(io.StringIO(doc), delimiter)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+    else:
+        assert _network_values(load_network(io.StringIO(doc), delimiter)) == expected
+
+
+SITE_HEADER = "detector_id,link_id,offset_fraction"
+SITES_CORPUS = [
+    SITES_DOC,
+    # an absent offset column, blank and short rows
+    "detector_id,link_id\nd1,A\n\n d2 , B \n , \n",
+    SITE_HEADER + "\nd1,A\nd2,B,\nd3,A, 0.25 \n",
+    SITE_HEADER + "\nd1\n",
+    # a repeated column reads its last cell
+    SITE_HEADER + ",offset_fraction\nd1,A,x,0.3\nd2,A,0.3,\n",
+    # parse faults and value faults; the first row in order wins
+    SITE_HEADER + "\nd1,A,nan\n",
+    SITE_HEADER + "\nd1,A,1.5\nd2,A,x\n",
+    SITE_HEADER + "\nd1,A,x\nd2,A,1.5\n",
+    SITE_HEADER + "\nd1,A,0.5\nd1,B,0.5\nd3,,0.5\n",
+    SITE_HEADER + "\nd1,A,0.5\nd2,Z,0.5\n",
+    SITE_HEADER + "\nd1,A,-0.0\nd2,B,1\nd3,B,inf\n",
+    "detector_id,offset_fraction\nd1,0.5\n",
+    "",
+    # past the first block
+    SITE_HEADER + "\n" + "".join(f"d{i},A,{i % 5 / 4}\n" for i in range(BLOCK_ROWS + 9))
+    + "e,B,one\n",
+    SITE_HEADER + "\n" + "".join(f"d{i},B,\n" for i in range(BLOCK_ROWS + 9)) + "d4,A,\n",
+]
+
+
+@pytest.mark.parametrize("doc", SITES_CORPUS)
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+@pytest.mark.parametrize("with_network", [False, True])
+def test_load_detector_sites_matches_the_per_row_reference(doc, delimiter, with_network):
+    doc = doc.replace(",", delimiter)
+    network = load_network(io.StringIO(NETWORK_DOC)) if with_network else None
+
+    def values(sites):
+        return [[(v, type(v)) for v in astuple(site)] for site in sites]
+
+    try:
+        expected = values(reference_load_detector_sites(io.StringIO(doc), network, delimiter))
+    except Exception as exc:
+        with pytest.raises(type(exc)) as err:
+            load_detector_sites(io.StringIO(doc), network, delimiter)
+        assert type(err.value) is type(exc)
+        assert str(err.value) == str(exc)
+    else:
+        assert values(load_detector_sites(io.StringIO(doc), network, delimiter)) == expected
 
 
 def test_offset_fraction_bounds():

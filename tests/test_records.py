@@ -8,6 +8,7 @@ from click.testing import CliRunner
 from sparsemfd.cli import main
 from sparsemfd.errors import ValidationError
 from sparsemfd.experiment import ExperimentConfig, VariogramSettings, load_experiment_config
+from sparsemfd.metrics import PairedTTestResult
 from sparsemfd.network import NETWORK_COLUMNS
 from sparsemfd.sensing import READINGS_HEADER, CoveragePlan, load_coverage_plan
 from sparsemfd.synth import SyntheticScenario, load_scenario
@@ -144,14 +145,27 @@ PLAN_TEXT = """\
 """
 
 
+# the mean difference and alpha are not stored
+TTEST = PairedTTestResult(2.5, 3, 0.0875, mean_difference=1.25, alpha=0.05, reject=False)
+TTEST_TEXT = """\
+{
+  "degrees_of_freedom": 3,
+  "p_value": 0.0875,
+  "reject": false,
+  "t_statistic": 2.5
+}
+"""
+
+
 @pytest.mark.parametrize(
     "value, text",
     [
         (SyntheticScenario(), DEFAULT_SCENARIO_TEXT),
         (FIXED_MODEL_CONFIG, FIXED_MODEL_CONFIG_TEXT),
         (PLAN, PLAN_TEXT),
+        (TTEST, TTEST_TEXT),
     ],
-    ids=["default-scenario", "fixed-model-config", "plan"],
+    ids=["default-scenario", "fixed-model-config", "plan", "t-test"],
 )
 def test_records_are_written_to_the_byte(tmp_path, value, text):
     path = tmp_path / "record.json"
@@ -194,6 +208,13 @@ MALFORMED = [
     pytest.param("scenario", {"variogram": MODEL}, "variogram model", id="model-without-range"),
     pytest.param(
         "plan", {**PLAN_PAYLOAD, "retained": ["d0"]}, "coverage plan", id="plan-with-unknown-key",
+    ),
+    # scalars of the wrong type
+    pytest.param("scenario", {"rows": "5"}, "scenario", id="rows-as-text"),
+    pytest.param("scenario", {"seed": 1.5}, "scenario", id="seed-as-float"),
+    pytest.param(
+        "config", {**CONFIG, "scenario": {}, "variogram": {"lag_bins": 2.5}},
+        "variogram settings", id="lag-bins-as-float",
     ),
 ]
 LOADERS = {
@@ -252,6 +273,36 @@ def test_a_record_keeps_the_text_of_its_own_validation_error():
         ExperimentConfig.from_dict({**CONFIG, "scenario": {}, "variogram": {"lag_bins": 0}})
     with pytest.raises(ValidationError, match="^range must be positive"):
         SyntheticScenario.from_dict({"variogram": {**MODEL, "range_km": -1}})
+
+
+@pytest.mark.parametrize(
+    "cls, payload, text",
+    [
+        (SyntheticScenario, {"seed": True}, "'seed' must be int, got True"),
+        (SyntheticScenario, {"rows": [5]}, "'rows' must be int, got [5]"),
+        (SyntheticScenario, {"cols": None}, "'cols' must be int, got None"),
+        (SyntheticScenario, {"noise_scale": False}, "'noise_scale' must be float, got False"),
+        (SyntheticScenario, {"density_noise_ratio": "0.5"},
+         "'density_noise_ratio' must be float or null, got '0.5'"),
+        (VariogramModel, {**MODEL, "kind": 1, "range_km": 1}, "'kind' must be str, got 1"),
+        (VariogramSettings, {"refit_per_bin": 1}, "'refit_per_bin' must be bool, got 1"),
+        (ExperimentConfig, {**CONFIG, "scenario": {}, "network_path": 3},
+         "'network_path' must be str or null, got 3"),
+    ],
+)
+def test_a_scalar_must_have_the_type_of_its_field(cls, payload, text):
+    with pytest.raises(ValidationError) as err:
+        cls.from_dict(payload)
+    assert str(err.value).endswith(text)
+
+
+def test_numbers_and_nulls_that_fit_their_fields_are_kept():
+    scenario = SyntheticScenario.from_dict(
+        {"noise_scale": 2, "density_noise_ratio": None, "rows": 4, "seed": 3}
+    )
+    assert (scenario.noise_scale, scenario.density_noise_ratio, scenario.rows) == (2, None, 4)
+    model = VariogramModel.from_dict({**MODEL, "range_km": 2.5})
+    assert (model.nugget, model.range_km) == (1, 2.5)
 
 
 def test_a_plan_converts_its_fraction_and_seed(tmp_path):

@@ -13,7 +13,6 @@ from sparsemfd.kriging import impute_network
 from sparsemfd.network import DetectorSite, Link, Network, midpoint_sites
 from sparsemfd.scaling import uniform_scaled_mean
 from sparsemfd.sensing import (
-    READING_COLUMNS,
     LinkObservation,
     aggregate_to_links,
     bin_arrays,
@@ -26,7 +25,7 @@ from sparsemfd.sensing import (
     sample_coverage_counts,
     write_readings,
 )
-from sparsemfd.tableio import BLOCK_ROWS, iter_rows, write_json
+from sparsemfd.tableio import BLOCK_ROWS, TEXT, read_table, write_json
 from conftest import (
     READING_BINS,
     make_reading_scenario,
@@ -184,7 +183,7 @@ def test_tables_reject_text_beyond_the_header(doc, line, delimiter):
     doc = doc.replace(",", delimiter)
     for read in (
         lambda: load_readings(io.StringIO(doc), delimiter),
-        lambda: list(iter_rows(io.StringIO(doc), READING_COLUMNS, delimiter)),
+        lambda: read_table(io.StringIO(doc), {"detector_id": TEXT}, delimiter).check(),
     ):
         with pytest.raises(SchemaError) as err:
             read()

@@ -7,59 +7,93 @@ import pytest
 from sparsemfd.errors import SchemaError
 from sparsemfd.tableio import (
     BLOCK_ROWS,
+    FLOAT,
+    INT,
+    INT64,
+    OPTIONAL_FLOAT,
+    TEXT,
     delimiter_for,
     format_value,
-    iter_rows,
-    parse_float,
-    parse_int,
-    parse_optional_float,
-    parse_str,
+    read_table,
     write_table,
 )
-from conftest import reference_iter_rows, reference_write_table
+from conftest import reference_read_table, reference_write_table
 
 
-def test_iter_rows_from_stream():
+def test_read_table_from_stream():
     text = "a,b\n1,2\n\n3,4\n"
-    rows = list(iter_rows(io.StringIO(text), ("a", "b")))
-    assert [lineno for lineno, _ in rows] == [2, 4]
-    assert rows[0][1]["a"] == "1"
+    table = read_table(io.StringIO(text), {"a": TEXT, "b": TEXT})
+    assert table.lines == [2, 4]
+    assert table["a"][0] == "1"
+    assert table.fault is None
 
 
-def test_iter_rows_missing_column():
+def test_read_table_missing_column():
     with pytest.raises(SchemaError) as err:
-        list(iter_rows(io.StringIO("a,b\n1,2\n"), ("a", "c")))
+        read_table(io.StringIO("a,b\n1,2\n"), {"a": TEXT, "c": TEXT})
     assert err.value.field == "c"
 
 
-def test_iter_rows_empty_document():
+def test_read_table_empty_document():
     with pytest.raises(SchemaError):
-        list(iter_rows(io.StringIO(""), ("a",)))
+        read_table(io.StringIO(""), {"a": TEXT})
 
 
-def test_parse_float_rejects_nan_and_text():
-    row = {"x": "nan", "y": "abc", "z": "2.5"}
+def _one_cell(kind, text, line):
+    """The table of one cell ``text`` of kind ``kind`` on line ``line``,
+    beside a text cell that keeps its row from being blank."""
+    doc = "v,w\n" + "\n" * (line - 2) + f"{text},x\n"
+    return read_table(io.StringIO(doc), {"v": kind, "w": TEXT})
+
+
+def test_float_cells_reject_nan_and_text():
     with pytest.raises(SchemaError):
-        parse_float(row, "x", 3)
+        _one_cell(FLOAT, "nan", 3).check()
     with pytest.raises(SchemaError) as err:
-        parse_float(row, "y", 3)
+        _one_cell(FLOAT, "abc", 3).check()
     assert err.value.line == 3
-    assert parse_float(row, "z", 3) == 2.5
+    assert _one_cell(FLOAT, "2.5", 3)["v"].tolist() == [2.5]
 
 
-def test_parse_int_and_str():
-    row = {"n": "7", "s": "  name  ", "bad": "7.5", "empty": ""}
-    assert parse_int(row, "n", 2) == 7
-    assert parse_str(row, "s", 2) == "name"
+def test_int_and_text_cells():
+    assert _one_cell(INT, "7", 2)["v"] == [7]
+    assert _one_cell(TEXT, "  name  ", 2)["v"] == ["name"]
     with pytest.raises(SchemaError):
-        parse_int(row, "bad", 2)
+        _one_cell(INT, "7.5", 2).check()
     with pytest.raises(SchemaError):
-        parse_str(row, "empty", 2)
+        _one_cell(TEXT, "", 2).check()
 
 
-def test_parse_optional_float_blank_gives_default():
-    assert parse_optional_float({"v": ""}, "v", 2) is None
-    assert parse_optional_float({"v": "1.5"}, "v", 2) == 1.5
+def test_a_blank_optional_float_cell_is_nan():
+    assert math.isnan(_one_cell(OPTIONAL_FLOAT, "", 2)["v"][0])
+    assert _one_cell(OPTIONAL_FLOAT, "1.5", 2)["v"].tolist() == [1.5]
+
+
+def test_a_faulty_row_stops_the_table_after_the_rows_before_it():
+    doc = "a,b\n1,2.5\n\n3,x\n4,1\n"
+    table = read_table(io.StringIO(doc), {"a": INT, "b": FLOAT})
+    assert (table.lines, table["a"], table["b"].tolist()) == ([2], [1], [2.5])
+    assert list(table.rows()) == [(1, 2.5)]
+    assert str(table.fault) == "not a number: 'x' [field 'b'] [line 4]"
+    with pytest.raises(SchemaError) as err:
+        table.check()
+    assert err.value is table.fault
+
+
+def test_columns_have_the_types_of_their_kinds():
+    doc = "t,i,j,f\nx,99999999999999999999,-3,1e3\n"
+    schema = {"t": TEXT, "i": INT, "j": INT64, "f": FLOAT, "o": OPTIONAL_FLOAT}
+    table = read_table(io.StringIO(doc), schema)
+    assert table["t"] == ["x"] and table["i"] == [99999999999999999999]
+    assert table["j"].dtype == np.int64 and table["j"].tolist() == [-3]
+    assert table["f"].dtype == float and math.isnan(table["o"][0])
+    empty = read_table(io.StringIO("t,i,j,f\n"), {"t": TEXT, "i": INT, "j": INT64, "f": FLOAT})
+    assert (empty["t"], empty["i"], empty["j"].dtype, empty["f"].dtype) == ([], [], np.int64, float)
+
+
+def test_a_schema_needs_a_required_field():
+    with pytest.raises(ValueError, match="needs a field that is not OPTIONAL_FLOAT"):
+        read_table(io.StringIO("a\n1\n"), {"a": OPTIONAL_FLOAT})
 
 
 def test_format_value():
@@ -73,52 +107,90 @@ def test_format_value():
 def test_write_table_round_trip(tmp_path):
     path = tmp_path / "t.csv"
     write_table(path, ("a", "b"), [(1, 2.5), ("x", None)])
-    rows = list(iter_rows(path, ("a", "b")))
-    assert rows[0][1] == {"a": "1", "b": "2.5"}
-    assert rows[1][1] == {"a": "x", "b": ""}
+    table = read_table(path, {"a": TEXT, "b": OPTIONAL_FLOAT})
+    assert table["a"] == ["1", "x"]
+    assert table["b"][0] == 2.5 and math.isnan(table["b"][1])
 
 
-@pytest.mark.parametrize(
-    "doc",
-    [
-        "a,b\n1,2\n",
-        "a,b\n1,2\n\n\n3,4\n   \n ,\n5,6",
-        # a short row, a long row whose extra cells are blank
-        "a,b,c\n1\n1,2,3,, \n",
-        # a repeated name reads its last column
-        "a,b,a\n1,2,3\n1,2\n,2,\n1\n",
-        # quoted cells over several lines, with CRLF and CR line ends
-        'a,b\r\n"x\r\ny",2\r\n\r\n"p,q",""""\r\n',
-        'a,b\r"x\ry",2\r3,4\r',
-        "\na,b\n1,2\n",
-        "a,b\n",
-        "",
-        # a document over several blocks, with two-line cells in each
-        "a,b\n" + "".join(
-            f'"{i}\n",{i}\n' if i % 300 == 0 else ("\n" if i % 7 == 0 else f"{i},{i}\n")
-            for i in range(2 * BLOCK_ROWS + 11)
-        ),
-    ],
-)
+SCHEMAS = {
+    "text": {"a": TEXT},
+    "optional beside text": {"b": TEXT, "a": OPTIONAL_FLOAT},
+    "int": {"b": INT},
+    "int64 and text": {"a": INT64, "c": TEXT},
+    "float beside an absent optional": {"b": FLOAT, "z": OPTIONAL_FLOAT},
+}
+READ_CASES = [
+    "a,b\n1,2\n",
+    "a,b\n1,2\n\n\n3,4\n   \n ,\n5,6",
+    # a short row, a long row whose extra cells are blank
+    "a,b,c\n1\n1,2,3,, \n",
+    "a,b,c\n1,2,3\n4,5\n",
+    # a repeated name reads its last column
+    "a,b,a\n1,2,3\n1,2\n,2,\n1\n",
+    # quoted cells over several lines, with CRLF and CR line ends
+    'a,b\r\n"x\r\ny",2\r\n\r\n"p,q",""""\r\n',
+    'a,b\r"x\ry",2\r3,4\r',
+    "\na,b\n1,2\n",
+    "a,b\n",
+    "",
+    # malformed cells: NaN, text in numbers, a bin beyond 64 bits, blanks
+    "a,b,c\n1,2,x\nnan,1,y\n",
+    "a,b,c\n 2 , 1_000 ,x\n3,1.5,y\n",
+    "a,b,c\n1,+2,x\n99999999999999999999,3,y\n",
+    "a,b,c\n-1,2,x\n,3,y\n1,4,\n",
+    "a,b,c\ninf,-0,x\n1e3,2,x\n",
+    # a document over several blocks, with two-line cells in each
+    "a,b\n" + "".join(
+        f'"{i}\n",{i}\n' if i % 300 == 0 else ("\n" if i % 7 == 0 else f"{i},{i}\n")
+        for i in range(2 * BLOCK_ROWS + 11)
+    ),
+    # faults past the first block
+    "a,b,c\n" + "".join(f"{i},{i},x\n" for i in range(BLOCK_ROWS + 20)) + "1,nan,x\n,1,\n",
+    "a,b,c\n" + "".join(f"{i},{i},x\n" for i in range(BLOCK_ROWS + 20)) + "1,1\n1,1,x\n",
+]
+
+
+@pytest.mark.parametrize("doc", READ_CASES)
+@pytest.mark.parametrize("schema", list(SCHEMAS))
 @pytest.mark.parametrize("from_path", [False, True])
-def test_iter_rows_matches_the_dict_reader(doc, from_path, tmp_path):
+def test_read_table_matches_the_per_cell_reference(doc, schema, from_path, tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(doc, newline="")
+    schema = SCHEMAS[schema]
 
-    def rows(read):
-        source = path if from_path else io.StringIO(doc, newline="")
-        try:
-            return list(read(source, ("a",)))
-        except SchemaError as exc:
-            return str(exc)
+    def source():
+        return path if from_path else io.StringIO(doc, newline="")
 
-    assert rows(iter_rows) == rows(reference_iter_rows)
+    try:
+        table = read_table(source(), schema)
+    except SchemaError as exc:
+        # a header fault: no rows
+        actual = ([], {field: [] for field in schema}, str(exc))
+    else:
+        columns = {
+            f: c.tolist() if isinstance(c, np.ndarray) else c for f, c in table.columns.items()
+        }
+        actual = (table.lines, columns, None if table.fault is None else str(table.fault))
+    assert _nan_as_text(actual) == _nan_as_text(reference_read_table(source(), schema))
 
 
-def test_iter_rows_rejects_text_beyond_the_header():
+def _nan_as_text(result):
+    """``(lines, columns, fault)`` with every NaN value as the text "NaN",
+    so that results compare with ``==``."""
+    lines, columns, fault = result
+    columns = {
+        field: ["NaN" if isinstance(v, float) and math.isnan(v) else v for v in values]
+        for field, values in columns.items()
+    }
+    return lines, columns, fault
+
+
+def test_read_table_rejects_text_beyond_the_header():
     doc = "a,b,c\n1\n1,2,3,4\n,,,x\n"
+    table = read_table(io.StringIO(doc), {"a": TEXT})
+    assert table.lines == [2]
     with pytest.raises(SchemaError) as err:
-        list(iter_rows(io.StringIO(doc), ("a",)))
+        table.check()
     assert str(err.value) == "text beyond the 3 columns of the header [line 3]"
 
 
