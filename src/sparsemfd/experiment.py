@@ -244,9 +244,9 @@ class ExperimentConfig:
     and the cells still produce estimates.
     """
 
-    coverages: tuple
-    seeds: tuple
-    estimators: tuple = ESTIMATOR_NAMES
+    coverages: tuple[float, ...]
+    seeds: tuple[int, ...]
+    estimators: tuple[str, ...] = ESTIMATOR_NAMES
     scenario: SyntheticScenario | None = None
     network_path: str | None = None
     sites_path: str | None = None

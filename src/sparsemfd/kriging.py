@@ -20,7 +20,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .network import cross_distance_matrix, midpoint_sites, site_distance_matrix
+from .network import _distances, _symmetric, midpoint_sites
 from .sensing import bin_arrays, detector_mask, value_field
 from .variogram import MODEL_KINDS, distance_bin_edges, empirical_variogram, fit_variogram, gamma
 
@@ -257,12 +257,15 @@ class ImputationDistances:
 
     @classmethod
     def build(cls, network, sites):
-        targets = midpoint_sites(network)
+        sites = tuple(sites)
+        # one shortest-path run for both blocks: the columns are the sites,
+        # then the link midpoints
+        distances = _distances(network, sites, sites + midpoint_sites(network))
         return cls(
             site_ids=tuple(s.detector_id for s in sites),
             site_links=np.array([network.position(s.link_id) for s in sites], dtype=np.intp),
-            between_sites=site_distance_matrix(network, sites),
-            site_to_target=cross_distance_matrix(network, sites, targets),
+            between_sites=_symmetric(distances[:, :len(sites)]),
+            site_to_target=distances[:, len(sites):],
         )
 
     def site_mask(self, site_ids):

@@ -217,43 +217,120 @@ def _anchors(network, sites, index):
     )
 
 
+def _node_graph(network):
+    """Node numbering and neighbour lists of the graph between distinct nodes.
+
+    Nodes are numbered in breadth-first order, each component from its
+    smallest unvisited node id, so that numbers close together are close in
+    the graph. Parallel links count with the shortest of them and self-loops
+    are dropped. Returns the numbering and, per node, its neighbours'
+    numbers and the link lengths to them.
+    """
+    shortest = {}
+    for link in network.links:
+        a, b = link.from_node, link.to_node
+        if a != b:
+            pair = (a, b) if a < b else (b, a)
+            shortest[pair] = min(link.length_km, shortest.get(pair, math.inf))
+    adjacent = {node: {} for node in network.nodes}
+    for (a, b), length in shortest.items():
+        adjacent[a][b] = length
+        adjacent[b][a] = length
+
+    index = {}
+    for root in sorted(adjacent):
+        if root in index:
+            continue
+        index[root] = len(index)
+        queue = [root]
+        for node in queue:
+            for near in sorted(adjacent[node]):
+                if near not in index:
+                    index[near] = len(index)
+                    queue.append(near)
+    order = sorted(adjacent, key=index.__getitem__)
+    neighbors = [np.array([index[m] for m in adjacent[v]], dtype=np.intp) for v in order]
+    lengths = [np.array(list(adjacent[v].values()), dtype=float) for v in order]
+    return index, neighbors, lengths
+
+
+# nodes relaxed together in one step of a sweep
+SWEEP_BLOCK = 4
+
+
+def _shortest_paths(neighbors, lengths, sources):
+    """Shortest path lengths from each source node to every node.
+
+    ``neighbors`` and ``lengths`` list each node's neighbours and the
+    positive link lengths to them, as ``_node_graph`` returns them. The
+    result has one row per node, plus a last row of inf, and one column per
+    source; unreachable nodes are inf.
+
+    The rows relax to the fixed point of ``d[v] = min_u (d[u] + w_uv)``
+    over the links ``u-v``, with 0 at the source (Bellman 1958):
+    Gauss-Seidel sweeps over blocks of ``SWEEP_BLOCK`` consecutive nodes,
+    alternately forward and backward, until a sweep changes nothing. Each
+    block reads the rows its earlier blocks wrote in the same sweep, so in
+    breadth-first numbering a few sweeps suffice. With positive lengths the rounded sum ``d[u] + w_uv``
+    is never below ``d[u]``, the fixed point is unique, and it is the one
+    Dijkstra's algorithm reaches: the distances match it bit for bit.
+    """
+    n = len(neighbors)
+    padding = n  # the inf row that pads short neighbour lists
+    dist = np.full((n + 1, len(sources)), np.inf)
+    dist[sources, np.arange(len(sources))] = 0.0
+    blocks = []
+    for start in range(0, n, SWEEP_BLOCK):
+        stop = min(start + SWEEP_BLOCK, n)
+        degree = max(len(near) for near in neighbors[start:stop])
+        if degree == 0:
+            continue
+        near = np.full((stop - start, degree), padding, dtype=np.intp)
+        length = np.full((stop - start, degree, 1), np.inf)
+        for row, v in enumerate(range(start, stop)):
+            near[row, :len(neighbors[v])] = neighbors[v]
+            length[row, :len(lengths[v]), 0] = lengths[v]
+        blocks.append((dist[start:stop], near.ravel(), length))
+
+    changed = True
+    while changed:
+        changed = False
+        for rows, near, length in blocks:
+            reach = dist[near].reshape(length.shape[0], length.shape[1], -1)
+            reach += length
+            best = reach.min(axis=1)
+            if (best < rows).any():
+                np.minimum(rows, best, out=rows)
+                changed = True
+        blocks.reverse()
+    return dist
+
+
 def _distances(network, sites, targets):
     """Along-network distances from each site (rows) to each target (columns).
 
     The path runs from a site to one end node of its link, through the
     graph, then from an end node of the target's link to the target; all
     four endpoint pairings are tried. A site and a target sharing a link may
-    also connect directly along it. Parallel links count with the shortest
-    of them and self-loop links never shorten a path between nodes.
+    also connect directly along it. Node-to-node distances come from
+    ``_shortest_paths``, with the end nodes of the sites' links as sources.
     Unreachable pairs are inf.
     """
-    # Imported here, its only use, so that importing the package does not
-    # load scipy.sparse (about 0.1 s of every start-up).
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import dijkstra
-
-    index = {node: i for i, node in enumerate(sorted(network.nodes))}
-    n = len(index)
-    # coo_matrix would sum parallel links, so keep the shortest per node pair
-    shortest = {}
-    for link in network.links:
-        pair = tuple(sorted((index[link.from_node], index[link.to_node])))
-        if pair[0] != pair[1] and link.length_km < shortest.get(pair, math.inf):
-            shortest[pair] = link.length_km
-    ends = np.array(list(shortest), dtype=np.intp).reshape(-1, 2)
-    graph = csr_matrix((list(shortest.values()), (ends[:, 0], ends[:, 1])), shape=(n, n))
-
+    index, neighbors, lengths = _node_graph(network)
     s_link, s_from, s_to, s_from_off, s_to_off = _anchors(network, sites, index)
     t_link, t_from, t_to, t_from_off, t_to_off = _anchors(network, targets, index)
     sources = np.unique(np.concatenate([s_from, s_to]))
-    node_dist = dijkstra(graph, directed=False, indices=sources)
+    # one row per source, for row-wise gathers below
+    node_dist = _shortest_paths(neighbors, lengths, sources).T.copy()
 
     same_link = s_link[:, None] == t_link[None, :]
     best = np.where(same_link, np.abs(s_from_off[:, None] - t_from_off[None, :]), np.inf)
     for s_node, s_off in ((s_from, s_from_off), (s_to, s_to_off)):
         rows = np.searchsorted(sources, s_node)[:, None]
         for t_node, t_off in ((t_from, t_from_off), (t_to, t_to_off)):
-            through = s_off[:, None] + node_dist[rows, t_node[None, :]] + t_off[None, :]
+            through = node_dist[rows, t_node[None, :]]
+            through += s_off[:, None]
+            through += t_off
             np.minimum(best, through, out=best)
     return best
 
@@ -264,7 +341,12 @@ def site_distance_matrix(network, sites):
     Unreachable pairs are marked with inf rather than raised, so a partly
     disconnected network still yields a usable matrix. The diagonal is zero.
     """
-    upper = np.triu(_distances(network, sites, sites), k=1)
+    return _symmetric(_distances(network, sites, sites))
+
+
+def _symmetric(square):
+    """The upper triangle of ``square`` mirrored below a zero diagonal."""
+    upper = np.triu(square, k=1)
     return upper + upper.T
 
 

@@ -27,7 +27,7 @@ import os
 from dataclasses import dataclass, fields, is_dataclass
 from itertools import chain, islice
 from types import NoneType
-from typing import get_args, get_type_hints
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -368,9 +368,11 @@ def record(cls, payload, what, **convert):
     A field annotated with a scalar type (``int``, ``float``, ``str`` or
     ``bool``, optionally ``| None``) and no converter must hold a value of
     that type: an int for ``int``, an int or a float for ``float``, never a
-    bool for a number. A missing or unknown key, or a value of the wrong
-    type or shape, raises ``ValidationError`` "malformed {what}: ..."; a
-    ``ValidationError`` of ``cls`` itself passes through.
+    bool for a number. A field annotated ``tuple[scalar, ...]`` must hold a
+    list, not a string, whose items each fit the scalar so. A missing or
+    unknown key, or a value of the wrong type or shape, raises
+    ``ValidationError`` "malformed {what}: ..."; a ``ValidationError`` of
+    ``cls`` itself passes through.
     """
     try:
         if not isinstance(payload, dict):
@@ -384,7 +386,7 @@ def record(cls, payload, what, **convert):
                 value = convert[name](value)
             else:
                 if name in annotations:
-                    _check_scalar(name, value, annotations[name])
+                    _check_field(name, value, annotations[name])
                 if isinstance(value, list):
                     value = tuple(value)
             values[name] = value
@@ -397,16 +399,31 @@ def record(cls, payload, what, **convert):
 _SCALARS = {int: (int,), float: (int, float), str: (str,), bool: (bool,)}
 
 
-def _check_scalar(name, value, annotation):
-    """Raise ``TypeError`` when ``value`` does not fit a scalar ``annotation``;
-    other annotations are left to the dataclass."""
+def _check_field(name, value, annotation):
+    """Raise ``TypeError`` when ``value`` does not fit ``annotation``, a
+    scalar type or ``tuple[scalar, ...]``; other annotations are left to the
+    dataclass."""
+    if get_origin(annotation) is tuple and get_args(annotation)[1:] == (Ellipsis,):
+        if not isinstance(value, (list, tuple)):
+            raise TypeError(f"'{name}' must be a list, got {value!r}")
+        for item in value:
+            expected = _misfit(item, get_args(annotation)[0])
+            if expected:
+                raise TypeError(f"'{name}' items must be {expected}, got {item!r}")
+        return
+    expected = _misfit(value, annotation)
+    if expected:
+        raise TypeError(f"'{name}' must be {expected}, got {value!r}")
+
+
+def _misfit(value, annotation):
+    """What a scalar ``annotation`` takes, if ``value`` does not fit it;
+    None if it fits or the annotation is not a scalar one."""
     options = get_args(annotation) or (annotation,)
     if not set(options) <= {*_SCALARS, NoneType} or (value is None and NoneType in options):
-        return
+        return None
     if isinstance(value, bool):
         fits = bool in options
     else:
         fits = isinstance(value, tuple(chain.from_iterable(_SCALARS.get(t, ()) for t in options)))
-    if not fits:
-        expected = " or ".join("null" if t is NoneType else t.__name__ for t in options)
-        raise TypeError(f"'{name}' must be {expected}, got {value!r}")
+    return None if fits else " or ".join("null" if t is NoneType else t.__name__ for t in options)

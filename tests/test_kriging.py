@@ -31,7 +31,15 @@ from sparsemfd.kriging import (
     solve_kriging,
 )
 from sparsemfd.experiment import VariogramSettings, estimate_bins, field_rows
-from sparsemfd.network import DetectorSite, Link, Network, midpoint_sites
+from sparsemfd import network as network_module
+from sparsemfd.network import (
+    DetectorSite,
+    Link,
+    Network,
+    cross_distance_matrix,
+    midpoint_sites,
+    site_distance_matrix,
+)
 from sparsemfd.sensing import LinkObservation, reading_columns
 from sparsemfd.synth import corridor_network, grid_network
 from sparsemfd.variogram import VariogramModel, gamma
@@ -478,6 +486,35 @@ def test_impute_validates_observations():
         impute_network(net, mixed, sites, model=model)
     with pytest.raises(ValueError):
         impute_network(net, obs, sites, model=model, variable="speed")
+
+
+def test_imputation_distances_take_one_shortest_path_run(monkeypatch):
+    net = grid_network(4, 5)
+    # sites off the midpoints, two on one link, and a link without a site
+    sites = tuple(
+        DetectorSite(f"d{i}", link.id, (0.0, 0.3, 1.0)[i % 3])
+        for i, link in enumerate(net.links[1:] + net.links[2:3])
+    )
+    kernel = network_module._shortest_paths
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(network_module, "_shortest_paths", counted)
+    distances = ImputationDistances.build(net, sites)
+    assert len(calls) == 1
+    monkeypatch.undo()
+
+    between = distances.between_sites
+    expected = site_distance_matrix(net, sites)
+    assert between.shape == expected.shape and between.tobytes() == expected.tobytes()
+    assert np.array_equal(between, between.T)
+    assert not np.diag(between).any()
+    cross = cross_distance_matrix(net, sites, midpoint_sites(net))
+    assert distances.site_to_target.shape == cross.shape
+    assert distances.site_to_target.tobytes() == cross.tobytes()
 
 
 def test_known_site_ids_must_name_detector_sites():

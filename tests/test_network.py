@@ -1,8 +1,9 @@
 """Network model and along-graph distances.
 
-The distance checks are backed by an independent oracle: node-to-node
+The distance checks are backed by independent oracles: node-to-node
 shortest paths via Floyd-Warshall plus explicit endpoint pairing, written
-from scratch here so the production Dijkstra path never verifies itself.
+from scratch here so the production path never verifies itself, and
+scipy's Dijkstra, which the shortest-path kernel must match bit for bit.
 """
 
 import io
@@ -23,12 +24,15 @@ from sparsemfd.network import (
     DetectorSite,
     Link,
     Network,
+    _node_graph,
+    _shortest_paths,
     cross_distance_matrix,
     load_detector_sites,
     load_network,
     midpoint_sites,
     site_distance_matrix,
 )
+from sparsemfd.synth import grid_network
 from sparsemfd.tableio import BLOCK_ROWS
 from conftest import reference_load_detector_sites, reference_load_network
 
@@ -496,6 +500,93 @@ def test_distance_metric_properties(case):
                 assert d[i, j] <= d[i, k] + d[k, j] + 1e-9
 
 
+# --- shortest-path kernel against Dijkstra ----------------------------------------
+
+
+def _dijkstra_oracle(network, index, sources):
+    """scipy's Dijkstra over the shortest of parallel links, self-loops dropped."""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
+
+    shortest = {}
+    for link in network.links:
+        i, j = sorted((index[link.from_node], index[link.to_node]))
+        if i != j and link.length_km < shortest.get((i, j), math.inf):
+            shortest[(i, j)] = link.length_km
+    ends = np.array(list(shortest), dtype=np.intp).reshape(-1, 2)
+    n = len(index)
+    graph = csr_matrix((list(shortest.values()), (ends[:, 0], ends[:, 1])), shape=(n, n))
+    return dijkstra(graph, directed=False, indices=sources)
+
+
+def _assert_kernel_matches_dijkstra(network, sources):
+    index, neighbors, lengths = _node_graph(network)
+    got = _shortest_paths(neighbors, lengths, sources)
+    assert got.shape == (len(network.nodes) + 1, len(sources))
+    assert np.isinf(got[-1]).all()
+    assert np.array_equal(got[:-1].T, _dijkstra_oracle(network, index, sources))
+
+
+# tied lengths, and a link 1e18 times shorter than its neighbours
+_KERNEL_LENGTHS = (0.65, 0.625, 0.235, 1.0, 0.5, 1e-18)
+
+
+def _random_multigraph(rng, components):
+    """Random tree-plus-extras components with parallel links, self-loops
+    and isolated nodes."""
+    links, nodes = [], []
+    for c in range(components):
+        names = [f"c{c}n{i}" for i in range(int(rng.integers(2, 31)))]
+        nodes += names
+        pairs = [(names[int(rng.integers(0, i))], names[i]) for i in range(1, len(names))]
+        for _ in range(int(rng.integers(0, len(names) + 1))):
+            a, b = rng.integers(0, len(names), size=2)
+            pairs.append((names[a], names[b]))
+        pairs += [pairs[int(k)][::-1] for k in rng.integers(0, len(pairs), size=3)]
+        for a, b in pairs:
+            length = (
+                float(rng.choice(_KERNEL_LENGTHS)) if rng.random() < 0.7
+                else float(rng.uniform(0.01, 2.0))
+            )
+            links.append(Link(f"L{len(links)}", a, b, length, 1))
+    nodes += [f"lone{i}" for i in range(int(rng.integers(0, 3)))]
+    return Network(links, nodes=nodes)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_kernel_matches_dijkstra_on_random_graphs(seed):
+    rng = np.random.default_rng(seed)
+    network = _random_multigraph(rng, components=1 + seed % 2)
+    n = len(network.nodes)
+    _assert_kernel_matches_dijkstra(network, np.arange(n))
+    subset = np.unique(rng.integers(0, n, size=int(rng.integers(1, n + 1))))
+    _assert_kernel_matches_dijkstra(network, subset)
+
+
+def test_kernel_matches_dijkstra_next_to_vanishing_links():
+    # a 1e-18 km link adds nothing to a 1 km path when rounded, so ties
+    # between paths of different hop counts come out of the float sums
+    links = [Link(f"r{i}", f"n{i}", f"n{i + 1}", 1.0, 1) for i in range(6)]
+    links += [Link(f"s{i}", f"n{i}", f"m{i}", 1e-18, 1) for i in range(6)]
+    links += [Link(f"t{i}", f"m{i}", f"n{i + 1}", 1.0, 1) for i in range(6)]
+    network = Network(links)
+    _assert_kernel_matches_dijkstra(network, np.arange(len(network.nodes)))
+
+
+def test_kernel_matches_dijkstra_on_the_30x30_default_grid():
+    network = grid_network(30, 30)
+    _assert_kernel_matches_dijkstra(network, np.arange(len(network.nodes)))
+
+
+def test_kernel_without_links_between_nodes():
+    # a self-loop alone leaves one node and no neighbour
+    network = Network((Link("L", "a", "a", 1.0, 1),), nodes=("a", "b"))
+    index, neighbors, lengths = _node_graph(network)
+    got = _shortest_paths(neighbors, lengths, np.array([index["a"]]))
+    assert got[index["a"], 0] == 0.0
+    assert np.isinf(got[index["b"], 0]) and np.isinf(got[-1, 0])
+
+
 # --- dependencies -------------------------------------------------------------
 
 
@@ -511,3 +602,16 @@ def test_import_does_not_load_networkx():
             "assert not loaded, loaded"
         )
         subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def test_synthesis_loads_no_scipy():
+    # along-network distances are computed with numpy alone
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparsemfd.__file__)))
+    code = (
+        "import sys; "
+        "from sparsemfd.synth import SyntheticScenario, generate_scenario; "
+        "generate_scenario(SyntheticScenario(rows=4, cols=4)); "
+        "loaded = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')); "
+        "assert not loaded, loaded"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)

@@ -216,6 +216,15 @@ MALFORMED = [
         "config", {**CONFIG, "scenario": {}, "variogram": {"lag_bins": 2.5}},
         "variogram settings", id="lag-bins-as-float",
     ),
+    # lists of the wrong type, or not lists at all
+    pytest.param(
+        "config", {**CONFIG, "seeds": [1.5], "scenario": {}}, "experiment config",
+        id="seed-list-with-a-float",
+    ),
+    pytest.param(
+        "config", {**CONFIG, "estimators": "uniform", "scenario": {}}, "experiment config",
+        id="estimators-as-text",
+    ),
 ]
 LOADERS = {
     "config": load_experiment_config, "scenario": load_scenario, "plan": load_coverage_plan,
@@ -288,6 +297,18 @@ def test_a_record_keeps_the_text_of_its_own_validation_error():
         (VariogramSettings, {"refit_per_bin": 1}, "'refit_per_bin' must be bool, got 1"),
         (ExperimentConfig, {**CONFIG, "scenario": {}, "network_path": 3},
          "'network_path' must be str or null, got 3"),
+        (ExperimentConfig, {**CONFIG, "seeds": [0, 1.5], "scenario": {}},
+         "'seeds' items must be int, got 1.5"),
+        (ExperimentConfig, {**CONFIG, "seeds": [True], "scenario": {}},
+         "'seeds' items must be int, got True"),
+        (ExperimentConfig, {**CONFIG, "coverages": [False], "scenario": {}},
+         "'coverages' items must be float, got False"),
+        (ExperimentConfig, {**CONFIG, "estimators": "uniform", "scenario": {}},
+         "'estimators' must be a list, got 'uniform'"),
+        (ExperimentConfig, {**CONFIG, "estimators": ["uniform", 2], "scenario": {}},
+         "'estimators' items must be str, got 2"),
+        (ExperimentConfig, {**CONFIG, "seeds": 0, "scenario": {}},
+         "'seeds' must be a list, got 0"),
     ],
 )
 def test_a_scalar_must_have_the_type_of_its_field(cls, payload, text):
@@ -303,6 +324,10 @@ def test_numbers_and_nulls_that_fit_their_fields_are_kept():
     assert (scenario.noise_scale, scenario.density_noise_ratio, scenario.rows) == (2, None, 4)
     model = VariogramModel.from_dict({**MODEL, "range_km": 2.5})
     assert (model.nugget, model.range_km) == (1, 2.5)
+    config = ExperimentConfig.from_dict(
+        {"coverages": [1, 0.5], "seeds": [3, 1], "estimators": ["uniform"], "scenario": {}}
+    )
+    assert (config.coverages, config.seeds, config.estimators) == ((1, 0.5), (3, 1), ("uniform",))
 
 
 def test_a_plan_converts_its_fraction_and_seed(tmp_path):
