@@ -10,6 +10,7 @@ for one configuration and seed set are byte-for-byte reproducible.
 from __future__ import annotations
 
 import json
+import numbers
 import os
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -165,9 +166,10 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
     of its first estimable bin. A given model (``fixed_model``, or the one
     ``refit_per_bin=False`` reuses) has its kriging weights solved once per
     distinct set of observed links and applied to every bin and variable
-    observed there; the weights are held for this call only. ``sites``,
-    ``distances`` and ``known_site_ids`` are those of ``impute_network``;
-    the distances are built once when omitted.
+    observed there, and so are the lag bins of per-bin refits; both are
+    held for this call only. ``sites``, ``distances`` and
+    ``known_site_ids`` are those of ``impute_network``; the distances are
+    built once when omitted.
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ValidationError(f"unknown estimator '{estimator}'")
@@ -257,7 +259,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "coverages", tuple(self.coverages))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        seeds = tuple(self.seeds)
+        for s in seeds:
+            # int() would truncate a float seed without a word
+            if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+                raise ValidationError(f"seeds must be integers, got {s!r}")
+        object.__setattr__(self, "seeds", tuple(int(s) for s in seeds))
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.coverages:
             raise ValidationError("need at least one coverage fraction")

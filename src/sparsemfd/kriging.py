@@ -22,7 +22,7 @@ from .errors import (
 )
 from .network import _distances, _symmetric, midpoint_sites
 from .sensing import bin_arrays, detector_mask, value_field
-from .variogram import MODEL_KINDS, distance_bin_edges, empirical_variogram, fit_variogram, gamma
+from .variogram import MODEL_KINDS, distance_bin_edges, fit_variogram, gamma, lag_pairs
 
 PROVENANCE_OBSERVED = "observed"
 PROVENANCE_IMPUTED = "imputed"
@@ -361,22 +361,28 @@ def impute_observed(bin_index, values, observed, distances, model=None, variable
     ``values`` off the observed links is ignored. ``retained`` is the
     ``distances.site_mask`` of ``known_site_ids``. ``shared_weights`` is an
     optional dict kept across calls with the same ``distances``,
-    ``retained`` and neighbour limits: the kriging weights of every model,
-    given or fitted here, are stored there under ``(model, observed mask)``
-    and reused by a later call with the same key, since they do not depend
-    on the values.
+    ``retained`` and neighbour limits, since neither entry depends on the
+    values: the kriging weights of every model, given or fitted here, are
+    stored there under ``(model, observed mask)``, and the lag bins and
+    pairs of a fit (``variogram.lag_pairs``) under ``("lags", lag_bins,
+    observed mask)``, and reused by a later call with the same key.
     """
     known, known_values = known_sites(values, observed, distances.site_links, retained)
     unobserved = np.flatnonzero(~observed)
+    mask = observed.tobytes()
     batches = None
     if model is not None and shared_weights is not None:
-        batches = shared_weights.get((model, observed.tobytes()))
+        batches = shared_weights.get((model, mask))
     if batches is None:
         known_pairs = distances.between_sites[np.ix_(known, known)]
         if model is None:
-            edges = distance_bin_edges(known_pairs, n_bins=lag_bins)
-            empirical = empirical_variogram(known_values, known_pairs, edges)
-            model = fit_variogram(empirical, kinds=kinds, min_pairs=min_pairs)
+            lags_key = ("lags", lag_bins, mask)
+            lags = None if shared_weights is None else shared_weights.get(lags_key)
+            if lags is None:
+                lags = lag_pairs(known_pairs, distance_bin_edges(known_pairs, n_bins=lag_bins))
+                if shared_weights is not None:
+                    shared_weights[lags_key] = lags
+            model = fit_variogram(lags.variogram(known_values), kinds=kinds, min_pairs=min_pairs)
         batches = []
         if unobserved.size:
             _, batches = _kriging_weights(
@@ -387,7 +393,7 @@ def impute_observed(bin_index, values, observed, distances, model=None, variable
                 min_neighbors,
             )
         if shared_weights is not None:
-            shared_weights[(model, observed.tobytes())] = batches
+            shared_weights[(model, mask)] = batches
 
     field_values = np.where(observed, values, np.nan)
     imputed = np.zeros(observed.shape, dtype=bool)

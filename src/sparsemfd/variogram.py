@@ -7,8 +7,10 @@ the distance where the model has reached (almost) its sill.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,10 +24,16 @@ from .tableio import NOT_STORED, record
 
 MODEL_KINDS = ("spherical", "exponential", "gaussian")
 
-# The fitted range is searched over RANGE_GRID log-spaced values, then
-# refined to RANGE_XTOL in natural-log range.
+# The fitted range is searched within RANGE_LIMITS times the largest usable
+# lag: over RANGE_GRID log-spaced values, then by zoom rounds over the two
+# grid steps around the best one. Each round evaluates RANGE_ZOOM evenly
+# spaced log-ranges across the bracket and keeps the two spacings around the
+# best, until the bracket is RANGE_XTOL wide in natural-log range.
+RANGE_LIMITS = (1e-6, 1e3)
 RANGE_GRID = 128
+RANGE_ZOOM = 33
 RANGE_XTOL = 1e-9
+_ZOOM_STEPS = np.linspace(0.0, 1.0, RANGE_ZOOM)
 # Weighted RSS values closer than this relative gap (plus the same absolute
 # gap) count as a tie.
 RSS_TIE = 1e-15
@@ -163,14 +171,83 @@ def distance_bin_edges(distances, n_bins=15, lower_pct=1.0, upper_pct=95.0):
     return np.linspace(lo, hi, n_bins + 1)
 
 
+@dataclass(frozen=True, eq=False)
+class LagPairs:
+    """The usable site pairs of a distance matrix and their lag bins.
+
+    Built once per set of sites and bin edges by ``lag_pairs``, then shared
+    by every row of values observed at those sites. ``first`` and
+    ``second`` index the two sites of each pair and ``bins`` its lag bin, in
+    row-major order of the upper triangle; ``pair_counts`` holds the pairs
+    per bin. The arrays are read-only.
+    """
+
+    sites: int
+    bin_edges: np.ndarray
+    first: np.ndarray
+    second: np.ndarray
+    bins: np.ndarray
+    pair_counts: np.ndarray
+
+    def variogram(self, values):
+        """The empirical variogram of ``values``, one per site.
+
+        Each bin's squared differences are added in pair order, so the
+        semivariances are reproducible to the last bit.
+        """
+        vals = np.asarray(values, dtype=float)
+        if vals.shape != (self.sites,):
+            raise ValidationError(f"{vals.size} values for {self.sites} sites")
+        sq = (vals[self.first] - vals[self.second]) ** 2
+        sums = np.bincount(self.bins, weights=sq, minlength=self.pair_counts.size)
+        gammas = np.full(self.pair_counts.size, np.nan)
+        populated = self.pair_counts > 0
+        gammas[populated] = sums[populated] / (2.0 * self.pair_counts[populated])
+        return EmpiricalVariogram(
+            bin_edges=self.bin_edges, gamma_hat=gammas, pair_counts=self.pair_counts
+        )
+
+
+def lag_pairs(distances, bin_edges):
+    """Assign the unordered site pairs of a square distance matrix to lag bins.
+
+    Pairs with an unreachable (infinite) separation are dropped; if no pair
+    is usable at all an error is raised. Bins are left-closed and the last
+    also includes its right edge; pairs outside every bin are dropped.
+    """
+    dist = np.asarray(distances, dtype=float)
+    edges = np.array(bin_edges, dtype=float)
+    n_bins = edges.size - 1
+    iu, ju = np.triu_indices(dist.shape[0], k=1)
+    d = dist[iu, ju]
+    reachable = np.isfinite(d)
+    if not reachable.any():
+        raise EmptyVariogramError("every site pair is unreachable")
+
+    idx = np.searchsorted(edges, d, side="right") - 1
+    idx[d == edges[-1]] = n_bins - 1  # close the last bin on the right
+    in_bin = reachable & (idx >= 0) & (idx < n_bins) & (d <= edges[-1])
+    pairs = LagPairs(
+        sites=dist.shape[0],
+        bin_edges=edges,
+        first=iu[in_bin],
+        second=ju[in_bin],
+        bins=idx[in_bin],
+        pair_counts=np.bincount(idx[in_bin], minlength=n_bins),
+    )
+    for array in (edges, pairs.first, pairs.second, pairs.bins, pairs.pair_counts):
+        array.flags.writeable = False
+    return pairs
+
+
 def empirical_variogram(values, distances, bin_edges):
     """Bin half the squared differences of all unordered site pairs.
 
     ``values`` aligns with the rows of the square ``distances`` matrix.
-    Pairs with an unreachable (infinite) separation are dropped; if no pair
-    is usable at all the variogram is empty and an error is raised. Pairs
-    are accumulated in a fixed row-major order so results are reproducible
-    to the last bit.
+    This is ``lag_pairs(distances, bin_edges).variogram(values)``: pairs
+    with an unreachable (infinite) separation are dropped, an empty
+    variogram raises, and pairs are accumulated in a fixed row-major order
+    so results are reproducible to the last bit.
     """
     vals = np.asarray(values, dtype=float)
     dist = np.asarray(distances, dtype=float)
@@ -181,66 +258,81 @@ def empirical_variogram(values, distances, bin_edges):
         )
     if n < 2:
         raise InsufficientDataError("need at least two sites for a variogram")
-
-    edges = np.asarray(bin_edges, dtype=float)
-    n_bins = edges.size - 1
-    iu, ju = np.triu_indices(n, k=1)
-    d = dist[iu, ju]
-    reachable = np.isfinite(d)
-    if not reachable.any():
-        raise EmptyVariogramError("every site pair is unreachable")
-    sq = (vals[iu] - vals[ju]) ** 2
-    d = d[reachable]
-    sq = sq[reachable]
-
-    idx = np.searchsorted(edges, d, side="right") - 1
-    idx[d == edges[-1]] = n_bins - 1  # close the last bin on the right
-    in_bin = (idx >= 0) & (idx < n_bins) & (d <= edges[-1])
-
-    counts = np.zeros(n_bins, dtype=int)
-    sums = np.zeros(n_bins)
-    np.add.at(counts, idx[in_bin], 1)
-    np.add.at(sums, idx[in_bin], sq[in_bin])
-
-    gammas = np.full(n_bins, np.nan)
-    populated = counts > 0
-    gammas[populated] = sums[populated] / (2.0 * counts[populated])
-    return EmpiricalVariogram(bin_edges=edges, gamma_hat=gammas, pair_counts=counts)
+    return lag_pairs(dist, bin_edges).variogram(vals)
 
 
-def _linear_fits(kind, ranges, h, g, counts, sill_floor):
-    """Pair-weighted least-squares nugget and sill for each candidate range.
+class _Shapes(NamedTuple):
+    """Unit-sill shapes of candidate (kind, range) rows at the usable lags,
+    with the pair-weighted moments that no semivariance enters.
 
-    For a fixed range the model is linear in nugget and sill, so the
-    optimum under ``nugget >= 0`` and ``sill >= sill_floor`` is the
-    unconstrained one or lies on one of those two edges. All three are
-    solved in closed form for every range at once. Returns the arrays
-    ``(rss, nugget, sill)`` of shape ``(3, len(ranges))``: row 0 is the
-    pure-nugget solution (sill at its floor), row 1 the zero-nugget one,
-    row 2 the unconstrained one. Infeasible or overflowing solutions carry
-    an infinite weighted residual sum of squares.
+    Every moment is a sum along the lags of one row, so each row's figures
+    do not depend on which other rows are stacked with it.
     """
-    phi = _shape(kind, h, ranges[:, None])
-    w = counts / counts.sum()
+
+    phi: np.ndarray  # (rows, lags)
+    mean: np.ndarray  # weighted mean of each row
+    dev: np.ndarray  # phi minus its row mean
+    dev_sq: np.ndarray  # weighted mean of dev**2
+    sq: np.ndarray  # weighted mean of phi**2
+
+
+def _shapes(kinds, ranges, h, w):
+    """``_Shapes`` of the rows ``ranges[k]`` of each ``kinds[k]``, stacked."""
+    phi = np.concatenate([_shape(kind, h, r[:, None]) for kind, r in zip(kinds, ranges)])
+    mean = (phi * w).sum(axis=-1)
+    dev = phi - mean[:, None]
+    return _Shapes(phi, mean, dev, (dev**2 * w).sum(axis=-1), (phi**2 * w).sum(axis=-1))
+
+
+@functools.lru_cache(maxsize=8)
+def _grid_shapes(kinds, h_bytes, w_bytes):
+    """The range grid and its ``_Shapes`` for every kind, stacked kind by kind.
+
+    Cached by lag layout: every fit over the same usable lag centres and
+    pair weights scans the same grid. The cached arrays are read-only.
+    """
+    h = np.frombuffer(h_bytes)
+    h_max = float(h.max())
+    ranges = np.geomspace(RANGE_LIMITS[0] * h_max, RANGE_LIMITS[1] * h_max, RANGE_GRID)
+    shapes = _shapes(kinds, [ranges] * len(kinds), h, np.frombuffer(w_bytes))
+    for array in (ranges, *shapes):
+        array.flags.writeable = False
+    return ranges, shapes
+
+
+def _linear_fits(shapes, g, counts, w, sill_floor):
+    """Pair-weighted least-squares nugget and sill for each row of ``shapes``.
+
+    For a fixed kind and range the model is linear in nugget and sill, so
+    the optimum under ``nugget >= 0`` and ``sill >= sill_floor`` is the
+    unconstrained one or lies on one of those two edges. All three are
+    solved in closed form for every row at once; ``w`` is ``counts`` over
+    their sum. Returns the arrays ``(rss, nugget, sill)`` of shape
+    ``(3, rows)``: row 0 is the pure-nugget solution (sill at its floor),
+    row 1 the zero-nugget one, row 2 the unconstrained one. Infeasible or
+    overflowing solutions carry an infinite weighted residual sum of
+    squares.
+    """
+    phi, mean = shapes.phi, shapes.mean
     g_mean = w @ g
-    phi_mean = phi @ w
-    dphi = phi - phi_mean[:, None]
+    nugget = np.empty((3, mean.size))
+    sill = np.empty((3, mean.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slope = (dphi @ (w * (g - g_mean))) / ((dphi**2) @ w)
-        sill = np.stack([
-            np.full_like(phi_mean, sill_floor),
-            np.maximum(sill_floor, (phi @ (w * g)) / ((phi**2) @ w)),
-            slope,
-        ])
-        nugget = np.stack([
-            np.maximum(0.0, g_mean - sill_floor * phi_mean),
-            np.zeros_like(phi_mean),
-            g_mean - slope * phi_mean,
-        ])
-        residuals = nugget[..., None] + sill[..., None] * phi - g
-        rss = (residuals**2) @ counts
-    feasible = (nugget >= 0) & (sill >= sill_floor) & np.isfinite(rss)
-    return np.where(feasible, rss, np.inf), nugget, sill
+        slope = (shapes.dev * (w * (g - g_mean))).sum(axis=-1) / shapes.dev_sq
+        sill[0] = sill_floor
+        np.maximum(sill_floor, (phi * (w * g)).sum(axis=-1) / shapes.sq, out=sill[1])
+        sill[2] = slope
+        np.maximum(0.0, g_mean - sill_floor * mean, out=nugget[0])
+        nugget[1] = 0.0
+        np.subtract(g_mean, slope * mean, out=nugget[2])
+        residuals = sill[..., None] * phi
+        residuals += nugget[..., None]
+        residuals -= g
+        residuals *= residuals
+        residuals *= counts
+        rss = residuals.sum(axis=-1)
+    rss[(nugget < 0) | (sill < sill_floor) | ~np.isfinite(rss)] = np.inf
+    return rss, nugget, sill
 
 
 def _improves(rss, best_rss):
@@ -249,30 +341,45 @@ def _improves(rss, best_rss):
     return rss < best_rss - RSS_TIE * (1 + abs(best_rss))
 
 
-def _best_range(kind, h, g, counts, sill_floor, range_bounds):
-    """The range of least weighted RSS: a log-grid scan, then a bounded
-    scalar refinement over the two grid steps around the best grid range."""
-    # Imported here, its only use, so that importing the package does not
-    # load scipy.optimize.
-    from scipy.optimize import minimize_scalar
+def _best_ranges(kinds, h, g, counts, w, sill_floor):
+    """Each kind's range of least weighted RSS, searched for all kinds at once.
 
-    ranges = np.geomspace(*range_bounds, RANGE_GRID)
-    grid_rss = _linear_fits(kind, ranges, h, g, counts, sill_floor)[0].min(axis=0)
-    i = int(np.argmin(grid_rss))
+    A scan of the cached log grid finds each kind's best grid range; zoom
+    rounds then narrow the bracket of the two grid steps around it, one
+    stacked evaluation of every kind per round. The zoomed range is kept
+    only if it beats the best grid range beyond a rounding-level tie. A
+    kind's result does not depend on the other kinds searched with it.
+    """
+    ranges, grid = _grid_shapes(kinds, h.tobytes(), w.tobytes())
+    grid_rss = _linear_fits(grid, g, counts, w, sill_floor)[0].min(axis=0)
+    grid_rss = grid_rss.reshape(len(kinds), RANGE_GRID)
+    i = np.argmin(grid_rss, axis=1)
+    log_ranges = np.log(ranges)
+    lower = log_ranges[np.maximum(i - 1, 0)]
+    upper = log_ranges[np.minimum(i + 1, RANGE_GRID - 1)]
 
-    def rss_at(log_range):
-        fits = _linear_fits(kind, np.exp([log_range]), h, g, counts, sill_floor)
-        return float(fits[0].min())
-
-    refined = minimize_scalar(
-        rss_at,
-        bounds=(math.log(ranges[max(i - 1, 0)]), math.log(ranges[min(i + 1, RANGE_GRID - 1)])),
-        method="bounded",
-        options={"xatol": RANGE_XTOL},
-    )
-    if _improves(refined.fun, grid_rss[i]):
-        return float(math.exp(refined.x))
-    return float(ranges[i])
+    rows = np.arange(len(kinds))
+    zoom_rss, zoom_log = np.full(len(kinds), np.inf), lower
+    # two grid steps, shrinking by the same factor each round: every fit
+    # and kind runs the same number of rounds
+    width = 2 * math.log(RANGE_LIMITS[1] / RANGE_LIMITS[0]) / (RANGE_GRID - 1)
+    while width > RANGE_XTOL:
+        points = lower[:, None] + (upper - lower)[:, None] * _ZOOM_STEPS
+        points[:, -1] = upper
+        shapes = _shapes(kinds, np.exp(points), h, w)
+        rss = _linear_fits(shapes, g, counts, w, sill_floor)[0].min(axis=0)
+        rss = rss.reshape(len(kinds), RANGE_ZOOM)
+        j = np.argmin(rss, axis=1)
+        better = rss[rows, j] < zoom_rss
+        zoom_rss = np.where(better, rss[rows, j], zoom_rss)
+        zoom_log = np.where(better, points[rows, j], zoom_log)
+        lower = points[rows, np.maximum(j - 1, 0)]
+        upper = points[rows, np.minimum(j + 1, RANGE_ZOOM - 1)]
+        width *= 2 / (RANGE_ZOOM - 1)
+    return [
+        math.exp(zoom_log[k]) if _improves(zoom_rss[k], grid_rss[k, i[k]]) else float(ranges[i[k]])
+        for k in rows
+    ]
 
 
 def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None):
@@ -283,11 +390,17 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None
     residual sum of squares (RSS) wins. The fit uses variable projection:
     for a given range the model is linear in nugget and sill, which are
     solved in closed form under ``nugget >= 0`` and ``sill >= 1e-8 *
-    max(gamma)``. Only the range is searched, in log space over
-    ``[1e-6, 1e3] * h_max`` (``h_max`` the largest usable lag): a scan of
-    ``RANGE_GRID`` log-spaced ranges, then a bounded scalar minimisation
-    over the two grid steps around the best one, to ``RANGE_XTOL`` in
-    log-range. ``fixed_range_km`` pins the range and skips the search.
+    max(gamma)``. The semivariances are fitted divided by their maximum,
+    and nugget, sill and RSS scaled back, so no semivariance is squared;
+    an RSS beyond the float range is reported as infinite.
+
+    Only the range is searched, in log space over ``RANGE_LIMITS`` times
+    ``h_max``, the largest usable lag. All candidate kinds are searched
+    together: one scan of ``RANGE_GRID`` log-spaced ranges, whose shapes
+    are computed once per lag layout, then zoom rounds over each kind's two
+    grid steps around its best range, ``RANGE_ZOOM`` evenly spaced
+    log-ranges per round, until the bracket is ``RANGE_XTOL`` wide.
+    ``fixed_range_km`` pins the range and skips the search.
 
     A pure-nugget model (sill at its floor) is preferred whenever it fits
     as well as the best; such a fit is marked ``degenerate`` and, unless the
@@ -313,47 +426,55 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None
             f"got {int(usable.sum())}"
         )
     h = empirical.centers[usable]
-    g = empirical.gamma_hat[usable]
     counts = empirical.pair_counts[usable].astype(float)
-
-    g_max = float(g.max())
-    sill_floor = 1e-8 * (g_max if g_max > 0 else 1.0)
+    w = counts / counts.sum()
+    g_max = float(empirical.gamma_hat[usable].max())
+    scale = g_max if g_max > 0 else 1.0
+    g = empirical.gamma_hat[usable] / scale
+    sill_floor = 1e-8
     h_max = float(h.max())
-    range_bounds = (1e-6 * h_max, 1e3 * h_max)
 
+    if fixed_range_km is None:
+        ranges = _best_ranges(kinds, h, g, counts, w, sill_floor)
+    else:
+        ranges = [float(fixed_range_km)] * len(kinds)
+    rss, nugget, sill = _linear_fits(
+        _shapes(kinds, np.array(ranges)[:, None], h, w), g, counts, w, sill_floor
+    )
+    # per kind, the pure-nugget solution wins ties
+    choice = np.zeros(len(kinds), dtype=int)
+    for k in range(len(kinds)):
+        for j in (1, 2):
+            if _improves(rss[j, k], rss[choice[k], k]):
+                choice[k] = j
+    degenerate = choice == 0
+    if fixed_range_km is None and degenerate.any():
+        # a pure-nugget fit reports the largest usable lag as its range
+        flat = np.flatnonzero(degenerate)
+        rss[:, flat], nugget[:, flat], sill[:, flat] = _linear_fits(
+            _shapes([kinds[k] for k in flat], np.full((flat.size, 1), h_max), h, w),
+            g, counts, w, sill_floor,
+        )
+        for k in flat:
+            ranges[k] = h_max
+
+    fit_rss = rss[choice, np.arange(len(kinds))]
     best = None
-    for kind in kinds:
-        if fixed_range_km is None:
-            range_km = _best_range(kind, h, g, counts, sill_floor, range_bounds)
-        else:
-            range_km = float(fixed_range_km)
-        rss, nugget, sill = (v[:, 0] for v in _linear_fits(
-            kind, np.array([range_km]), h, g, counts, sill_floor
-        ))
-        j = 0  # the pure-nugget solution wins ties
-        for k in (1, 2):
-            if _improves(rss[k], rss[j]):
-                j = k
-        if j == 0 and fixed_range_km is None:
-            range_km = h_max
-            rss, nugget, sill = (v[:, 0] for v in _linear_fits(
-                kind, np.array([h_max]), h, g, counts, sill_floor
-            ))
-        if math.isfinite(rss[j]) and (best is None or _improves(rss[j], best[0])):
-            best = (float(rss[j]), kind, float(nugget[j]), float(sill[j]), range_km, j == 0)
-
+    for k in range(len(kinds)):
+        if math.isfinite(fit_rss[k]) and (best is None or _improves(fit_rss[k], fit_rss[best])):
+            best = k
     if best is None:
         raise FitConvergenceError(
             f"no variogram model of kinds {kinds} has a finite residual sum of squares"
         )
-    rss, kind, nugget, sill, range_km, degenerate = best
+    j = choice[best]
     return VariogramModel(
-        kind=kind,
-        nugget=nugget,
-        sill=sill,
-        range_km=range_km,
-        rss=rss,
-        degenerate=degenerate,
+        kind=kinds[best],
+        nugget=float(nugget[j, best]) * scale,
+        sill=float(sill[j, best]) * scale,
+        range_km=ranges[best],
+        rss=float(fit_rss[best]) * (scale * scale),
+        degenerate=bool(degenerate[best]),
         range_at_bound=fixed_range_km is None
-        and math.log(range_bounds[1] / range_km) <= RANGE_XTOL,
+        and math.log(RANGE_LIMITS[1] * h_max / ranges[best]) <= RANGE_XTOL,
     )

@@ -2,10 +2,14 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
 
+import sparsemfd
 from sparsemfd.cli import _read_estimates, _read_model_table, guarded, main
 from sparsemfd.errors import (
     EstimationError,
@@ -396,6 +400,45 @@ def test_variogram_command(runner, tmp_path):
     kind = model_lines[1].split(",")[0]
     assert kind in ("spherical", "exponential", "gaussian")
     assert "search bound" not in result.output
+
+
+def test_fitting_and_imputing_load_no_scipy(runner, tmp_path):
+    # the range search, the lag bins and the kriging weights need numpy alone
+    data = synth_dir(runner, tmp_path)
+    # every third detector, so that the fitted model has links to krige
+    with open(data / "sites.csv") as handle:
+        kept = {line.split(",")[0] for i, line in enumerate(handle) if i and i % 3 == 0}
+    with open(data / "readings.csv") as handle:
+        lines = [line for i, line in enumerate(handle) if not i or line.split(",")[0] in kept]
+    (tmp_path / "sparse.csv").write_text("".join(lines))
+    inputs = [str(data / "network.csv"), str(data / "sites.csv")]
+    commands = [
+        ["--output-dir", str(tmp_path / "v"), "variogram", *inputs,
+         str(data / "readings.csv"), "--bin-index", "1"],
+        ["--output-dir", str(tmp_path / "i"), "impute", *inputs,
+         str(tmp_path / "sparse.csv"), "--bin-index", "0"],
+    ]
+    code = (
+        "import json, sys\n"
+        "from sparsemfd.cli import main\n"
+        "for args in json.loads(sys.argv[1]):\n"
+        "    try:\n"
+        "        main(args)\n"
+        "    except SystemExit as exit:\n"
+        "        assert not exit.code, (args, exit.code)\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert not loaded, loaded\n"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparsemfd.__file__)))
+    subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands)], env=env, check=True, timeout=120
+    )
+    assert (tmp_path / "v" / "variogram_model.csv").exists()
+    provenance = {
+        line.rsplit(",", 1)[-1]
+        for line in (tmp_path / "i" / "field.csv").read_text().splitlines()[1:]
+    }
+    assert "imputed" in provenance
 
 
 def test_variogram_command_notes_a_range_at_its_bound(runner, tmp_path):

@@ -6,6 +6,7 @@ import os
 
 import pytest
 
+from sparsemfd import experiment, kriging
 from sparsemfd.errors import ValidationError
 from sparsemfd.experiment import (
     ESTIMATOR_NAMES,
@@ -245,6 +246,40 @@ def test_refit_per_bin_off_reuses_the_first_estimable_model(tmp_path):
     assert models[(0, "density")] != models[(1, "density")]
     field_rows = (cell_dir / "field.csv").read_text().splitlines()[1:]
     assert ("0", "density") not in {tuple(r.split(",")[1:3]) for r in field_rows}
+
+
+def test_a_refit_experiment_fits_once_per_plan_bin_and_variable(monkeypatch):
+    config = ExperimentConfig(
+        coverages=(0.5, 0.8),
+        seeds=(0, 1),
+        estimators=("variogram",),
+        scenario=SyntheticScenario(rows=6, cols=6, diurnal=(0.4, 0.9, 1.0, 0.6), seed=3),
+    )
+    fits = []
+    fit = kriging.fit_variogram
+
+    def recording_fit(*args, **kwargs):
+        fits.append(args)
+        return fit(*args, **kwargs)
+
+    imputations = []
+    impute = experiment.impute_observed
+
+    def recording_impute(bin_index, *args, variable, **kwargs):
+        before = len(fits)
+        try:
+            return impute(bin_index, *args, variable=variable, **kwargs)
+        finally:
+            imputations.append((bin_index, variable, len(fits) - before))
+
+    monkeypatch.setattr(kriging, "fit_variogram", recording_fit)
+    monkeypatch.setattr(experiment, "impute_observed", recording_impute)
+    run_experiment(config)
+    # four plans, each with four bins of two variables
+    assert sorted(imputations) == sorted(
+        (b, variable, 1) for _ in range(4) for b in range(4) for variable in ("flow", "density")
+    )
+    assert len(fits) == 32
 
 
 # --- recorded data mode -------------------------------------------------------

@@ -27,6 +27,7 @@ from sparsemfd.kriging import (
     failed_length_fraction,
     impute_network,
     impute_observed,
+    known_sites,
     network_mean_from_field,
     solve_kriging,
 )
@@ -42,7 +43,12 @@ from sparsemfd.network import (
 )
 from sparsemfd.sensing import LinkObservation, reading_columns
 from sparsemfd.synth import corridor_network, grid_network
-from sparsemfd.variogram import VariogramModel, gamma
+from sparsemfd.variogram import (
+    VariogramModel,
+    distance_bin_edges,
+    empirical_variogram,
+    gamma,
+)
 from conftest import make_readings
 
 
@@ -702,6 +708,44 @@ def test_fixed_model_weights_are_solved_once_per_observed_link_set(monkeypatch):
         settings=VariogramSettings(lag_bins=8),
     ))
     assert len(calls) == len(SHARED_BINS)
+
+
+def test_shared_lag_bins_give_the_direct_empirical_variogram_bit_for_bit(monkeypatch):
+    net, sites, grid = _shared_weights_scenario(4, silent_bin=2)
+    fitted = []
+    fit = kriging.fit_variogram
+
+    def recording_fit(empirical, **kwargs):
+        fitted.append(empirical)
+        return fit(empirical, **kwargs)
+
+    assignments = []
+    assign = kriging.lag_pairs
+
+    def recording_lag_pairs(*args):
+        assignments.append(args)
+        return assign(*args)
+
+    monkeypatch.setattr(kriging, "fit_variogram", recording_fit)
+    monkeypatch.setattr(kriging, "lag_pairs", recording_lag_pairs)
+    outcomes = list(estimate_bins(
+        "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
+        settings=VariogramSettings(lag_bins=8, min_length_coverage=0.5),
+    ))
+    # the silent bin has its own observed links, the others share one set
+    assert len(assignments) == 2
+    assert len(fitted) == len(outcomes) == 2 * len(SHARED_BINS)
+    distances = ImputationDistances.build(net, sites)
+    for outcome, empirical in zip(outcomes, fitted):
+        row = grid.row(outcome.bin_index)
+        known, values = known_sites(
+            grid.values(outcome.variable)[row], grid.observed[row], distances.site_links
+        )
+        pairs = distances.between_sites[np.ix_(known, known)]
+        direct = empirical_variogram(values, pairs, distance_bin_edges(pairs, n_bins=8))
+        assert empirical.bin_edges.tobytes() == direct.bin_edges.tobytes()
+        assert empirical.gamma_hat.tobytes() == direct.gamma_hat.tobytes()
+        assert empirical.pair_counts.tolist() == direct.pair_counts.tolist()
 
 
 def test_shared_weights_report_the_same_singular_link():

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -315,6 +316,20 @@ def test_a_scalar_must_have_the_type_of_its_field(cls, payload, text):
     with pytest.raises(ValidationError) as err:
         cls.from_dict(payload)
     assert str(err.value).endswith(text)
+
+
+@pytest.mark.parametrize("seed", [1.5, 2.0, True, "1"])
+def test_a_config_built_in_python_rejects_a_seed_that_is_not_an_int(seed):
+    with pytest.raises(ValidationError, match=r"^seeds must be integers, got "):
+        ExperimentConfig(coverages=(0.5,), seeds=(0, seed), scenario=SyntheticScenario(rows=4, cols=4))
+
+
+def test_a_config_built_in_python_keeps_integer_seeds():
+    config = ExperimentConfig(
+        coverages=(0.5,), seeds=(np.int64(3), 1), scenario=SyntheticScenario(rows=4, cols=4)
+    )
+    assert config.seeds == (3, 1)
+    assert all(type(seed) is int for seed in config.seeds)
 
 
 def test_numbers_and_nulls_that_fit_their_fields_are_kept():

@@ -4,9 +4,13 @@ The empirical variogram is checked against a direct pair-loop oracle written
 here in plain Python, so the vectorised accumulation never verifies itself.
 The variable-projection fitter is checked against a multistart
 ``scipy.optimize.least_squares`` fit of all three parameters, kept here as
-the reference implementation.
+the reference implementation, and its range search against the earlier
+bounded Brent refinement (``scipy.optimize.minimize_scalar``).
 """
 
+import json
+import math
+import os
 import warnings
 
 import numpy as np
@@ -17,7 +21,6 @@ from scipy.optimize import least_squares
 
 from sparsemfd.errors import (
     EmptyVariogramError,
-    FitConvergenceError,
     InsufficientDataError,
     ValidationError,
 )
@@ -28,9 +31,13 @@ from sparsemfd.variogram import (
     distance_bin_edges,
     empirical_variogram,
     fit_variogram,
+    lag_pairs,
     _model_gamma,
+    _shape,
     gamma,
 )
+
+RECORDED_FITS = os.path.join(os.path.dirname(__file__), "data", "grid10_refit_seed3_fits.json")
 
 
 def brute_force_variogram(values, distances, edges):
@@ -96,6 +103,101 @@ def reference_fit(empirical, kinds=MODEL_KINDS, min_pairs=5):
             if best is None or rss < best[0] - 1e-15 * (1 + abs(best[0])):
                 best = (rss, kind, *(float(x) for x in result.x))
     return best
+
+
+def _brent_linear_fits(kind, ranges, h, g, counts, sill_floor):
+    """Closed-form pure-nugget, zero-nugget and unconstrained fits per range."""
+    phi = _shape(kind, h, ranges[:, None])
+    w = counts / counts.sum()
+    g_mean = w @ g
+    phi_mean = phi @ w
+    dphi = phi - phi_mean[:, None]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = (dphi @ (w * (g - g_mean))) / ((dphi**2) @ w)
+        sill = np.stack([
+            np.full_like(phi_mean, sill_floor),
+            np.maximum(sill_floor, (phi @ (w * g)) / ((phi**2) @ w)),
+            slope,
+        ])
+        nugget = np.stack([
+            np.maximum(0.0, g_mean - sill_floor * phi_mean),
+            np.zeros_like(phi_mean),
+            g_mean - slope * phi_mean,
+        ])
+        rss = ((nugget[..., None] + sill[..., None] * phi - g) ** 2) @ counts
+    feasible = (nugget >= 0) & (sill >= sill_floor) & np.isfinite(rss)
+    return np.where(feasible, rss, np.inf), nugget, sill
+
+
+def _beats(rss, best_rss):
+    return rss < best_rss - 1e-15 * (1 + abs(best_rss))
+
+
+def brent_reference_fit(empirical, kinds=MODEL_KINDS, min_pairs=5):
+    """The variable-projection fit with its range refined by bounded Brent.
+
+    Per kind: the best of 128 log-spaced ranges over ``[1e-6, 1e3] x
+    h_max``, refined by ``minimize_scalar(method="bounded")`` on log-range
+    over the two grid steps around it (``xatol`` 1e-9) and kept only if it
+    beats the grid range beyond a tie; ties go to the pure-nugget model,
+    which reports ``h_max`` as its range. Returns ``(kind, nugget, sill,
+    range_km, rss, degenerate, range_at_bound)``.
+    """
+    from scipy.optimize import minimize_scalar
+
+    usable = empirical.populated & (empirical.pair_counts >= min_pairs)
+    h = empirical.centers[usable]
+    g = empirical.gamma_hat[usable]
+    counts = empirical.pair_counts[usable].astype(float)
+    g_max = float(g.max())
+    sill_floor = 1e-8 * (g_max if g_max > 0 else 1.0)
+    h_max = float(h.max())
+    ranges = np.geomspace(1e-6 * h_max, 1e3 * h_max, 128)
+    best = None
+    for kind in kinds:
+        grid_rss = _brent_linear_fits(kind, ranges, h, g, counts, sill_floor)[0].min(axis=0)
+        i = int(np.argmin(grid_rss))
+        refined = minimize_scalar(
+            lambda x: float(_brent_linear_fits(
+                kind, np.exp([x]), h, g, counts, sill_floor)[0].min()),
+            bounds=(math.log(ranges[max(i - 1, 0)]), math.log(ranges[min(i + 1, 127)])),
+            method="bounded",
+            options={"xatol": 1e-9},
+        )
+        range_km = math.exp(refined.x) if _beats(refined.fun, grid_rss[i]) else float(ranges[i])
+        rss, nugget, sill = (v[:, 0] for v in _brent_linear_fits(
+            kind, np.array([range_km]), h, g, counts, sill_floor))
+        j = 0
+        for k in (1, 2):
+            if _beats(rss[k], rss[j]):
+                j = k
+        if j == 0:
+            range_km = h_max
+            rss, nugget, sill = (v[:, 0] for v in _brent_linear_fits(
+                kind, np.array([h_max]), h, g, counts, sill_floor))
+        if math.isfinite(rss[j]) and (best is None or _beats(rss[j], best[4])):
+            best = (kind, float(nugget[j]), float(sill[j]), range_km, float(rss[j]), j == 0)
+    return (*best, math.log(1e3 * h_max / best[3]) <= 1e-9)
+
+
+def assert_matches_the_brent_reference(empirical, kinds=MODEL_KINDS, min_pairs=5):
+    fit = fit_variogram(empirical, kinds=kinds, min_pairs=min_pairs)
+    kind, _, _, range_km, rss, degenerate, at_bound = brent_reference_fit(
+        empirical, kinds, min_pairs
+    )
+    assert (fit.kind, fit.degenerate, fit.range_at_bound) == (kind, degenerate, at_bound)
+    assert fit.rss <= rss * (1 + 1e-12)
+    if fit.range_km != pytest.approx(range_km, rel=1e-6):
+        # a flat valley, where the data do not pin the range: every range
+        # between the two fits as well as both
+        for between in np.geomspace(fit.range_km, range_km, 7):
+            pinned = fit_variogram(
+                empirical, kinds=(kind,), min_pairs=min_pairs, fixed_range_km=between
+            )
+            assert pinned.rss <= rss * (1 + 1e-12)
+    # a kind's search does not depend on the other kinds searched with it
+    alone = fit_variogram(empirical, kinds=(fit.kind,), min_pairs=min_pairs)
+    assert alone == fit
 
 
 def weighted_rss(empirical, model, min_pairs=5):
@@ -223,6 +325,25 @@ def test_matches_pair_loop_oracle():
             assert np.isnan(got)
         else:
             assert got == want  # bit-identical accumulation
+
+
+def test_lag_pairs_serve_every_row_bit_for_bit():
+    rng = np.random.default_rng(31)
+    pos = rng.uniform(0.0, 8.0, size=20)
+    d = np.abs(pos[:, None] - pos[None, :])
+    d[3, 7] = d[7, 3] = np.inf
+    edges = distance_bin_edges(d, n_bins=7)
+    pairs = lag_pairs(d, edges)
+    for _ in range(5):
+        values = rng.normal(50.0, 10.0, size=20)
+        shared = pairs.variogram(values)
+        direct = empirical_variogram(values, d, edges)
+        want_gamma, want_counts = brute_force_variogram(values, d, edges)
+        assert shared.pair_counts.tolist() == direct.pair_counts.tolist() == want_counts
+        assert shared.gamma_hat.tobytes() == direct.gamma_hat.tobytes()
+        assert shared.gamma_hat.tobytes() == np.array(want_gamma).tobytes()
+    with pytest.raises(ValidationError):
+        pairs.variogram(np.zeros(19))
 
 
 def test_unreachable_pairs_are_dropped():
@@ -414,6 +535,29 @@ def test_fit_reaches_the_reference_rss():
         assert fit.rss <= reference[0] * (1 + 1e-6), (case, fit, reference)
 
 
+def test_range_search_matches_the_brent_refinement():
+    rng = np.random.default_rng(2024)
+    for case in range(60):
+        kind = MODEL_KINDS[case % len(MODEL_KINDS)]
+        emp = _noisy_empirical(rng, kind)
+        assert_matches_the_brent_reference(emp, kinds=(kind,))
+        assert_matches_the_brent_reference(emp)
+
+
+def test_recorded_refit_fits_match_the_brent_refinement():
+    # every fit of a seed-3 grid10-refit experiment: 24 bins x 2 variables
+    with open(RECORDED_FITS) as handle:
+        records = json.load(handle)
+    assert len(records) == 48
+    for record in records:
+        emp = EmpiricalVariogram(
+            bin_edges=np.array(record["edges"]),
+            gamma_hat=np.array(record["gamma"]),
+            pair_counts=np.array(record["counts"]),
+        )
+        assert_matches_the_brent_reference(emp, tuple(record["kinds"]), record["min_pairs"])
+
+
 def test_fixed_range_matches_weighted_lstsq():
     rng = np.random.default_rng(77)
     for kind in MODEL_KINDS:
@@ -456,13 +600,20 @@ def test_degenerate_fit_reports_the_largest_lag_as_range():
     assert fit.range_km == emp.centers.max()
 
 
-def test_fit_overflowing_rss_raises_fit_convergence_error():
-    emp = EmpiricalVariogram(
-        bin_edges=np.array([0.5, 1.0, 1.5, 2.0]),
-        gamma_hat=np.array([1e200, 2e200, 3e200]),
-        pair_counts=np.full(3, 10),
-    )
+def test_semivariances_too_large_to_square_still_fit():
+    edges = np.array([0.5, 1.0, 1.5, 2.0])
+    counts = np.full(3, 10)
+    unit = fit_variogram(EmpiricalVariogram(
+        bin_edges=edges, gamma_hat=np.array([1.0, 2.0, 3.0]), pair_counts=counts
+    ))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(FitConvergenceError):
-            fit_variogram(emp)
+        huge = fit_variogram(EmpiricalVariogram(
+            bin_edges=edges, gamma_hat=np.array([1e200, 2e200, 3e200]), pair_counts=counts
+        ))
+    assert (huge.kind, huge.degenerate, huge.range_at_bound) == (
+        unit.kind, unit.degenerate, unit.range_at_bound
+    )
+    assert huge.nugget == pytest.approx(1e200 * unit.nugget, rel=1e-12, abs=0.0)
+    assert huge.sill == pytest.approx(1e200 * unit.sill, rel=1e-12)
+    assert huge.range_km == pytest.approx(unit.range_km, rel=1e-12)
