@@ -547,6 +547,7 @@ def write_outputs(result, output_dir, fmt="csv"):
                 "path": f"cells/{cell.name}",
                 "metrics_flow": cell.metrics_flow,
                 "metrics_density": cell.metrics_density,
+                "mfd_fit_message": cell.fit_message,
             }
         )
 

@@ -1,6 +1,8 @@
 """Error metrics and the paired comparison test between estimators."""
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -116,16 +118,12 @@ def paired_t_test(a, b, alpha=0.05):
         raise DegenerateTestError(
             "differences have zero variance, the paired statistic is undefined"
         )
-    # Imported here and in t_critical_value, its only uses, so that
-    # importing the package does not load scipy.special.
-    from scipy.special import stdtr
-
     mean_diff = float(diffs.mean())
-    t_statistic = mean_diff / (spread / np.sqrt(n))
+    t_statistic = mean_diff / (spread / math.sqrt(n))
     df = n - 1
-    p_value = float(2.0 * stdtr(df, -abs(t_statistic)))
+    p_value = _t_two_sided_tail(abs(t_statistic), df)
     return PairedTTestResult(
-        t_statistic=float(t_statistic),
+        t_statistic=t_statistic,
         degrees_of_freedom=df,
         p_value=p_value,
         mean_difference=mean_diff,
@@ -135,11 +133,64 @@ def paired_t_test(a, b, alpha=0.05):
 
 
 def t_critical_value(degrees_of_freedom, confidence=0.95):
-    """Two-sided critical value of the t distribution."""
+    """Two-sided critical value of the t distribution: Newton steps from
+    t = 0 on the two-sided tail, which is convex and decreasing for t >= 0,
+    so every step lands short of the root."""
     if degrees_of_freedom < 1:
         raise ValueError(f"degrees of freedom must be positive, got {degrees_of_freedom}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    from scipy.special import stdtrit
+    v = float(degrees_of_freedom)
+    alpha = 1.0 - confidence
+    log_scale = _log_gamma_half_step(v / 2.0) - 0.5 * math.log(v * math.pi)
+    t = 0.0
+    while True:
+        density = math.exp(log_scale - (v + 1.0) / 2.0 * math.log1p(t * t / v))
+        step = (_t_two_sided_tail(t, v) - alpha) / (2.0 * density)
+        t += step
+        if step <= 1e-15 * t:
+            return t
 
-    return float(stdtrit(degrees_of_freedom, 0.5 + confidence / 2.0))
+
+def _t_two_sided_tail(t, v):
+    """P(|T| >= t) for t >= 0 and v degrees of freedom: I_x(v/2, 1/2) at
+    x = v/(v+t^2), whose continued fraction converges fast below
+    x = (a+1)/(a+b+2); above, 1 - I_{1-x}(1/2, v/2) (Numerical Recipes, 6.4)."""
+    t2 = t * t
+    if t2 == 0.0:
+        return 1.0
+    a, b = v / 2.0, 0.5
+    # log of x^a (1-x)^b / B(a, b)
+    log_front = _log_gamma_half_step(a) - math.lgamma(b) - a * math.log1p(t2 / v)
+    log_front -= b * math.log1p(v / t2)
+    x = v / (v + t2)
+    if x < (a + 1.0) / (a + b + 2.0):
+        return math.exp(log_front) * _beta_fraction(a, b, x) / a
+    return 1.0 - math.exp(log_front) * _beta_fraction(b, a, t2 / (v + t2)) / b
+
+
+def _log_gamma_half_step(z):
+    """log(Gamma(z + 1/2) / Gamma(z)); past z = 100 an asymptotic series
+    replaces two lgamma values, whose rounding grows with their size."""
+    if z < 100.0:
+        return math.lgamma(z + 0.5) - math.lgamma(z)
+    return 0.5 * math.log(z) - 1.0 / (8.0 * z) + 1.0 / (192.0 * z**3) - 1.0 / (640.0 * z**5)
+
+
+def _beta_fraction(a, b, x):
+    """Continued fraction of I_x(a, b), by the modified Lentz method."""
+    tiny = 1e-300
+    c = 1.0
+    d = fraction = 1.0 / (1.0 - (a + b) * x / (a + 1.0))  # positive below the switch
+    for m in itertools.count(1):
+        for numerator in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 + numerator * d
+            d = 1.0 / (d if abs(d) > tiny else tiny)
+            c = 1.0 + numerator / c
+            c = c if abs(c) > tiny else tiny
+            fraction *= c * d
+        if abs(c * d - 1.0) <= 2.0**-52:
+            return fraction

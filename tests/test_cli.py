@@ -402,8 +402,10 @@ def test_variogram_command(runner, tmp_path):
     assert "search bound" not in result.output
 
 
-def test_fitting_and_imputing_load_no_scipy(runner, tmp_path):
-    # the range search, the lag bins and the kriging weights need numpy alone
+def test_every_command_runs_without_scipy(runner, tmp_path):
+    # scipy is a test oracle only: with its import made to fail, every
+    # command still runs, the t distribution of mfd, evaluate and
+    # experiment included
     data = synth_dir(runner, tmp_path)
     # every third detector, so that the fitted model has links to krige
     with open(data / "sites.csv") as handle:
@@ -411,27 +413,39 @@ def test_fitting_and_imputing_load_no_scipy(runner, tmp_path):
     with open(data / "readings.csv") as handle:
         lines = [line for i, line in enumerate(handle) if not i or line.split(",")[0] in kept]
     (tmp_path / "sparse.csv").write_text("".join(lines))
-    inputs = [str(data / "network.csv"), str(data / "sites.csv")]
+    network, sites, readings = (
+        str(data / name) for name in ("network.csv", "sites.csv", "readings.csv")
+    )
+    estimates = str(tmp_path / "scale" / "estimates.csv")
     commands = [
-        ["--output-dir", str(tmp_path / "v"), "variogram", *inputs,
-         str(data / "readings.csv"), "--bin-index", "1"],
-        ["--output-dir", str(tmp_path / "i"), "impute", *inputs,
+        ["--output-dir", str(tmp_path / "s"), "--bins", "4", "synth"],
+        ["ingest", network, "--sites", sites, "--readings", readings],
+        ["--output-dir", str(tmp_path / "p"), "sample", network, sites, "--fraction", "0.3"],
+        ["--output-dir", str(tmp_path / "scale"), "scale", network, sites, readings,
+         "--fraction", "0.3"],
+        ["--output-dir", str(tmp_path / "v"), "variogram", network, sites, readings,
+         "--bin-index", "1"],
+        ["--output-dir", str(tmp_path / "i"), "impute", network, sites,
          str(tmp_path / "sparse.csv"), "--bin-index", "0"],
+        ["--output-dir", str(tmp_path / "m"), "mfd", estimates, "--method", "uniform"],
+        ["--output-dir", str(tmp_path / "e"), "evaluate", estimates, str(data / "truth.csv"),
+         "--method", "uniform"],
+        ["--output-dir", str(tmp_path / "x"), "--bins", "4", "experiment", "--coverage", "0.3"],
     ]
     code = (
         "import json, sys\n"
+        "sys.modules['scipy'] = None\n"
         "from sparsemfd.cli import main\n"
         "for args in json.loads(sys.argv[1]):\n"
         "    try:\n"
         "        main(args)\n"
         "    except SystemExit as exit:\n"
         "        assert not exit.code, (args, exit.code)\n"
-        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
-        "assert not loaded, loaded\n"
     )
     env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(sparsemfd.__file__)))
     subprocess.run(
-        [sys.executable, "-c", code, json.dumps(commands)], env=env, check=True, timeout=120
+        [sys.executable, "-c", code, json.dumps(commands)], env=env, check=True, timeout=120,
+        stdout=subprocess.DEVNULL,
     )
     assert (tmp_path / "v" / "variogram_model.csv").exists()
     provenance = {
@@ -439,6 +453,10 @@ def test_fitting_and_imputing_load_no_scipy(runner, tmp_path):
         for line in (tmp_path / "i" / "field.csv").read_text().splitlines()[1:]
     }
     assert "imputed" in provenance
+    assert len((tmp_path / "m" / "mfd_fit.csv").read_text().splitlines()) == 51
+    assert json.loads((tmp_path / "e" / "evaluation.json").read_text())["t_test"] is not None
+    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
+    assert all(ttest["p_value"] is not None for ttest in manifest["ttests"])
 
 
 def test_variogram_command_notes_a_range_at_its_bound(runner, tmp_path):

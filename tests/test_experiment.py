@@ -365,6 +365,22 @@ def test_a_t_test_without_a_result_is_written_with_null_fields(tmp_path):
         ]
 
 
+def test_the_reason_a_cell_has_no_mfd_fit_is_in_the_manifest(tmp_path):
+    # uniform estimates two bins and hierarchical one: too few for a parabola
+    network_path, sites_path, readings_path = _write_recorded_inputs(tmp_path)
+    config = ExperimentConfig(
+        coverages=(1.0,), seeds=(0,), estimators=("uniform", "hierarchical"),
+        network_path=str(network_path), sites_path=str(sites_path),
+        readings_path=str(readings_path),
+    )
+    run_experiment(config, output_dir=tmp_path / "out")
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert {c["estimator"]: c["mfd_fit_message"] for c in manifest["cells"]} == {
+        "uniform": "quadratic fit needs at least 4 points, got 2",
+        "hierarchical": "quadratic fit needs at least 4 points, got 1",
+    }
+
+
 def test_partition_rebuilt_only_for_a_bin_with_a_silent_detector(tmp_path, monkeypatch):
     network_path, sites_path, readings_path = _write_recorded_inputs(tmp_path)
     with open(readings_path, "a") as handle:
@@ -450,6 +466,7 @@ def test_outputs_written_and_rerun_is_byte_identical(tmp_path):
     assert manifest["truth_available"] is True
     assert len(manifest["cells"]) == 4
     assert all(c["status"] == STATUS_OK for c in manifest["cells"])
+    assert all(c["mfd_fit_message"] is None for c in manifest["cells"])
 
 
 def test_variogram_cell_writes_field_table(tmp_path):

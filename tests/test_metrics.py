@@ -1,5 +1,6 @@
 """Error metrics and the paired comparison test."""
 
+import json
 import math
 
 import numpy as np
@@ -12,11 +13,13 @@ from sparsemfd.errors import (
     ValidationError,
 )
 from sparsemfd.metrics import (
+    _t_two_sided_tail,
     compute_metrics,
     paired_t_test,
     t_critical_value,
 )
 from sparsemfd.mfd import QuadraticFit
+from sparsemfd.tableio import write_json
 
 
 def test_metrics_worked_example():
@@ -143,14 +146,18 @@ def test_critical_value_table_entry():
         t_critical_value(0)
 
 
-def test_t_distribution_matches_scipy_stats_bit_for_bit():
+def test_t_distribution_matches_scipy_stats_to_the_declared_tolerance():
+    # quantiles within 1e-12 relative up to df 200 and 1e-10 beyond, two-sided
+    # tails within 1e-10 relative for |t| <= 60 wherever they reach 1e-300
     from scipy import stats
 
     rng = np.random.default_rng(3)
     levels = (0.5, 0.8, 0.9, 0.95, 0.99, 0.999)
     for df in [*range(1, 201), 1000, 10_000, 100_000]:
-        quantiles = [stats.t.ppf(0.5 + level / 2.0, df) for level in levels]
-        assert [t_critical_value(df, level) for level in levels] == quantiles
+        quantiles = [t_critical_value(df, level) for level in levels]
+        expected = [stats.t.ppf(0.5 + level / 2.0, df) for level in levels]
+        assert all(type(q) is float for q in quantiles)
+        assert quantiles == pytest.approx(expected, rel=1e-12 if df <= 200 else 1e-10, abs=0)
 
         fit = QuadraticFit(
             coefficients=(1.0, 2.0, -0.1), xtx_inv=np.eye(3), residual_variance=4.0,
@@ -163,7 +170,34 @@ def test_t_distribution_matches_scipy_stats_bit_for_bit():
             assert np.array_equal(low, fitted - quantile * spread)
             assert np.array_equal(high, fitted + quantile * spread)
 
+        # a grid to |t| = 60, the quantiles, and tails near 1e-9 as in the
+        # p values of the CLI-default experiment
+        t_values = np.concatenate([
+            np.linspace(0.0, 60.0, 121), quantiles,
+            stats.t.isf(np.array([2.5e-10, 5e-10, 1e-9]), df),
+        ])
+        reference = 2.0 * stats.t.sf(t_values, df)
+        kept = reference >= 1e-300
+        tails = [_t_two_sided_tail(float(t), df) for t in t_values[kept]]
+        assert tails == pytest.approx(reference[kept].tolist(), rel=1e-10, abs=0)
+
         # a mean shift of 2 / sqrt(n) keeps t near 2 at every df
         a = rng.normal(2.0 / math.sqrt(df + 1), 1.0, size=df + 1)
         result = paired_t_test(a, np.zeros(df + 1))
-        assert result.p_value == 2.0 * stats.t.sf(abs(result.t_statistic), df)
+        assert result.p_value == pytest.approx(
+            2.0 * stats.t.sf(abs(result.t_statistic), df), rel=1e-10, abs=0
+        )
+
+
+def test_t_test_result_holds_python_scalars_that_json_accepts(tmp_path):
+    # an np.float64 p value would turn reject into an np.bool_, which the
+    # JSON encoder refuses
+    result = paired_t_test([1.0, 2.5, 2.0, 4.0], [1.5, 1.0, 1.0, 2.0])
+    assert type(result.t_statistic) is float
+    assert type(result.degrees_of_freedom) is int
+    assert type(result.p_value) is float
+    assert type(result.reject) is bool
+    write_json(tmp_path / "t_test.json", result)
+    stored = json.loads((tmp_path / "t_test.json").read_text())
+    assert stored["p_value"] == result.p_value
+    assert stored["reject"] is result.reject
