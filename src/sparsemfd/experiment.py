@@ -496,6 +496,8 @@ def run_experiment(config, output_dir=None, fmt="csv"):
                 _attach_mfd(cell)
                 result.cells.append(cell)
             _attach_ttest(result, coverage, seed)
+    # the distances are the largest array of a run, and writing needs none
+    del geometry
 
     if output_dir is not None:
         write_outputs(result, output_dir, fmt)
@@ -681,10 +683,11 @@ def emit_plot_data(result, output_dir, fmt="csv"):
         )
 
         if cell.fields:
-            rows = [
+            # a generator: write_table takes the rows a block at a time
+            rows = (
                 row for _, imputed in sorted(cell.fields.items())
                 for row in field_rows(imputed, result.network)
-            ]
+            )
             written.append(
                 write_table(os.path.join(cell_dir, f"field.{ext}"), FIELD_HEADER, rows, delim)
             )

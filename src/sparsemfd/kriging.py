@@ -247,7 +247,8 @@ class ImputationDistances:
     Built once per network and detector layout, then shared across bins and
     variables; nothing here depends on observed values. ``site_links``
     holds each site's link position, and the columns of ``site_to_target``
-    are the link midpoints in network link order.
+    are the link midpoints in network link order. ``between_sites`` and
+    ``site_to_target`` are two views of one sites x (sites + links) array.
     """
 
     site_ids: tuple

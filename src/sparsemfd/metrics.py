@@ -1,6 +1,7 @@
 """Error metrics and the paired comparison test between estimators."""
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -133,14 +134,19 @@ def paired_t_test(a, b, alpha=0.05):
 
 
 def t_critical_value(degrees_of_freedom, confidence=0.95):
-    """Two-sided critical value of the t distribution: Newton steps from
-    t = 0 on the two-sided tail, which is convex and decreasing for t >= 0,
-    so every step lands short of the root."""
+    """Two-sided critical value of the t distribution, searched once per
+    (degrees of freedom, confidence) and then remembered."""
     if degrees_of_freedom < 1:
         raise ValueError(f"degrees of freedom must be positive, got {degrees_of_freedom}")
     if not 0.0 < confidence < 1.0:
         raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
-    v = float(degrees_of_freedom)
+    return _t_quantile(float(degrees_of_freedom), float(confidence))
+
+
+@functools.lru_cache(maxsize=256)
+def _t_quantile(v, confidence):
+    """Newton steps from t = 0 on the two-sided tail, which is convex and
+    decreasing for t >= 0, so every step lands short of the root."""
     alpha = 1.0 - confidence
     log_scale = _log_gamma_half_step(v / 2.0) - 0.5 * math.log(v * math.pi)
     t = 0.0

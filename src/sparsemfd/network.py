@@ -306,6 +306,10 @@ def _shortest_paths(neighbors, lengths, sources):
     return dist
 
 
+# site rows and target columns of one tile of the distance kernel
+DISTANCE_TILE = 128
+
+
 def _distances(network, sites, targets):
     """Along-network distances from each site (rows) to each target (columns).
 
@@ -315,23 +319,64 @@ def _distances(network, sites, targets):
     also connect directly along it. Node-to-node distances come from
     ``_shortest_paths``, with the end nodes of the sites' links as sources.
     Unreachable pairs are inf.
+
+    The result is filled one tile of ``DISTANCE_TILE`` site rows and target
+    columns at a time. For each band of rows, the node distances from both
+    ends of the sites' links are gathered once, site offsets added; each
+    pairing is then gathered from them into one reused tile buffer, its
+    target offset added, and folded into the result by a running minimum.
+    The workspace beyond the result and the node distances thus does not
+    grow with the number of sites or targets. The direct paths then lower
+    the pairs that share a link. Every path is summed as ``(node distance +
+    site offset) + target offset`` and a minimum is exact in any order, so
+    no value depends on the tile size.
     """
     index, neighbors, lengths = _node_graph(network)
     s_link, s_from, s_to, s_from_off, s_to_off = _anchors(network, sites, index)
     t_link, t_from, t_to, t_from_off, t_to_off = _anchors(network, targets, index)
-    sources = np.unique(np.concatenate([s_from, s_to]))
-    # one row per source, for row-wise gathers below
+    is_source = np.zeros(len(index), dtype=bool)
+    is_source[s_from] = True
+    is_source[s_to] = True
+    sources = np.flatnonzero(is_source)
+    # one row per source, for the row gathers below
     node_dist = _shortest_paths(neighbors, lengths, sources).T.copy()
+    row = np.zeros(len(index), dtype=np.intp)
+    row[sources] = np.arange(sources.size)
 
-    same_link = s_link[:, None] == t_link[None, :]
-    best = np.where(same_link, np.abs(s_from_off[:, None] - t_from_off[None, :]), np.inf)
-    for s_node, s_off in ((s_from, s_from_off), (s_to, s_to_off)):
-        rows = np.searchsorted(sources, s_node)[:, None]
-        for t_node, t_off in ((t_from, t_from_off), (t_to, t_to_off)):
-            through = node_dist[rows, t_node[None, :]]
-            through += s_off[:, None]
-            through += t_off
-            np.minimum(best, through, out=best)
+    best = np.empty((len(sites), len(targets)))
+    tile = DISTANCE_TILE
+    band = np.empty((2, tile, node_dist.shape[1]))
+    buffer = np.empty(tile * tile)
+    for r0 in range(0, len(sites), tile):
+        rows = slice(r0, r0 + tile)
+        # from the band's sites through either end of their link to every node
+        starts = band[:, :min(tile, len(sites) - r0)]
+        for start, s_node, s_off in zip(starts, (s_from, s_to), (s_from_off, s_to_off)):
+            np.take(node_dist, row[s_node[rows]], axis=0, out=start, mode="clip")
+            start += s_off[rows, None]
+        pairings = [(start, t_node, t_off) for start in starts
+                    for t_node, t_off in ((t_from, t_from_off), (t_to, t_to_off))]
+        for c0 in range(0, len(targets), tile):
+            cols = slice(c0, c0 + tile)
+            out = best[rows, cols]
+            through = buffer[:out.size].reshape(out.shape)
+            for k, (start, t_node, t_off) in enumerate(pairings):
+                np.take(start, t_node[cols], axis=1, out=through, mode="clip")
+                through += t_off[cols]
+                if k:
+                    np.minimum(out, through, out=out)
+                else:
+                    out[...] = through
+
+    # direct paths along a shared link: the k-th pair of site i takes the
+    # k-th target on its link, in a stable sort of the targets by link
+    by_link = np.argsort(t_link, kind="stable")
+    first = np.searchsorted(t_link, s_link, sorter=by_link)
+    count = np.searchsorted(t_link, s_link, side="right", sorter=by_link) - first
+    i = np.repeat(np.arange(len(sites)), count)
+    nth = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
+    j = by_link[np.repeat(first, count) + nth]
+    best[i, j] = np.minimum(best[i, j], np.abs(s_from_off[i] - t_from_off[j]))
     return best
 
 
@@ -345,9 +390,21 @@ def site_distance_matrix(network, sites):
 
 
 def _symmetric(square):
-    """The upper triangle of ``square`` mirrored below a zero diagonal."""
-    upper = np.triu(square, k=1)
-    return upper + upper.T
+    """Mirror the upper triangle of ``square`` below a zero diagonal, in place.
+
+    Blocks of ``DISTANCE_TILE`` rows and columns are copied one at a time,
+    so no temporary exceeds a block. Returns ``square``.
+    """
+    n = square.shape[0]
+    tile = DISTANCE_TILE
+    for r0 in range(0, n, tile):
+        rows = slice(r0, r0 + tile)
+        for c0 in range(0, r0, tile):
+            cols = slice(c0, c0 + tile)
+            square[rows, cols] = square[cols, rows].T
+        upper = np.triu(square[rows, rows], k=1)
+        square[rows, rows] = upper + upper.T
+    return square
 
 
 def cross_distance_matrix(network, sites, targets):

@@ -272,7 +272,7 @@ def format_value(value):
     return str(value)
 
 
-_format_float = "{:.12g}".format
+_format_float = "%.12g".__mod__
 
 
 def _format_column(values):

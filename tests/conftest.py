@@ -3,13 +3,24 @@
 import csv
 import math
 import os
+import tracemalloc
 from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from sparsemfd.errors import EstimationError, SchemaError, ValidationError
-from sparsemfd.network import DEFAULT_OFFSET, NETWORK_COLUMNS, DetectorSite, Link, Network
+from sparsemfd.network import (
+    DEFAULT_OFFSET,
+    NETWORK_COLUMNS,
+    DetectorSite,
+    Link,
+    Network,
+    _anchors,
+    _node_graph,
+    _shortest_paths,
+    midpoint_sites,
+)
 from sparsemfd.sensing import READING_COLUMNS, LinkObservation, Readings
 from sparsemfd.synth import SyntheticScenario, generate_scenario
 from sparsemfd.tableio import FLOAT, INT, INT64, OPTIONAL_FLOAT, TEXT, format_value
@@ -274,6 +285,63 @@ def reference_write_table(path, header, rows, delimiter=","):
         for row in rows:
             writer.writerow([format_value(v) for v in row])
     return path
+
+
+def traced_peak(fn, *args):
+    """``(fn(*args), peak bytes)``: the most that ``tracemalloc`` saw
+    allocated during the call beyond what was allocated before it."""
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+# The dense distance kernel that built every sites x targets temporary at
+# once before the result was filled tile by tile: the oracle for the values
+# of ``_distances``, ``_symmetric`` and everything built on them, bit for
+# bit. It shares the node graph and shortest-path kernel, which are checked
+# against Dijkstra on their own.
+
+
+def reference_distances(network, sites, targets):
+    index, neighbors, lengths = _node_graph(network)
+    s_link, s_from, s_to, s_from_off, s_to_off = _anchors(network, sites, index)
+    t_link, t_from, t_to, t_from_off, t_to_off = _anchors(network, targets, index)
+    sources = np.unique(np.concatenate([s_from, s_to]))
+    node_dist = _shortest_paths(neighbors, lengths, sources).T.copy()
+
+    same_link = s_link[:, None] == t_link[None, :]
+    best = np.where(same_link, np.abs(s_from_off[:, None] - t_from_off[None, :]), np.inf)
+    for s_node, s_off in ((s_from, s_from_off), (s_to, s_to_off)):
+        rows = np.searchsorted(sources, s_node)[:, None]
+        for t_node, t_off in ((t_from, t_from_off), (t_to, t_to_off)):
+            through = node_dist[rows, t_node[None, :]]
+            through += s_off[:, None]
+            through += t_off
+            np.minimum(best, through, out=best)
+    return best
+
+
+def reference_symmetric(square):
+    upper = np.triu(square, k=1)
+    return upper + upper.T
+
+
+def reference_site_distance_matrix(network, sites):
+    return reference_symmetric(reference_distances(network, sites, sites))
+
+
+def reference_imputation_distances(network, sites):
+    """``(between_sites, site_to_target)`` of the dense kernel."""
+    sites = tuple(sites)
+    distances = reference_distances(network, sites, sites + midpoint_sites(network))
+    return reference_symmetric(distances[:, :len(sites)]), distances[:, len(sites):]
 
 
 @pytest.fixture

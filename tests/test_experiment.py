@@ -6,7 +6,7 @@ import os
 
 import pytest
 
-from sparsemfd import experiment, kriging
+from sparsemfd import experiment, kriging, metrics
 from sparsemfd.errors import ValidationError
 from sparsemfd.experiment import (
     ESTIMATOR_NAMES,
@@ -15,6 +15,8 @@ from sparsemfd.experiment import (
     STATUS_OK,
     ExperimentConfig,
     VariogramSettings,
+    emit_plot_data,
+    field_rows,
     load_experiment_config,
     run_experiment,
 )
@@ -24,6 +26,7 @@ from sparsemfd.sensing import READINGS_HEADER, aggregate_to_links, load_readings
 from sparsemfd.synth import DEFAULT_VARIOGRAM, SyntheticScenario
 from sparsemfd.tableio import encode, write_json, write_table
 from sparsemfd.variogram import VariogramModel
+from conftest import traced_peak
 
 SMALL_SCENARIO = SyntheticScenario(
     rows=5, cols=5, diurnal=(0.4, 0.8, 1.0, 0.6), seed=3
@@ -477,3 +480,52 @@ def test_variogram_cell_writes_field_table(tmp_path):
     assert field_path.exists()
     header = field_path.read_text().splitlines()[0]
     assert header.split("\t") == ["link_id", "bin_index", "variable", "value", "provenance"]
+
+
+def test_field_rows_are_streamed_to_the_table(tmp_path):
+    # every link of the default city is observed in each of its 24 bins
+    config = ExperimentConfig(
+        coverages=(1.0,), seeds=(0,), estimators=("variogram",),
+        scenario=SyntheticScenario(),
+        variogram=VariogramSettings(fixed_model=DEFAULT_VARIOGRAM),
+    )
+    result = run_experiment(config)
+    (cell,) = result.cells
+    fields = sorted(cell.fields.items())
+
+    def materialise():
+        return [row for _, imputed in fields for row in field_rows(imputed, result.network)]
+
+    rows, listed = traced_peak(materialise)
+    assert len(rows) == 180 * 24 * 2
+    del rows
+    _, peak = traced_peak(emit_plot_data, result, tmp_path)
+    assert peak < listed
+
+
+def test_a_scaling_experiment_searches_each_t_quantile_once(tmp_path, monkeypatch):
+    tail = metrics._t_two_sided_tail
+    searches = []
+
+    def recording_tail(t, v):
+        # a Newton search for a quantile starts at t = 0
+        if t == 0.0:
+            searches.append(v)
+        return tail(t, v)
+
+    monkeypatch.setattr(metrics, "_t_two_sided_tail", recording_tail)
+    metrics._t_quantile.cache_clear()
+    degrees = set()
+    bands = 0
+    for diurnal in ((0.4, 0.8, 1.0, 0.6), (0.4, 0.8, 1.0, 0.6, 0.9, 0.5)):
+        config = small_config(
+            estimators=("uniform", "hierarchical"), coverages=(0.4, 0.6, 1.0),
+            scenario=SyntheticScenario(rows=5, cols=5, diurnal=diurnal, seed=3),
+        )
+        result = run_experiment(config, output_dir=tmp_path / f"bins{len(diurnal)}")
+        fits = [cell.quad_fit for cell in result.cells if cell.quad_fit is not None]
+        degrees |= {fit.degrees_of_freedom for fit in fits}
+        bands += len(fits)
+    assert degrees == {1, 3} and bands == 24
+    assert sorted(searches) == [1.0, 3.0]
+    metrics._t_quantile.cache_clear()

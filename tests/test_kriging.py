@@ -49,7 +49,7 @@ from sparsemfd.variogram import (
     empirical_variogram,
     gamma,
 )
-from conftest import make_readings
+from conftest import make_readings, traced_peak
 
 
 def spherical_gamma(nugget, sill, range_km, h):
@@ -521,6 +521,30 @@ def test_imputation_distances_take_one_shortest_path_run(monkeypatch):
     cross = cross_distance_matrix(net, sites, midpoint_sites(net))
     assert distances.site_to_target.shape == cross.shape
     assert distances.site_to_target.tobytes() == cross.tobytes()
+
+
+def _default_grid_sites(net):
+    """The synthetic scenario's layout: one detector at each link's midpoint."""
+    return tuple(DetectorSite("d" + link.id, link.id, 0.5) for link in net.links)
+
+
+def test_imputation_distances_peak_below_6_mib_on_the_16x16_grid():
+    # the dense kernel peaked at 11.8 MiB; the 480 x 960 result is 3.5 MiB
+    net = grid_network(16, 16)
+    sites = _default_grid_sites(net)
+    ImputationDistances.build(net, sites[:3])
+    distances, peak = traced_peak(ImputationDistances.build, net, sites)
+    assert distances.site_to_target.shape == (480, 480)
+    assert peak <= 6 * 2**20
+
+
+def test_imputation_distances_are_two_views_of_one_array():
+    net = grid_network(4, 5)
+    distances = ImputationDistances.build(net, _default_grid_sites(net))
+    base = distances.between_sites.base
+    assert base is not None and distances.site_to_target.base is base
+    n = len(distances.site_ids)
+    assert base.shape == (n, n + len(net.links))
 
 
 def test_known_site_ids_must_name_detector_sites():

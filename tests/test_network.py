@@ -19,8 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import sparsemfd
+from sparsemfd import network as network_module
 from sparsemfd.errors import SchemaError, ValidationError
+from sparsemfd.kriging import ImputationDistances
 from sparsemfd.network import (
+    DISTANCE_TILE,
     DetectorSite,
     Link,
     Network,
@@ -34,7 +37,14 @@ from sparsemfd.network import (
 )
 from sparsemfd.synth import grid_network
 from sparsemfd.tableio import BLOCK_ROWS
-from conftest import reference_load_detector_sites, reference_load_network
+from conftest import (
+    reference_distances,
+    reference_imputation_distances,
+    reference_load_detector_sites,
+    reference_load_network,
+    reference_site_distance_matrix,
+    traced_peak,
+)
 
 NETWORK_DOC = """link_id,from_node,to_node,length_km,hierarchy
 A,a,b,1.0,1
@@ -585,6 +595,99 @@ def test_kernel_without_links_between_nodes():
     got = _shortest_paths(neighbors, lengths, np.array([index["a"]]))
     assert got[index["a"], 0] == 0.0
     assert np.isinf(got[index["b"], 0]) and np.isinf(got[-1, 0])
+
+
+# --- tiled kernel against the dense one -----------------------------------------
+
+
+def _spread_sites(network, links, offsets=(0.0, 0.3, 1.0, 0.5)):
+    """One site per listed link with cycling offsets, then two more on the
+    first link."""
+    sites = [
+        DetectorSite(f"s{i}", link.id, offsets[i % len(offsets)])
+        for i, link in enumerate(links)
+    ]
+    if links:
+        sites += [DetectorSite(f"extra{k}", links[0].id, f) for k, f in enumerate((1.0, 0.0))]
+    return tuple(sites)
+
+
+def _tiling_case(name):
+    """``(network, sites, targets)`` of one named case."""
+    if name in EDGE_CASE_NETWORKS:
+        net = EDGE_CASE_NETWORKS[name]
+        return net, _spread_sites(net, net.links), midpoint_sites(net)
+    if name.startswith("random-"):
+        seed = int(name.split("-")[1])
+        rng = np.random.default_rng(100 + seed)
+        # every odd seed draws two components
+        net = _random_multigraph(rng, components=1 + seed % 2)
+        picks = rng.choice(len(net.links), size=min(9, len(net.links)), replace=False)
+        sites = _spread_sites(net, [net.links[int(p)] for p in picks])
+        targets = tuple(
+            DetectorSite(f"t{k}", link.id, float(rng.uniform(0.0, 1.0)))
+            for k, link in enumerate(net.links)
+        )
+        return net, sites, targets + sites[::2]
+    net = grid_network(30, 30)
+    if name == "grid30":
+        return net, _spread_sites(net, net.links[::173]), midpoint_sites(net)
+    if name == "no-sites":
+        return net, (), midpoint_sites(net)[:50]
+    assert name == "no-targets"
+    return net, _spread_sites(net, net.links[:5]), ()
+
+
+TILING_CASES = (
+    *sorted(EDGE_CASE_NETWORKS), *(f"random-{seed}" for seed in range(6)),
+    "grid30", "no-sites", "no-targets",
+)
+
+
+def _assert_bitwise(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("tile", (1, 3, 7, DISTANCE_TILE))
+@pytest.mark.parametrize("name", TILING_CASES)
+def test_tiled_kernel_matches_the_dense_kernel_bit_for_bit(name, tile, monkeypatch):
+    monkeypatch.setattr(network_module, "DISTANCE_TILE", tile)
+    net, sites, targets = _tiling_case(name)
+    _assert_bitwise(site_distance_matrix(net, sites), reference_site_distance_matrix(net, sites))
+    _assert_bitwise(
+        cross_distance_matrix(net, sites, targets), reference_distances(net, sites, targets)
+    )
+    distances = ImputationDistances.build(net, sites)
+    between, site_to_target = reference_imputation_distances(net, sites)
+    _assert_bitwise(distances.between_sites, between)
+    _assert_bitwise(distances.site_to_target, site_to_target)
+
+
+def test_tiled_kernel_matches_the_dense_kernel_on_the_full_30x30_grid():
+    net = grid_network(30, 30)
+    sites = tuple(DetectorSite("d" + link.id, link.id, 0.5) for link in net.links)
+    distances = ImputationDistances.build(net, sites)
+    between, site_to_target = reference_imputation_distances(net, sites)
+    _assert_bitwise(distances.between_sites, between)
+    _assert_bitwise(distances.site_to_target, site_to_target)
+
+
+def test_site_distance_matrix_needs_one_band_beyond_its_result_and_node_table():
+    # the dense kernel needed three temporaries the size of the result
+    net = grid_network(30, 30)
+    sites = tuple(DetectorSite("d" + link.id, link.id, 0.5) for link in net.links)
+    site_distance_matrix(net, sites[:3])
+    matrix, peak = traced_peak(site_distance_matrix, net, sites)
+    nodes = len(net.nodes)
+    # every node ends a site's link, so every node is a source
+    node_table = nodes * (nodes + 1) * 8
+    # two rows per band site over every node, and one tile
+    band = (2 * DISTANCE_TILE * (nodes + 1) + DISTANCE_TILE ** 2) * 8
+    # the node graph and the per-site arrays
+    bookkeeping = 2 * 2**20
+    assert peak <= matrix.nbytes + node_table + band + bookkeeping
 
 
 # --- dependencies -------------------------------------------------------------

@@ -1,5 +1,6 @@
 import io
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from sparsemfd.tableio import (
     INT64,
     OPTIONAL_FLOAT,
     TEXT,
+    _format_float,
     delimiter_for,
     format_value,
     read_table,
@@ -102,6 +104,23 @@ def test_format_value():
     assert format_value(0.1) == "0.1"
     assert format_value(155.0) == "155"
     assert format_value("x") == "x"
+
+
+def test_float_cells_are_formatted_like_the_format_spec():
+    # random bit patterns reach every exponent, NaN payloads included
+    rng = np.random.default_rng(21)
+    bits = rng.integers(0, 2**63, size=50_000, dtype=np.uint64) * np.uint64(2)
+    bits += rng.integers(0, 2, size=bits.size, dtype=np.uint64)
+    corpus = [
+        *bits.view(np.float64).tolist(),
+        *rng.normal(0.0, 1e3, size=20_000).tolist(),
+        *rng.uniform(0.0, 1.0, size=20_000).round(6).tolist(),
+        0.0, -0.0, 5e-324, -5e-324, sys.float_info.min, -sys.float_info.min,
+        sys.float_info.max, -sys.float_info.max, math.inf, -math.inf, math.nan,
+        0.1, 1e12, 1e-5, 999999999999.5, 123456789012.0, 1e16,
+    ]
+    corpus += [np.float64(v) for v in corpus[::50]]
+    assert list(map(_format_float, corpus)) == [format(v, ".12g") for v in corpus]
 
 
 def test_write_table_round_trip(tmp_path):
