@@ -32,6 +32,7 @@ from .kriging import (  # noqa: F401
     ImputedField,
     impute_network,
     impute_observed,
+    impute_rows,
     network_mean_from_field,
 )
 from .metrics import PairedTTestResult, compute_metrics, paired_t_test
@@ -167,9 +168,13 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
     ``refit_per_bin=False`` reuses) has its kriging weights solved once per
     distinct set of observed links and applied to every bin and variable
     observed there, and so are the lag bins of per-bin refits; both are
-    held for this call only. ``sites``, ``distances`` and
-    ``known_site_ids`` are those of ``impute_network``; the distances are
-    built once when omitted.
+    held for this call only. With ``fixed_model`` the bins are grouped by
+    their observed links, and every (bin, variable) row of a group is
+    kriged in one ``impute_rows`` call when the group's first bin comes up;
+    the outcomes still follow in (bin, variable) order, and an error
+    surfaces after the same outcomes as with one call per row. ``sites``,
+    ``distances`` and ``known_site_ids`` are those of ``impute_network``;
+    the distances are built once when omitted.
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ValidationError(f"unknown estimator '{estimator}'")
@@ -178,6 +183,10 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
             distances = ImputationDistances.build(network, sites)
         retained = distances.site_mask(known_site_ids)
         weights = {}
+        stacked = settings.fixed_model is not None
+        if stacked:
+            groups = _groups_by_observed_links(observations, bins)
+            kriged = {}
     partitions = {}
     reused = {}
     for b in bins:
@@ -207,10 +216,15 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                     estimate = hierarchical_estimate(
                         b, values, partition, variable, duration_h=duration_h
                     )
+                elif stacked:
+                    if (b, variable) not in kriged:
+                        kriged.update(_krige_group(
+                            groups[equipped.tobytes()], variables, observations,
+                            distances, settings, retained, weights,
+                        ))
+                    imputed = kriged.pop((b, variable))
                 else:
-                    model = settings.fixed_model
-                    if model is None and not settings.refit_per_bin:
-                        model = reused.get(variable)
+                    model = None if settings.refit_per_bin else reused.get(variable)
                     imputed = impute_observed(
                         b, values, equipped, distances, model=model, variable=variable,
                         kinds=settings.kinds, lag_bins=settings.lag_bins,
@@ -219,6 +233,7 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                         min_neighbors=settings.min_neighbors,
                         retained=retained, shared_weights=weights,
                     )
+                if estimator == "variogram":
                     value, _ = network_mean_from_field(
                         imputed, network, settings.min_length_coverage
                     )
@@ -234,6 +249,35 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                 yield BinOutcome(b, variable, failure=failure, field=imputed)
                 continue
             yield BinOutcome(b, variable, estimate=estimate, field=imputed)
+
+
+def _groups_by_observed_links(observations, bins):
+    """The bins observed on each set of links, in ``bins`` order."""
+    groups = {}
+    for b in bins:
+        row = observations.row(b)
+        if row is not None:
+            groups.setdefault(observations.observed[row].tobytes(), []).append(b)
+    return groups
+
+
+def _krige_group(group, variables, observations, distances, settings, retained, weights):
+    """Krige every (bin, variable) row of one group with the fixed model.
+
+    Returns the fields keyed by (bin, variable). Only the known variables
+    are stacked: an unknown one raises at its own turn, as it does row by
+    row.
+    """
+    rows = [observations.row(b) for b in group]
+    known = [v for v in variables if v in VARIABLES]
+    labels = [(b, v) for v in known for b in group]
+    fields = impute_rows(
+        labels, np.concatenate([observations.values(v)[rows] for v in known]),
+        observations.observed[rows[0]], distances, model=settings.fixed_model,
+        max_neighbors=settings.max_neighbors, min_neighbors=settings.min_neighbors,
+        retained=retained, shared_weights=weights,
+    )
+    return dict(zip(labels, fields))
 
 
 @dataclass(frozen=True)

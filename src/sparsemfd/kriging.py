@@ -20,7 +20,7 @@ from .errors import (
     SingularSystemError,
     ValidationError,
 )
-from .network import _distances, _symmetric, midpoint_sites
+from .network import _distances, midpoint_sites
 from .sensing import bin_arrays, detector_mask, value_field
 from .variogram import MODEL_KINDS, distance_bin_edges, fit_variogram, gamma, lag_pairs
 
@@ -100,7 +100,7 @@ def solve_kriging(
     return KrigingSolution(
         weights=weights,
         lagrange=lagrange,
-        prediction=float(weights @ _merged_values(values, kept, groups)[0]),
+        prediction=float(weights @ _merged_values(values[None], kept, groups)[0, 0]),
         neighbor_ids=tuple(ids[i] for i in kept[0]),
         variance=max(float(weights @ rhs[0, :m] + lagrange), 0.0),
     )
@@ -224,20 +224,43 @@ def _coincident_groups(pairs, selected):
 
 
 def _merged_values(values, kept, groups):
-    """One batch's neighbour values, shaped like ``kept``.
+    """One batch's neighbour values for a stack of value rows.
 
-    Without ``groups`` these are the kept sites' values; a merged column
-    takes the running mean of each group, in group order.
+    ``values`` is (R, n_known); the result is a C-contiguous (R, rows, m)
+    array, row ``r`` of it shaped like ``kept``. Without ``groups`` these
+    are the kept sites' values; a merged column takes the running mean of
+    each group, in group order.
     """
     if groups is None:
-        return values[kept]
-    means = []
-    for first, *rest in groups:
-        mean = float(values[first])
+        # a strided gather would make the dot below add in another order
+        return np.ascontiguousarray(values[:, kept])
+    means = np.empty((values.shape[0], 1, len(groups)))
+    for k, (first, *rest) in enumerate(groups):
+        mean = values[:, first].copy()
         for count, index in enumerate(rest, start=2):
-            mean += (values[index] - mean) / count
-        means.append(mean)
-    return np.array(means)[None]
+            mean += (values[:, index] - mean) / count
+        means[:, 0, k] = mean
+    return means
+
+
+def _apply_weights(batches, known_values, targets, field_values):
+    """Krige a stack of value rows with one set of solved weights.
+
+    ``known_values`` (R, n_known) holds each row's known-site values and
+    ``field_values`` (R, links) receives the prediction of every batch
+    column at link ``targets[column]``. Each prediction is the dot of its
+    weights with its neighbour values, both contiguous, so it keeps the
+    bits of a one-target ``weights @ values``. Returns the mask of the
+    links that received a prediction.
+    """
+    imputed = np.zeros(field_values.shape[1], dtype=bool)
+    for columns, kept, groups, solutions, _ in batches:
+        m = kept.shape[1]
+        merged = _merged_values(known_values, kept, groups)
+        cells = targets[columns]
+        field_values[:, cells] = np.matmul(merged[..., None, :], solutions[:, :m, None])[..., 0, 0]
+        imputed[cells] = True
+    return imputed
 
 
 @dataclass(frozen=True)
@@ -261,11 +284,11 @@ class ImputationDistances:
         sites = tuple(sites)
         # one shortest-path run for both blocks: the columns are the sites,
         # then the link midpoints
-        distances = _distances(network, sites, sites + midpoint_sites(network))
+        distances = _distances(network, sites, sites + midpoint_sites(network), mirror=True)
         return cls(
             site_ids=tuple(s.detector_id for s in sites),
             site_links=np.array([network.position(s.link_id) for s in sites], dtype=np.intp),
-            between_sites=_symmetric(distances[:, :len(sites)]),
+            between_sites=distances[:, :len(sites)],
             site_to_target=distances[:, len(sites):],
         )
 
@@ -304,9 +327,10 @@ class ImputedField:
 def known_sites(values, observed, site_links, retained=None):
     """Positions of the sites whose link is observed, and their values.
 
-    ``values`` and ``observed`` are one bin's link-order arrays and
-    ``site_links`` each site's link position; the mask ``retained``
-    optionally narrows the sites further.
+    ``values`` holds link-order values, one bin's or a (R, links) stack of
+    rows, ``observed`` the bin's link mask and ``site_links`` each site's
+    link position; the mask ``retained`` optionally narrows the sites
+    further. The values come C-contiguous, one row of sites per value row.
     """
     usable = observed[site_links]
     if retained is not None:
@@ -314,7 +338,7 @@ def known_sites(values, observed, site_links, retained=None):
     known = np.flatnonzero(usable)
     if known.size == 0:
         raise InsufficientDataError("no detector site sits on an observed link")
-    return known, values[site_links[known]]
+    return known, np.ascontiguousarray(values[..., site_links[known]])
 
 
 def impute_network(
@@ -359,15 +383,43 @@ def impute_observed(bin_index, values, observed, distances, model=None, variable
                     min_neighbors=3, retained=None, shared_weights=None):
     """``impute_network`` on one bin's link-order ``values`` and ``observed`` mask.
 
-    ``values`` off the observed links is ignored. ``retained`` is the
-    ``distances.site_mask`` of ``known_site_ids``. ``shared_weights`` is an
-    optional dict kept across calls with the same ``distances``,
-    ``retained`` and neighbour limits, since neither entry depends on the
-    values: the kriging weights of every model, given or fitted here, are
-    stored there under ``(model, observed mask)``, and the lag bins and
-    pairs of a fit (``variogram.lag_pairs``) under ``("lags", lag_bins,
-    observed mask)``, and reused by a later call with the same key.
+    The one-row call of ``impute_rows``, whose arguments these are.
     """
+    (field,) = impute_rows(
+        ((bin_index, variable),), values[None], observed, distances, model=model,
+        kinds=kinds, lag_bins=lag_bins, min_pairs=min_pairs,
+        max_neighbors=max_neighbors, min_neighbors=min_neighbors,
+        retained=retained, shared_weights=shared_weights,
+    )
+    return field
+
+
+def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KINDS,
+                lag_bins=15, min_pairs=5, max_neighbors=16, min_neighbors=3,
+                retained=None, shared_weights=None):
+    """Krige a stack of value rows observed on the same links; one field each.
+
+    ``values`` is a (R, links) array of link-order rows, all observed on the
+    links of the mask ``observed`` (values off them are ignored), and
+    ``labels`` gives each row's ``(bin_index, variable)``. One weight set,
+    solved for the model and the known sites, is applied to every row in
+    one stacked product (``_apply_weights``). With ``model=None`` a
+    variogram is fitted first from the values of the one row (R must be
+    1). ``retained`` is the ``distances.site_mask`` of ``known_site_ids``.
+
+    ``shared_weights`` is an optional dict kept across calls with the same
+    ``distances``, ``retained`` and neighbour limits, since neither entry
+    depends on the values: the kriging weights of every model, given or
+    fitted here, are stored there under ``(model, observed mask)``, and the
+    lag bins and pairs of a fit (``variogram.lag_pairs``) under ``("lags",
+    lag_bins, observed mask)``, and reused by a later call with the same
+    key.
+    """
+    labels = tuple(labels)
+    if len(labels) != values.shape[0]:
+        raise ValidationError(f"{len(labels)} labels for {values.shape[0]} value rows")
+    if model is None and len(labels) != 1:
+        raise ValidationError(f"a model is fitted from one value row, got {len(labels)}")
     known, known_values = known_sites(values, observed, distances.site_links, retained)
     unobserved = np.flatnonzero(~observed)
     mask = observed.tobytes()
@@ -383,7 +435,7 @@ def impute_observed(bin_index, values, observed, distances, model=None, variable
                 lags = lag_pairs(known_pairs, distance_bin_edges(known_pairs, n_bins=lag_bins))
                 if shared_weights is not None:
                     shared_weights[lags_key] = lags
-            model = fit_variogram(lags.variogram(known_values), kinds=kinds, min_pairs=min_pairs)
+            model = fit_variogram(lags.variogram(known_values[0]), kinds=kinds, min_pairs=min_pairs)
         batches = []
         if unobserved.size:
             _, batches = _kriging_weights(
@@ -397,28 +449,21 @@ def impute_observed(bin_index, values, observed, distances, model=None, variable
             shared_weights[(model, mask)] = batches
 
     field_values = np.where(observed, values, np.nan)
-    imputed = np.zeros(observed.shape, dtype=bool)
-    for columns, kept, groups, solutions, _ in batches:
-        m = kept.shape[1]
-        merged = _merged_values(known_values, kept, groups)
-        targets = unobserved[columns]
-        field_values[targets] = [
-            solutions[row, :m] @ merged[row] for row in range(columns.size)
-        ]
-        imputed[targets] = True
-
+    imputed = _apply_weights(batches, known_values, unobserved, field_values)
+    # every row has the same provenance; the fields share one read-only array
     provenance = np.where(
         observed,
         PROVENANCE_OBSERVED,
         np.where(imputed, PROVENANCE_IMPUTED, PROVENANCE_FAILED),
     )
-    return ImputedField(
-        bin_index=bin_index,
-        variable=variable,
-        values=field_values,
-        provenance=provenance,
-        model=model,
-    )
+    provenance.flags.writeable = False
+    return [
+        ImputedField(
+            bin_index=bin_index, variable=variable, values=row, provenance=provenance,
+            model=model,
+        )
+        for (bin_index, variable), row in zip(labels, field_values)
+    ]
 
 
 def _running_sum(terms):

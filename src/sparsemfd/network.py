@@ -310,7 +310,7 @@ def _shortest_paths(neighbors, lengths, sources):
 DISTANCE_TILE = 128
 
 
-def _distances(network, sites, targets):
+def _distances(network, sites, targets, mirror=False):
     """Along-network distances from each site (rows) to each target (columns).
 
     The path runs from a site to one end node of its link, through the
@@ -330,6 +330,10 @@ def _distances(network, sites, targets):
     the pairs that share a link. Every path is summed as ``(node distance +
     site offset) + target offset`` and a minimum is exact in any order, so
     no value depends on the tile size.
+
+    With ``mirror`` the first ``len(sites)`` targets are the sites
+    themselves: the tiles of that square strictly below its diagonal are
+    skipped, and ``_symmetric`` fills them from the tiles above.
     """
     index, neighbors, lengths = _node_graph(network)
     s_link, s_from, s_to, s_from_off, s_to_off = _anchors(network, sites, index)
@@ -356,7 +360,9 @@ def _distances(network, sites, targets):
             start += s_off[rows, None]
         pairings = [(start, t_node, t_off) for start in starts
                     for t_node, t_off in ((t_from, t_from_off), (t_to, t_to_off))]
-        for c0 in range(0, len(targets), tile):
+        # rows and columns share the tile grid, so c0 < r0 is a whole tile
+        # of the square below its diagonal
+        for c0 in range(r0 if mirror else 0, len(targets), tile):
             cols = slice(c0, c0 + tile)
             out = best[rows, cols]
             through = buffer[:out.size].reshape(out.shape)
@@ -376,7 +382,12 @@ def _distances(network, sites, targets):
     i = np.repeat(np.arange(len(sites)), count)
     nth = np.arange(i.size) - np.repeat(np.cumsum(count) - count, count)
     j = by_link[np.repeat(first, count) + nth]
+    if mirror:
+        # the pairs below the diagonal are mirrored from those above it
+        i, j = i[j >= i], j[j >= i]
     best[i, j] = np.minimum(best[i, j], np.abs(s_from_off[i] - t_from_off[j]))
+    if mirror:
+        _symmetric(best[:, :len(sites)])
     return best
 
 
@@ -386,7 +397,7 @@ def site_distance_matrix(network, sites):
     Unreachable pairs are marked with inf rather than raised, so a partly
     disconnected network still yields a usable matrix. The diagonal is zero.
     """
-    return _symmetric(_distances(network, sites, sites))
+    return _distances(network, sites, sites, mirror=True)
 
 
 def _symmetric(square):

@@ -27,13 +27,22 @@ from sparsemfd.kriging import (
     failed_length_fraction,
     impute_network,
     impute_observed,
+    impute_rows,
     known_sites,
     network_mean_from_field,
     solve_kriging,
 )
-from sparsemfd.experiment import VariogramSettings, estimate_bins, field_rows
+from sparsemfd.experiment import (
+    BinOutcome,
+    ExperimentConfig,
+    VariogramSettings,
+    estimate_bins,
+    field_rows,
+    run_experiment,
+)
 from sparsemfd import network as network_module
 from sparsemfd.network import (
+    NETWORK_COLUMNS,
     DetectorSite,
     Link,
     Network,
@@ -41,8 +50,16 @@ from sparsemfd.network import (
     midpoint_sites,
     site_distance_matrix,
 )
-from sparsemfd.sensing import LinkObservation, reading_columns
-from sparsemfd.synth import corridor_network, grid_network
+from sparsemfd.scaling import ScaledEstimate
+from sparsemfd.sensing import LinkObservation, reading_columns, sample_coverage, write_readings
+from sparsemfd.synth import (
+    DEFAULT_VARIOGRAM,
+    SyntheticScenario,
+    corridor_network,
+    generate_scenario,
+    grid_network,
+)
+from sparsemfd.tableio import write_table
 from sparsemfd.variogram import (
     VariogramModel,
     distance_bin_edges,
@@ -772,7 +789,37 @@ def test_shared_lag_bins_give_the_direct_empirical_variogram_bit_for_bit(monkeyp
         assert empirical.pair_counts.tolist() == direct.pair_counts.tolist()
 
 
-def test_shared_weights_report_the_same_singular_link():
+def _outcomes_until_error(outcomes):
+    """The ``(bin, variable, value bits, field bytes)`` of each outcome, and
+    the error that ended them."""
+    seen = []
+    with pytest.raises(SingularSystemError) as err:
+        for outcome in outcomes:
+            seen.append((
+                outcome.bin_index, outcome.variable, _bits([outcome.estimate.value]),
+                outcome.field.values.tobytes(),
+            ))
+    return seen, err.value
+
+
+def _per_bin_outcomes(grid, network, sites, model, bins):
+    """``estimate_bins`` as one ``impute_observed`` call per (bin, variable)."""
+    distances = ImputationDistances.build(network, sites)
+    for b in bins:
+        row = grid.row(b)
+        for variable in ("flow", "density"):
+            field = impute_observed(
+                b, grid.values(variable)[row], grid.observed[row], distances, model=model,
+                variable=variable,
+            )
+            value, _ = network_mean_from_field(field, network)
+            yield BinOutcome(b, variable, estimate=ScaledEstimate(
+                bin_index=b, variable=variable, value=value, ttd_or_ttt=0.0,
+                method="variogram", hierarchy_count=0,
+            ), field=field)
+
+
+def test_shared_weights_report_the_same_singular_link(tmp_path):
     # the subnormal-sill corridors of the per-link singular test, two bins
     model = VariogramModel(kind="exponential", nugget=0.0, sill=1e-315, range_km=1.0)
     links = [Link(f"a{i}", f"a{i}", f"a{i + 1}", 2e-12, 1) for i in range(12)]
@@ -796,6 +843,200 @@ def test_shared_weights_report_the_same_singular_link():
         reference_impute(net, obs, sites, model)
     assert str(err.value) == str(reference.value)
     assert err.value.condition == reference.value.condition
+
+    # two observed-link sets, the second one singular: every link reports
+    # in bins 0 and 2, so nothing is kriged there, and bins 1 and 3 observe
+    # the equipped links above; bin 0's group is kriged and yielded before
+    # bin 1's group fails
+    readings = make_readings(
+        ("@" + l.id, b, float(i + b), 1.0 + b)
+        for b in range(4)
+        for i, l in enumerate(net.links)
+        if b % 2 == 0 or i % 2 == 0
+    )
+    grid = reading_columns(readings, sites, net.link_ids).observe()
+    bins = (0, 1, 2, 3)
+    stacked, err = _outcomes_until_error(estimate_bins(
+        "variogram", grid, bins, ("flow", "density"), net, sites=sites,
+        settings=VariogramSettings(fixed_model=model),
+    ))
+    per_bin, per_bin_err = _outcomes_until_error(
+        _per_bin_outcomes(grid, net, sites, model, bins)
+    )
+    assert [(b, v) for b, v, *_ in stacked] == [(0, "flow"), (0, "density")]
+    assert stacked == per_bin
+    for error in (err, per_bin_err):
+        assert str(error) == str(reference.value)
+        assert error.condition == reference.value.condition
+
+    # an experiment cell keeps those estimates and the error's message
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("network", "sites", "readings")}
+    write_table(paths["network"], NETWORK_COLUMNS,
+                [(l.id, l.from_node, l.to_node, l.length_km, l.hierarchy) for l in net.links])
+    write_table(paths["sites"], ("detector_id", "link_id", "offset_fraction"),
+                [(s.detector_id, s.link_id, s.offset_fraction) for s in sites])
+    write_readings(paths["readings"], readings)
+    (cell,) = run_experiment(ExperimentConfig(
+        coverages=(1.0,), seeds=(0,), estimators=("variogram",),
+        network_path=paths["network"], sites_path=paths["sites"],
+        readings_path=paths["readings"], variogram=VariogramSettings(fixed_model=model),
+    )).cells
+    assert cell.status == "failed"
+    assert cell.message == str(reference.value)
+    assert [(e.bin_index, e.variable, _bits([e.value])) for e in cell.estimates] == [
+        (b, v, value) for b, v, value, _ in per_bin
+    ]
+
+
+def test_stacked_bins_raise_an_unknown_variable_at_its_own_turn():
+    net, sites, grid = _shared_weights_scenario(0)
+    outcomes = estimate_bins(
+        "variogram", grid, SHARED_BINS, ("flow", "speed"), net, sites=sites,
+        settings=VariogramSettings(fixed_model=SHARED_MODEL),
+    )
+    first = next(outcomes)
+    assert (first.bin_index, first.variable) == (0, "flow")
+    assert first.field is not None
+    with pytest.raises(ValueError, match="speed"):
+        next(outcomes)
+
+
+# --- weights applied to stacks of value rows ----------------------------------
+
+
+def reference_apply(batches, known_values, targets, field_values):
+    """Fill one row of ``field_values`` target by target from the batches.
+
+    The application before weights were applied to stacks: a
+    ``weights @ values`` per kriged link, with each merged column's group
+    means as a Python running mean.
+    """
+    for columns, kept, groups, solutions, _ in batches:
+        m = kept.shape[1]
+        if groups is None:
+            merged = known_values[kept]
+        else:
+            means = []
+            for first, *rest in groups:
+                mean = float(known_values[first])
+                for count, index in enumerate(rest, start=2):
+                    mean += (known_values[index] - mean) / count
+                means.append(mean)
+            merged = np.array(means)[None]
+        for row in range(columns.size):
+            field_values[targets[columns[row]]] = solutions[row, :m] @ merged[row]
+
+
+STACK_SIZES = (1, 2, 48)
+
+
+@pytest.fixture(scope="module")
+def grid16_plan():
+    """The 16x16 city of seed 3 under its coverage-0.7 plan: every bin has
+    the same observed links, and its 24 bins give 48 (bin, variable) rows."""
+    data = generate_scenario(SyntheticScenario(rows=16, cols=16, seed=3))
+    sites = list(data.sites)
+    plan, _ = sample_coverage(sites, data.network, 0.7, 3)
+    grid = reading_columns(data.readings, sites, data.network.link_ids).observe(
+        plan.retained_detectors
+    )
+    distances = ImputationDistances.build(data.network, sites)
+    observed = grid.observed[0]
+    assert all(np.array_equal(row, observed) for row in grid.observed)
+    rows = np.concatenate([grid.flow, grid.density])
+    return (distances, observed, distances.site_mask(plan.retained_detectors),
+            DEFAULT_VARIOGRAM, 16, 3, rows)
+
+
+def _stack_cases(grid16_plan):
+    """``(name, distances, observed, retained, model, max, min, rows)`` cases.
+
+    Between them they krige with every neighbour count from 1 to 16 and
+    merge coincident neighbours. Cases without recorded rows get lognormal
+    rows of many magnitudes (values off the observed links are ignored).
+    """
+    rng = np.random.default_rng(20)
+    yield ("grid16-seed3-cov0.7", *grid16_plan)
+    net, sites, grid = _shared_weights_scenario(0, silent_bin=2)
+    distances = ImputationDistances.build(net, sites)
+    for b in (0, 2):
+        # bin 2 is silent at one detector and has a mask of its own
+        rows = rng.lognormal(6.0, 2.0, (max(STACK_SIZES), len(net.links)))
+        yield (f"shared-bin{b}", distances, grid.observed[grid.row(b)], None,
+               SHARED_MODEL, 16, 3, rows)
+    # a sparse corridor: targets with one or two neighbours in range
+    net = corridor_network(40, edge_km=0.5)
+    observed = rng.random(len(net.links)) < 0.3
+    rows = rng.lognormal(6.0, 2.0, (max(STACK_SIZES), len(net.links)))
+    model = VariogramModel(kind="spherical", nugget=5.0, sill=900.0, range_km=1.2)
+    yield ("corridor", ImputationDistances.build(net, midpoint_sites(net)), observed, None,
+           model, 16, 1, rows)
+
+
+def test_stacked_application_matches_one_row_calls_and_the_per_target_dots(
+    grid16_plan, monkeypatch
+):
+    gathered = []
+    merge = kriging._merged_values
+
+    def recording(*args):
+        merged = merge(*args)
+        gathered.append(merged)
+        return merged
+
+    monkeypatch.setattr(kriging, "_merged_values", recording)
+    counts = set()
+    merged_columns = 0
+    for name, distances, observed, retained, model, most, least, rows in _stack_cases(
+        grid16_plan
+    ):
+        limits = dict(max_neighbors=most, min_neighbors=least, retained=retained)
+        known, _ = known_sites(rows[0], observed, distances.site_links, retained)
+        unobserved = np.flatnonzero(~observed)
+        _, batches = kriging._kriging_weights(
+            model,
+            distances.site_to_target[np.ix_(known, unobserved)],
+            distances.between_sites[np.ix_(known, known)],
+            most, least,
+        )
+        counts |= {kept.shape[1] for _, kept, *_ in batches}
+        merged_columns += sum(groups is not None for *_, groups, _, _ in batches)
+        shared = {}
+        for size in STACK_SIZES:
+            stack = rows[:size]
+            labels = [(r, "flow") for r in range(size)]
+            gathered.clear()
+            fields = impute_rows(labels, stack, observed, distances, model=model, **limits)
+            assert gathered and all(
+                merged.flags.c_contiguous and merged.shape[0] == size for merged in gathered
+            ), name
+            _, known_values = known_sites(stack, observed, distances.site_links, retained)
+            assert known_values.flags.c_contiguous
+            assert [(f.bin_index, f.variable) for f in fields] == labels
+            for r, field in enumerate(fields):
+                single = impute_observed(
+                    r, stack[r], observed, distances, model=model, shared_weights=shared,
+                    **limits,
+                )
+                expected = np.where(observed, stack[r], np.nan)
+                reference_apply(batches, stack[r, distances.site_links[known]], unobserved,
+                                expected)
+                assert _bits(field.values.tolist()) == _bits(expected.tolist()), (name, size, r)
+                assert field.values.tobytes() == single.values.tobytes(), (name, size, r)
+                assert field.provenance.tolist() == single.provenance.tolist()
+    assert set(range(1, 17)) <= counts
+    assert merged_columns
+
+
+def test_stacked_rows_need_their_labels_and_a_given_model():
+    net, sites, truth, obs = _corridor_setup()
+    distances = ImputationDistances.build(net, sites)
+    observed = np.array([l.id in {o.link_id for o in obs} for l in net.links])
+    values = np.ones((2, len(net.links)))
+    with pytest.raises(ValidationError, match="labels"):
+        impute_rows([(0, "flow")], values, observed, distances, model=SHARED_MODEL)
+    with pytest.raises(ValidationError, match="one value row"):
+        impute_rows([(0, "flow"), (1, "flow")], values, observed, distances)
 
 
 # --- field reduction ----------------------------------------------------------
