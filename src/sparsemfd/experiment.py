@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import (
     DegenerateTestError,
+    EstimationError,
     InsufficientDataError,
     NotEstimableError,
     NumericError,
@@ -164,17 +165,19 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
     "bin {b} ({variable}): {reason}"; numeric and validation errors
     propagate. The hierarchy partition is built once per distinct set of
     observed links. Without ``refit_per_bin`` each variable reuses the model
-    of its first estimable bin. A given model (``fixed_model``, or the one
-    ``refit_per_bin=False`` reuses) has its kriging weights solved once per
-    distinct set of observed links and applied to every bin and variable
-    observed there, and so are the lag bins of per-bin refits; both are
-    held for this call only. With ``fixed_model`` the bins are grouped by
-    their observed links, and every (bin, variable) row of a group is
-    kriged in one ``impute_rows`` call when the group's first bin comes up;
-    the outcomes still follow in (bin, variable) order, and an error
-    surfaces after the same outcomes as with one call per row. ``sites``,
-    ``distances`` and ``known_site_ids`` are those of ``impute_network``;
-    the distances are built once when omitted.
+    of its first estimable bin, kriged bin by bin; that model has its
+    kriging weights solved once per distinct set of observed links and
+    applied to every bin observed there, and the lag bins of its fits are
+    assigned once per set, both held for this call only. With
+    ``fixed_model``, or with per-bin refits, the bins are grouped by their
+    observed links, and every (bin, variable) row of a group is kriged in
+    one ``impute_rows`` call when the group's first bin comes up: with the
+    fixed model's one weight set, or with a model fitted per row and the
+    weights of all of them solved in one call. The outcomes still follow
+    in (bin, variable) order, and a row's error (a failed fit, a singular
+    system) surfaces at that row's turn, after the same outcomes as with
+    one call per row. ``sites``, ``distances`` and ``known_site_ids`` are
+    those of ``impute_network``; the distances are built once when omitted.
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ValidationError(f"unknown estimator '{estimator}'")
@@ -183,8 +186,8 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
             distances = ImputationDistances.build(network, sites)
         retained = distances.site_mask(known_site_ids)
         weights = {}
-        stacked = settings.fixed_model is not None
-        if stacked:
+        grouped = settings.fixed_model is not None or settings.refit_per_bin
+        if grouped:
             groups = _groups_by_observed_links(observations, bins)
             kriged = {}
     partitions = {}
@@ -216,18 +219,21 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                     estimate = hierarchical_estimate(
                         b, values, partition, variable, duration_h=duration_h
                     )
-                elif stacked:
+                elif grouped:
                     if (b, variable) not in kriged:
                         kriged.update(_krige_group(
                             groups[equipped.tobytes()], variables, observations,
                             distances, settings, retained, weights,
                         ))
                     imputed = kriged.pop((b, variable))
+                    if isinstance(imputed, EstimationError):
+                        # this row's own failure, raised at its turn
+                        error, imputed = imputed, None
+                        raise error
                 else:
-                    model = None if settings.refit_per_bin else reused.get(variable)
                     imputed = impute_observed(
-                        b, values, equipped, distances, model=model, variable=variable,
-                        kinds=settings.kinds, lag_bins=settings.lag_bins,
+                        b, values, equipped, distances, model=reused.get(variable),
+                        variable=variable, kinds=settings.kinds, lag_bins=settings.lag_bins,
                         min_pairs=settings.min_pairs,
                         max_neighbors=settings.max_neighbors,
                         min_neighbors=settings.min_neighbors,
@@ -262,9 +268,10 @@ def _groups_by_observed_links(observations, bins):
 
 
 def _krige_group(group, variables, observations, distances, settings, retained, weights):
-    """Krige every (bin, variable) row of one group with the fixed model.
+    """Krige every (bin, variable) row of one group in one ``impute_rows`` call.
 
-    Returns the fields keyed by (bin, variable). Only the known variables
+    The rows take the fixed model, or each its own fit. Returns the fields,
+    or a row's own error, keyed by (bin, variable). Only the known variables
     are stacked: an unknown one raises at its own turn, as it does row by
     row.
     """
@@ -274,6 +281,7 @@ def _krige_group(group, variables, observations, distances, settings, retained, 
     fields = impute_rows(
         labels, np.concatenate([observations.values(v)[rows] for v in known]),
         observations.observed[rows[0]], distances, model=settings.fixed_model,
+        kinds=settings.kinds, lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
         max_neighbors=settings.max_neighbors, min_neighbors=settings.min_neighbors,
         retained=retained, shared_weights=weights,
     )

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    EstimationError,
     IncompleteFieldError,
     InsufficientDataError,
     InsufficientNeighborsError,
@@ -29,6 +30,8 @@ PROVENANCE_IMPUTED = "imputed"
 PROVENANCE_FAILED = "failed"
 
 _ZERO_DISTANCE = 1e-12
+# at most this many bytes of kriging systems go to one np.linalg.solve call
+_SOLVE_CHUNK_BYTES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -90,10 +93,15 @@ def solve_kriging(
         ids = tuple(ids)
         if len(ids) != n:
             raise ValidationError(f"{len(ids)} ids for {n} values")
-    found, batches = _kriging_weights(model, target[:, None], pairs, max_neighbors, min_neighbors)
+    batches = []
+    found, failures = _kriging_weights(
+        (model,), target[:, None], pairs, max_neighbors, min_neighbors, batches.append
+    )
+    if failures:
+        raise failures[0]
     if not batches:
-        raise InsufficientNeighborsError(found=int(found[0]), required=min_neighbors)
-    _, kept, groups, solutions, rhs = batches[0]
+        raise InsufficientNeighborsError(found=int(found[0, 0]), required=min_neighbors)
+    _, _, kept, groups, solutions, rhs = batches[0]
     m = kept.shape[1]
     weights = solutions[0, :m]
     lagrange = float(solutions[0, m])
@@ -106,93 +114,121 @@ def solve_kriging(
     )
 
 
-def _kriging_weights(model, target, pairs, max_neighbors, min_neighbors):
-    """Solve the kriging systems of many targets in stacked batches.
+def _kriging_weights(models, target, pairs, max_neighbors, min_neighbors, consume):
+    """Solve the kriging systems of many targets for one or more models.
 
     ``target`` holds the distances from the ``n`` known sites to ``k``
-    targets, one column each. Every column keeps its nearest in-range sites
-    (ties by site order, at most ``max_neighbors``); columns with fewer than
-    ``min_neighbors`` in range are left out. Columns whose neighbours are
-    pairwise apart share one ``np.linalg.solve`` call per neighbour count;
-    a column with coincident neighbours merges them first and is solved
-    alone. No site value enters, so the weights serve every bin and
+    targets, one column each. For every model, a column keeps its nearest
+    in-range sites (ties by site order, at most ``max_neighbors``); a column
+    with fewer than ``min_neighbors`` in range is left out for that model.
+    The sites are sorted once for all models: a column's in-range sites are
+    a prefix of its stable sort by distance, with the sites out of every
+    model's range or at a non-finite distance last, so each model only
+    counts how long its prefix is. Each column's neighbour block is gathered
+    once, too. No site value enters, so the weights serve every bin and
     variable observed at the same sites; ``_merged_values`` supplies the
     values they apply to.
 
-    Returns ``(found, batches)``: the in-range site count of every column,
-    and one ``(columns, kept, groups, solutions, rhs)`` tuple per batch,
-    where row ``r`` belongs to column ``columns[r]``, ``kept`` holds its
-    neighbour site indices, ``groups`` is None or, for a merged column, the
-    site indices averaged into each kept site, ``solutions`` the weights
-    followed by the Lagrange multiplier and ``rhs`` the right-hand side. A
-    singular or non-finite system raises ``SingularSystemError`` for the
-    first such column.
+    The systems of one neighbour count are solved for every model together:
+    columns whose neighbours are pairwise apart in stacked
+    ``np.linalg.solve`` calls of at most ``_SOLVE_CHUNK_BYTES`` of systems, a
+    column with coincident neighbours merged first and solved for all its
+    models in one call. Each solved batch goes to ``consume`` as soon as it
+    is solved, as a ``(rows, columns, kept, groups, solutions, rhs)``
+    tuple: row ``r`` belongs to column ``columns[r]`` and, unless ``rows``
+    is None (one model), to model ``rows[r]``; ``kept`` holds its neighbour
+    site indices, ``groups`` is None or, for a merged column, the site
+    indices averaged into each kept site, ``solutions`` the weights
+    followed by the Lagrange multiplier and ``rhs`` the right-hand side.
+
+    Returns ``(found, failures)``: the in-range site count of every
+    (model, column), counted among the ``max_neighbors`` nearest sites, and
+    a ``SingularSystemError`` for each model index whose systems include a
+    singular or non-finite one, for the first such column. A model's
+    batches are all consumed even then; its weights are not to be used.
     """
     if min_neighbors < 1:
         raise ValueError(f"min_neighbors must be at least 1, got {min_neighbors}")
     if max_neighbors < min_neighbors:
         raise ValueError("max_neighbors must be at least min_neighbors")
 
-    in_range = np.isfinite(target) & (target <= model.range_km)
-    found = np.count_nonzero(in_range, axis=0)
-    # a stable sort keeps equal distances in site order, out-of-range last
-    order = np.argsort(np.where(in_range, target, np.inf), axis=0, kind="stable")
-    counts = np.where(found >= min_neighbors, np.minimum(found, max_neighbors), 0)
+    # a stable sort keeps equal distances in site order; sites out of every
+    # model's range, or at a non-finite distance, come last and tie
+    reach = max(model.range_km for model in models)
+    keys = np.where(np.isfinite(target) & (target <= reach), target, np.inf)
+    order = np.argsort(keys, axis=0, kind="stable")[:max_neighbors].copy()
+    nearest = np.take_along_axis(keys, order, axis=0)
+    del keys
+    found = np.array([np.count_nonzero(nearest <= model.range_km, axis=0) for model in models])
+    counts = np.where(found >= min_neighbors, found, 0)
 
-    batches = []
+    # every column's neighbour block, gathered once; its first m sites hold
+    # a coincident pair once m passes the first site that coincides with an
+    # earlier one
+    blocks = pairs[order.T[:, :, None], order.T[:, None, :]]
+    close = blocks <= _ZERO_DISTANCE
+    close = np.tril(close | close.transpose(0, 2, 1), -1).any(axis=2)
+    clash = np.argmax(np.column_stack([close, np.ones(len(close), dtype=bool)]), axis=1)
+
+    shared = len(models) == 1
+    failures = {}
+
+    def solved(rows, columns, kept, groups, dists, target_dists):
+        systems, rhs, solutions, bad = _solve_batch(models, rows, dists, target_dists)
+        for row in np.flatnonzero(bad):
+            model, column = int(rows[row]), int(columns[row])
+            if model not in failures or column < failures[model][0]:
+                failures[model] = (column, systems[row])
+        consume((None if shared else rows, columns, kept, groups, solutions, rhs))
+
     for m in np.unique(counts[counts > 0]):
-        columns = np.flatnonzero(counts == m)
-        kept = order[:m, columns].T
-        block = pairs[kept[:, :, None], kept[:, None, :]]
-        close = block <= _ZERO_DISTANCE
-        close[:, np.arange(m), np.arange(m)] = False
-        coincident = close.any(axis=(1, 2))
-        apart = ~coincident
-        if apart.any():
-            batches.append((
-                columns[apart], kept[apart], None,
-                block[apart], target[kept[apart], columns[apart, None]],
-            ))
-        for column, selected in zip(columns[coincident], kept[coincident]):
-            groups = _coincident_groups(pairs, selected)
+        # by model, then column: each model's rows are one run
+        rows, columns = np.nonzero(counts == m)
+        apart = clash[columns] >= m
+        chunk = max(1, _SOLVE_CHUNK_BYTES // (8 * (m + 1) ** 2))
+        apart_rows, apart_columns = rows[apart], columns[apart]
+        for start in range(0, apart_rows.size, chunk):
+            c = apart_columns[start:start + chunk]
+            kept = order[:m, c].T
+            solved(apart_rows[start:start + chunk], c, kept, None, blocks[c, :m, :m],
+                   target[kept, c[:, None]])
+        for column in np.unique(columns[~apart]):
+            r = rows[~apart & (columns == column)]
+            groups = _coincident_groups(pairs, order[:m, column])
             merged_kept = np.array([group[0] for group in groups])
-            batches.append((
-                column[None], merged_kept[None], groups,
-                pairs[np.ix_(merged_kept, merged_kept)][None],
-                target[merged_kept, column][None],
-            ))
-
-    solved = []
-    failure = None
-    for columns, kept, groups, block, dists in batches:
-        systems, rhs, solutions, bad = _solve_batch(model, block, dists)
-        if bad.any():
-            row = int(np.argmax(bad))
-            if failure is None or columns[row] < failure[0]:
-                failure = (columns[row], systems[row])
-        solved.append((columns, kept, groups, solutions, rhs))
-    if failure is not None:
-        raise SingularSystemError(condition=float(np.linalg.cond(failure[1])))
-    return found, solved
+            solved(
+                r, np.full(r.size, column), np.tile(merged_kept, (r.size, 1)), groups,
+                np.tile(pairs[np.ix_(merged_kept, merged_kept)], (r.size, 1, 1)),
+                np.tile(target[merged_kept, column], (r.size, 1)),
+            )
+    return found, {
+        model: SingularSystemError(condition=float(np.linalg.cond(system)))
+        for model, (_, system) in failures.items()
+    }
 
 
-def _solve_batch(model, block_dists, target_dists):
+def _solve_batch(models, rows, block_dists, target_dists):
     """Assemble and solve the kriging systems of one batch in one call.
 
     ``block_dists`` (g, m, m) and ``target_dists`` (g, m) give each row's
-    neighbour and target distances. Returns the (g, m+1, m+1) systems,
-    the right-hand sides, the solutions and a mask of the rows whose system
-    is singular or whose solution is not finite.
+    neighbour and target distances, and row ``r`` takes the model
+    ``models[rows[r]]``; ``rows`` is sorted. Returns the (g, m+1, m+1)
+    systems, the right-hand sides, the solutions and a mask of the rows
+    whose system is singular or whose solution is not finite.
     """
     g, m = target_dists.shape
     diagonal = np.arange(m)
     systems = np.zeros((g, m + 1, m + 1))
-    systems[:, :m, :m] = gamma(model, block_dists)
+    rhs = np.ones((g, m + 1))
+    bounds = [0, g] if len(models) == 1 else [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), g]
+    for start, stop in zip(bounds, bounds[1:]):
+        model = models[rows[start]]
+        systems[start:stop, :m, :m] = gamma(model, block_dists[start:stop])
+        near = target_dists[start:stop]
+        rhs[start:stop, :m] = np.where(near <= _ZERO_DISTANCE, 0.0, gamma(model, near))
     systems[:, diagonal, diagonal] = 0.0
     systems[:, :m, m] = 1.0
     systems[:, m, :m] = 1.0
-    rhs = np.ones((g, m + 1))
-    rhs[:, :m] = np.where(target_dists <= _ZERO_DISTANCE, 0.0, gamma(model, target_dists))
     try:
         solutions = np.linalg.solve(systems, rhs[:, :, None])[:, :, 0]
     except np.linalg.LinAlgError:
@@ -223,44 +259,50 @@ def _coincident_groups(pairs, selected):
     return groups
 
 
-def _merged_values(values, kept, groups):
+def _merged_values(values, kept, groups, rows=None):
     """One batch's neighbour values for a stack of value rows.
 
-    ``values`` is (R, n_known); the result is a C-contiguous (R, rows, m)
-    array, row ``r`` of it shaped like ``kept``. Without ``groups`` these
-    are the kept sites' values; a merged column takes the running mean of
-    each group, in group order.
+    ``values`` is (R, n_known). Without ``rows`` every value row meets every
+    weight vector of the batch, and the result is a C-contiguous (R, g, m)
+    array, row ``r`` of it shaped like ``kept``; with ``rows``, weight
+    vector ``e`` meets value row ``rows[e]`` alone, and the result is a
+    C-contiguous (g, m) array. Without ``groups`` these are the kept sites'
+    values; a merged column takes the running mean of each group, in group
+    order.
     """
     if groups is None:
         # a strided gather would make the dot below add in another order
-        return np.ascontiguousarray(values[:, kept])
-    means = np.empty((values.shape[0], 1, len(groups)))
+        gathered = values[:, kept] if rows is None else values[rows[:, None], kept]
+        return np.ascontiguousarray(gathered)
+    lead = slice(None) if rows is None else rows
+    means = np.empty((len(values), *kept.shape) if rows is None else kept.shape)
     for k, (first, *rest) in enumerate(groups):
-        mean = values[:, first].copy()
+        mean = values[lead, first].copy()
         for count, index in enumerate(rest, start=2):
-            mean += (values[:, index] - mean) / count
-        means[:, 0, k] = mean
+            mean += (values[lead, index] - mean) / count
+        means[..., k] = mean.reshape(means.shape[:-1])
     return means
 
 
-def _apply_weights(batches, known_values, targets, field_values):
-    """Krige a stack of value rows with one set of solved weights.
+def _apply_weights(batch, known_values, targets, field_values, imputed):
+    """Krige a stack of value rows with one batch of solved weights.
 
     ``known_values`` (R, n_known) holds each row's known-site values and
     ``field_values`` (R, links) receives the prediction of every batch
-    column at link ``targets[column]``. Each prediction is the dot of its
-    weights with its neighbour values, both contiguous, so it keeps the
-    bits of a one-target ``weights @ values``. Returns the mask of the
-    links that received a prediction.
+    column at link ``targets[column]``: in every row when the batch's
+    ``rows`` is None, else in row ``rows[e]`` for weight vector ``e``.
+    ``imputed`` marks the links that received one, in its only row or in
+    each of those rows. Each prediction is the dot of its weights with its
+    neighbour values, both contiguous, so it keeps the bits of a one-target
+    ``weights @ values``.
     """
-    imputed = np.zeros(field_values.shape[1], dtype=bool)
-    for columns, kept, groups, solutions, _ in batches:
-        m = kept.shape[1]
-        merged = _merged_values(known_values, kept, groups)
-        cells = targets[columns]
-        field_values[:, cells] = np.matmul(merged[..., None, :], solutions[:, :m, None])[..., 0, 0]
-        imputed[cells] = True
-    return imputed
+    rows, columns, kept, groups, solutions, _ = batch
+    m = kept.shape[1]
+    cells = targets[columns]
+    merged = _merged_values(known_values, kept, groups, rows)
+    lead = slice(None) if rows is None else rows
+    field_values[lead, cells] = np.matmul(merged[..., None, :], solutions[:, :m, None])[..., 0, 0]
+    imputed[0 if rows is None else rows, cells] = True
 
 
 @dataclass(frozen=True)
@@ -383,7 +425,8 @@ def impute_observed(bin_index, values, observed, distances, model=None, variable
                     min_neighbors=3, retained=None, shared_weights=None):
     """``impute_network`` on one bin's link-order ``values`` and ``observed`` mask.
 
-    The one-row call of ``impute_rows``, whose arguments these are.
+    The one-row call of ``impute_rows``, whose arguments these are; the
+    row's failure is raised.
     """
     (field,) = impute_rows(
         ((bin_index, variable),), values[None], observed, distances, model=model,
@@ -391,6 +434,8 @@ def impute_observed(bin_index, values, observed, distances, model=None, variable
         max_neighbors=max_neighbors, min_neighbors=min_neighbors,
         retained=retained, shared_weights=shared_weights,
     )
+    if isinstance(field, EstimationError):
+        raise field
     return field
 
 
@@ -401,69 +446,126 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
 
     ``values`` is a (R, links) array of link-order rows, all observed on the
     links of the mask ``observed`` (values off them are ignored), and
-    ``labels`` gives each row's ``(bin_index, variable)``. One weight set,
-    solved for the model and the known sites, is applied to every row in
-    one stacked product (``_apply_weights``). With ``model=None`` a
-    variogram is fitted first from the values of the one row (R must be
-    1). ``retained`` is the ``distances.site_mask`` of ``known_site_ids``.
+    ``labels`` gives each row's ``(bin_index, variable)``. ``retained`` is
+    the ``distances.site_mask`` of ``known_site_ids``.
+
+    A given ``model`` has one weight set, solved for the known sites and
+    applied to every row in one stacked product per batch
+    (``_apply_weights``). With ``model=None`` each row gets its own
+    variogram, one ``fit_variogram`` call per row in row order, and the
+    weights of all fitted rows are solved in one ``_kriging_weights`` call,
+    each batch applied to its rows as soon as it is solved. A row whose fit
+    raises, or whose weights meet a singular system, fails alone: its entry
+    in the returned list is that ``EstimationError`` instead of a field, for
+    the caller to raise at the row's turn. An error that concerns every row
+    alike (no known site, no lag bins) is raised.
 
     ``shared_weights`` is an optional dict kept across calls with the same
     ``distances``, ``retained`` and neighbour limits, since neither entry
-    depends on the values: the kriging weights of every model, given or
-    fitted here, are stored there under ``(model, observed mask)``, and the
-    lag bins and pairs of a fit (``variogram.lag_pairs``) under ``("lags",
-    lag_bins, observed mask)``, and reused by a later call with the same
-    key.
+    depends on the values: the kriging weights of a call with one model,
+    given or fitted from its one row, are stored there under ``(model,
+    observed mask)`` and reused by a later call given that model, and the
+    lag bins and pairs of a fit (``variogram.lag_pairs``) are stored under
+    ``("lags", lag_bins, observed mask)`` and reused by a later fit. The
+    weights of many fitted models are not stored: they are applied as they
+    are solved.
     """
     labels = tuple(labels)
     if len(labels) != values.shape[0]:
         raise ValidationError(f"{len(labels)} labels for {values.shape[0]} value rows")
-    if model is None and len(labels) != 1:
-        raise ValidationError(f"a model is fitted from one value row, got {len(labels)}")
     known, known_values = known_sites(values, observed, distances.site_links, retained)
     unobserved = np.flatnonzero(~observed)
     mask = observed.tobytes()
-    batches = None
-    if model is not None and shared_weights is not None:
-        batches = shared_weights.get((model, mask))
-    if batches is None:
-        known_pairs = distances.between_sites[np.ix_(known, known)]
-        if model is None:
-            lags_key = ("lags", lag_bins, mask)
-            lags = None if shared_weights is None else shared_weights.get(lags_key)
-            if lags is None:
-                lags = lag_pairs(known_pairs, distance_bin_edges(known_pairs, n_bins=lag_bins))
-                if shared_weights is not None:
-                    shared_weights[lags_key] = lags
-            model = fit_variogram(lags.variogram(known_values[0]), kinds=kinds, min_pairs=min_pairs)
+    batches = None if model is None or shared_weights is None else shared_weights.get((model, mask))
+    # the distances among the known sites, unless the model's weights are stored
+    known_pairs = None if batches is not None else distances.between_sites[np.ix_(known, known)]
+    if model is None:
+        fits = _fit_rows(known_values, known_pairs, mask, kinds, lag_bins, min_pairs,
+                         shared_weights)
+        owners = [r for r, fit in enumerate(fits) if not isinstance(fit, EstimationError)]
+        models = [fits[r] for r in owners]
+    else:
+        fits = [model] * len(labels)
+        owners = list(range(len(labels)))
+        models = [model]
+
+    def solve(consume):
+        if not (models and unobserved.size):
+            return {}
+        _, failures = _kriging_weights(
+            models, distances.site_to_target[np.ix_(known, unobserved)], known_pairs,
+            max_neighbors, min_neighbors, consume,
+        )
+        return failures
+
+    # one weight set is solved whole, or found in shared_weights, then applied
+    shared = len(models) == 1
+    failures = {}
+    if shared and batches is None:
         batches = []
-        if unobserved.size:
-            _, batches = _kriging_weights(
-                model,
-                distances.site_to_target[np.ix_(known, unobserved)],
-                known_pairs,
-                max_neighbors,
-                min_neighbors,
-            )
-        if shared_weights is not None:
-            shared_weights[(model, mask)] = batches
+        failures = solve(batches.append)
+        if shared_weights is not None and not failures:
+            shared_weights[(models[0], mask)] = batches
 
     field_values = np.where(observed, values, np.nan)
-    imputed = _apply_weights(batches, known_values, unobserved, field_values)
-    # every row has the same provenance; the fields share one read-only array
+    # the kriged rows: all of them, or a copy of those whose fit held
+    stack = slice(None) if len(owners) == len(labels) else np.array(owners, dtype=np.intp)
+    known_stack, field_stack = known_values[stack], field_values[stack]
+    imputed = np.zeros((len(models), observed.size), dtype=bool)
+
+    def apply(batch):
+        _apply_weights(batch, known_stack, unobserved, field_stack, imputed)
+
+    if not shared:
+        # many weight sets: each batch is applied as soon as it is solved
+        failures = solve(apply)
+    elif not failures:
+        for batch in batches:
+            apply(batch)
+    if not isinstance(stack, slice):
+        field_values[stack] = field_stack
+    for k, error in failures.items():
+        for r in owners if shared else [owners[k]]:
+            fits[r] = error
+
+    # the rows of one weight set share one read-only provenance row
     provenance = np.where(
         observed,
         PROVENANCE_OBSERVED,
         np.where(imputed, PROVENANCE_IMPUTED, PROVENANCE_FAILED),
     )
     provenance.flags.writeable = False
+    weight_set = {r: 0 if shared else k for k, r in enumerate(owners)}
     return [
-        ImputedField(
-            bin_index=bin_index, variable=variable, values=row, provenance=provenance,
-            model=model,
+        fit if isinstance(fit, EstimationError) else ImputedField(
+            bin_index=bin_index, variable=variable, values=row,
+            provenance=provenance[weight_set[r]], model=fit,
         )
-        for (bin_index, variable), row in zip(labels, field_values)
+        for r, ((bin_index, variable), row, fit) in enumerate(zip(labels, field_values, fits))
     ]
+
+
+def _fit_rows(known_values, known_pairs, mask, kinds, lag_bins, min_pairs, shared_weights):
+    """One fitted variogram per row of ``known_values``, or the error of its fit.
+
+    The lag bins and pairs of the known sites are assigned once and kept
+    in ``shared_weights`` (see ``impute_rows``); an error there concerns
+    every row and is raised. Each fit is one call of the module-level
+    ``fit_variogram``.
+    """
+    lags_key = ("lags", lag_bins, mask)
+    lags = None if shared_weights is None else shared_weights.get(lags_key)
+    if lags is None:
+        lags = lag_pairs(known_pairs, distance_bin_edges(known_pairs, n_bins=lag_bins))
+        if shared_weights is not None:
+            shared_weights[lags_key] = lags
+    fits = []
+    for row in known_values:
+        try:
+            fits.append(fit_variogram(lags.variogram(row), kinds=kinds, min_pairs=min_pairs))
+        except EstimationError as exc:
+            fits.append(exc)
+    return fits
 
 
 def _running_sum(terms):

@@ -152,11 +152,11 @@ def covariance_factor(distances, model, jitter=1e-8):
     absorbs round-off; genuinely indefinite combinations (possible for some
     shapes over graph distances) fail with advice to raise the nugget.
     """
-    dist = np.asarray(distances, dtype=float)
     total = model.sill + model.nugget
-    cov = total - gamma(model, dist)
-    np.fill_diagonal(cov, total)
-    cov = cov + jitter * total * np.eye(dist.shape[0])
+    # one n x n buffer: the semivariances, turned into covariances in place
+    cov = gamma(model, np.asarray(distances, dtype=float))
+    np.subtract(total, cov, out=cov)
+    np.fill_diagonal(cov, total + jitter * total)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:

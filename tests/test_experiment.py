@@ -266,23 +266,35 @@ def test_a_refit_experiment_fits_once_per_plan_bin_and_variable(monkeypatch):
         return fit(*args, **kwargs)
 
     imputations = []
-    impute = experiment.impute_observed
+    impute = experiment.impute_rows
 
-    def recording_impute(bin_index, *args, variable, **kwargs):
+    def recording_impute(labels, *args, **kwargs):
         before = len(fits)
         try:
-            return impute(bin_index, *args, variable=variable, **kwargs)
+            return impute(labels, *args, **kwargs)
         finally:
-            imputations.append((bin_index, variable, len(fits) - before))
+            imputations.append((tuple(labels), len(fits) - before))
+
+    solves = []
+    solve = kriging._kriging_weights
+
+    def recording_solve(models, *args):
+        solves.append(len(models))
+        return solve(models, *args)
 
     monkeypatch.setattr(kriging, "fit_variogram", recording_fit)
-    monkeypatch.setattr(experiment, "impute_observed", recording_impute)
+    monkeypatch.setattr(kriging, "_kriging_weights", recording_solve)
+    monkeypatch.setattr(experiment, "impute_rows", recording_impute)
     run_experiment(config)
-    # four plans, each with four bins of two variables
-    assert sorted(imputations) == sorted(
-        (b, variable, 1) for _ in range(4) for b in range(4) for variable in ("flow", "density")
-    )
+    # four plans, each with four bins of two variables observed on one set
+    # of links: one call per plan fits each of its eight rows once, and
+    # solves their weights in one call
+    assert [sorted(labels) for labels, _ in imputations] == [
+        sorted((b, variable) for b in range(4) for variable in ("flow", "density"))
+    ] * 4
+    assert [count for _, count in imputations] == [8] * 4
     assert len(fits) == 32
+    assert solves == [8] * 4
 
 
 # --- recorded data mode -------------------------------------------------------

@@ -10,11 +10,12 @@ import struct
 import numpy as np
 import pytest
 
-from sparsemfd import kriging
+from sparsemfd import experiment, kriging
 from sparsemfd.errors import (
     IncompleteFieldError,
     InsufficientDataError,
     InsufficientNeighborsError,
+    NotEstimableError,
     SingularSystemError,
     ValidationError,
 )
@@ -664,13 +665,20 @@ def reference_estimate_bins(grid, network, sites, settings):
 
 
 def _count_weight_solves(monkeypatch):
+    """Record every ``_kriging_weights`` call as the list of its batches."""
     calls = []
     solve = kriging._kriging_weights
 
     def counting(*args):
-        found, batches = solve(*args)
+        *head, consume = args
+        batches = []
         calls.append(batches)
-        return found, batches
+
+        def recording(batch):
+            batches.append(batch)
+            consume(batch)
+
+        return solve(*head, recording)
 
     monkeypatch.setattr(kriging, "_kriging_weights", counting)
     return calls
@@ -742,24 +750,53 @@ def test_fixed_model_weights_are_solved_once_per_observed_link_set(monkeypatch):
         settings=VariogramSettings(refit_per_bin=False, lag_bins=8),
     ))
     assert len(calls) == 2
-    # a per-bin fit gets new weights every time
+    # per-bin fits get weights of their own, all solved in the one call of
+    # their observed-link set
     calls.clear()
     list(estimate_bins(
         "variogram", grid, SHARED_BINS, ("flow",), net, sites=sites,
         settings=VariogramSettings(lag_bins=8),
     ))
-    assert len(calls) == len(SHARED_BINS)
+    assert len(calls) == 1
+    assert {int(r) for rows, *_ in calls[0] for r in rows} == set(range(len(SHARED_BINS)))
+    # a silent bin has its own observed links and its own call
+    net, sites, grid = _shared_weights_scenario(5, silent_bin=2)
+    calls.clear()
+    list(estimate_bins(
+        "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
+        settings=VariogramSettings(lag_bins=8),
+    ))
+    assert len(calls) == 2
+    assert [{int(r) for rows, *_ in batches for r in rows} for batches in calls] == [
+        set(range(2 * (len(SHARED_BINS) - 1))), {0, 1},
+    ]
+
+
+def record_fits_by_label(monkeypatch):
+    """Record each ``experiment.impute_rows`` call as its labels and the
+    empirical variograms fitted during it, which come one per row, in row
+    order."""
+    calls = []
+    fit = kriging.fit_variogram
+
+    def recording_fit(empirical, **kwargs):
+        calls[-1][1].append(empirical)
+        return fit(empirical, **kwargs)
+
+    impute = experiment.impute_rows
+
+    def recording_impute(labels, *args, **kwargs):
+        calls.append((tuple(labels), []))
+        return impute(labels, *args, **kwargs)
+
+    monkeypatch.setattr(kriging, "fit_variogram", recording_fit)
+    monkeypatch.setattr(experiment, "impute_rows", recording_impute)
+    return calls
 
 
 def test_shared_lag_bins_give_the_direct_empirical_variogram_bit_for_bit(monkeypatch):
     net, sites, grid = _shared_weights_scenario(4, silent_bin=2)
-    fitted = []
-    fit = kriging.fit_variogram
-
-    def recording_fit(empirical, **kwargs):
-        fitted.append(empirical)
-        return fit(empirical, **kwargs)
-
+    calls = record_fits_by_label(monkeypatch)
     assignments = []
     assign = kriging.lag_pairs
 
@@ -767,20 +804,21 @@ def test_shared_lag_bins_give_the_direct_empirical_variogram_bit_for_bit(monkeyp
         assignments.append(args)
         return assign(*args)
 
-    monkeypatch.setattr(kriging, "fit_variogram", recording_fit)
     monkeypatch.setattr(kriging, "lag_pairs", recording_lag_pairs)
     outcomes = list(estimate_bins(
         "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
         settings=VariogramSettings(lag_bins=8, min_length_coverage=0.5),
     ))
     # the silent bin has its own observed links, the others share one set
-    assert len(assignments) == 2
-    assert len(fitted) == len(outcomes) == 2 * len(SHARED_BINS)
+    assert len(assignments) == len(calls) == 2
+    fitted = {label: empirical for labels, fits in calls for label, empirical in zip(labels, fits)}
+    assert sum(len(fits) for _, fits in calls) == len(fitted) == len(outcomes)
+    assert set(fitted) == {(o.bin_index, o.variable) for o in outcomes}
     distances = ImputationDistances.build(net, sites)
-    for outcome, empirical in zip(outcomes, fitted):
-        row = grid.row(outcome.bin_index)
+    for (b, variable), empirical in fitted.items():
+        row = grid.row(b)
         known, values = known_sites(
-            grid.values(outcome.variable)[row], grid.observed[row], distances.site_links
+            grid.values(variable)[row], grid.observed[row], distances.site_links
         )
         pairs = distances.between_sites[np.ix_(known, known)]
         direct = empirical_variogram(values, pairs, distance_bin_edges(pairs, n_bins=8))
@@ -888,6 +926,117 @@ def test_shared_weights_report_the_same_singular_link(tmp_path):
     ]
 
 
+def _per_row_refit_outcomes(grid, network, sites, bins, settings):
+    """``estimate_bins`` refits as one ``impute_observed`` call per (bin,
+    variable): ``(bin, variable, value bits or failure text, field bytes)``
+    tuples until an error that is not a ``NotEstimableError``."""
+    distances = ImputationDistances.build(network, sites)
+    for b in bins:
+        row = grid.row(b)
+        for variable in ("flow", "density"):
+            field = None
+            try:
+                field = impute_observed(
+                    b, grid.values(variable)[row], grid.observed[row], distances,
+                    variable=variable, lag_bins=settings.lag_bins,
+                    min_pairs=settings.min_pairs,
+                )
+                value, _ = network_mean_from_field(field, network, settings.min_length_coverage)
+            except NotEstimableError as exc:
+                yield (b, variable, f"bin {b} ({variable}): {exc}",
+                       None if field is None else field.values.tobytes())
+                continue
+            yield b, variable, _bits([value]), field.values.tobytes()
+
+
+def _refit_outcomes(outcomes):
+    """``estimate_bins`` outcomes in the form of ``_per_row_refit_outcomes``."""
+    for o in outcomes:
+        yield (o.bin_index, o.variable,
+               _bits([o.estimate.value]) if o.failure is None else str(o.failure),
+               None if o.field is None else o.field.values.tobytes())
+
+
+def test_a_refit_row_whose_fit_raises_fails_alone():
+    # bin 2 keeps four detectors: too few pairs for three usable lag bins,
+    # so both its fits raise; the other bins share one set of observed links
+    net, sites, grid = _shared_weights_scenario(1)
+    reporting = set(grid.observed[grid.row(2)].nonzero()[0][:4].tolist())
+    grid.observed[grid.row(2)] = [j in reporting for j in range(len(net.links))]
+    settings = VariogramSettings(lag_bins=8, min_length_coverage=0.5)
+    outcomes = list(_refit_outcomes(estimate_bins(
+        "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
+        settings=settings,
+    )))
+    assert outcomes == list(_per_row_refit_outcomes(grid, net, sites, SHARED_BINS, settings))
+    failed = [(b, v, text) for b, v, text, _ in outcomes if isinstance(text, str)]
+    assert failed == [
+        (2, v, f"bin 2 ({v}): variogram fitting needs at least 3 bins with 5+ pairs, got 0")
+        for v in ("flow", "density")
+    ]
+
+
+def test_refit_group_errors_surface_at_their_own_rows(monkeypatch):
+    # the singular corridors, every bin observed on the same links: the fit
+    # of (0, density) raises and (1, flow) gets the subnormal-sill model,
+    # the rest a model that solves the corridors
+    links = [Link(f"a{i}", f"a{i}", f"a{i + 1}", 2e-12, 1) for i in range(12)]
+    links += [Link(f"b{i}", f"b{i}", f"b{i + 1}", 2e-12, 1) for i in range(8)]
+    net = Network(links)
+    sites = midpoint_sites(net)
+    readings = make_readings(
+        ("@" + l.id, b, float(i * (1 + b)), float(i * (10 + b)))
+        for b in (0, 1, 2)
+        for i, l in enumerate(net.links)
+        if i % 2 == 0
+    )
+    grid = reading_columns(readings, sites, net.link_ids).observe()
+    settings = VariogramSettings(lag_bins=4, min_pairs=1)
+    distances = ImputationDistances.build(net, sites)
+    row = grid.row(0)
+    known, _ = known_sites(grid.flow[row], grid.observed[row], distances.site_links)
+    pairs = distances.between_sites[np.ix_(known, known)]
+    edges = distance_bin_edges(pairs, n_bins=settings.lag_bins)
+
+    def key(b, variable):
+        values = grid.values(variable)[grid.row(b)][distances.site_links[known]]
+        return empirical_variogram(values, pairs, edges).gamma_hat.tobytes()
+
+    starved, singular = key(0, "density"), key(1, "flow")
+    fit = kriging.fit_variogram
+    fits = []
+
+    def scripted_fit(empirical, **kwargs):
+        fits.append(empirical.gamma_hat.tobytes())
+        if fits[-1] == starved:
+            return fit(empirical, **{**kwargs, "min_pairs": 10**6})
+        if fits[-1] == singular:
+            return VariogramModel(kind="exponential", nugget=0.0, sill=1e-315, range_km=1.0)
+        return VariogramModel(kind="exponential", nugget=0.0, sill=1.0, range_km=1e-10)
+
+    monkeypatch.setattr(kriging, "fit_variogram", scripted_fit)
+    stacked = []
+    with pytest.raises(SingularSystemError) as err:
+        stacked.extend(_refit_outcomes(estimate_bins(
+            "variogram", grid, (0, 1, 2), ("flow", "density"), net, sites=sites,
+            settings=settings,
+        )))
+    # the one call fits every row of the three bins
+    assert len(fits) == 6
+    fits.clear()
+    per_row = []
+    with pytest.raises(SingularSystemError) as per_row_err:
+        per_row.extend(_per_row_refit_outcomes(grid, net, sites, (0, 1, 2), settings))
+    assert len(fits) == 3
+    assert [(b, v) for b, v, *_ in stacked] == [(0, "flow"), (0, "density")]
+    assert stacked == per_row
+    assert stacked[1][2] == (
+        "bin 0 (density): variogram fitting needs at least 3 bins with 1000000+ pairs, got 0"
+    )
+    assert str(err.value) == str(per_row_err.value)
+    assert err.value.condition == per_row_err.value.condition
+
+
 def test_stacked_bins_raise_an_unknown_variable_at_its_own_turn():
     net, sites, grid = _shared_weights_scenario(0)
     outcomes = estimate_bins(
@@ -911,7 +1060,7 @@ def reference_apply(batches, known_values, targets, field_values):
     ``weights @ values`` per kriged link, with each merged column's group
     means as a Python running mean.
     """
-    for columns, kept, groups, solutions, _ in batches:
+    for _, columns, kept, groups, solutions, _ in batches:
         m = kept.shape[1]
         if groups is None:
             merged = known_values[kept]
@@ -993,13 +1142,14 @@ def test_stacked_application_matches_one_row_calls_and_the_per_target_dots(
         limits = dict(max_neighbors=most, min_neighbors=least, retained=retained)
         known, _ = known_sites(rows[0], observed, distances.site_links, retained)
         unobserved = np.flatnonzero(~observed)
-        _, batches = kriging._kriging_weights(
-            model,
+        batches = []
+        kriging._kriging_weights(
+            (model,),
             distances.site_to_target[np.ix_(known, unobserved)],
             distances.between_sites[np.ix_(known, known)],
-            most, least,
+            most, least, batches.append,
         )
-        counts |= {kept.shape[1] for _, kept, *_ in batches}
+        counts |= {kept.shape[1] for _, _, kept, *_ in batches}
         merged_columns += sum(groups is not None for *_, groups, _, _ in batches)
         shared = {}
         for size in STACK_SIZES:
@@ -1028,15 +1178,217 @@ def test_stacked_application_matches_one_row_calls_and_the_per_target_dots(
     assert merged_columns
 
 
-def test_stacked_rows_need_their_labels_and_a_given_model():
+def test_stacked_rows_need_their_labels():
     net, sites, truth, obs = _corridor_setup()
     distances = ImputationDistances.build(net, sites)
     observed = np.array([l.id in {o.link_id for o in obs} for l in net.links])
     values = np.ones((2, len(net.links)))
     with pytest.raises(ValidationError, match="labels"):
         impute_rows([(0, "flow")], values, observed, distances, model=SHARED_MODEL)
-    with pytest.raises(ValidationError, match="one value row"):
-        impute_rows([(0, "flow"), (1, "flow")], values, observed, distances)
+    with pytest.raises(ValidationError, match="labels"):
+        impute_rows([(0, "flow")], values, observed, distances)
+
+
+def test_stacked_refits_match_one_row_calls(grid16_plan):
+    # the 48 rows of the grid16 plan, each fitted and kriged with its own
+    # model in one call, against one call per row
+    distances, observed, retained, _, most, least, rows = grid16_plan
+    labels = [(r, "flow") for r in range(len(rows))]
+    fields = impute_rows(labels, rows, observed, distances, max_neighbors=most,
+                         min_neighbors=least, retained=retained)
+    assert len({field.model for field in fields}) == len(rows)
+    for r, field in enumerate(fields):
+        single = impute_observed(r, rows[r], observed, distances, max_neighbors=most,
+                                 min_neighbors=least, retained=retained)
+        assert field.model == single.model
+        assert field.values.tobytes() == single.values.tobytes(), r
+        assert field.provenance.tolist() == single.provenance.tolist()
+
+
+# --- one neighbour sort for many models ---------------------------------------
+
+
+def reference_weights(model, target, pairs, max_neighbors, min_neighbors):
+    """The batches of one model from its own masked sort of the distances.
+
+    The selection before many models shared one sort: a column's sites in
+    range of this model, by a stable sort of the distances with every other
+    site at infinity. Returns ``(found, batches)`` with the full in-range
+    counts and ``(columns, kept, groups, solutions, rhs)`` batches; raises
+    ``SingularSystemError`` for the first singular column.
+    """
+    in_range = np.isfinite(target) & (target <= model.range_km)
+    found = np.count_nonzero(in_range, axis=0)
+    order = np.argsort(np.where(in_range, target, np.inf), axis=0, kind="stable")
+    counts = np.where(found >= min_neighbors, np.minimum(found, max_neighbors), 0)
+    batches = []
+    for m in np.unique(counts[counts > 0]):
+        columns = np.flatnonzero(counts == m)
+        kept = order[:m, columns].T
+        block = pairs[kept[:, :, None], kept[:, None, :]]
+        close = block <= 1e-12
+        close[:, np.arange(m), np.arange(m)] = False
+        coincident = close.any(axis=(1, 2))
+        apart = ~coincident
+        if apart.any():
+            batches.append((
+                columns[apart], kept[apart], None,
+                block[apart], target[kept[apart], columns[apart, None]],
+            ))
+        for column, selected in zip(columns[coincident], kept[coincident]):
+            groups = kriging._coincident_groups(pairs, selected)
+            merged_kept = np.array([group[0] for group in groups])
+            batches.append((
+                column[None], merged_kept[None], groups,
+                pairs[np.ix_(merged_kept, merged_kept)][None],
+                target[merged_kept, column][None],
+            ))
+    solved = []
+    failure = None
+    for columns, kept, groups, block, dists in batches:
+        systems, rhs, solutions, bad = kriging._solve_batch(
+            (model,), np.zeros(len(columns), dtype=np.intp), block, dists
+        )
+        if bad.any():
+            row = int(np.argmax(bad))
+            if failure is None or columns[row] < failure[0]:
+                failure = (columns[row], systems[row])
+        solved.append((columns, kept, groups, solutions, rhs))
+    if failure is not None:
+        raise SingularSystemError(condition=float(np.linalg.cond(failure[1])))
+    return found, solved
+
+
+def _by_column(batches):
+    """``{(model, column): (kept, groups, solution bits, rhs bits)}`` of
+    ``(models, columns, kept, groups, solutions, rhs)`` batches."""
+    out = {}
+    for models, columns, kept, groups, solutions, rhs in batches:
+        for row, column in enumerate(columns.tolist()):
+            key = (int(models[row]), column)
+            assert key not in out
+            out[key] = (kept[row].tobytes(), groups, solutions[row].tobytes(),
+                        rhs[row].tobytes())
+    return out
+
+
+def _selection_cases():
+    """``(target, pairs, max_neighbors, min_neighbors)`` distance blocks.
+
+    Sites sit on a line at multiples of 0.25 km, so distances tie and some
+    sites coincide; some target distances are infinite, NaN or negative
+    infinity, and the limits leave some columns with too few sites in range
+    and others with fewer than ``max_neighbors``. In one case the sites are
+    distinct, but their pair distances are not symmetric: some pairs read
+    zero one way only, so they coincide in one direction.
+    """
+    rng = np.random.default_rng(9)
+    for n, k, most, least in ((12, 30, 5, 3), (30, 40, 16, 1), (9, 25, 24, 2), (40, 60, 8, 4)):
+        sites = rng.integers(0, 24, n) * 0.25
+        targets = rng.integers(0, 24, k) * 0.25 + rng.choice([0.0, 0.125], k)
+        target = np.abs(sites[:, None] - targets[None, :])
+        target[rng.random((n, k)) < 0.1] = np.inf
+        target[rng.random((n, k)) < 0.05] = np.nan
+        target[rng.random((n, k)) < 0.03] = -np.inf
+        yield target, np.abs(sites[:, None] - sites[None, :]), most, least
+    # distinct sites, where only the one-way zeros coincide
+    sites = rng.choice(48, 20, replace=False) * 0.25
+    pairs = np.abs(sites[:, None] - sites[None, :])
+    first, second = np.triu_indices(sites.size, 1)
+    picked = rng.choice(first.size, 40, replace=False)
+    pairs[first[picked], second[picked]] = 0.0
+    yield np.abs(sites[:, None] - rng.integers(0, 48, 30)[None, :] * 0.25), pairs, 10, 2
+    net, sites, obs = _two_component_layout(np.random.default_rng(1))
+    distances = ImputationDistances.build(net, sites)
+    observed = {o.link_id for o in obs}
+    known = [i for i, s in enumerate(sites) if s.link_id in observed]
+    unobserved = [j for j, l in enumerate(net.links) if l.id not in observed]
+    yield (distances.site_to_target[np.ix_(known, unobserved)],
+           distances.between_sites[np.ix_(known, known)], 16, 3)
+
+
+SELECTION_MODELS = (
+    VariogramModel(kind="exponential", nugget=5.0, sill=900.0, range_km=1.1),
+    VariogramModel(kind="spherical", nugget=0.0, sill=400.0, range_km=2.6),
+    VariogramModel(kind="gaussian", nugget=30.0, sill=2500.0, range_km=0.8),
+    VariogramModel(kind="exponential", nugget=0.0, sill=50.0, range_km=4.0),
+    VariogramModel(kind="spherical", nugget=2.0, sill=100.0, range_km=0.3),
+)
+
+
+def test_one_neighbour_sort_gives_every_model_its_own_batches_bit_for_bit():
+    seen = set()
+    for target, pairs, most, least in _selection_cases():
+        stacked = []
+        found, failures = kriging._kriging_weights(
+            SELECTION_MODELS, target, pairs, most, least, stacked.append
+        )
+        assert failures == {}
+        stacked = _by_column(stacked)
+        for r, model in enumerate(SELECTION_MODELS):
+            ref_found, ref_batches = reference_weights(model, target, pairs, most, least)
+            assert found[r].tolist() == np.minimum(ref_found, most).tolist()
+            ref = _by_column((np.full(len(b[0]), r), *b) for b in ref_batches)
+            mine = {key: value for key, value in stacked.items() if key[0] == r}
+            assert mine == ref, (r, model)
+            # one model alone gives the same batches, shared by every row
+            alone = []
+            kriging._kriging_weights((model,), target, pairs, most, least, alone.append)
+            assert all(rows is None for rows, *_ in alone)
+            assert _by_column((np.full(len(b[1]), r), *b[1:]) for b in alone) == ref
+            kept = ref_found[ref_found >= least]
+            cases = {
+                "merged": any(groups is not None for *_, groups, _, _ in ref_batches),
+                "short": ((ref_found > 0) & (ref_found < least)).any(),
+                "below cap": (kept < most).any(),
+                "at cap": (kept >= most).any(),
+            }
+            seen |= {case for case, present in cases.items() if present}
+        finite = np.isfinite(target)
+        cases = {
+            "nan": np.isnan(target).any(),
+            "inf": np.isinf(target).any(),
+            # a column with two equal finite distances
+            "tie": any(
+                np.unique(column[ok]).size < ok.sum() for column, ok in zip(target.T, finite.T)
+            ),
+        }
+        seen |= {case for case, present in cases.items() if present}
+    assert seen == {"merged", "short", "below cap", "at cap", "nan", "inf", "tie"}
+
+
+def test_one_neighbour_sort_reports_the_first_singular_column_of_each_model():
+    # the subnormal-sill model of the singular corridors beside a model that
+    # solves them: only the first fails, with the condition of its own
+    # first singular column
+    links = [Link(f"a{i}", f"a{i}", f"a{i + 1}", 2e-12, 1) for i in range(12)]
+    links += [Link(f"b{i}", f"b{i}", f"b{i + 1}", 2e-12, 1) for i in range(8)]
+    net = Network(links)
+    distances = ImputationDistances.build(net, midpoint_sites(net))
+    known = np.arange(0, len(links), 2)
+    unobserved = np.arange(1, len(links), 2)
+    target = distances.site_to_target[np.ix_(known, unobserved)]
+    pairs = distances.between_sites[np.ix_(known, known)]
+    singular = VariogramModel(kind="exponential", nugget=0.0, sill=1e-315, range_km=1.0)
+    regular = VariogramModel(kind="exponential", nugget=0.0, sill=1.0, range_km=1e-10)
+    with pytest.raises(SingularSystemError) as reference:
+        reference_weights(singular, target, pairs, 16, 3)
+    _, regular_batches = reference_weights(regular, target, pairs, 16, 3)
+    batches = []
+    _, failures = kriging._kriging_weights(
+        (regular, singular), target, pairs, 16, 3, batches.append
+    )
+    assert list(failures) == [1]
+    assert failures[1].condition == reference.value.condition
+    assert str(failures[1]) == str(reference.value)
+    regular_rows = [
+        tuple(part[rows == 0] for part in (rows, columns, kept, solutions, rhs))
+        for rows, columns, kept, _, solutions, rhs in batches
+    ]
+    assert _by_column(
+        (rows, columns, kept, None, solutions, rhs)
+        for rows, columns, kept, solutions, rhs in regular_rows
+    ) == _by_column((np.zeros(len(b[0]), dtype=int), *b) for b in regular_batches)
 
 
 # --- field reduction ----------------------------------------------------------

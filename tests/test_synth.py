@@ -99,6 +99,24 @@ def test_covariance_factor_reproduces_the_covariance():
     assert factor @ factor.T == pytest.approx(want, abs=1e-6)
 
 
+def reference_covariance_factor(distances, model, jitter=1e-8):
+    """The factor of a covariance built with an identity matrix for the jitter."""
+    total = model.sill + model.nugget
+    cov = total - gamma(model, distances)
+    np.fill_diagonal(cov, total)
+    return np.linalg.cholesky(cov + jitter * total * np.eye(distances.shape[0]))
+
+
+@pytest.mark.parametrize("size", [10, 16, 30])
+def test_covariance_factor_keeps_its_bits_on_the_default_scenarios(size):
+    scenario = SyntheticScenario(rows=size, cols=size)
+    net = grid_network(size, size)
+    sites = tuple(DetectorSite("d" + l.id, l.id, 0.5) for l in net.links)
+    d = site_distance_matrix(net, sites)
+    expected = reference_covariance_factor(d, scenario.variogram).tobytes()
+    assert covariance_factor(d, scenario.variogram).tobytes() == expected
+
+
 def test_covariance_factor_rejects_indefinite_inputs():
     # the spherical shape is not positive definite over this grid's network
     # metric once the range grows past about a kilometre
