@@ -6,6 +6,7 @@ applicable to the data, 4 for numeric failures.
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 from operator import attrgetter
@@ -235,6 +236,8 @@ def sample(obj, network_file, sites_file, fraction, counts):
 def scale(obj, network_file, sites_file, readings_file, plan_file, fraction,
           method, uniform_mode, duration_h):
     """Scale equipped observations to per-bin network means."""
+    if not 0.0 < duration_h < math.inf:
+        raise ValidationError(f"--duration-h must be positive and finite, got {duration_h}")
     network = load_network(network_file, obj.delim)
     sites = load_detector_sites(sites_file, network=network, delimiter=obj.delim)
     readings = load_readings(readings_file, obj.delim)
@@ -451,6 +454,9 @@ def _read_estimates(path, delimiter, method=None):
 @guarded
 def mfd(obj, estimates_file, method, band_samples):
     """Build MFD points from an estimates table and fit a parabola."""
+    # the band rule of an experiment config
+    if band_samples < 2:
+        raise ValidationError(f"--band-samples must be at least 2, got {band_samples}")
     flow, density = _read_estimates(estimates_file, obj.delim, method)
     points = build_mfd(flow, density)
     points_path = write_table(

@@ -32,7 +32,6 @@ from .kriging import (  # noqa: F401
     ImputationDistances,
     ImputedField,
     impute_network,
-    impute_observed,
     impute_rows,
     network_mean_from_field,
 )
@@ -165,19 +164,15 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
     "bin {b} ({variable}): {reason}"; numeric and validation errors
     propagate. The hierarchy partition is built once per distinct set of
     observed links. Without ``refit_per_bin`` each variable reuses the model
-    of its first estimable bin, kriged bin by bin; that model has its
-    kriging weights solved once per distinct set of observed links and
-    applied to every bin observed there, and the lag bins of its fits are
-    assigned once per set, both held for this call only. With
-    ``fixed_model``, or with per-bin refits, the bins are grouped by their
-    observed links, and every (bin, variable) row of a group is kriged in
-    one ``impute_rows`` call when the group's first bin comes up: with the
-    fixed model's one weight set, or with a model fitted per row and the
-    weights of all of them solved in one call. The outcomes still follow
-    in (bin, variable) order, and a row's error (a failed fit, a singular
-    system) surfaces at that row's turn, after the same outcomes as with
-    one call per row. ``sites``, ``distances`` and ``known_site_ids`` are
-    those of ``impute_network``; the distances are built once when omitted.
+    of its first estimable bin. The variogram estimator kriges in
+    ``impute_rows`` stacks: when a (bin, variable) row's turn comes and it
+    has not been kriged, ``_krige_group`` kriges it in one call together
+    with the later rows of its observed-link set that take the same model.
+    The outcomes still follow in (bin, variable) order, and a row's error (a
+    failed fit, a singular system) surfaces at that row's turn, after the
+    same outcomes as with one call per row. ``sites``, ``distances`` and
+    ``known_site_ids`` are those of ``impute_network``; the distances are
+    built once when omitted.
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ValidationError(f"unknown estimator '{estimator}'")
@@ -185,11 +180,8 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
         if distances is None:
             distances = ImputationDistances.build(network, sites)
         retained = distances.site_mask(known_site_ids)
-        weights = {}
-        grouped = settings.fixed_model is not None or settings.refit_per_bin
-        if grouped:
-            groups = _groups_by_observed_links(observations, bins)
-            kriged = {}
+        groups = _groups_by_observed_links(observations, bins)
+        kriged = {}
     partitions = {}
     reused = {}
     for b in bins:
@@ -219,27 +211,17 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                     estimate = hierarchical_estimate(
                         b, values, partition, variable, duration_h=duration_h
                     )
-                elif grouped:
+                else:
                     if (b, variable) not in kriged:
                         kriged.update(_krige_group(
-                            groups[equipped.tobytes()], variables, observations,
-                            distances, settings, retained, weights,
+                            b, variable, groups[equipped.tobytes()], variables, observations,
+                            distances, settings, retained, reused,
                         ))
                     imputed = kriged.pop((b, variable))
                     if isinstance(imputed, EstimationError):
                         # this row's own failure, raised at its turn
                         error, imputed = imputed, None
                         raise error
-                else:
-                    imputed = impute_observed(
-                        b, values, equipped, distances, model=reused.get(variable),
-                        variable=variable, kinds=settings.kinds, lag_bins=settings.lag_bins,
-                        min_pairs=settings.min_pairs,
-                        max_neighbors=settings.max_neighbors,
-                        min_neighbors=settings.min_neighbors,
-                        retained=retained, shared_weights=weights,
-                    )
-                if estimator == "variogram":
                     value, _ = network_mean_from_field(
                         imputed, network, settings.min_length_coverage
                     )
@@ -267,23 +249,40 @@ def _groups_by_observed_links(observations, bins):
     return groups
 
 
-def _krige_group(group, variables, observations, distances, settings, retained, weights):
-    """Krige every (bin, variable) row of one group in one ``impute_rows`` call.
+def _krige_group(b, variable, group, variables, observations, distances, settings,
+                 retained, reused):
+    """Krige row (b, variable) and the later rows of ``group`` that take its model.
 
-    The rows take the fixed model, or each its own fit. Returns the fields,
-    or a row's own error, keyed by (bin, variable). Only the known variables
-    are stacked: an unknown one raises at its own turn, as it does row by
-    row.
+    ``group`` holds the bins observed on ``b``'s links. One ``impute_rows``
+    call kriges, in the bins of ``group`` from ``b`` on:
+
+    - with ``fixed_model``, or with per-bin refits, every known variable's
+      rows, with the fixed model or each with its own fit;
+    - without ``refit_per_bin``, once ``variable`` has a model in
+      ``reused``, that variable's rows, with that model;
+    - without ``refit_per_bin``, while ``variable`` has no model yet, the
+      row alone, with its own fit.
+
+    Returns the fields, or a row's own error, keyed by (bin, variable). An
+    unknown variable is never stacked: it raises at its own turn, as it
+    does row by row.
     """
-    rows = [observations.row(b) for b in group]
-    known = [v for v in variables if v in VARIABLES]
-    labels = [(b, v) for v in known for b in group]
+    model = settings.fixed_model
+    later = group[group.index(b):]
+    stacked = [v for v in variables if v in VARIABLES]
+    if model is None and not settings.refit_per_bin:
+        model = reused.get(variable)
+        stacked = [variable]
+        if model is None:
+            later = [b]
+    rows = [observations.row(c) for c in later]
+    labels = [(c, v) for v in stacked for c in later]
     fields = impute_rows(
-        labels, np.concatenate([observations.values(v)[rows] for v in known]),
-        observations.observed[rows[0]], distances, model=settings.fixed_model,
+        labels, np.concatenate([observations.values(v)[rows] for v in stacked]),
+        observations.observed[rows[0]], distances, model=model,
         kinds=settings.kinds, lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
         max_neighbors=settings.max_neighbors, min_neighbors=settings.min_neighbors,
-        retained=retained, shared_weights=weights,
+        retained=retained,
     )
     return dict(zip(labels, fields))
 

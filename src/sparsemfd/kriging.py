@@ -178,7 +178,9 @@ def _kriging_weights(models, target, pairs, max_neighbors, min_neighbors, consum
         for row in np.flatnonzero(bad):
             model, column = int(rows[row]), int(columns[row])
             if model not in failures or column < failures[model][0]:
-                failures[model] = (column, systems[row])
+                failures[model] = (column, systems[row].copy())
+        # freed before the batch is applied, which lowers the peak
+        del systems, dists, target_dists
         consume((None if shared else rows, columns, kept, groups, solutions, rhs))
 
     for m in np.unique(counts[counts > 0]):
@@ -422,17 +424,16 @@ def impute_network(
 
 def impute_observed(bin_index, values, observed, distances, model=None, variable="flow",
                     kinds=MODEL_KINDS, lag_bins=15, min_pairs=5, max_neighbors=16,
-                    min_neighbors=3, retained=None, shared_weights=None):
+                    min_neighbors=3, retained=None):
     """``impute_network`` on one bin's link-order ``values`` and ``observed`` mask.
 
-    The one-row call of ``impute_rows``, whose arguments these are; the
+    The one-row stack of ``impute_rows``, whose arguments these are; the
     row's failure is raised.
     """
     (field,) = impute_rows(
         ((bin_index, variable),), values[None], observed, distances, model=model,
         kinds=kinds, lag_bins=lag_bins, min_pairs=min_pairs,
-        max_neighbors=max_neighbors, min_neighbors=min_neighbors,
-        retained=retained, shared_weights=shared_weights,
+        max_neighbors=max_neighbors, min_neighbors=min_neighbors, retained=retained,
     )
     if isinstance(field, EstimationError):
         raise field
@@ -441,7 +442,7 @@ def impute_observed(bin_index, values, observed, distances, model=None, variable
 
 def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KINDS,
                 lag_bins=15, min_pairs=5, max_neighbors=16, min_neighbors=3,
-                retained=None, shared_weights=None):
+                retained=None):
     """Krige a stack of value rows observed on the same links; one field each.
 
     ``values`` is a (R, links) array of link-order rows, all observed on the
@@ -449,39 +450,25 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
     ``labels`` gives each row's ``(bin_index, variable)``. ``retained`` is
     the ``distances.site_mask`` of ``known_site_ids``.
 
-    A given ``model`` has one weight set, solved for the known sites and
-    applied to every row in one stacked product per batch
-    (``_apply_weights``). With ``model=None`` each row gets its own
-    variogram, one ``fit_variogram`` call per row in row order, and the
-    weights of all fitted rows are solved in one ``_kriging_weights`` call,
-    each batch applied to its rows as soon as it is solved. A row whose fit
-    raises, or whose weights meet a singular system, fails alone: its entry
-    in the returned list is that ``EstimationError`` instead of a field, for
-    the caller to raise at the row's turn. An error that concerns every row
-    alike (no known site, no lag bins) is raised.
-
-    ``shared_weights`` is an optional dict kept across calls with the same
-    ``distances``, ``retained`` and neighbour limits, since neither entry
-    depends on the values: the kriging weights of a call with one model,
-    given or fitted from its one row, are stored there under ``(model,
-    observed mask)`` and reused by a later call given that model, and the
-    lag bins and pairs of a fit (``variogram.lag_pairs``) are stored under
-    ``("lags", lag_bins, observed mask)`` and reused by a later fit. The
-    weights of many fitted models are not stored: they are applied as they
-    are solved.
+    A given ``model`` serves every row; with ``model=None`` each row gets
+    its own variogram, one ``fit_variogram`` call per row in row order. The
+    weights of the one model or of all fitted ones are solved in one
+    ``_kriging_weights`` call, and each batch is applied to its rows as
+    soon as it is solved (``_apply_weights``): a given model's weights to
+    every row in one stacked product. A row whose fit raises, or whose
+    weights meet a singular system, fails alone: its entry in the returned
+    list is that ``EstimationError`` instead of a field, for the caller to
+    raise at the row's turn. An error that concerns every row alike (no
+    known site, no lag bins) is raised.
     """
     labels = tuple(labels)
     if len(labels) != values.shape[0]:
         raise ValidationError(f"{len(labels)} labels for {values.shape[0]} value rows")
     known, known_values = known_sites(values, observed, distances.site_links, retained)
     unobserved = np.flatnonzero(~observed)
-    mask = observed.tobytes()
-    batches = None if model is None or shared_weights is None else shared_weights.get((model, mask))
-    # the distances among the known sites, unless the model's weights are stored
-    known_pairs = None if batches is not None else distances.between_sites[np.ix_(known, known)]
+    known_pairs = distances.between_sites[np.ix_(known, known)]
     if model is None:
-        fits = _fit_rows(known_values, known_pairs, mask, kinds, lag_bins, min_pairs,
-                         shared_weights)
+        fits = _fit_rows(known_values, known_pairs, kinds, lag_bins, min_pairs)
         owners = [r for r, fit in enumerate(fits) if not isinstance(fit, EstimationError)]
         models = [fits[r] for r in owners]
     else:
@@ -489,25 +476,10 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
         owners = list(range(len(labels)))
         models = [model]
 
-    def solve(consume):
-        if not (models and unobserved.size):
-            return {}
-        _, failures = _kriging_weights(
-            models, distances.site_to_target[np.ix_(known, unobserved)], known_pairs,
-            max_neighbors, min_neighbors, consume,
-        )
-        return failures
-
-    # one weight set is solved whole, or found in shared_weights, then applied
-    shared = len(models) == 1
-    failures = {}
-    if shared and batches is None:
-        batches = []
-        failures = solve(batches.append)
-        if shared_weights is not None and not failures:
-            shared_weights[(models[0], mask)] = batches
-
     field_values = np.where(observed, values, np.nan)
+    # a stack built for this call is freed before the solve, which lowers
+    # the peak
+    del values
     # the kriged rows: all of them, or a copy of those whose fit held
     stack = slice(None) if len(owners) == len(labels) else np.array(owners, dtype=np.intp)
     known_stack, field_stack = known_values[stack], field_values[stack]
@@ -516,14 +488,16 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
     def apply(batch):
         _apply_weights(batch, known_stack, unobserved, field_stack, imputed)
 
-    if not shared:
-        # many weight sets: each batch is applied as soon as it is solved
-        failures = solve(apply)
-    elif not failures:
-        for batch in batches:
-            apply(batch)
+    failures = {}
+    if models and unobserved.size:
+        _, failures = _kriging_weights(
+            models, distances.site_to_target[np.ix_(known, unobserved)], known_pairs,
+            max_neighbors, min_neighbors, apply,
+        )
     if not isinstance(stack, slice):
         field_values[stack] = field_stack
+    # one weight set serves every kriged row
+    shared = len(models) == 1
     for k, error in failures.items():
         for r in owners if shared else [owners[k]]:
             fits[r] = error
@@ -545,20 +519,14 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
     ]
 
 
-def _fit_rows(known_values, known_pairs, mask, kinds, lag_bins, min_pairs, shared_weights):
+def _fit_rows(known_values, known_pairs, kinds, lag_bins, min_pairs):
     """One fitted variogram per row of ``known_values``, or the error of its fit.
 
-    The lag bins and pairs of the known sites are assigned once and kept
-    in ``shared_weights`` (see ``impute_rows``); an error there concerns
-    every row and is raised. Each fit is one call of the module-level
-    ``fit_variogram``.
+    The lag bins and pairs of the known sites are assigned once for all
+    rows; an error there concerns every row and is raised. Each fit is one
+    call of the module-level ``fit_variogram``.
     """
-    lags_key = ("lags", lag_bins, mask)
-    lags = None if shared_weights is None else shared_weights.get(lags_key)
-    if lags is None:
-        lags = lag_pairs(known_pairs, distance_bin_edges(known_pairs, n_bins=lag_bins))
-        if shared_weights is not None:
-            shared_weights[lags_key] = lags
+    lags = lag_pairs(known_pairs, distance_bin_edges(known_pairs, n_bins=lag_bins))
     fits = []
     for row in known_values:
         try:

@@ -270,6 +270,23 @@ def test_scale_rejects_plan_and_fraction_together(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("duration", ["0", "-2", "nan", "inf"])
+def test_scale_rejects_a_duration_that_is_not_positive_and_finite(runner, tmp_path, duration):
+    data = synth_dir(runner, tmp_path)
+    out = tmp_path / "scaled"
+    result = invoke(
+        runner,
+        [
+            "--output-dir", str(out),
+            "scale", str(data / "network.csv"), str(data / "sites.csv"),
+            str(data / "readings.csv"), "--duration-h", duration,
+        ],
+    )
+    assert result.exit_code == 2
+    assert f"--duration-h must be positive and finite, got {float(duration)}" in result.output
+    assert not out.exists()
+
+
 def write_two_classes(tmp_path, d3_bins):
     """Two links per hierarchy; hierarchy 2 has one detector, d3, which
     reports only in ``d3_bins``."""
@@ -767,6 +784,22 @@ def test_mfd_command(runner, tmp_path):
     fit = (out / "mfd_fit.csv").read_text().splitlines()
     assert fit[0] == "x,y_fit,ci_low,ci_high"
     assert len(fit) == 51  # header plus the default 50 band samples
+
+
+@pytest.mark.parametrize("samples", [-1, 0, 1])
+def test_mfd_rejects_a_band_of_fewer_than_two_samples(runner, tmp_path, samples):
+    est = tmp_path / "estimates.csv"
+    write_table(
+        est, ESTIMATES_HEADER,
+        _estimates_rows("uniform", (600.0, 1000.0, 1200.0, 1300.0), (10.0, 20.0, 30.0, 40.0)),
+    )
+    out = tmp_path / "mfd"
+    result = invoke(
+        runner, ["--output-dir", str(out), "mfd", str(est), "--band-samples", str(samples)]
+    )
+    assert result.exit_code == 2
+    assert f"--band-samples must be at least 2, got {samples}" in result.output
+    assert not (out / "mfd_fit.csv").exists()
 
 
 def test_mfd_mixed_methods_need_a_filter(runner, tmp_path):

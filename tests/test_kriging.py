@@ -633,8 +633,9 @@ def _shared_weights_scenario(seed, silent_bin=None):
 def reference_estimate_bins(grid, network, sites, settings):
     """Per (bin, variable), one unshared ``impute_observed`` call and its mean.
 
-    Returns ``(bin, variable, field, value, failure text)`` tuples; the
-    model choice follows ``VariogramSettings``.
+    Returns ``(bin, variable, field, value, failure text)`` tuples, the
+    field None where the fit raised; the model choice follows
+    ``VariogramSettings``.
     """
     distances = ImputationDistances.build(network, sites)
     reused = {}
@@ -645,17 +646,19 @@ def reference_estimate_bins(grid, network, sites, settings):
             model = settings.fixed_model
             if model is None and not settings.refit_per_bin:
                 model = reused.get(variable)
-            field = impute_observed(
-                b, grid.values(variable)[row], grid.observed[row], distances,
-                model=model, variable=variable, kinds=settings.kinds,
-                lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
-                max_neighbors=settings.max_neighbors, min_neighbors=settings.min_neighbors,
-            )
+            field = None
             try:
+                field = impute_observed(
+                    b, grid.values(variable)[row], grid.observed[row], distances,
+                    model=model, variable=variable, kinds=settings.kinds,
+                    lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
+                    max_neighbors=settings.max_neighbors,
+                    min_neighbors=settings.min_neighbors,
+                )
                 value, _ = network_mean_from_field(
                     field, network, settings.min_length_coverage
                 )
-            except IncompleteFieldError as exc:
+            except NotEstimableError as exc:
                 out.append((b, variable, field, None, f"bin {b} ({variable}): {exc}"))
                 continue
             if not settings.refit_per_bin:
@@ -685,18 +688,28 @@ def _count_weight_solves(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "settings",
+    "settings, starved",
     [
-        VariogramSettings(fixed_model=SHARED_MODEL, min_length_coverage=0.5),
-        VariogramSettings(refit_per_bin=False, lag_bins=8, min_length_coverage=0.5),
-        VariogramSettings(lag_bins=8, min_length_coverage=0.5),
+        (VariogramSettings(fixed_model=SHARED_MODEL, min_length_coverage=0.5), False),
+        (VariogramSettings(refit_per_bin=False, lag_bins=8, min_length_coverage=0.5), False),
+        (VariogramSettings(lag_bins=8, min_length_coverage=0.5), False),
+        (VariogramSettings(refit_per_bin=False, lag_bins=8, min_length_coverage=0.5), True),
     ],
-    ids=["fixed", "reused", "refit"],
+    ids=["fixed", "reused", "refit", "reused-from-bin-1"],
 )
-def test_shared_weights_match_one_solve_per_bin_and_variable(settings, monkeypatch):
+def test_shared_weights_match_one_solve_per_bin_and_variable(settings, starved, monkeypatch):
     merged = False
     for seed in range(3):
         net, sites, grid = _shared_weights_scenario(seed, silent_bin=2)
+        if starved:
+            # bin 0 keeps four observed links, too few for a fit: each
+            # variable takes its model from bin 1 and reuses it in the
+            # silent bin 2 and in bin 3, which lie on two sets of observed
+            # links
+            row = grid.row(0)
+            grid.observed[row, np.flatnonzero(grid.observed[row])[4:]] = False
+            masks = [grid.observed[grid.row(b)].tobytes() for b in SHARED_BINS]
+            assert len(set(masks)) == 3 and masks[1] == masks[3] != masks[2]
         calls = _count_weight_solves(monkeypatch)
         outcomes = list(estimate_bins(
             "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
@@ -708,15 +721,22 @@ def test_shared_weights_match_one_solve_per_bin_and_variable(settings, monkeypat
         assert len(outcomes) == len(expected)
         for outcome, (b, variable, field, value, failure) in zip(outcomes, expected):
             assert (outcome.bin_index, outcome.variable) == (b, variable)
-            assert outcome.field.values.tobytes() == field.values.tobytes()
-            assert outcome.field.provenance.tolist() == field.provenance.tolist()
-            assert outcome.field.model == field.model
+            assert (outcome.field is None) == (field is None)
+            if field is not None:
+                assert outcome.field.values.tobytes() == field.values.tobytes()
+                assert outcome.field.provenance.tolist() == field.provenance.tolist()
+                assert outcome.field.model == field.model
             if failure is None:
                 assert outcome.failure is None
                 assert _bits([outcome.estimate.value]) == _bits([value])
             else:
                 assert outcome.estimate is None
                 assert str(outcome.failure) == failure
+        if starved:
+            assert [field for b, _, field, *_ in expected if b == 0] == [None, None]
+            models = {(b, v): field.model for b, v, field, *_ in expected if b > 0}
+            assert all(models[(b, v)] == models[(1, v)] for b in (2, 3) for v in ("flow", "density"))
+            assert all(value is not None for b, _, _, value, _ in expected if b > 0)
         if settings.fixed_model is not None:
             # the silent bin has its own observed links, the others share one set
             assert len(calls) == 2
@@ -742,14 +762,14 @@ def test_fixed_model_weights_are_solved_once_per_observed_link_set(monkeypatch):
     ))
     assert len(outcomes) == 2 * len(SHARED_BINS)
     assert len(calls) == 1
-    # the model each variable fits in its first bin keeps its weights for
-    # the bins that reuse it
+    # each variable fits its first bin alone, then its model's weights are
+    # solved once for the bins that reuse it
     calls.clear()
     list(estimate_bins(
         "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
         settings=VariogramSettings(refit_per_bin=False, lag_bins=8),
     ))
-    assert len(calls) == 2
+    assert len(calls) == 4
     # per-bin fits get weights of their own, all solved in the one call of
     # their observed-link set
     calls.clear()
@@ -1151,7 +1171,6 @@ def test_stacked_application_matches_one_row_calls_and_the_per_target_dots(
         )
         counts |= {kept.shape[1] for _, _, kept, *_ in batches}
         merged_columns += sum(groups is not None for *_, groups, _, _ in batches)
-        shared = {}
         for size in STACK_SIZES:
             stack = rows[:size]
             labels = [(r, "flow") for r in range(size)]
@@ -1164,10 +1183,7 @@ def test_stacked_application_matches_one_row_calls_and_the_per_target_dots(
             assert known_values.flags.c_contiguous
             assert [(f.bin_index, f.variable) for f in fields] == labels
             for r, field in enumerate(fields):
-                single = impute_observed(
-                    r, stack[r], observed, distances, model=model, shared_weights=shared,
-                    **limits,
-                )
+                single = impute_observed(r, stack[r], observed, distances, model=model, **limits)
                 expected = np.where(observed, stack[r], np.nan)
                 reference_apply(batches, stack[r, distances.site_links[known]], unobserved,
                                 expected)
