@@ -101,14 +101,14 @@ def solve_kriging(
         raise failures[0]
     if not batches:
         raise InsufficientNeighborsError(found=int(found[0, 0]), required=min_neighbors)
-    _, _, kept, groups, solutions, rhs = batches[0]
+    rows, _, kept, groups, solutions, rhs = batches[0]
     m = kept.shape[1]
     weights = solutions[0, :m]
     lagrange = float(solutions[0, m])
     return KrigingSolution(
         weights=weights,
         lagrange=lagrange,
-        prediction=float(weights @ _merged_values(values[None], kept, groups)[0, 0]),
+        prediction=float(weights @ _merged_values(values[None], rows[:, None], kept, groups)[0, 0]),
         neighbor_ids=tuple(ids[i] for i in kept[0]),
         variance=max(float(weights @ rhs[0, :m] + lagrange), 0.0),
     )
@@ -135,11 +135,13 @@ def _kriging_weights(models, target, pairs, max_neighbors, min_neighbors, consum
     column with coincident neighbours merged first and solved for all its
     models in one call. Each solved batch goes to ``consume`` as soon as it
     is solved, as a ``(rows, columns, kept, groups, solutions, rhs)``
-    tuple: row ``r`` belongs to column ``columns[r]`` and, unless ``rows``
-    is None (one model), to model ``rows[r]``; ``kept`` holds its neighbour
-    site indices, ``groups`` is None or, for a merged column, the site
-    indices averaged into each kept site, ``solutions`` the weights
-    followed by the Lagrange multiplier and ``rhs`` the right-hand side.
+    tuple: weight vector ``e`` belongs to model ``rows[e]`` (0 for every
+    vector when there is one model) and column ``columns[e]``; ``kept``
+    holds its neighbour site indices, ``groups`` is None or, for a merged
+    column, the site indices averaged into each kept site, ``solutions``
+    the weights followed by the Lagrange multiplier and ``rhs`` the
+    right-hand side. Which value rows a model's weights serve is the
+    caller's to say (``_apply_weights``).
 
     Returns ``(found, failures)``: the in-range site count of every
     (model, column), counted among the ``max_neighbors`` nearest sites, and
@@ -170,7 +172,6 @@ def _kriging_weights(models, target, pairs, max_neighbors, min_neighbors, consum
     close = np.tril(close | close.transpose(0, 2, 1), -1).any(axis=2)
     clash = np.argmax(np.column_stack([close, np.ones(len(close), dtype=bool)]), axis=1)
 
-    shared = len(models) == 1
     failures = {}
 
     def solved(rows, columns, kept, groups, dists, target_dists):
@@ -181,7 +182,7 @@ def _kriging_weights(models, target, pairs, max_neighbors, min_neighbors, consum
                 failures[model] = (column, systems[row].copy())
         # freed before the batch is applied, which lowers the peak
         del systems, dists, target_dists
-        consume((None if shared else rows, columns, kept, groups, solutions, rhs))
+        consume((rows, columns, kept, groups, solutions, rhs))
 
     for m in np.unique(counts[counts > 0]):
         # by model, then column: each model's rows are one run
@@ -222,7 +223,7 @@ def _solve_batch(models, rows, block_dists, target_dists):
     diagonal = np.arange(m)
     systems = np.zeros((g, m + 1, m + 1))
     rhs = np.ones((g, m + 1))
-    bounds = [0, g] if len(models) == 1 else [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), g]
+    bounds = [0, *(np.flatnonzero(np.diff(rows)) + 1).tolist(), g]
     for start, stop in zip(bounds, bounds[1:]):
         model = models[rows[start]]
         systems[start:stop, :m, :m] = gamma(model, block_dists[start:stop])
@@ -261,50 +262,50 @@ def _coincident_groups(pairs, selected):
     return groups
 
 
-def _merged_values(values, kept, groups, rows=None):
-    """One batch's neighbour values for a stack of value rows.
+def _merged_values(values, served_rows, kept, groups):
+    """One batch's neighbour values for the value rows its weight vectors serve.
 
-    ``values`` is (R, n_known). Without ``rows`` every value row meets every
-    weight vector of the batch, and the result is a C-contiguous (R, g, m)
-    array, row ``r`` of it shaped like ``kept``; with ``rows``, weight
-    vector ``e`` meets value row ``rows[e]`` alone, and the result is a
-    C-contiguous (g, m) array. Without ``groups`` these are the kept sites'
-    values; a merged column takes the running mean of each group, in group
-    order.
+    ``values`` is (R, n_known), ``kept`` (g, m) the neighbour sites of the
+    batch's g weight vectors and ``served_rows`` (g, s) the value rows each
+    of them serves. The result is a C-contiguous (g, s, m) array: entry
+    ``[e, j]`` holds row ``served_rows[e, j]``'s values at ``kept[e]``.
+    Without ``groups`` these are the kept sites' values; a merged column
+    takes the running mean of each group, in group order.
     """
     if groups is None:
-        # a strided gather would make the dot below add in another order
-        gathered = values[:, kept] if rows is None else values[rows[:, None], kept]
-        return np.ascontiguousarray(gathered)
-    lead = slice(None) if rows is None else rows
-    means = np.empty((len(values), *kept.shape) if rows is None else kept.shape)
+        # one flat take, faster than indexing with two arrays; its result is
+        # C-contiguous, without which the dot below would add in another order
+        return np.take(values, served_rows[:, :, None] * values.shape[1] + kept[:, None, :])
+    means = np.empty((*served_rows.shape, kept.shape[1]))
     for k, (first, *rest) in enumerate(groups):
-        mean = values[lead, first].copy()
+        mean = values[served_rows, first]
         for count, index in enumerate(rest, start=2):
-            mean += (values[lead, index] - mean) / count
-        means[..., k] = mean.reshape(means.shape[:-1])
+            mean += (values[served_rows, index] - mean) / count
+        means[..., k] = mean
     return means
 
 
-def _apply_weights(batch, known_values, targets, field_values, imputed):
-    """Krige a stack of value rows with one batch of solved weights.
+def _apply_weights(batch, known_values, served, targets, field_values, imputed):
+    """Krige the value rows a batch's models serve with its solved weights.
 
     ``known_values`` (R, n_known) holds each row's known-site values and
-    ``field_values`` (R, links) receives the prediction of every batch
-    column at link ``targets[column]``: in every row when the batch's
-    ``rows`` is None, else in row ``rows[e]`` for weight vector ``e``.
-    ``imputed`` marks the links that received one, in its only row or in
-    each of those rows. Each prediction is the dot of its weights with its
-    neighbour values, both contiguous, so it keeps the bits of a one-target
+    ``served`` (models, s) the value rows each model serves. Weight vector
+    ``e`` of model ``rows[e]`` predicts link ``targets[columns[e]]`` of
+    every row in ``served[rows[e]]`` of ``field_values`` (R, links), and
+    ``imputed`` (models, links) marks the links each model gave a value.
+    Each prediction is the dot of its weights with its neighbour values,
+    both contiguous, so it keeps the bits of a one-target
     ``weights @ values``.
     """
     rows, columns, kept, groups, solutions, _ = batch
     m = kept.shape[1]
     cells = targets[columns]
-    merged = _merged_values(known_values, kept, groups, rows)
-    lead = slice(None) if rows is None else rows
-    field_values[lead, cells] = np.matmul(merged[..., None, :], solutions[:, :m, None])[..., 0, 0]
-    imputed[0 if rows is None else rows, cells] = True
+    served_rows = served[rows]
+    merged = _merged_values(known_values, served_rows, kept, groups)
+    field_values[served_rows, cells[:, None]] = np.matmul(
+        merged[..., None, :], solutions[:, None, :m, None]
+    )[..., 0, 0]
+    imputed[rows, cells] = True
 
 
 @dataclass(frozen=True)
@@ -414,26 +415,11 @@ def impute_network(
     bin_index, values, observed = bin_arrays(observations, network.link_ids, variable)
     if distances is None:
         distances = ImputationDistances.build(network, sites)
-    return impute_observed(
-        bin_index, values, observed, distances, model=model, variable=variable,
-        kinds=kinds, lag_bins=lag_bins, min_pairs=min_pairs,
-        max_neighbors=max_neighbors, min_neighbors=min_neighbors,
-        retained=distances.site_mask(known_site_ids),
-    )
-
-
-def impute_observed(bin_index, values, observed, distances, model=None, variable="flow",
-                    kinds=MODEL_KINDS, lag_bins=15, min_pairs=5, max_neighbors=16,
-                    min_neighbors=3, retained=None):
-    """``impute_network`` on one bin's link-order ``values`` and ``observed`` mask.
-
-    The one-row stack of ``impute_rows``, whose arguments these are; the
-    row's failure is raised.
-    """
     (field,) = impute_rows(
         ((bin_index, variable),), values[None], observed, distances, model=model,
         kinds=kinds, lag_bins=lag_bins, min_pairs=min_pairs,
-        max_neighbors=max_neighbors, min_neighbors=min_neighbors, retained=retained,
+        max_neighbors=max_neighbors, min_neighbors=min_neighbors,
+        retained=distances.site_mask(known_site_ids),
     )
     if isinstance(field, EstimationError):
         raise field
@@ -450,16 +436,16 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
     ``labels`` gives each row's ``(bin_index, variable)``. ``retained`` is
     the ``distances.site_mask`` of ``known_site_ids``.
 
-    A given ``model`` serves every row; with ``model=None`` each row gets
-    its own variogram, one ``fit_variogram`` call per row in row order. The
-    weights of the one model or of all fitted ones are solved in one
-    ``_kriging_weights`` call, and each batch is applied to its rows as
-    soon as it is solved (``_apply_weights``): a given model's weights to
-    every row in one stacked product. A row whose fit raises, or whose
-    weights meet a singular system, fails alone: its entry in the returned
-    list is that ``EstimationError`` instead of a field, for the caller to
-    raise at the row's turn. An error that concerns every row alike (no
-    known site, no lag bins) is raised.
+    Each model serves a set of rows, written down once in ``served``: a
+    given ``model`` serves every row; with ``model=None`` each row gets its
+    own variogram, one ``fit_variogram`` call per row in row order, and
+    serves that row alone. The weights of all models are solved in one
+    ``_kriging_weights`` call, and each batch is applied to the rows its
+    models serve as soon as it is solved (``_apply_weights``). A row whose
+    fit raises, or whose model meets a singular system, fails: its entry in
+    the returned list is that ``EstimationError`` instead of a field, for
+    the caller to raise at the row's turn. An error that concerns every row
+    alike (no known site, no lag bins) is raised.
     """
     labels = tuple(labels)
     if len(labels) != values.shape[0]:
@@ -469,24 +455,21 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
     known_pairs = distances.between_sites[np.ix_(known, known)]
     if model is None:
         fits = _fit_rows(known_values, known_pairs, kinds, lag_bins, min_pairs)
-        owners = [r for r, fit in enumerate(fits) if not isinstance(fit, EstimationError)]
-        models = [fits[r] for r in owners]
+        served = np.flatnonzero([not isinstance(fit, EstimationError) for fit in fits])[:, None]
+        models = [fits[r] for r in served[:, 0]]
     else:
         fits = [model] * len(labels)
-        owners = list(range(len(labels)))
+        served = np.arange(len(labels))[None]
         models = [model]
 
     field_values = np.where(observed, values, np.nan)
     # a stack built for this call is freed before the solve, which lowers
     # the peak
     del values
-    # the kriged rows: all of them, or a copy of those whose fit held
-    stack = slice(None) if len(owners) == len(labels) else np.array(owners, dtype=np.intp)
-    known_stack, field_stack = known_values[stack], field_values[stack]
     imputed = np.zeros((len(models), observed.size), dtype=bool)
 
     def apply(batch):
-        _apply_weights(batch, known_stack, unobserved, field_stack, imputed)
+        _apply_weights(batch, known_values, served, unobserved, field_values, imputed)
 
     failures = {}
     if models and unobserved.size:
@@ -494,26 +477,22 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
             models, distances.site_to_target[np.ix_(known, unobserved)], known_pairs,
             max_neighbors, min_neighbors, apply,
         )
-    if not isinstance(stack, slice):
-        field_values[stack] = field_stack
-    # one weight set serves every kriged row
-    shared = len(models) == 1
     for k, error in failures.items():
-        for r in owners if shared else [owners[k]]:
+        for r in served[k]:
             fits[r] = error
 
-    # the rows of one weight set share one read-only provenance row
+    # the rows of one model share one read-only provenance row
     provenance = np.where(
         observed,
         PROVENANCE_OBSERVED,
         np.where(imputed, PROVENANCE_IMPUTED, PROVENANCE_FAILED),
     )
     provenance.flags.writeable = False
-    weight_set = {r: 0 if shared else k for k, r in enumerate(owners)}
+    model_of = {r: k for k, rows in enumerate(served.tolist()) for r in rows}
     return [
         fit if isinstance(fit, EstimationError) else ImputedField(
             bin_index=bin_index, variable=variable, values=row,
-            provenance=provenance[weight_set[r]], model=fit,
+            provenance=provenance[model_of[r]], model=fit,
         )
         for r, ((bin_index, variable), row, fit) in enumerate(zip(labels, field_values, fits))
     ]

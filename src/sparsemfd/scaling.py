@@ -93,7 +93,8 @@ class ScaledEstimate:
 
     ``ttd_or_ttt`` is total travelled distance (veh km) for flow, or total
     travelled time (veh h) for density, over the bin duration. The value is
-    always ttd_or_ttt / (network length * duration).
+    always ttd_or_ttt / (network length * duration); the duration must be
+    positive and finite.
     """
 
     bin_index: int
@@ -103,6 +104,12 @@ class ScaledEstimate:
     method: str
     hierarchy_count: int
     duration_h: float = 1.0
+
+    def __post_init__(self):
+        if not 0.0 < self.duration_h < math.inf:
+            raise ValidationError(
+                f"duration_h must be positive and finite, got {self.duration_h}"
+            )
 
 
 def _scaled(bin_index, variable, travelled_rate, total, method, hierarchy_count, duration_h):

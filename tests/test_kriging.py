@@ -12,6 +12,7 @@ import pytest
 
 from sparsemfd import experiment, kriging
 from sparsemfd.errors import (
+    EstimationError,
     IncompleteFieldError,
     InsufficientDataError,
     InsufficientNeighborsError,
@@ -27,7 +28,6 @@ from sparsemfd.kriging import (
     ImputedField,
     failed_length_fraction,
     impute_network,
-    impute_observed,
     impute_rows,
     known_sites,
     network_mean_from_field,
@@ -630,6 +630,14 @@ def _shared_weights_scenario(seed, silent_bin=None):
     return net, sites, grid
 
 
+def impute_observed(bin_index, values, observed, distances, variable="flow", **kwargs):
+    """One bin's field from a one-row ``impute_rows`` stack; its failure is raised."""
+    (field,) = impute_rows(((bin_index, variable),), values[None], observed, distances, **kwargs)
+    if isinstance(field, EstimationError):
+        raise field
+    return field
+
+
 def reference_estimate_bins(grid, network, sites, settings):
     """Per (bin, variable), one unshared ``impute_observed`` call and its mean.
 
@@ -999,7 +1007,8 @@ def test_a_refit_row_whose_fit_raises_fails_alone():
 def test_refit_group_errors_surface_at_their_own_rows(monkeypatch):
     # the singular corridors, every bin observed on the same links: the fit
     # of (0, density) raises and (1, flow) gets the subnormal-sill model,
-    # the rest a model that solves the corridors
+    # the rest a model that solves the corridors; then once more without
+    # the subnormal-sill model
     links = [Link(f"a{i}", f"a{i}", f"a{i + 1}", 2e-12, 1) for i in range(12)]
     links += [Link(f"b{i}", f"b{i}", f"b{i + 1}", 2e-12, 1) for i in range(8)]
     net = Network(links)
@@ -1022,7 +1031,7 @@ def test_refit_group_errors_surface_at_their_own_rows(monkeypatch):
         values = grid.values(variable)[grid.row(b)][distances.site_links[known]]
         return empirical_variogram(values, pairs, edges).gamma_hat.tobytes()
 
-    starved, singular = key(0, "density"), key(1, "flow")
+    starved, singular = key(0, "density"), {key(1, "flow")}
     fit = kriging.fit_variogram
     fits = []
 
@@ -1030,7 +1039,7 @@ def test_refit_group_errors_surface_at_their_own_rows(monkeypatch):
         fits.append(empirical.gamma_hat.tobytes())
         if fits[-1] == starved:
             return fit(empirical, **{**kwargs, "min_pairs": 10**6})
-        if fits[-1] == singular:
+        if fits[-1] in singular:
             return VariogramModel(kind="exponential", nugget=0.0, sill=1e-315, range_km=1.0)
         return VariogramModel(kind="exponential", nugget=0.0, sill=1.0, range_km=1e-10)
 
@@ -1055,6 +1064,21 @@ def test_refit_group_errors_surface_at_their_own_rows(monkeypatch):
     )
     assert str(err.value) == str(per_row_err.value)
     assert err.value.condition == per_row_err.value.condition
+
+    # no singular model: the fit that raises sits mid-stack, and the five
+    # rows around it, before and after, complete
+    singular.clear()
+    fits.clear()
+    stacked = list(_refit_outcomes(estimate_bins(
+        "variogram", grid, (0, 1, 2), ("flow", "density"), net, sites=sites,
+        settings=settings,
+    )))
+    assert len(fits) == 6
+    per_row = list(_per_row_refit_outcomes(grid, net, sites, (0, 1, 2), settings))
+    assert len(fits) == 12
+    assert stacked == per_row
+    assert [(b, v) for b, v, text, _ in stacked if isinstance(text, str)] == [(0, "density")]
+    assert sum(field is not None for *_, field in stacked) == 5
 
 
 def test_stacked_bins_raise_an_unknown_variable_at_its_own_turn():
@@ -1177,7 +1201,7 @@ def test_stacked_application_matches_one_row_calls_and_the_per_target_dots(
             gathered.clear()
             fields = impute_rows(labels, stack, observed, distances, model=model, **limits)
             assert gathered and all(
-                merged.flags.c_contiguous and merged.shape[0] == size for merged in gathered
+                merged.flags.c_contiguous and merged.shape[1] == size for merged in gathered
             ), name
             _, known_values = known_sites(stack, observed, distances.site_links, retained)
             assert known_values.flags.c_contiguous
@@ -1347,10 +1371,10 @@ def test_one_neighbour_sort_gives_every_model_its_own_batches_bit_for_bit():
             ref = _by_column((np.full(len(b[0]), r), *b) for b in ref_batches)
             mine = {key: value for key, value in stacked.items() if key[0] == r}
             assert mine == ref, (r, model)
-            # one model alone gives the same batches, shared by every row
+            # one model alone gives the same batches, every one of model 0
             alone = []
             kriging._kriging_weights((model,), target, pairs, most, least, alone.append)
-            assert all(rows is None for rows, *_ in alone)
+            assert all((rows == 0).all() for rows, *_ in alone)
             assert _by_column((np.full(len(b[1]), r), *b[1:]) for b in alone) == ref
             kept = ref_found[ref_found >= least]
             cases = {

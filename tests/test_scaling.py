@@ -15,12 +15,14 @@ from sparsemfd.errors import (
     UncoverableHierarchyError,
     ValidationError,
 )
-from sparsemfd.experiment import estimate_bins
+from sparsemfd.experiment import ESTIMATOR_NAMES, estimate_bins
 from sparsemfd.network import Link, Network
 from sparsemfd.scaling import (
     VARIABLES,
     HierarchyPartition,
+    hierarchical_estimate,
     hierarchical_scaled_mean,
+    uniform_estimate,
     uniform_scaled_mean,
 )
 from sparsemfd.sensing import (
@@ -108,6 +110,33 @@ def test_uniform_input_validation(quad_network):
         uniform_scaled_mean([_obs("L0", 1.0), _obs("L0", 2.0)], quad_network)
     with pytest.raises(AlignmentError):
         uniform_scaled_mean([_obs("L0", 1.0, b=0), _obs("L1", 1.0, b=1)], quad_network)
+
+
+@pytest.mark.parametrize("duration_h", [0.0, -2.0, math.nan, math.inf])
+def test_estimators_reject_a_duration_that_is_not_positive_and_finite(duration_h):
+    message = f"duration_h must be positive and finite, got {duration_h}"
+    net = Network((Link("A", "a", "b", 1.0, 1), Link("B", "b", "c", 1.0, 1)))
+    values, equipped = np.array([100.0, 0.0]), np.array([True, False])
+    with pytest.raises(ValidationError) as err:
+        uniform_estimate(0, values, equipped, net, "flow", duration_h=duration_h)
+    assert str(err.value) == message
+    partition = HierarchyPartition.from_network(net, ["A"])
+    with pytest.raises(ValidationError) as err:
+        hierarchical_estimate(0, values, partition, "flow", duration_h=duration_h)
+    assert str(err.value) == message
+    # every estimator estimates the first bin of this scenario at a valid
+    # duration, so the error is the duration's
+    network, sites, readings = make_reading_scenario(0)
+    grid = reading_columns(readings, sites, network.link_ids).observe()
+    for estimator in ESTIMATOR_NAMES:
+        outcomes = estimate_bins(estimator, grid, grid.observed_bins, VARIABLES, network,
+                                 sites=sites, duration_h=duration_h)
+        with pytest.raises(ValidationError) as err:
+            next(outcomes)
+        assert str(err.value) == message
+        first = next(estimate_bins(estimator, grid, grid.observed_bins, VARIABLES, network,
+                                   sites=sites))
+        assert first.failure is None
 
 
 # --- hierarchical scaling -----------------------------------------------------
