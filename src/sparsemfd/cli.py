@@ -27,16 +27,15 @@ from .experiment import (
     BAND_HEADER,
     ESTIMATES_HEADER,
     ESTIMATOR_NAMES,
-    FIELD_HEADER,
     MFD_HEADER,
     MODEL_HEADER,
     ExperimentConfig,
     VariogramSettings,
     estimate_bins,
-    field_rows,
     load_experiment_config,
     model_row,
     run_experiment,
+    write_field_table,
 )
 from .kriging import failed_length_fraction, known_sites
 from .metrics import compute_metrics, paired_t_test
@@ -395,7 +394,7 @@ def impute(obj, network_file, sites_file, readings_file, bin_index, variable,
         min_length_coverage=min_length_coverage,
     )
 
-    rows = []
+    fields = []
     failures = []
     for outcome in estimate_bins(
         "variogram", observations, bins, (variable,), network, sites=sites,
@@ -403,7 +402,7 @@ def impute(obj, network_file, sites_file, readings_file, bin_index, variable,
     ):
         b, field = outcome.bin_index, outcome.field
         if field is not None:
-            rows.extend(field_rows(field, network))
+            fields.append(field)
         if outcome.failure is not None:
             failures.append(outcome.failure)
             click.echo(f"bin {b}: not estimable ({outcome.failure})")
@@ -413,7 +412,7 @@ def impute(obj, network_file, sites_file, readings_file, bin_index, variable,
             f"bin {b}: network {variable} {outcome.estimate.value:.4g} "
             f"({covered:.1%} of length covered, {field.failed_count} links failed)"
         )
-    path = write_table(_table(obj, "field"), FIELD_HEADER, rows, obj.delim)
+    path = write_field_table(_table(obj, "field"), fields, network, obj.delim)
     click.echo(f"wrote {path}")
     if failures and len(failures) == len(bins):
         raise failures[0]

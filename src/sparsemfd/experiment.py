@@ -13,7 +13,6 @@ import json
 import numbers
 import os
 from dataclasses import dataclass, field
-from itertools import repeat
 from operator import attrgetter
 
 import numpy as np
@@ -43,6 +42,7 @@ from .scaling import (
     VARIABLES,
     HierarchyPartition,
     ScaledEstimate,
+    UniformPartition,
     hierarchical_estimate,
     uniform_estimate,
 )
@@ -50,10 +50,20 @@ from .sensing import (
     edie_truth_series,
     load_readings,
     reading_columns,
-    sample_coverage,
+    sample_grouped,
+    sites_by_hierarchy,
 )
 from .synth import SyntheticScenario, generate_scenario
-from .tableio import delimiter_for, encode, record, write_json, write_table
+from .tableio import (
+    delimiter_for,
+    encode,
+    format_column,
+    format_value,
+    record,
+    write_columns,
+    write_json,
+    write_table,
+)
 from .variogram import MODEL_KINDS, VariogramModel
 
 ESTIMATOR_NAMES = ("uniform", "hierarchical", "variogram")
@@ -129,12 +139,25 @@ def model_row(model, bin_index):
     )
 
 
-def field_rows(imputed, network):
-    """``FIELD_HEADER`` rows of one imputed field, in network link order."""
-    return list(zip(
-        network.link_ids, repeat(imputed.bin_index), repeat(imputed.variable),
-        imputed.values.tolist(), imputed.provenance.tolist(),
-    ))
+def field_columns(imputed, link_cells):
+    """The formatted ``FIELD_HEADER`` columns of one imputed field, in
+    network link order; ``link_cells`` are the network's formatted link ids."""
+    count = len(link_cells)
+    return (
+        link_cells, [format_value(imputed.bin_index)] * count,
+        [format_value(imputed.variable)] * count, format_column(imputed.values),
+        imputed.provenance.tolist(),
+    )
+
+
+def write_field_table(path, fields, network, delimiter=","):
+    """Write the ``FIELD_HEADER`` table of the imputed ``fields`` of
+    ``network``, one block per field: only one field's cells are held at a
+    time, and the link ids are formatted once."""
+    link_cells = format_column(network.link_ids)
+    return write_columns(
+        path, FIELD_HEADER, (field_columns(f, link_cells) for f in fields), delimiter
+    )
 
 
 @dataclass(frozen=True)
@@ -162,17 +185,17 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
     ``observations`` is an ``ObservationGrid`` over ``network``'s links. A
     ``NotEstimableError`` fails only its own pair, as a failure reading
     "bin {b} ({variable}): {reason}"; numeric and validation errors
-    propagate. The hierarchy partition is built once per distinct set of
-    observed links. Without ``refit_per_bin`` each variable reuses the model
-    of its first estimable bin. The variogram estimator kriges in
-    ``impute_rows`` stacks: when a (bin, variable) row's turn comes and it
-    has not been kriged, ``_krige_group`` kriges it in one call together
-    with the later rows of its observed-link set that take the same model.
-    The outcomes still follow in (bin, variable) order, and a row's error (a
-    failed fit, a singular system) surfaces at that row's turn, after the
-    same outcomes as with one call per row. ``sites``, ``distances`` and
-    ``known_site_ids`` are those of ``impute_network``; the distances are
-    built once when omitted.
+    propagate. The uniform and the hierarchy partitions are built once per
+    distinct set of observed links. Without ``refit_per_bin`` each variable
+    reuses the model of its first estimable bin. The variogram estimator
+    kriges in ``impute_rows`` stacks: when a (bin, variable) row's turn
+    comes and it has not been kriged, ``_krige_group`` kriges it in one call
+    together with the later rows of its observed-link set that take the same
+    model. The outcomes still follow in (bin, variable) order, and a row's
+    error (a failed fit, a singular system) surfaces at that row's turn,
+    after the same outcomes as with one call per row. ``sites``,
+    ``distances`` and ``known_site_ids`` are those of ``impute_network``;
+    the distances are built once when omitted.
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ValidationError(f"unknown estimator '{estimator}'")
@@ -188,12 +211,16 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
         row = observations.row(b)
         if row is not None:
             equipped = observations.observed[row]
-            if estimator == "hierarchical":
+            if estimator != "variogram":
                 key = equipped.tobytes()
                 if key not in partitions:
-                    partitions[key] = HierarchyPartition.from_network(
-                        network,
-                        [observations.link_ids[j] for j in np.flatnonzero(equipped).tolist()],
+                    partitions[key] = (
+                        UniformPartition.from_mask(network, equipped)
+                        if estimator == "uniform"
+                        else HierarchyPartition.from_network(
+                            network,
+                            [observations.link_ids[j] for j in np.flatnonzero(equipped).tolist()],
+                        )
                     )
                 partition = partitions[key]
         for variable in variables:
@@ -204,8 +231,7 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                 values = observations.values(variable)[row]
                 if estimator == "uniform":
                     estimate = uniform_estimate(
-                        b, values, equipped, network, variable,
-                        mode=uniform_mode, duration_h=duration_h,
+                        b, values, partition, variable, mode=uniform_mode, duration_h=duration_h,
                     )
                 elif estimator == "hierarchical":
                     estimate = hierarchical_estimate(
@@ -522,9 +548,10 @@ def run_experiment(config, output_dir=None, fmt="csv"):
         clamped_count=clamped,
     )
 
+    groups = sites_by_hierarchy(sites, network)
     for coverage in config.coverages:
         for seed in config.seeds:
-            plan, _ = sample_coverage(sites, network, coverage, seed)
+            plan, _ = sample_grouped(groups, coverage, seed)
             retained_ids = set(plan.retained_detectors)
             observations = columns.observe(plan.retained_detectors)
             result.plans[(coverage, seed)] = plan
@@ -570,13 +597,11 @@ def write_outputs(result, output_dir, fmt="csv"):
     for cell in result.cells:
         cell_dir = os.path.join(out, "cells", cell.name)
         os.makedirs(cell_dir, exist_ok=True)
-        write_table(
+        estimates = sorted(cell.estimates, key=lambda e: (e.bin_index, e.variable))
+        write_columns(
             os.path.join(cell_dir, f"estimates.{ext}"),
             ESTIMATES_HEADER,
-            map(
-                attrgetter(*ESTIMATES_HEADER),
-                sorted(cell.estimates, key=lambda e: (e.bin_index, e.variable)),
-            ),
+            [_attribute_columns(estimates, ESTIMATES_HEADER)],
             delim,
         )
         if cell.estimator == "variogram":
@@ -649,9 +674,31 @@ def write_outputs(result, output_dir, fmt="csv"):
     return path
 
 
+def _attribute_columns(items, names):
+    """One formatted column per attribute of ``items`` that ``names`` lists."""
+    return [format_column([getattr(item, name) for item in items]) for name in names]
+
+
+def _series_columns(estimated, actual, actual_cells, bins):
+    """The estimated, actual and residual cells of one variable's series
+    over ``bins``, and the positions of the bins with both values."""
+    estimated = [estimated.get(b) for b in bins]
+    residual = [
+        e - a if (e is not None and a is not None) else None
+        for e, a in zip(estimated, actual)
+    ]
+    paired = [i for i, r in enumerate(residual) if r is not None]
+    return format_column(estimated), actual_cells, format_column(residual), paired
+
+
 def emit_plot_data(result, output_dir, fmt="csv"):
     """Write the figure-shaped tables: series, scatter, MFD points and bands,
-    and per-link imputed fields. Returns the written paths."""
+    and per-link imputed fields. Returns the written paths.
+
+    Every table is built as formatted columns. The bin and truth columns
+    are formatted once and shared by every cell; a field table is written
+    one field at a time.
+    """
     delim = delimiter_for(fmt)
     ext = fmt
     out = os.fspath(output_dir)
@@ -660,86 +707,82 @@ def emit_plot_data(result, output_dir, fmt="csv"):
 
     if result.truth_flow is not None:
         points = build_mfd(result.truth_flow, result.truth_density)
-        path = write_table(
+        path = write_columns(
             os.path.join(out, f"mfd_actual.{ext}"),
             MFD_HEADER,
-            map(attrgetter(*MFD_HEADER), points),
+            [_attribute_columns(points, MFD_HEADER)],
             delim,
         )
         written.append(path)
 
+    bins = result.bin_indices
+    bin_cells = format_column(bins)
+    # each variable's truth values and their cells
+    truth = {}
+    for variable, series in (("flow", result.truth_flow), ("density", result.truth_density)):
+        actual = [series.get(b) for b in bins] if series else [None] * len(bins)
+        truth[variable] = actual, format_column(actual)
+
     for cell in result.cells:
         cell_dir = os.path.join(out, "cells", cell.name)
         os.makedirs(cell_dir, exist_ok=True)
-        flow = cell.series("flow")
-        density = cell.series("density")
-
-        series_rows = []
-        scatter_rows = []
-        for b in result.bin_indices:
-            est_q = flow.get(b)
-            est_k = density.get(b)
-            act_q = result.truth_flow.get(b) if result.truth_flow else None
-            act_k = result.truth_density.get(b) if result.truth_density else None
-            series_rows.append(
-                (
-                    b, est_q, act_q,
-                    est_q - act_q if (est_q is not None and act_q is not None) else None,
-                    est_k, act_k,
-                    est_k - act_k if (est_k is not None and act_k is not None) else None,
-                )
-            )
-            if est_q is not None and act_q is not None:
-                scatter_rows.append((b, act_q, est_q, act_k, est_k))
+        est_q, act_q, res_q, paired = _series_columns(cell.series("flow"), *truth["flow"], bins)
+        est_k, act_k, res_k, _ = _series_columns(cell.series("density"), *truth["density"], bins)
         written.append(
-            write_table(
+            write_columns(
                 os.path.join(cell_dir, f"series.{ext}"),
                 (
                     "bin_index", "estimated_flow", "actual_flow", "flow_residual",
                     "estimated_density", "actual_density", "density_residual",
                 ),
-                series_rows,
+                [[bin_cells, est_q, act_q, res_q, est_k, act_k, res_k]],
                 delim,
             )
         )
+        # the bins with an estimated and an actual flow
+        scatter = [bin_cells, act_q, est_q, act_k, est_k]
+        if len(paired) < len(bins):
+            scatter = [[column[i] for i in paired] for column in scatter]
         written.append(
-            write_table(
+            write_columns(
                 os.path.join(cell_dir, f"scatter.{ext}"),
                 ("bin_index", "actual_flow", "estimated_flow",
                  "actual_density", "estimated_density"),
-                scatter_rows,
+                [scatter],
                 delim,
             )
         )
 
         written.append(
-            write_table(
+            write_columns(
                 os.path.join(cell_dir, f"mfd_points.{ext}"),
                 MFD_HEADER,
-                map(attrgetter(*MFD_HEADER), cell.mfd_points),
+                [_attribute_columns(cell.mfd_points, MFD_HEADER)],
                 delim,
             )
         )
 
-        band_rows = []
+        band = [[] for _ in BAND_HEADER]
         if cell.quad_fit is not None and cell.mfd_points:
             k_values = [p.density_veh_per_km for p in cell.mfd_points]
             grid = np.linspace(min(k_values), max(k_values), result.config.band_samples)
-            fitted, low, high = cell.quad_fit.band(grid)
-            band_rows = list(zip(grid, fitted, low, high))
+            band = [grid, *cell.quad_fit.band(grid)]
         written.append(
-            write_table(
-                os.path.join(cell_dir, f"mfd_fit.{ext}"), BAND_HEADER, band_rows, delim
+            write_columns(
+                os.path.join(cell_dir, f"mfd_fit.{ext}"),
+                BAND_HEADER,
+                [list(map(format_column, band))],
+                delim,
             )
         )
 
         if cell.fields:
-            # a generator: write_table takes the rows a block at a time
-            rows = (
-                row for _, imputed in sorted(cell.fields.items())
-                for row in field_rows(imputed, result.network)
-            )
             written.append(
-                write_table(os.path.join(cell_dir, f"field.{ext}"), FIELD_HEADER, rows, delim)
+                write_field_table(
+                    os.path.join(cell_dir, f"field.{ext}"),
+                    map(cell.fields.get, sorted(cell.fields)),
+                    result.network,
+                    delim,
+                )
             )
     return written

@@ -124,24 +124,51 @@ def _scaled(bin_index, variable, travelled_rate, total, method, hierarchy_count,
     )
 
 
-def uniform_estimate(bin_index, values, equipped, network, variable="flow",
-                     mode="exact", duration_h=1.0):
+@dataclass(frozen=True, eq=False)
+class UniformPartition:
+    """The equipped links of a bin as the uniform estimator reduces over them.
+
+    ``links`` holds their positions in link-id order, the order in which
+    ``aggregate_to_links`` lists them, and ``lengths_km`` their lengths;
+    ``non_equipped_length_km`` is the rest of the network's length.
+    """
+
+    links: np.ndarray
+    lengths_km: np.ndarray
+    total_length_km: float
+    non_equipped_length_km: float
+
+    @classmethod
+    def from_mask(cls, network, equipped):
+        """The partition of ``network`` by ``equipped``, a mask of its links."""
+        links = network.id_order[equipped[network.id_order]]
+        lengths = network.lengths_km[links]
+        total = network.total_length_km
+        return cls(
+            links=links,
+            lengths_km=lengths,
+            total_length_km=total,
+            non_equipped_length_km=max(total - math.fsum(lengths.tolist()), 0.0),
+        )
+
+
+def uniform_estimate(bin_index, values, partition, variable="flow", mode="exact",
+                     duration_h=1.0):
     """The uniform estimate of one bin from its link values in network order.
 
-    ``equipped`` masks the links observed in the bin; ``values`` elsewhere
-    is ignored. The equipped mean and the measured travelled total reduce
-    over the equipped links in link-id order, the order in which
-    ``aggregate_to_links`` lists them, so a bin gives the same bits from
-    the arrays as from its observation list.
+    ``partition`` is the ``UniformPartition`` of the links observed in the
+    bin; ``values`` elsewhere is ignored. The equipped mean and the measured
+    travelled total reduce over the equipped links in link-id order, so a
+    bin gives the same bits from the arrays as from its observation list.
     """
-    links = network.id_order[equipped[network.id_order]]
-    values = values[links]
-    lengths = network.lengths_km[links]
+    values = values[partition.links]
     equipped_mean = float(values.mean())
-    total = network.total_length_km
-    non_equipped_length = max(total - math.fsum(lengths.tolist()), 0.0)
+    total = partition.total_length_km
     if mode == "exact":
-        travelled_rate = float(values @ lengths) + equipped_mean * non_equipped_length
+        travelled_rate = (
+            float(values @ partition.lengths_km)
+            + equipped_mean * partition.non_equipped_length_km
+        )
     else:
         travelled_rate = equipped_mean * total
     return _scaled(bin_index, variable, travelled_rate, total, "uniform", 1, duration_h)
@@ -189,7 +216,10 @@ def uniform_scaled_mean(observations, network, variable="flow", mode="exact", du
     if not observations:
         raise InsufficientDataError("uniform scaling needs at least one equipped observation")
     bin_index, values, equipped = bin_arrays(observations, network.link_ids, variable)
-    return uniform_estimate(bin_index, values, equipped, network, variable, mode, duration_h)
+    return uniform_estimate(
+        bin_index, values, UniformPartition.from_mask(network, equipped), variable, mode,
+        duration_h,
+    )
 
 
 def hierarchical_scaled_mean(observations, partition, variable="flow", duration_h=1.0):

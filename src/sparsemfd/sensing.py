@@ -312,7 +312,12 @@ def aggregate_to_links(readings, sites):
     ]
 
 
-def _sites_by_hierarchy(sites, network):
+def sites_by_hierarchy(sites, network):
+    """The sites of each hierarchy class of ``network``, by detector id.
+
+    Raises ``ValidationError`` on a duplicate detector id. A grid of plans
+    groups its sites once and draws each plan with ``sample_grouped``.
+    """
     groups = {}
     seen = set()
     for site in sites:
@@ -335,14 +340,23 @@ def sample_coverage(sites, network, fraction, seed):
 
     Returns (CoveragePlan, retained sites).
     """
-    if not (isinstance(fraction, (int, float)) and 0.0 < fraction <= 1.0):
-        raise ValueError(f"coverage fraction must lie in (0, 1], got {fraction}")
-    groups = _sites_by_hierarchy(sites, network)
+    _check_fraction(fraction)
+    return sample_grouped(sites_by_hierarchy(sites, network), fraction, seed)
+
+
+def sample_grouped(groups, fraction, seed):
+    """``sample_coverage`` of the sites that ``sites_by_hierarchy`` grouped."""
+    _check_fraction(fraction)
     counts = {
         hierarchy: min(len(members), max(1, round(fraction * len(members))))
         for hierarchy, members in groups.items()
     }
     return _sample_groups(groups, counts, seed, float(fraction))
+
+
+def _check_fraction(fraction):
+    if not (isinstance(fraction, (int, float)) and 0.0 < fraction <= 1.0):
+        raise ValueError(f"coverage fraction must lie in (0, 1], got {fraction}")
 
 
 def sample_coverage_counts(sites, network, counts, seed, fraction=None):
@@ -352,7 +366,7 @@ def sample_coverage_counts(sites, network, counts, seed, fraction=None):
     Counts must cover exactly the hierarchies present in ``sites`` and keep
     between 1 and the class size.
     """
-    groups = _sites_by_hierarchy(sites, network)
+    groups = sites_by_hierarchy(sites, network)
     if set(counts) != set(groups):
         raise ValidationError(
             f"counts cover hierarchies {sorted(counts)} but sites cover {sorted(groups)}"

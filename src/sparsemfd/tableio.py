@@ -6,12 +6,17 @@ offending line and field.
 
 Every input table is read by ``read_table`` through a schema that maps
 each field to a column kind: ``TEXT``, ``INT``, ``INT64``, ``FLOAT`` or
-``OPTIONAL_FLOAT``. Tables are read and written in blocks of up to
-``BLOCK_ROWS`` rows, one column at a time. Only a block that does not
-convert as a whole is walked cell by cell, to find its first faulty row.
+``OPTIONAL_FLOAT``. Tables are read in blocks of up to ``BLOCK_ROWS``
+rows, one column at a time. Only a block that does not convert as a whole
+is walked cell by cell, to find its first faulty row.
 The reader returns the rows before that row and holds its fault, so that a
 loader checks the values of those rows first: the first faulty row wins,
 whether its fault lies in a cell or in a value.
+
+Every table is written by ``write_columns``, from blocks of columns that
+``format_column`` formats in one pass each; ``write_table`` hands it rows
+``BLOCK_ROWS`` at a time. A block is joined into lines at once, and written
+by ``csv.writer`` only where a cell needs quoting.
 
 Scenarios, experiment configs, coverage plans and reports are JSON, written
 by ``write_json``: a dataclass field by field, minus fields marked
@@ -25,6 +30,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, fields, is_dataclass
+from functools import lru_cache
 from itertools import chain, islice
 from types import NoneType
 from typing import get_args, get_origin, get_type_hints
@@ -272,54 +278,87 @@ def format_value(value):
     return str(value)
 
 
-_format_float = "%.12g".__mod__
+@lru_cache(maxsize=16)
+def _floats_template(count):
+    # one % operation formats a whole column; no .12g cell holds a newline
+    return "\n".join(["%.12g"] * count)
 
 
-def _format_column(values):
+def format_column(values):
     """``format_value`` of every value of a column, one pass per column.
 
-    A column of floats (NaN and None allowed) is formatted with ``.12g``,
-    one without floats and None with ``str``; only a column that mixes
-    floats or None with other types goes through ``format_value`` per cell.
+    A float64 array, or a column of floats (NaN and None allowed), is
+    formatted with ``.12g``, one without floats and None with ``str``; only
+    a column that mixes floats or None with other types goes through
+    ``format_value`` per cell.
     """
-    kinds = set(map(type, values))
-    floats = {kind for kind in kinds if issubclass(kind, float)}
-    if not floats and NoneType not in kinds:
-        return list(map(str, values))
-    if kinds - floats - {NoneType}:
-        return list(map(format_value, values))
-    if NoneType in kinds:
-        values = [math.nan if v is None else v for v in values]
-    cells = list(map(_format_float, values))
+    if isinstance(values, np.ndarray) and values.dtype == np.float64:
+        values = values.tolist()
+    else:
+        kinds = set(map(type, values))
+        floats = {kind for kind in kinds if issubclass(kind, float)}
+        if not floats and NoneType not in kinds:
+            return list(map(str, values))
+        if kinds - floats - {NoneType}:
+            return list(map(format_value, values))
+        if NoneType in kinds:
+            values = [math.nan if v is None else v for v in values]
+    if not values:
+        return []
+    cells = (_floats_template(len(values)) % tuple(values)).split("\n")
     if "nan" in cells:
         cells = ["" if c == "nan" else c for c in cells]
     return cells
 
 
-def write_table(path, header, rows, delimiter=","):
-    """Write a table; ``rows`` is an iterable of sequences matching ``header``.
+def write_columns(path, header, blocks, delimiter=","):
+    """Write a table from ``blocks`` of formatted columns.
 
-    Rows are formatted a block and a column at a time. A block whose cells
-    need quoting is written by ``csv.writer``; the others as joined lines,
-    which are the bytes ``csv.writer`` would write for them. A row whose
-    length differs from the header's raises ``ValueError``.
+    Each block holds one column of cells per header field, as
+    ``format_column`` returns them, all of one length; blocks are written
+    in turn, so only the block at hand is held. A block whose cells need
+    quoting is written by ``csv.writer``; the others as joined lines, which
+    are the bytes ``csv.writer`` would write for them. A block whose columns
+    differ from the header in number, or from each other in length, raises
+    ``ValueError``.
     """
     if not header:
         raise ValueError("a table needs at least one column")
-    rows = iter(rows)
     with open(os.fspath(path), "w", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
         writer.writerow(header)
-        while block := list(islice(rows, BLOCK_ROWS)):
-            if set(map(len, block)) != {len(header)}:
-                raise ValueError(f"every row must have the {len(header)} cells of the header")
-            columns = [_format_column(values) for values in zip(*block)]
+        for columns in blocks:
+            if len(columns) != len(header) or len(set(map(len, columns))) != 1:
+                raise ValueError(
+                    f"every block must have the {len(header)} columns of the header, "
+                    f"all of one length"
+                )
+            if not columns[0]:
+                continue
             if len(columns) < 2 or any(_needs_quoting(c, delimiter) for c in columns):
                 # csv.writer also quotes the empty cell of a one-column row
                 writer.writerows(zip(*columns))
             else:
                 handle.write("\n".join(map(delimiter.join, zip(*columns))) + "\n")
     return path
+
+
+def write_table(path, header, rows, delimiter=","):
+    """Write a table; ``rows`` is an iterable of sequences matching ``header``.
+
+    Rows are taken ``BLOCK_ROWS`` at a time and written by ``write_columns``,
+    each block formatted a column at a time. A row whose length differs from
+    the header's raises ``ValueError``.
+    """
+    return write_columns(path, header, _row_blocks(iter(rows), len(header)), delimiter)
+
+
+def _row_blocks(rows, width):
+    """The formatted columns of each block of ``BLOCK_ROWS`` rows."""
+    while block := list(islice(rows, BLOCK_ROWS)):
+        if set(map(len, block)) != {width}:
+            raise ValueError(f"every row must have the {width} cells of the header")
+        yield [format_column(values) for values in zip(*block)]
 
 
 def _needs_quoting(cells, delimiter):

@@ -10,23 +10,23 @@ from sparsemfd import experiment, kriging, metrics
 from sparsemfd.errors import ValidationError
 from sparsemfd.experiment import (
     ESTIMATOR_NAMES,
+    FIELD_HEADER,
     MODEL_HEADER,
     STATUS_NOT_ESTIMABLE,
     STATUS_OK,
     ExperimentConfig,
     VariogramSettings,
     emit_plot_data,
-    field_rows,
     load_experiment_config,
     run_experiment,
 )
-from sparsemfd.network import NETWORK_COLUMNS, load_detector_sites, load_network
+from sparsemfd.network import NETWORK_COLUMNS, SITE_COLUMNS, load_detector_sites, load_network
 from sparsemfd.scaling import HierarchyPartition, hierarchical_scaled_mean
-from sparsemfd.sensing import READINGS_HEADER, aggregate_to_links, load_readings
-from sparsemfd.synth import DEFAULT_VARIOGRAM, SyntheticScenario
-from sparsemfd.tableio import encode, write_json, write_table
+from sparsemfd.sensing import READINGS_HEADER, aggregate_to_links, load_readings, write_readings
+from sparsemfd.synth import DEFAULT_VARIOGRAM, SyntheticScenario, generate_scenario
+from sparsemfd.tableio import delimiter_for, encode, write_json, write_table
 from sparsemfd.variogram import VariogramModel
-from conftest import traced_peak
+from conftest import reference_write_table, traced_peak
 
 SMALL_SCENARIO = SyntheticScenario(
     rows=5, cols=5, diurnal=(0.4, 0.8, 1.0, 0.6), seed=3
@@ -494,6 +494,46 @@ def test_variogram_cell_writes_field_table(tmp_path):
     assert header.split("\t") == ["link_id", "bin_index", "variable", "value", "provenance"]
 
 
+@pytest.mark.parametrize("fmt", ["csv", "tsv"])
+def test_field_tables_quote_link_ids_as_the_per_cell_writer(fmt, tmp_path):
+    # link ids with a comma, a tab, a double quote or a newline in them
+    data = generate_scenario(SMALL_SCENARIO)
+    quoted = {
+        link.id: f'{link.id},\t"{i}"' + ("\nend" if i % 3 == 0 else "")
+        for i, link in enumerate(data.network.links)
+    }
+    paths = [tmp_path / name for name in ("network.csv", "sites.csv", "readings.csv")]
+    reference_write_table(paths[0], NETWORK_COLUMNS, [
+        (quoted[l.id], l.from_node, l.to_node, l.length_km, l.hierarchy)
+        for l in data.network.links
+    ])
+    reference_write_table(paths[1], SITE_COLUMNS, [
+        (s.detector_id, quoted[s.link_id], s.offset_fraction) for s in data.sites
+    ])
+    write_readings(paths[2], data.readings)
+    config = ExperimentConfig(
+        coverages=(0.6,), seeds=(0,), estimators=("variogram",),
+        network_path=str(paths[0]), sites_path=str(paths[1]), readings_path=str(paths[2]),
+        variogram=VariogramSettings(fixed_model=IMPUTE_MODEL),
+    )
+    result = run_experiment(config, output_dir=tmp_path / "out", fmt=fmt)
+    (cell,) = result.cells
+    assert len(cell.fields) > 1
+    rows = [
+        (link_id, imputed.bin_index, imputed.variable, value, source)
+        for _, imputed in sorted(cell.fields.items())
+        for link_id, value, source in zip(
+            result.network.link_ids, imputed.values.tolist(), imputed.provenance.tolist()
+        )
+    ]
+    assert set(quoted.values()) == set(result.network.link_ids)
+    reference = reference_write_table(
+        tmp_path / f"reference.{fmt}", FIELD_HEADER, rows, delimiter_for(fmt)
+    )
+    written = tmp_path / "out" / "cells" / cell.name / f"field.{fmt}"
+    assert written.read_bytes() == reference.read_bytes()
+
+
 def test_field_rows_are_streamed_to_the_table(tmp_path):
     # every link of the default city is observed in each of its 24 bins
     config = ExperimentConfig(
@@ -506,7 +546,14 @@ def test_field_rows_are_streamed_to_the_table(tmp_path):
     fields = sorted(cell.fields.items())
 
     def materialise():
-        return [row for _, imputed in fields for row in field_rows(imputed, result.network)]
+        # the rows of every field held at once, as tuples of Python values
+        return [
+            (link_id, imputed.bin_index, imputed.variable, value, source)
+            for _, imputed in fields
+            for link_id, value, source in zip(
+                result.network.link_ids, imputed.values.tolist(), imputed.provenance.tolist()
+            )
+        ]
 
     rows, listed = traced_peak(materialise)
     assert len(rows) == 180 * 24 * 2

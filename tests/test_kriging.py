@@ -38,7 +38,7 @@ from sparsemfd.experiment import (
     ExperimentConfig,
     VariogramSettings,
     estimate_bins,
-    field_rows,
+    field_columns,
     run_experiment,
 )
 from sparsemfd import network as network_module
@@ -60,7 +60,7 @@ from sparsemfd.synth import (
     generate_scenario,
     grid_network,
 )
-from sparsemfd.tableio import write_table
+from sparsemfd.tableio import format_column, format_value, write_table
 from sparsemfd.variogram import (
     VariogramModel,
     distance_bin_edges,
@@ -1526,13 +1526,6 @@ def _outcome_bits(reduce):
         return ["raised", struct.pack("<d", exc.coverage)]
 
 
-def _row_bits(rows):
-    return [
-        (link_id, b, variable, type(value), struct.pack("<d", value), source)
-        for link_id, b, variable, value, source in rows
-    ]
-
-
 def test_field_reductions_match_the_per_link_loops_bit_for_bit():
     rng = np.random.default_rng(8)
     # a corridor of 300 links with lengths over two decades, in shuffled id order
@@ -1564,8 +1557,10 @@ def test_field_reductions_match_the_per_link_loops_bit_for_bit():
             "<d", reference_failed_fraction(source, net)
         )
         assert field.failed_count == sum(p == PROVENANCE_FAILED for p in source.values())
-        assert _row_bits(field_rows(field, net)) == _row_bits(
-            reference_field_rows(seed, "density", by_id, source, net)
-        )
+        # the field's cells, as the per-cell writer formats each row
+        assert list(zip(*field_columns(field, format_column(net.link_ids)))) == [
+            tuple(map(format_value, row))
+            for row in reference_field_rows(seed, "density", by_id, source, net)
+        ]
     # both branches of the coverage threshold are compared
     assert 0 < raised < 120

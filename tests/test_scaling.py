@@ -20,6 +20,7 @@ from sparsemfd.network import Link, Network
 from sparsemfd.scaling import (
     VARIABLES,
     HierarchyPartition,
+    UniformPartition,
     hierarchical_estimate,
     hierarchical_scaled_mean,
     uniform_estimate,
@@ -118,7 +119,9 @@ def test_estimators_reject_a_duration_that_is_not_positive_and_finite(duration_h
     net = Network((Link("A", "a", "b", 1.0, 1), Link("B", "b", "c", 1.0, 1)))
     values, equipped = np.array([100.0, 0.0]), np.array([True, False])
     with pytest.raises(ValidationError) as err:
-        uniform_estimate(0, values, equipped, net, "flow", duration_h=duration_h)
+        uniform_estimate(
+            0, values, UniformPartition.from_mask(net, equipped), "flow", duration_h=duration_h
+        )
     assert str(err.value) == message
     partition = HierarchyPartition.from_network(net, ["A"])
     with pytest.raises(ValidationError) as err:

@@ -13,10 +13,11 @@ from sparsemfd.tableio import (
     INT64,
     OPTIONAL_FLOAT,
     TEXT,
-    _format_float,
     delimiter_for,
+    format_column,
     format_value,
     read_table,
+    write_columns,
     write_table,
 )
 from conftest import reference_read_table, reference_write_table
@@ -120,7 +121,9 @@ def test_float_cells_are_formatted_like_the_format_spec():
         0.1, 1e12, 1e-5, 999999999999.5, 123456789012.0, 1e16,
     ]
     corpus += [np.float64(v) for v in corpus[::50]]
-    assert list(map(_format_float, corpus)) == [format(v, ".12g") for v in corpus]
+    expected = ["" if math.isnan(v) else format(v, ".12g") for v in corpus]
+    assert format_column(corpus) == expected
+    assert format_column(np.array(corpus)) == expected
 
 
 def test_write_table_round_trip(tmp_path):
@@ -258,6 +261,71 @@ def test_write_table_matches_the_per_cell_reference(case, delimiter, tmp_path):
     written = write_table(tmp_path / "new", header, iter(rows), delimiter)
     reference = reference_write_table(tmp_path / "old", header, rows, delimiter)
     assert written.read_bytes() == reference.read_bytes()
+
+
+COLUMN_CASES = {
+    "nan and none": [(math.nan, None, 1.5), (None, math.nan, -math.nan)],
+    "bools": [(True, np.bool_(False)), (False, np.bool_(True))],
+    "ints": [(0, -(2 ** 63), np.int64(7)), (2 ** 70, 5, np.int64(-1))],
+    "mixed": [("a", 1.0, None, True), (2, "b", math.nan, 1.5), (None, 3, 4, "c")],
+    "header only": [],
+    "ids with the comma": [("a,b", 1.0, "observed"), ("c", math.nan, "failed")],
+    "ids with the tab": [("a\tb", 1.0, "observed"), ("c", 2.0, "imputed")],
+    "ids with a double quote": [('say "hi"', 1.0, "observed"), ("c", 2.0, "imputed")],
+    "ids with a carriage return": [("cr\rhere", 1.0, "observed"), ("c", 2.0, "imputed")],
+    "ids with a newline": [("two\nlines", 1.0, "observed"), ("c", 2.0, "imputed")],
+    "one column": [(None,), ("",), (1.5,), (math.nan,)],
+}
+
+
+def _blocks(rows, sizes):
+    """``rows`` cut into blocks of ``sizes`` rows, the last taking the
+    rest, each as its formatted columns."""
+    blocks, start = [], 0
+    for size in [*sizes, len(rows)]:
+        block = rows[start:start + size]
+        start += len(block)
+        if block:
+            blocks.append([format_column(c) for c in zip(*block)])
+    return blocks
+
+
+@pytest.mark.parametrize("case", list(COLUMN_CASES) + list(WRITE_CASES))
+@pytest.mark.parametrize("delimiter", [",", "\t"])
+def test_write_columns_matches_the_per_cell_reference(case, delimiter, tmp_path):
+    rows = COLUMN_CASES.get(case, WRITE_CASES.get(case))
+    header = tuple(f"c{i}" for i in range(len(rows[0]) if rows else 3))
+    reference = reference_write_table(tmp_path / "old", header, rows, delimiter).read_bytes()
+    # one block, and blocks of one and of two rows, where a quoted cell
+    # falls in some blocks only
+    for sizes in ((), (1, 2)):
+        written = write_columns(tmp_path / "new", header, _blocks(rows, sizes), delimiter)
+        assert written.read_bytes() == reference
+
+
+def test_float_arrays_are_formatted_like_their_values():
+    rng = np.random.default_rng(4)
+    values = rng.lognormal(5.0, 3.0, 500) * rng.choice([-1.0, 1.0], 500)
+    values[::7] = math.nan
+    values[1::50] = (math.inf, -math.inf, 0.0, -0.0, 5e-324, 1e22, 1 / 3, 0.1, 155.0, -1e-300)
+    assert format_column(values) == list(map(format_value, values.tolist()))
+    assert format_column(values[:0]) == []
+    # only float64 arrays take the .12g pass; other arrays keep their
+    # per-value formatting
+    single = values[:20].astype(np.float32)
+    assert format_column(single) == list(map(format_value, single))
+
+
+def test_write_columns_rejects_columns_unlike_the_header(tmp_path):
+    cells = ["1", "2"]
+    with pytest.raises(ValueError):
+        write_columns(tmp_path / "t.csv", ("a", "b"), [[cells]])
+    with pytest.raises(ValueError):
+        write_columns(tmp_path / "t.csv", ("a", "b"), [[cells, cells, cells]])
+    with pytest.raises(ValueError):
+        write_columns(tmp_path / "t.csv", ("a", "b"), [[cells, cells], [cells, ["3"]]])
+    with pytest.raises(ValueError):
+        write_columns(tmp_path / "t.csv", (), [])
 
 
 def test_write_table_rejects_rows_unlike_the_header(tmp_path):
