@@ -23,7 +23,14 @@ from .errors import (
 )
 from .network import _distances, midpoint_sites
 from .sensing import bin_arrays, detector_mask, value_field
-from .variogram import MODEL_KINDS, distance_bin_edges, fit_variogram, gamma, lag_pairs
+from .variogram import (
+    MODEL_KINDS,
+    distance_bin_edges,
+    fit_variogram,
+    gamma,
+    lag_pairs,
+    search_ranges,
+)
 
 PROVENANCE_OBSERVED = "observed"
 PROVENANCE_IMPUTED = "imputed"
@@ -267,11 +274,16 @@ def _merged_values(values, served_rows, kept, groups):
 
     ``values`` is (R, n_known), ``kept`` (g, m) the neighbour sites of the
     batch's g weight vectors and ``served_rows`` (g, s) the value rows each
-    of them serves. The result is a C-contiguous (g, s, m) array: entry
-    ``[e, j]`` holds row ``served_rows[e, j]``'s values at ``kept[e]``.
-    Without ``groups`` these are the kept sites' values; a merged column
-    takes the running mean of each group, in group order.
+    of them serves, distinct and ascending. The result is a C-contiguous
+    (g, s, m) array: entry ``[e, j]`` holds row ``served_rows[e, j]``'s
+    values at ``kept[e]``. Without ``groups`` these are the kept sites'
+    values; a merged column takes the running mean of each group, in group
+    order.
     """
+    if groups is None and served_rows.shape[1] == values.shape[0]:
+        # every vector serves every row, in order (a given model): one
+        # gather, laid out as (vectors, rows, neighbours)
+        return np.ascontiguousarray(values[:, kept].transpose(1, 0, 2))
     if groups is None:
         # one flat take, faster than indexing with two arrays; its result is
         # C-contiguous, without which the dot below would add in another order
@@ -502,16 +514,25 @@ def _fit_rows(known_values, known_pairs, kinds, lag_bins, min_pairs):
     """One fitted variogram per row of ``known_values``, or the error of its fit.
 
     The lag bins and pairs of the known sites are assigned once for all
-    rows; an error there concerns every row and is raised. Each fit is one
-    call of the module-level ``fit_variogram``.
+    rows; an error there concerns every row and is raised. The ranges of
+    all rows are searched in one ``search_ranges`` call, and each fit is
+    then finished by one call of the module-level ``fit_variogram``, in
+    row order, which raises where a fit of that row alone would.
     """
     lags = lag_pairs(known_pairs, distance_bin_edges(known_pairs, n_bins=lag_bins))
     fits = []
     for row in known_values:
         try:
-            fits.append(fit_variogram(lags.variogram(row), kinds=kinds, min_pairs=min_pairs))
+            fits.append(lags.variogram(row))
         except EstimationError as exc:
             fits.append(exc)
+    rows = [r for r, fit in enumerate(fits) if not isinstance(fit, EstimationError)]
+    searched = search_ranges([fits[r] for r in rows], kinds, min_pairs)
+    for r, ranges in zip(rows, searched):
+        try:
+            fits[r] = fit_variogram(fits[r], kinds=kinds, min_pairs=min_pairs, ranges=ranges)
+        except EstimationError as exc:
+            fits[r] = exc
     return fits
 
 

@@ -37,6 +37,11 @@ _ZOOM_STEPS = np.linspace(0.0, 1.0, RANGE_ZOOM)
 # Weighted RSS values closer than this relative gap (plus the same absolute
 # gap) count as a tie.
 RSS_TIE = 1e-15
+# the lower bound of a fitted sill, over the largest usable semivariance
+_SILL_FLOOR = 1e-8
+# at most this many bytes of (solutions, fits, candidates, lags) residuals
+# go to one stacked range search
+_SEARCH_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -266,10 +271,11 @@ class _Shapes(NamedTuple):
     with the pair-weighted moments that no semivariance enters.
 
     Every moment is a sum along the lags of one row, so each row's figures
-    do not depend on which other rows are stacked with it.
+    do not depend on which other rows are stacked with it. The arrays are
+    (candidates, lags), shared by every fit, or (fits, candidates, lags).
     """
 
-    phi: np.ndarray  # (rows, lags)
+    phi: np.ndarray  # (..., candidates, lags)
     mean: np.ndarray  # weighted mean of each row
     dev: np.ndarray  # phi minus its row mean
     dev_sq: np.ndarray  # weighted mean of dev**2
@@ -277,10 +283,14 @@ class _Shapes(NamedTuple):
 
 
 def _shapes(kinds, ranges, h, w):
-    """``_Shapes`` of the rows ``ranges[k]`` of each ``kinds[k]``, stacked."""
-    phi = np.concatenate([_shape(kind, h, r[:, None]) for kind, r in zip(kinds, ranges)])
+    """``_Shapes`` of the ranges ``ranges[k]`` of each ``kinds[k]``, stacked
+    kind by kind along the candidate axis; ``ranges[k]`` is (candidates,) or
+    (fits, candidates)."""
+    phi = np.concatenate(
+        [_shape(kind, h, r[..., None]) for kind, r in zip(kinds, ranges)], axis=-2
+    )
     mean = (phi * w).sum(axis=-1)
-    dev = phi - mean[:, None]
+    dev = phi - mean[..., None]
     return _Shapes(phi, mean, dev, (dev**2 * w).sum(axis=-1), (phi**2 * w).sum(axis=-1))
 
 
@@ -300,29 +310,34 @@ def _grid_shapes(kinds, h_bytes, w_bytes):
     return ranges, shapes
 
 
-def _linear_fits(shapes, g, counts, w, sill_floor):
-    """Pair-weighted least-squares nugget and sill for each row of ``shapes``.
+def _linear_fits(shapes, g, g_mean, counts, w):
+    """Pair-weighted least-squares nugget and sill for each candidate of each fit.
 
-    For a fixed kind and range the model is linear in nugget and sill, so
-    the optimum under ``nugget >= 0`` and ``sill >= sill_floor`` is the
-    unconstrained one or lies on one of those two edges. All three are
-    solved in closed form for every row at once; ``w`` is ``counts`` over
-    their sum. Returns the arrays ``(rss, nugget, sill)`` of shape
-    ``(3, rows)``: row 0 is the pure-nugget solution (sill at its floor),
-    row 1 the zero-nugget one, row 2 the unconstrained one. Infeasible or
-    overflowing solutions carry an infinite weighted residual sum of
-    squares.
+    ``g`` is (fits, lags), one row of scaled semivariances per fit, and
+    ``g_mean`` its ``w @ g`` row by row; ``shapes`` holds the candidates,
+    shared by every fit or one set per fit. For a fixed kind and range the
+    model is linear in nugget and sill, so the optimum under ``nugget >= 0``
+    and ``sill >= _SILL_FLOOR`` is the unconstrained one or lies on one of
+    those two edges. All three are solved in closed form for every
+    candidate at once; ``w`` is ``counts`` over their sum. Returns the
+    arrays ``(rss, nugget, sill)`` of shape ``(3, fits, candidates)``: row
+    0 is the pure-nugget solution (sill at its floor), row 1 the
+    zero-nugget one, row 2 the unconstrained one. Infeasible or overflowing
+    solutions carry an infinite weighted residual sum of squares. Every sum
+    runs along the lags of one candidate, so each figure keeps its bits
+    whatever else is stacked with it.
     """
     phi, mean = shapes.phi, shapes.mean
-    g_mean = w @ g
-    nugget = np.empty((3, mean.size))
-    sill = np.empty((3, mean.size))
+    g = g[:, None, :]
+    g_mean = g_mean[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slope = (shapes.dev * (w * (g - g_mean))).sum(axis=-1) / shapes.dev_sq
-        sill[0] = sill_floor
-        np.maximum(sill_floor, (phi * (w * g)).sum(axis=-1) / shapes.sq, out=sill[1])
+        slope = (shapes.dev * (w * (g - g_mean[..., None]))).sum(axis=-1) / shapes.dev_sq
+        nugget = np.empty((3, *slope.shape))
+        sill = np.empty((3, *slope.shape))
+        sill[0] = _SILL_FLOOR
+        np.maximum(_SILL_FLOOR, (phi * (w * g)).sum(axis=-1) / shapes.sq, out=sill[1])
         sill[2] = slope
-        np.maximum(0.0, g_mean - sill_floor * mean, out=nugget[0])
+        np.maximum(0.0, g_mean - _SILL_FLOOR * mean, out=nugget[0])
         nugget[1] = 0.0
         np.subtract(g_mean, slope * mean, out=nugget[2])
         residuals = sill[..., None] * phi
@@ -331,7 +346,7 @@ def _linear_fits(shapes, g, counts, w, sill_floor):
         residuals *= residuals
         residuals *= counts
         rss = residuals.sum(axis=-1)
-    rss[(nugget < 0) | (sill < sill_floor) | ~np.isfinite(rss)] = np.inf
+    rss[(nugget < 0) | (sill < _SILL_FLOOR) | ~np.isfinite(rss)] = np.inf
     return rss, nugget, sill
 
 
@@ -341,48 +356,120 @@ def _improves(rss, best_rss):
     return rss < best_rss - RSS_TIE * (1 + abs(best_rss))
 
 
-def _best_ranges(kinds, h, g, counts, w, sill_floor):
-    """Each kind's range of least weighted RSS, searched for all kinds at once.
+def _best_ranges(kinds, h, g, counts, w):
+    """Each fit's range of least weighted RSS per kind, for a stack of fits.
 
-    A scan of the cached log grid finds each kind's best grid range; zoom
-    rounds then narrow the bracket of the two grid steps around it, one
-    stacked evaluation of every kind per round. The zoomed range is kept
-    only if it beats the best grid range beyond a rounding-level tie. A
-    kind's result does not depend on the other kinds searched with it.
+    The fits share one lag layout (``h``, ``counts``, ``w``) and ``g`` holds
+    their scaled semivariances, one row each. A scan of the cached log grid
+    finds each (fit, kind)'s best grid range; zoom rounds then narrow the
+    bracket of the two grid steps around it, one stacked evaluation of
+    every fit and kind per round. The zoomed range is kept only if it beats
+    the best grid range beyond a rounding-level tie. Returns one list of
+    ranges per fit, a range per kind; neither depends on the other fits or
+    kinds searched with it.
     """
     ranges, grid = _grid_shapes(kinds, h.tobytes(), w.tobytes())
-    grid_rss = _linear_fits(grid, g, counts, w, sill_floor)[0].min(axis=0)
-    grid_rss = grid_rss.reshape(len(kinds), RANGE_GRID)
-    i = np.argmin(grid_rss, axis=1)
+    # each fit's own dot, as a fit searched alone takes it
+    g_mean = np.array([w @ row for row in g])
+    grid_rss = _linear_fits(grid, g, g_mean, counts, w)[0].min(axis=0)
+    grid_rss = grid_rss.reshape(len(g), len(kinds), RANGE_GRID)
+    i = np.argmin(grid_rss, axis=-1)
     log_ranges = np.log(ranges)
     lower = log_ranges[np.maximum(i - 1, 0)]
     upper = log_ranges[np.minimum(i + 1, RANGE_GRID - 1)]
 
-    rows = np.arange(len(kinds))
-    zoom_rss, zoom_log = np.full(len(kinds), np.inf), lower
+    at_fit, at_kind = np.ogrid[:len(g), :len(kinds)]
+    zoom_rss, zoom_log = np.full(i.shape, np.inf), lower
     # two grid steps, shrinking by the same factor each round: every fit
     # and kind runs the same number of rounds
     width = 2 * math.log(RANGE_LIMITS[1] / RANGE_LIMITS[0]) / (RANGE_GRID - 1)
     while width > RANGE_XTOL:
-        points = lower[:, None] + (upper - lower)[:, None] * _ZOOM_STEPS
-        points[:, -1] = upper
-        shapes = _shapes(kinds, np.exp(points), h, w)
-        rss = _linear_fits(shapes, g, counts, w, sill_floor)[0].min(axis=0)
-        rss = rss.reshape(len(kinds), RANGE_ZOOM)
-        j = np.argmin(rss, axis=1)
-        better = rss[rows, j] < zoom_rss
-        zoom_rss = np.where(better, rss[rows, j], zoom_rss)
-        zoom_log = np.where(better, points[rows, j], zoom_log)
-        lower = points[rows, np.maximum(j - 1, 0)]
-        upper = points[rows, np.minimum(j + 1, RANGE_ZOOM - 1)]
+        points = lower[..., None] + (upper - lower)[..., None] * _ZOOM_STEPS
+        points[..., -1] = upper
+        candidates = np.exp(points)
+        shapes = _shapes(kinds, [candidates[:, k] for k in range(len(kinds))], h, w)
+        rss = _linear_fits(shapes, g, g_mean, counts, w)[0].min(axis=0)
+        rss = rss.reshape(points.shape)
+        j = np.argmin(rss, axis=-1)
+        best = rss[at_fit, at_kind, j]
+        better = best < zoom_rss
+        zoom_rss = np.where(better, best, zoom_rss)
+        zoom_log = np.where(better, points[at_fit, at_kind, j], zoom_log)
+        lower = points[at_fit, at_kind, np.maximum(j - 1, 0)]
+        upper = points[at_fit, at_kind, np.minimum(j + 1, RANGE_ZOOM - 1)]
         width *= 2 / (RANGE_ZOOM - 1)
+    grid_best = grid_rss[at_fit, at_kind, i]
     return [
-        math.exp(zoom_log[k]) if _improves(zoom_rss[k], grid_rss[k, i[k]]) else float(ranges[i[k]])
-        for k in rows
+        [
+            math.exp(zoom_log[f, k]) if _improves(zoom_rss[f, k], grid_best[f, k])
+            else float(ranges[i[f, k]])
+            for k in range(len(kinds))
+        ]
+        for f in range(len(g))
     ]
 
 
-def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None):
+def _fit_inputs(empirical, min_pairs):
+    """The usable lags of a fit: ``(h, counts, w, g, scale)``.
+
+    ``h`` holds the usable lag centres, ``counts`` their pair counts and
+    ``w`` the counts over their sum; ``g`` is the semivariances divided by
+    ``scale``, their maximum (or 1 where that is 0). Fewer than three usable
+    bins raise ``InsufficientDataError``.
+    """
+    usable = empirical.populated & (empirical.pair_counts >= min_pairs) & np.isfinite(
+        empirical.gamma_hat
+    )
+    if usable.sum() < 3:
+        raise InsufficientDataError(
+            f"variogram fitting needs at least 3 bins with {min_pairs}+ pairs, "
+            f"got {int(usable.sum())}"
+        )
+    h = empirical.centers[usable]
+    counts = empirical.pair_counts[usable].astype(float)
+    w = counts / counts.sum()
+    g_max = float(empirical.gamma_hat[usable].max())
+    scale = g_max if g_max > 0 else 1.0
+    return h, counts, w, empirical.gamma_hat[usable] / scale, scale
+
+
+def search_ranges(empiricals, kinds=MODEL_KINDS, min_pairs=5):
+    """The range ``fit_variogram`` searches for each kind, for many variograms.
+
+    Returns one entry per empirical variogram: a list with a range per
+    kind, to pass on as ``fit_variogram(..., ranges=...)``, or None where
+    ``fit_variogram`` raises before it searches (an unknown kind, fewer
+    than three usable lag bins). Variograms of one lag layout are searched
+    together by ``_best_ranges``, in stacks whose grid-scan residuals, three
+    solutions per fit and candidate, hold at most ``_SEARCH_CHUNK_BYTES``.
+    Each range keeps the bits of the search ``fit_variogram`` makes alone.
+    """
+    kinds = tuple(kinds)
+    searched = [None] * len(empiricals)
+    if not kinds or not set(kinds) <= set(MODEL_KINDS):
+        return searched
+    layouts, members = {}, {}
+    for f, empirical in enumerate(empiricals):
+        try:
+            h, counts, w, g, _ = _fit_inputs(empirical, min_pairs)
+        except InsufficientDataError:
+            continue  # fit_variogram raises it for this variogram
+        layout = (h.tobytes(), counts.tobytes())
+        layouts.setdefault(layout, (h, counts, w))
+        members.setdefault(layout, []).append((f, g))
+    for layout, (h, counts, w) in layouts.items():
+        fits, rows = zip(*members[layout])
+        g = np.array(rows)
+        chunk = max(1, _SEARCH_CHUNK_BYTES // (24 * len(kinds) * RANGE_GRID * h.size))
+        for start in range(0, len(fits), chunk):
+            stack = slice(start, start + chunk)
+            for f, ranges in zip(fits[stack], _best_ranges(kinds, h, g[stack], counts, w)):
+                searched[f] = ranges
+    return searched
+
+
+def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None, *,
+                  ranges=None):
     """Fit a variogram model to binned semivariances by weighted least squares.
 
     Residuals are weighted by the bin pair counts, bins with fewer than
@@ -400,7 +487,9 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None
     are computed once per lag layout, then zoom rounds over each kind's two
     grid steps around its best range, ``RANGE_ZOOM`` evenly spaced
     log-ranges per round, until the bracket is ``RANGE_XTOL`` wide.
-    ``fixed_range_km`` pins the range and skips the search.
+    ``fixed_range_km`` pins the range and skips the search. ``ranges``,
+    one per kind as ``search_ranges`` returns them, stands in for the
+    search: the fit is then the one the search would have given.
 
     A pure-nugget model (sill at its floor) is preferred whenever it fits
     as well as the best; such a fit is marked ``degenerate`` and, unless the
@@ -416,31 +505,28 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None
             raise ValueError(f"unknown variogram kind '{kind}'")
     if fixed_range_km is not None and not fixed_range_km > 0:
         raise ValueError(f"fixed range must be positive, got {fixed_range_km}")
+    if ranges is not None:
+        if fixed_range_km is not None:
+            raise ValueError("give searched ranges or a fixed range, not both")
+        ranges = [float(r) for r in ranges]
+        if len(ranges) != len(kinds):
+            raise ValueError(f"{len(ranges)} searched ranges for {len(kinds)} kinds")
+        if not all(math.isfinite(r) and r > 0 for r in ranges):
+            raise ValueError(f"searched ranges must be positive and finite, got {ranges}")
 
-    usable = empirical.populated & (empirical.pair_counts >= min_pairs) & np.isfinite(
-        empirical.gamma_hat
-    )
-    if usable.sum() < 3:
-        raise InsufficientDataError(
-            f"variogram fitting needs at least 3 bins with {min_pairs}+ pairs, "
-            f"got {int(usable.sum())}"
-        )
-    h = empirical.centers[usable]
-    counts = empirical.pair_counts[usable].astype(float)
-    w = counts / counts.sum()
-    g_max = float(empirical.gamma_hat[usable].max())
-    scale = g_max if g_max > 0 else 1.0
-    g = empirical.gamma_hat[usable] / scale
-    sill_floor = 1e-8
+    h, counts, w, g, scale = _fit_inputs(empirical, min_pairs)
     h_max = float(h.max())
+    g_mean = np.array([w @ g])
 
-    if fixed_range_km is None:
-        ranges = _best_ranges(kinds, h, g, counts, w, sill_floor)
-    else:
+    def fits_at(fit_kinds, fit_ranges):
+        shapes = _shapes(fit_kinds, [np.array([r]) for r in fit_ranges], h, w)
+        return tuple(a[:, 0] for a in _linear_fits(shapes, g[None], g_mean, counts, w))
+
+    if fixed_range_km is not None:
         ranges = [float(fixed_range_km)] * len(kinds)
-    rss, nugget, sill = _linear_fits(
-        _shapes(kinds, np.array(ranges)[:, None], h, w), g, counts, w, sill_floor
-    )
+    elif ranges is None:
+        (ranges,) = _best_ranges(kinds, h, g[None], counts, w)
+    rss, nugget, sill = fits_at(kinds, ranges)
     # per kind, the pure-nugget solution wins ties
     choice = np.zeros(len(kinds), dtype=int)
     for k in range(len(kinds)):
@@ -451,9 +537,8 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None
     if fixed_range_km is None and degenerate.any():
         # a pure-nugget fit reports the largest usable lag as its range
         flat = np.flatnonzero(degenerate)
-        rss[:, flat], nugget[:, flat], sill[:, flat] = _linear_fits(
-            _shapes([kinds[k] for k in flat], np.full((flat.size, 1), h_max), h, w),
-            g, counts, w, sill_floor,
+        rss[:, flat], nugget[:, flat], sill[:, flat] = fits_at(
+            [kinds[k] for k in flat], [h_max] * flat.size
         )
         for k in flat:
             ranges[k] = h_max

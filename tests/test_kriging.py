@@ -5,12 +5,15 @@ full unbiasedness-constrained system from scratch and solves it with
 least squares instead of the production direct solve.
 """
 
+import importlib
+import pkgutil
 import struct
 
 import numpy as np
 import pytest
 
-from sparsemfd import experiment, kriging
+import sparsemfd
+from sparsemfd import experiment, kriging, variogram
 from sparsemfd.errors import (
     EstimationError,
     IncompleteFieldError,
@@ -853,6 +856,36 @@ def test_shared_lag_bins_give_the_direct_empirical_variogram_bit_for_bit(monkeyp
         assert empirical.bin_edges.tobytes() == direct.bin_edges.tobytes()
         assert empirical.gamma_hat.tobytes() == direct.gamma_hat.tobytes()
         assert empirical.pair_counts.tolist() == direct.pair_counts.tolist()
+
+
+def test_per_bin_refits_call_fit_variogram_once_per_row_wherever_it_is_bound(monkeypatch):
+    # fit_variogram rebound in every package module that binds it, as an
+    # audit of the fits wraps it: the stacked range search must leave one
+    # call per (bin, variable) row, each finishing its row with its ranges
+    modules = [sparsemfd] + [
+        importlib.import_module(f"sparsemfd.{info.name}")
+        for info in pkgutil.iter_modules(sparsemfd.__path__)
+    ]
+    fit = variogram.fit_variogram
+    calls = []
+
+    def recording_fit(empirical, *args, **kwargs):
+        calls.append((empirical.gamma_hat.tobytes(), kwargs.get("ranges")))
+        return fit(empirical, *args, **kwargs)
+
+    bound = [m for m in modules if getattr(m, "fit_variogram", None) is fit]
+    assert {m.__name__ for m in bound} >= {"sparsemfd.variogram", "sparsemfd.kriging"}
+    for module in bound:
+        monkeypatch.setattr(module, "fit_variogram", recording_fit)
+    net, sites, grid = _shared_weights_scenario(6, silent_bin=2)
+    outcomes = list(estimate_bins(
+        "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
+        settings=VariogramSettings(lag_bins=8, min_length_coverage=0.5),
+    ))
+    assert len(outcomes) == 2 * len(SHARED_BINS)
+    assert len(calls) == len(outcomes)
+    assert len({empirical for empirical, _ in calls}) == len(calls)
+    assert all(len(ranges) == len(variogram.MODEL_KINDS) for _, ranges in calls)
 
 
 def _outcomes_until_error(outcomes):

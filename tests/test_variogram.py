@@ -5,13 +5,17 @@ here in plain Python, so the vectorised accumulation never verifies itself.
 The variable-projection fitter is checked against a multistart
 ``scipy.optimize.least_squares`` fit of all three parameters, kept here as
 the reference implementation, and its range search against the earlier
-bounded Brent refinement (``scipy.optimize.minimize_scalar``).
+bounded Brent refinement (``scipy.optimize.minimize_scalar``). The stacked
+range search is checked bit for bit against the search of one fit at a
+time that it replaced, kept here as the oracle.
 """
 
+import dataclasses
 import json
 import math
 import os
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,19 +23,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import least_squares
 
+from sparsemfd import variogram
 from sparsemfd.errors import (
     EmptyVariogramError,
+    EstimationError,
     InsufficientDataError,
     ValidationError,
 )
 from sparsemfd.variogram import (
     MODEL_KINDS,
+    RANGE_GRID,
+    RANGE_LIMITS,
+    RANGE_XTOL,
+    RANGE_ZOOM,
     EmpiricalVariogram,
     VariogramModel,
     distance_bin_edges,
     empirical_variogram,
     fit_variogram,
     lag_pairs,
+    search_ranges,
     _model_gamma,
     _shape,
     gamma,
@@ -617,3 +628,258 @@ def test_semivariances_too_large_to_square_still_fit():
     assert huge.nugget == pytest.approx(1e200 * unit.nugget, rel=1e-12, abs=0.0)
     assert huge.sill == pytest.approx(1e200 * unit.sill, rel=1e-12)
     assert huge.range_km == pytest.approx(unit.range_km, rel=1e-12)
+
+
+# --- stacked range search -----------------------------------------------------
+
+
+def _oracle_rss(kinds, ranges, h, g, counts, w, sill_floor=1e-8):
+    """Least weighted RSS of the three closed-form solutions for each
+    (kind, range) candidate of one fit, as one fit alone computed it."""
+    phi = np.concatenate([_shape(kind, h, r[:, None]) for kind, r in zip(kinds, ranges)])
+    mean = (phi * w).sum(axis=-1)
+    dev = phi - mean[:, None]
+    dev_sq, sq = (dev**2 * w).sum(axis=-1), (phi**2 * w).sum(axis=-1)
+    g_mean = w @ g
+    nugget = np.empty((3, mean.size))
+    sill = np.empty((3, mean.size))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        slope = (dev * (w * (g - g_mean))).sum(axis=-1) / dev_sq
+        sill[0] = sill_floor
+        np.maximum(sill_floor, (phi * (w * g)).sum(axis=-1) / sq, out=sill[1])
+        sill[2] = slope
+        np.maximum(0.0, g_mean - sill_floor * mean, out=nugget[0])
+        nugget[1] = 0.0
+        np.subtract(g_mean, slope * mean, out=nugget[2])
+        residuals = sill[..., None] * phi
+        residuals += nugget[..., None]
+        residuals -= g
+        residuals *= residuals
+        residuals *= counts
+        rss = residuals.sum(axis=-1)
+    rss[(nugget < 0) | (sill < sill_floor) | ~np.isfinite(rss)] = np.inf
+    return rss.min(axis=0)
+
+
+def per_row_search(empirical, kinds=MODEL_KINDS, min_pairs=5):
+    """Each kind's searched range for one empirical variogram, by the
+    search of one fit at a time: a grid scan of every kind, then zoom rounds
+    over each kind's two grid steps around its best range."""
+    usable = empirical.populated & (empirical.pair_counts >= min_pairs) & np.isfinite(
+        empirical.gamma_hat
+    )
+    h = empirical.centers[usable]
+    counts = empirical.pair_counts[usable].astype(float)
+    w = counts / counts.sum()
+    g_max = float(empirical.gamma_hat[usable].max())
+    g = empirical.gamma_hat[usable] / (g_max if g_max > 0 else 1.0)
+    h_max = float(h.max())
+    ranges = np.geomspace(RANGE_LIMITS[0] * h_max, RANGE_LIMITS[1] * h_max, RANGE_GRID)
+    grid_rss = _oracle_rss(kinds, [ranges] * len(kinds), h, g, counts, w)
+    grid_rss = grid_rss.reshape(len(kinds), RANGE_GRID)
+    i = np.argmin(grid_rss, axis=1)
+    log_ranges = np.log(ranges)
+    lower = log_ranges[np.maximum(i - 1, 0)]
+    upper = log_ranges[np.minimum(i + 1, RANGE_GRID - 1)]
+    rows = np.arange(len(kinds))
+    zoom_rss, zoom_log = np.full(len(kinds), np.inf), lower
+    width = 2 * math.log(RANGE_LIMITS[1] / RANGE_LIMITS[0]) / (RANGE_GRID - 1)
+    while width > RANGE_XTOL:
+        points = lower[:, None] + (upper - lower)[:, None] * np.linspace(0.0, 1.0, RANGE_ZOOM)
+        points[:, -1] = upper
+        rss = _oracle_rss(kinds, np.exp(points), h, g, counts, w).reshape(len(kinds), RANGE_ZOOM)
+        j = np.argmin(rss, axis=1)
+        better = rss[rows, j] < zoom_rss
+        zoom_rss = np.where(better, rss[rows, j], zoom_rss)
+        zoom_log = np.where(better, points[rows, j], zoom_log)
+        lower = points[rows, np.maximum(j - 1, 0)]
+        upper = points[rows, np.minimum(j + 1, RANGE_ZOOM - 1)]
+        width *= 2 / (RANGE_ZOOM - 1)
+    return [
+        math.exp(zoom_log[k]) if _beats(zoom_rss[k], grid_rss[k, i[k]]) else float(ranges[i[k]])
+        for k in rows
+    ]
+
+
+def _model_bits(model):
+    return tuple(
+        value.hex() if isinstance(value, float) else value
+        for value in dataclasses.astuple(model)
+    )
+
+
+def _fit_bits(empirical, kinds, min_pairs=5, ranges=None):
+    """Every field of a fit to the last bit, or the type and text of its error."""
+    try:
+        return _model_bits(fit_variogram(empirical, kinds, min_pairs, ranges=ranges))
+    except EstimationError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def assert_stacked_search_matches_the_oracle(empiricals, kinds=MODEL_KINDS, min_pairs=5):
+    searched = search_ranges(empiricals, kinds, min_pairs)
+    assert len(searched) == len(empiricals)
+    for empirical, ranges in zip(empiricals, searched):
+        usable = empirical.populated & (empirical.pair_counts >= min_pairs)
+        if usable.sum() < 3:
+            assert ranges is None
+        else:
+            want = per_row_search(empirical, kinds, min_pairs)
+            assert [r.hex() for r in ranges] == [r.hex() for r in want]
+        # a fit finished with the searched ranges is the fit searched alone
+        assert _fit_bits(empirical, kinds, min_pairs, ranges) == _fit_bits(
+            empirical, kinds, min_pairs
+        )
+    return searched
+
+
+def _recorded_empiricals():
+    with open(RECORDED_FITS) as handle:
+        records = json.load(handle)
+    return [
+        EmpiricalVariogram(
+            bin_edges=np.array(record["edges"]),
+            gamma_hat=np.array(record["gamma"]),
+            pair_counts=np.array(record["counts"]),
+        )
+        for record in records
+    ]
+
+
+def _record_stacks(monkeypatch):
+    """The (fits, lags) shape of the semivariances of each stacked search."""
+    stacks = []
+    search = variogram._best_ranges
+
+    def recording(kinds, h, g, *args):
+        stacks.append(g.shape)
+        return search(kinds, h, g, *args)
+
+    monkeypatch.setattr(variogram, "_best_ranges", recording)
+    return stacks
+
+
+def test_stacked_search_matches_the_per_row_search_on_the_recorded_refit(monkeypatch):
+    # the 48 fits of a seed-3 grid10-refit experiment share one lag layout
+    empiricals = _recorded_empiricals()
+    assert len({e.pair_counts.tobytes() + e.bin_edges.tobytes() for e in empiricals}) == 1
+    stacks = _record_stacks(monkeypatch)
+    search_ranges(empiricals)
+    # stacks of at most _SEARCH_CHUNK_BYTES of residuals, three solutions
+    # for each fit and grid candidate, in row order
+    chunk, lags = stacks[0]
+    assert 1 < chunk < len(empiricals)
+    assert 24 * chunk * len(MODEL_KINDS) * RANGE_GRID * lags <= variogram._SEARCH_CHUNK_BYTES
+    assert [rows for rows, _ in stacks] == [chunk] * (len(empiricals) // chunk) + (
+        [len(empiricals) % chunk] if len(empiricals) % chunk else []
+    )
+    assert_stacked_search_matches_the_oracle(empiricals)
+    for size in (1, chunk - 1, chunk, chunk + 1):
+        stacks.clear()
+        search_ranges(empiricals[-size:])
+        assert sum(rows for rows, _ in stacks) == size
+        assert_stacked_search_matches_the_oracle(empiricals[-size:])
+
+
+@st.composite
+def _stacked_variograms(draw):
+    """Variograms over one or two lag layouts, with the kinds to fit them.
+
+    Rows follow a model curve, are flat (a pure nugget), grow linearly (a
+    range at its bound), fall (degenerate) or are arbitrary; a row may lose
+    its first lag bin, which gives it a second lag layout, or all but two
+    bins, which leaves it unfittable.
+    """
+    lags = draw(st.integers(min_value=3, max_value=15))
+    steps = draw(st.lists(st.floats(0.05, 2.0), min_size=lags, max_size=lags))
+    edges = np.cumsum([draw(st.floats(0.05, 1.0)), *steps])
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    counts = np.array(draw(st.lists(st.integers(5, 200), min_size=lags, max_size=lags)))
+    empiricals = []
+    for shape in draw(st.lists(
+        st.sampled_from(("model", "flat", "linear", "falling", "any")), min_size=1, max_size=9
+    )):
+        if shape == "model":
+            model = VariogramModel(
+                kind=draw(st.sampled_from(MODEL_KINDS)),
+                nugget=draw(st.floats(0.0, 10.0)),
+                sill=draw(st.floats(0.1, 100.0)),
+                range_km=draw(st.floats(0.05, 20.0)),
+            )
+            values = gamma(model, centers)
+        elif shape == "flat":
+            values = np.full(lags, draw(st.floats(0.0, 100.0)))
+        elif shape == "linear":
+            values = draw(st.floats(0.01, 10.0)) * centers
+        elif shape == "falling":
+            values = draw(st.floats(1.0, 100.0)) / centers
+        else:
+            values = np.array(draw(st.lists(st.floats(0.0, 1e3), min_size=lags, max_size=lags)))
+        row_counts = counts.copy()
+        drop = draw(st.sampled_from(("none", "first", "most")))
+        if drop == "first":
+            row_counts[0] = 0
+        elif drop == "most":
+            row_counts[2:] = 0
+        empiricals.append(EmpiricalVariogram(
+            bin_edges=edges,
+            gamma_hat=np.where(row_counts > 0, values, np.nan),
+            pair_counts=row_counts,
+        ))
+    kinds = draw(st.sampled_from(
+        [(kind,) for kind in MODEL_KINDS]
+        + [("spherical", "gaussian"), ("exponential", "spherical"), MODEL_KINDS]
+    ))
+    return empiricals, kinds
+
+
+@settings(max_examples=40, deadline=None)
+@given(stack=_stacked_variograms(), chunk_bytes=st.sampled_from((1, 1 << 16, 1 << 20)))
+def test_stacked_search_matches_the_per_row_search(stack, chunk_bytes):
+    empiricals, kinds = stack
+    with mock.patch.object(variogram, "_SEARCH_CHUNK_BYTES", chunk_bytes):
+        assert_stacked_search_matches_the_oracle(empiricals, kinds)
+
+
+def test_stacked_search_covers_the_special_fits():
+    # a pure nugget, a range at its bound, a degenerate fit and one curve,
+    # stacked in one lag layout with an unfittable row among them
+    edges = np.linspace(0.5, 6.5, 13)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    counts = np.full(12, 40)
+    curve = gamma(VariogramModel("spherical", 0.5, 2.0, 3.0), centers)
+    thin = counts.copy()
+    thin[2:] = 0
+    empiricals = [
+        EmpiricalVariogram(edges, np.full(12, 7.5), counts),
+        EmpiricalVariogram(edges, centers.copy(), counts),
+        EmpiricalVariogram(edges, 9.0 - 0.4 * centers, counts),
+        EmpiricalVariogram(edges, np.where(thin > 0, curve, np.nan), thin),
+        EmpiricalVariogram(edges, curve, counts),
+    ]
+    searched = assert_stacked_search_matches_the_oracle(empiricals)
+    fits = [fit_variogram(e, ranges=r) if r else None for e, r in zip(empiricals, searched)]
+    assert fits[0].degenerate and fits[2].degenerate
+    assert fits[1].range_at_bound
+    assert fits[3] is None
+    assert fits[4].range_km == pytest.approx(3.0, abs=1e-6)
+    for kinds in ((), ("cubic",), ("spherical", "cubic")):
+        # fit_variogram raises for these before it searches
+        assert search_ranges(empiricals, kinds) == [None] * len(empiricals)
+
+
+def test_searched_ranges_are_checked():
+    emp = _synthetic_empirical(
+        VariogramModel(kind="spherical", nugget=0.5, sill=2.0, range_km=3.0),
+        np.linspace(0.25, 6.0, 13),
+    )
+    (ranges,) = search_ranges([emp])
+    assert fit_variogram(emp, ranges=tuple(ranges)) == fit_variogram(emp)
+    for bad in (ranges[:2], [*ranges, 1.0], [0.0, *ranges[1:]], [-1.0, *ranges[1:]],
+                [math.nan, *ranges[1:]], [math.inf, *ranges[1:]]):
+        with pytest.raises(ValueError):
+            fit_variogram(emp, ranges=bad)
+    with pytest.raises(ValueError):
+        fit_variogram(emp, fixed_range_km=2.0, ranges=ranges)
+    with pytest.raises(TypeError):
+        fit_variogram(emp, MODEL_KINDS, 5, None, ranges)  # keyword-only
