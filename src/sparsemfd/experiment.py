@@ -98,7 +98,6 @@ class VariogramSettings:
     min_pairs: int = 5
     max_neighbors: int = 16
     min_neighbors: int = 3
-    refit_per_bin: bool = True
     fixed_model: VariogramModel | None = None
     min_length_coverage: float = 0.95
 
@@ -182,135 +181,124 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                   duration_h=1.0):
     """Run one estimator over every (bin, variable); yield a ``BinOutcome`` each.
 
-    ``observations`` is an ``ObservationGrid`` over ``network``'s links. A
-    ``NotEstimableError`` fails only its own pair, as a failure reading
-    "bin {b} ({variable}): {reason}"; numeric and validation errors
-    propagate. The uniform and the hierarchy partitions are built once per
-    distinct set of observed links. Without ``refit_per_bin`` each variable
-    reuses the model of its first estimable bin. The variogram estimator
-    kriges in ``impute_rows`` stacks: when a (bin, variable) row's turn
-    comes and it has not been kriged, ``_krige_group`` kriges it in one call
-    together with the later rows of its observed-link set that take the same
-    model. The outcomes still follow in (bin, variable) order, and a row's
-    error (a failed fit, a singular system) surfaces at that row's turn,
-    after the same outcomes as with one call per row. ``sites``,
+    ``observations`` is an ``ObservationGrid`` over ``network``'s links. The
+    bins are grouped by their set of observed links once. When the first bin
+    of a set comes up, every (bin, variable) row of the set is estimated in
+    one pass (``_estimate_set``), and the outcomes then follow in (bin,
+    variable) order. A ``NotEstimableError`` fails only its own pair, as a
+    failure reading "bin {b} ({variable}): {reason}"; numeric and validation
+    errors propagate. A row's own failure, a failed fit or a singular
+    system, surfaces at that row's turn, after the same outcomes as row by
+    row, and so does the ``ValueError`` of an unknown variable. ``sites``,
     ``distances`` and ``known_site_ids`` are those of ``impute_network``;
     the distances are built once when omitted.
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ValidationError(f"unknown estimator '{estimator}'")
+    retained = None
     if estimator == "variogram":
         if distances is None:
             distances = ImputationDistances.build(network, sites)
         retained = distances.site_mask(known_site_ids)
-        groups = _groups_by_observed_links(observations, bins)
-        kriged = {}
-    partitions = {}
-    reused = {}
+    sets = {}
     for b in bins:
         row = observations.row(b)
         if row is not None:
-            equipped = observations.observed[row]
-            if estimator != "variogram":
-                key = equipped.tobytes()
-                if key not in partitions:
-                    partitions[key] = (
-                        UniformPartition.from_mask(network, equipped)
-                        if estimator == "uniform"
-                        else HierarchyPartition.from_network(
-                            network,
-                            [observations.link_ids[j] for j in np.flatnonzero(equipped).tolist()],
-                        )
-                    )
-                partition = partitions[key]
+            sets.setdefault(observations.observed[row].tobytes(), []).append(b)
+    pending = {}
+    for b in bins:
+        row = observations.row(b)
+        if row is not None and b not in pending:
+            pending.update(_estimate_set(
+                estimator, sets[observations.observed[row].tobytes()], variables,
+                observations, network, distances, retained, settings, uniform_mode,
+                duration_h,
+            ))
+        outcomes = pending.pop(b, {})
         for variable in variables:
-            imputed = None
-            try:
-                if row is None:
-                    raise InsufficientDataError("no equipped observation")
-                values = observations.values(variable)[row]
-                if estimator == "uniform":
-                    estimate = uniform_estimate(
-                        b, values, partition, variable, mode=uniform_mode, duration_h=duration_h,
-                    )
-                elif estimator == "hierarchical":
-                    estimate = hierarchical_estimate(
-                        b, values, partition, variable, duration_h=duration_h
-                    )
-                else:
-                    if (b, variable) not in kriged:
-                        kriged.update(_krige_group(
-                            b, variable, groups[equipped.tobytes()], variables, observations,
-                            distances, settings, retained, reused,
-                        ))
-                    imputed = kriged.pop((b, variable))
-                    if isinstance(imputed, EstimationError):
-                        # this row's own failure, raised at its turn
-                        error, imputed = imputed, None
-                        raise error
-                    value, _ = network_mean_from_field(
-                        imputed, network, settings.min_length_coverage
-                    )
-                    if not settings.refit_per_bin:
-                        reused.setdefault(variable, imputed.model)
-                    estimate = ScaledEstimate(
-                        bin_index=b, variable=variable, value=value,
-                        ttd_or_ttt=value * network.total_length_km * duration_h,
-                        method="variogram", hierarchy_count=0, duration_h=duration_h,
-                    )
-            except NotEstimableError as exc:
-                failure = NotEstimableError(f"bin {b} ({variable}): {exc}")
-                yield BinOutcome(b, variable, failure=failure, field=imputed)
+            if row is None:
+                yield _failure(b, variable, "no equipped observation")
                 continue
-            yield BinOutcome(b, variable, estimate=estimate, field=imputed)
+            if variable not in VARIABLES:
+                observations.values(variable)  # raises the ValueError that names it
+            outcome = outcomes[variable]
+            if not isinstance(outcome, BinOutcome):
+                raise outcome
+            yield outcome
 
 
-def _groups_by_observed_links(observations, bins):
-    """The bins observed on each set of links, in ``bins`` order."""
-    groups = {}
-    for b in bins:
-        row = observations.row(b)
-        if row is not None:
-            groups.setdefault(observations.observed[row].tobytes(), []).append(b)
-    return groups
+def _estimate_set(estimator, group, variables, observations, network, distances, retained,
+                  settings, uniform_mode, duration_h):
+    """Estimate every (bin, known variable) row of ``group``, the bins
+    observed on one set of links.
 
-
-def _krige_group(b, variable, group, variables, observations, distances, settings,
-                 retained, reused):
-    """Krige row (b, variable) and the later rows of ``group`` that take its model.
-
-    ``group`` holds the bins observed on ``b``'s links. One ``impute_rows``
-    call kriges, in the bins of ``group`` from ``b`` on:
-
-    - with ``fixed_model``, or with per-bin refits, every known variable's
-      rows, with the fixed model or each with its own fit;
-    - without ``refit_per_bin``, once ``variable`` has a model in
-      ``reused``, that variable's rows, with that model;
-    - without ``refit_per_bin``, while ``variable`` has no model yet, the
-      row alone, with its own fit.
-
-    Returns the fields, or a row's own error, keyed by (bin, variable). An
-    unknown variable is never stacked: it raises at its own turn, as it
-    does row by row.
+    The scaling estimators build one partition for the set; the variogram
+    estimator kriges every row in one ``impute_rows`` call, with
+    ``fixed_model`` or with one fit per row. Returns ``{bin: {variable:
+    outcome}}``, each outcome a ``BinOutcome`` or a row's error that is not
+    a ``NotEstimableError``, to be raised at its turn. No exception kept
+    holds a traceback into this frame, so none keeps the distances alive.
     """
-    model = settings.fixed_model
-    later = group[group.index(b):]
+    rows = [observations.row(b) for b in group]
+    equipped = observations.observed[rows[0]]
     stacked = [v for v in variables if v in VARIABLES]
-    if model is None and not settings.refit_per_bin:
-        model = reused.get(variable)
-        stacked = [variable]
-        if model is None:
-            later = [b]
-    rows = [observations.row(c) for c in later]
-    labels = [(c, v) for v in stacked for c in later]
-    fields = impute_rows(
-        labels, np.concatenate([observations.values(v)[rows] for v in stacked]),
-        observations.observed[rows[0]], distances, model=model,
-        kinds=settings.kinds, lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
-        max_neighbors=settings.max_neighbors, min_neighbors=settings.min_neighbors,
-        retained=retained,
-    )
-    return dict(zip(labels, fields))
+    labels = [(b, v) for v in stacked for b in group]
+    fields = [None] * len(labels)
+    if estimator == "uniform":
+        partition = UniformPartition.from_mask(network, equipped)
+    elif estimator == "hierarchical":
+        partition = HierarchyPartition.from_network(
+            network, [observations.link_ids[j] for j in np.flatnonzero(equipped).tolist()]
+        )
+    elif labels:
+        try:
+            fields = impute_rows(
+                labels, np.concatenate([observations.values(v)[rows] for v in stacked]),
+                equipped, distances, model=settings.fixed_model, kinds=settings.kinds,
+                lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
+                max_neighbors=settings.max_neighbors, min_neighbors=settings.min_neighbors,
+                retained=retained,
+            )
+        except NotEstimableError as exc:
+            # an error of the whole set, say no known site: every row fails
+            fields = [exc.with_traceback(None)] * len(labels)
+    outcomes = {b: {} for b in group}
+    for (b, variable), field in zip(labels, fields):
+        if isinstance(field, EstimationError):
+            # a row's own fit or solve failed; any but a NotEstimableError
+            # is raised at the row's turn
+            outcomes[b][variable] = (
+                _failure(b, variable, field) if isinstance(field, NotEstimableError) else field
+            )
+            continue
+        values = observations.values(variable)[observations.row(b)]
+        try:
+            if estimator == "uniform":
+                estimate = uniform_estimate(
+                    b, values, partition, variable, mode=uniform_mode, duration_h=duration_h,
+                )
+            elif estimator == "hierarchical":
+                estimate = hierarchical_estimate(
+                    b, values, partition, variable, duration_h=duration_h
+                )
+            else:
+                value, _ = network_mean_from_field(field, network, settings.min_length_coverage)
+                estimate = ScaledEstimate(
+                    bin_index=b, variable=variable, value=value,
+                    ttd_or_ttt=value * network.total_length_km * duration_h,
+                    method="variogram", hierarchy_count=0, duration_h=duration_h,
+                )
+        except NotEstimableError as exc:
+            outcomes[b][variable] = _failure(b, variable, exc, field)
+            continue
+        outcomes[b][variable] = BinOutcome(b, variable, estimate=estimate, field=field)
+    return outcomes
+
+
+def _failure(b, variable, reason, field=None):
+    """The ``BinOutcome`` of a (bin, variable) that ``reason`` makes not estimable."""
+    failure = NotEstimableError(f"bin {b} ({variable}): {reason}")
+    return BinOutcome(b, variable, failure=failure, field=field)
 
 
 @dataclass(frozen=True)

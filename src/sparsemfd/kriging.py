@@ -517,7 +517,9 @@ def _fit_rows(known_values, known_pairs, kinds, lag_bins, min_pairs):
     rows; an error there concerns every row and is raised. The ranges of
     all rows are searched in one ``search_ranges`` call, and each fit is
     then finished by one call of the module-level ``fit_variogram``, in
-    row order, which raises where a fit of that row alone would.
+    row order, which raises where a fit of that row alone would. An error
+    is kept without its traceback, whose frames would hold the caller's
+    distances in a reference cycle.
     """
     lags = lag_pairs(known_pairs, distance_bin_edges(known_pairs, n_bins=lag_bins))
     fits = []
@@ -525,14 +527,14 @@ def _fit_rows(known_values, known_pairs, kinds, lag_bins, min_pairs):
         try:
             fits.append(lags.variogram(row))
         except EstimationError as exc:
-            fits.append(exc)
+            fits.append(exc.with_traceback(None))
     rows = [r for r, fit in enumerate(fits) if not isinstance(fit, EstimationError)]
     searched = search_ranges([fits[r] for r in rows], kinds, min_pairs)
     for r, ranges in zip(rows, searched):
         try:
             fits[r] = fit_variogram(fits[r], kinds=kinds, min_pairs=min_pairs, ranges=ranges)
         except EstimationError as exc:
-            fits[r] = exc
+            fits[r] = exc.with_traceback(None)
     return fits
 
 

@@ -479,7 +479,9 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None
     solved in closed form under ``nugget >= 0`` and ``sill >= 1e-8 *
     max(gamma)``. The semivariances are fitted divided by their maximum,
     and nugget, sill and RSS scaled back, so no semivariance is squared;
-    an RSS beyond the float range is reported as infinite.
+    an RSS beyond the float range is reported as infinite. A best fit
+    whose sill underflows to zero when scaled back, as with subnormal
+    semivariances, raises ``FitConvergenceError``.
 
     Only the range is searched, in log space over ``RANGE_LIMITS`` times
     ``h_max``, the largest usable lag. All candidate kinds are searched
@@ -553,10 +555,16 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None
             f"no variogram model of kinds {kinds} has a finite residual sum of squares"
         )
     j = choice[best]
+    fit_sill = float(sill[j, best]) * scale
+    if not fit_sill > 0:
+        raise FitConvergenceError(
+            f"the {kinds[best]} fit's sill underflows to {fit_sill} "
+            f"at a semivariance scale of {scale:.3e}"
+        )
     return VariogramModel(
         kind=kinds[best],
         nugget=float(nugget[j, best]) * scale,
-        sill=float(sill[j, best]) * scale,
+        sill=fit_sill,
         range_km=ranges[best],
         rss=float(fit_rss[best]) * (scale * scale),
         degenerate=bool(degenerate[best]),

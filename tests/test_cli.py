@@ -931,3 +931,18 @@ def test_experiment_with_config_file(runner, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["cells"]) == 2
     assert (out / "cells" / "cov0.5_seed0_uniform" / "estimates.csv").exists()
+
+
+def test_experiment_refuses_a_config_that_names_refit_per_bin(runner, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "coverages": [0.3], "seeds": [0], "scenario": {"rows": 4, "cols": 4},
+        "variogram": {"refit_per_bin": False},
+    }))
+    out = tmp_path / "run"
+    result = invoke(
+        runner, ["--output-dir", str(out), "experiment", "--config", str(config_path)]
+    )
+    assert result.exit_code == 2, result.output
+    assert "'refit_per_bin'" in result.output
+    assert not out.exists()

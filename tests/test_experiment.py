@@ -109,10 +109,22 @@ def test_config_json_round_trip(tmp_path):
 
 
 def test_variogram_settings_round_trip():
-    settings = VariogramSettings(refit_per_bin=False, min_pairs=8)
+    settings = VariogramSettings(kinds=("gaussian",), min_pairs=8)
     assert VariogramSettings.from_dict(encode(settings)) == settings
     with pytest.raises(ValidationError):
         VariogramSettings.from_dict({"window": 3})
+
+
+@pytest.mark.parametrize("value", [False, True])
+def test_per_bin_refits_are_no_setting(value):
+    # every bin fits its own model unless a fixed_model serves them all
+    with pytest.raises(ValidationError, match="^malformed variogram settings: .*'refit_per_bin'"):
+        VariogramSettings.from_dict({"refit_per_bin": value})
+    with pytest.raises(ValidationError, match="'refit_per_bin'"):
+        ExperimentConfig.from_dict(
+            {"coverages": [0.3], "seeds": [0], "scenario": {},
+             "variogram": {"refit_per_bin": value}}
+        )
 
 
 def test_variogram_settings_are_checked_at_construction():
@@ -223,32 +235,28 @@ def test_sparse_short_range_cell_is_not_estimable():
     assert cell.metrics_flow is None
 
 
-def test_refit_per_bin_off_reuses_the_first_estimable_model(tmp_path):
+def test_a_refit_cell_writes_every_model_and_only_the_estimable_fields(tmp_path):
     config = ExperimentConfig(
         coverages=(0.3,),
         seeds=(0,),
         estimators=("variogram",),
         scenario=SyntheticScenario(rows=6, cols=6, diurnal=(0.4, 0.9, 1.0, 0.6), seed=3),
-        variogram=VariogramSettings(refit_per_bin=False),
     )
     (cell,) = run_experiment(config, output_dir=tmp_path).cells
-    # bin 0's density field falls below the length threshold, so density
-    # takes its model from bin 1 while flow keeps bin 0's
-    assert cell.failed_bins == [0]
-    assert (0, "density") not in cell.fields
+    # every bin fits each variable's own model; one variable of each bin
+    # gives a field too short of the length threshold
+    estimable = {(0, "flow"), (1, "density"), (2, "flow"), (3, "density")}
+    assert cell.failed_bins == [0, 1, 2, 3]
+    assert set(cell.fields) == estimable
     cell_dir = tmp_path / "cells" / cell.name
     with open(cell_dir / "models.csv", newline="") as handle:
         reader = csv.DictReader(handle)
         assert tuple(reader.fieldnames) == MODEL_HEADER + ("variable",)
-        models = {
-            (int(row.pop("bin_index")), row.pop("variable")): row for row in reader
-        }
+        models = {(int(row["bin_index"]), row["variable"]): row["kind"] for row in reader}
+    assert models == {key: model.kind for key, model in cell.models.items()}
     assert set(models) == {(b, v) for b in range(4) for v in ("flow", "density")}
-    assert all(models[(b, "flow")] == models[(0, "flow")] for b in (1, 2, 3))
-    assert all(models[(b, "density")] == models[(1, "density")] for b in (2, 3))
-    assert models[(0, "density")] != models[(1, "density")]
     field_rows = (cell_dir / "field.csv").read_text().splitlines()[1:]
-    assert ("0", "density") not in {tuple(r.split(",")[1:3]) for r in field_rows}
+    assert {(int(r.split(",")[1]), r.split(",")[2]) for r in field_rows} == estimable
 
 
 def test_a_refit_experiment_fits_once_per_plan_bin_and_variable(monkeypatch):

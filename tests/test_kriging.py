@@ -5,9 +5,12 @@ full unbiasedness-constrained system from scratch and solves it with
 least squares instead of the production direct solve.
 """
 
+import gc
 import importlib
 import pkgutil
+import re
 import struct
+import weakref
 
 import numpy as np
 import pytest
@@ -54,7 +57,13 @@ from sparsemfd.network import (
     midpoint_sites,
     site_distance_matrix,
 )
-from sparsemfd.scaling import ScaledEstimate
+from sparsemfd.scaling import (
+    HierarchyPartition,
+    ScaledEstimate,
+    UniformPartition,
+    hierarchical_estimate,
+    uniform_estimate,
+)
 from sparsemfd.sensing import LinkObservation, reading_columns, sample_coverage, write_readings
 from sparsemfd.synth import (
     DEFAULT_VARIOGRAM,
@@ -645,23 +654,19 @@ def reference_estimate_bins(grid, network, sites, settings):
     """Per (bin, variable), one unshared ``impute_observed`` call and its mean.
 
     Returns ``(bin, variable, field, value, failure text)`` tuples, the
-    field None where the fit raised; the model choice follows
-    ``VariogramSettings``.
+    field None where the fit raised; the model is ``fixed_model`` or, without
+    one, the row's own fit.
     """
     distances = ImputationDistances.build(network, sites)
-    reused = {}
     out = []
     for b in SHARED_BINS:
         row = grid.row(b)
         for variable in ("flow", "density"):
-            model = settings.fixed_model
-            if model is None and not settings.refit_per_bin:
-                model = reused.get(variable)
             field = None
             try:
                 field = impute_observed(
                     b, grid.values(variable)[row], grid.observed[row], distances,
-                    model=model, variable=variable, kinds=settings.kinds,
+                    model=settings.fixed_model, variable=variable, kinds=settings.kinds,
                     lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
                     max_neighbors=settings.max_neighbors,
                     min_neighbors=settings.min_neighbors,
@@ -672,8 +677,6 @@ def reference_estimate_bins(grid, network, sites, settings):
             except NotEstimableError as exc:
                 out.append((b, variable, field, None, f"bin {b} ({variable}): {exc}"))
                 continue
-            if not settings.refit_per_bin:
-                reused.setdefault(variable, field.model)
             out.append((b, variable, field, value, None))
     return out
 
@@ -699,28 +702,17 @@ def _count_weight_solves(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "settings, starved",
+    "settings",
     [
-        (VariogramSettings(fixed_model=SHARED_MODEL, min_length_coverage=0.5), False),
-        (VariogramSettings(refit_per_bin=False, lag_bins=8, min_length_coverage=0.5), False),
-        (VariogramSettings(lag_bins=8, min_length_coverage=0.5), False),
-        (VariogramSettings(refit_per_bin=False, lag_bins=8, min_length_coverage=0.5), True),
+        VariogramSettings(fixed_model=SHARED_MODEL, min_length_coverage=0.5),
+        VariogramSettings(lag_bins=8, min_length_coverage=0.5),
     ],
-    ids=["fixed", "reused", "refit", "reused-from-bin-1"],
+    ids=["fixed", "refit"],
 )
-def test_shared_weights_match_one_solve_per_bin_and_variable(settings, starved, monkeypatch):
+def test_shared_weights_match_one_solve_per_bin_and_variable(settings, monkeypatch):
     merged = False
     for seed in range(3):
         net, sites, grid = _shared_weights_scenario(seed, silent_bin=2)
-        if starved:
-            # bin 0 keeps four observed links, too few for a fit: each
-            # variable takes its model from bin 1 and reuses it in the
-            # silent bin 2 and in bin 3, which lie on two sets of observed
-            # links
-            row = grid.row(0)
-            grid.observed[row, np.flatnonzero(grid.observed[row])[4:]] = False
-            masks = [grid.observed[grid.row(b)].tobytes() for b in SHARED_BINS]
-            assert len(set(masks)) == 3 and masks[1] == masks[3] != masks[2]
         calls = _count_weight_solves(monkeypatch)
         outcomes = list(estimate_bins(
             "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
@@ -743,11 +735,6 @@ def test_shared_weights_match_one_solve_per_bin_and_variable(settings, starved, 
             else:
                 assert outcome.estimate is None
                 assert str(outcome.failure) == failure
-        if starved:
-            assert [field for b, _, field, *_ in expected if b == 0] == [None, None]
-            models = {(b, v): field.model for b, v, field, *_ in expected if b > 0}
-            assert all(models[(b, v)] == models[(1, v)] for b in (2, 3) for v in ("flow", "density"))
-            assert all(value is not None for b, _, _, value, _ in expected if b > 0)
         if settings.fixed_model is not None:
             # the silent bin has its own observed links, the others share one set
             assert len(calls) == 2
@@ -773,14 +760,6 @@ def test_fixed_model_weights_are_solved_once_per_observed_link_set(monkeypatch):
     ))
     assert len(outcomes) == 2 * len(SHARED_BINS)
     assert len(calls) == 1
-    # each variable fits its first bin alone, then its model's weights are
-    # solved once for the bins that reuse it
-    calls.clear()
-    list(estimate_bins(
-        "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
-        settings=VariogramSettings(refit_per_bin=False, lag_bins=8),
-    ))
-    assert len(calls) == 4
     # per-bin fits get weights of their own, all solved in the one call of
     # their observed-link set
     calls.clear()
@@ -1125,6 +1104,171 @@ def test_stacked_bins_raise_an_unknown_variable_at_its_own_turn():
     assert first.field is not None
     with pytest.raises(ValueError, match="speed"):
         next(outcomes)
+
+
+# bins 0 and 2 observe one set of links, bins 1 and 3 another, and bin 9
+# observes none
+INTERLEAVED_BINS = (0, 1, 9, 2, 3)
+
+
+def _interleaved_scenario(seed):
+    """The shared-weights grid with no hierarchy-1 link observed in bins 1 and 3."""
+    net, sites, grid = _shared_weights_scenario(seed)
+    for b in (1, 3):
+        grid.observed[grid.row(b), net.hierarchies == 1] = False
+    return net, sites, grid
+
+
+def _row_by_row(estimator, grid, network, sites, settings):
+    """``estimate_bins`` over ``INTERLEAVED_BINS`` one row at a time, each
+    with a partition or an ``impute_observed`` call of its own, in the form
+    of ``_refit_outcomes``."""
+    distances = ImputationDistances.build(network, sites)
+    for b in INTERLEAVED_BINS:
+        row = grid.row(b)
+        for variable in ("flow", "density"):
+            if row is None:
+                yield b, variable, f"bin {b} ({variable}): no equipped observation", None
+                continue
+            values, observed = grid.values(variable)[row], grid.observed[row]
+            field = None
+            try:
+                if estimator == "uniform":
+                    partition = UniformPartition.from_mask(network, observed)
+                    value = uniform_estimate(b, values, partition, variable).value
+                elif estimator == "hierarchical":
+                    partition = HierarchyPartition.from_network(
+                        network, [network.link_ids[j] for j in np.flatnonzero(observed)]
+                    )
+                    value = hierarchical_estimate(b, values, partition, variable).value
+                else:
+                    field = impute_observed(
+                        b, values, observed, distances, model=settings.fixed_model,
+                        variable=variable, lag_bins=settings.lag_bins,
+                    )
+                    value, _ = network_mean_from_field(
+                        field, network, settings.min_length_coverage
+                    )
+            except NotEstimableError as exc:
+                yield (b, variable, f"bin {b} ({variable}): {exc}",
+                       None if field is None else field.values.tobytes())
+                continue
+            yield b, variable, _bits([value]), None if field is None else field.values.tobytes()
+
+
+def _count_set_passes(monkeypatch):
+    """Record each partition build and each ``experiment.impute_rows`` call."""
+    passes = []
+    from_mask = UniformPartition.from_mask
+    from_network = HierarchyPartition.from_network
+    impute = experiment.impute_rows
+
+    def counting(name, build):
+        return lambda *args, **kwargs: passes.append(name) or build(*args, **kwargs)
+
+    monkeypatch.setattr(UniformPartition, "from_mask", counting("partition", from_mask))
+    monkeypatch.setattr(HierarchyPartition, "from_network", counting("partition", from_network))
+    monkeypatch.setattr(experiment, "impute_rows", counting("impute_rows", impute))
+    return passes
+
+
+@pytest.mark.parametrize(
+    "estimator, settings",
+    [
+        ("uniform", VariogramSettings()),
+        ("hierarchical", VariogramSettings()),
+        ("variogram", VariogramSettings(fixed_model=SHARED_MODEL, min_length_coverage=0.9)),
+        ("variogram", VariogramSettings(lag_bins=8, min_length_coverage=0.9)),
+    ],
+    ids=["uniform", "hierarchical", "variogram-fixed", "variogram-refit"],
+)
+def test_interleaved_link_sets_match_one_estimate_per_row(estimator, settings, monkeypatch):
+    failed = set()
+    for seed in (0, 2):
+        net, sites, grid = _interleaved_scenario(seed)
+        passes = _count_set_passes(monkeypatch)
+        outcomes = list(_refit_outcomes(estimate_bins(
+            estimator, grid, INTERLEAVED_BINS, ("flow", "density"), net, sites=sites,
+            settings=settings,
+        )))
+        monkeypatch.undo()
+        # one pass for each of the two observed-link sets
+        assert passes == ["impute_rows" if estimator == "variogram" else "partition"] * 2
+        assert outcomes == list(_row_by_row(estimator, grid, net, sites, settings))
+        failed |= {(b, v) for b, v, text, _ in outcomes if isinstance(text, str) and b != 9}
+    assert [(b, v) for b, v, *_ in outcomes] == [
+        (b, v) for b in INTERLEAVED_BINS for v in ("flow", "density")
+    ]
+    # set B leaves hierarchy 1 uncovered and, refitted, too much length unkriged
+    assert bool(failed) == (
+        estimator == "hierarchical" or estimator == "variogram" and settings.fixed_model is None
+    )
+
+
+@pytest.mark.parametrize(
+    "settings, starved",
+    [
+        (VariogramSettings(fixed_model=VariogramModel(
+            kind="spherical", nugget=0.0, sill=100.0, range_km=0.4), min_length_coverage=1.0),
+         False),
+        (VariogramSettings(lag_bins=8, min_length_coverage=1.0), True),
+    ],
+    ids=["fixed", "refit"],
+)
+def test_failed_rows_keep_no_reference_cycle_to_the_distances(settings, starved):
+    # reference counting alone must free the distances once the caller lets
+    # go of them, as run_experiment does before it writes its outputs
+    net, sites, grid = _shared_weights_scenario(1)
+    if starved:
+        # bin 2 keeps four detectors, too few for a fit, so its fits raise
+        row = grid.row(2)
+        grid.observed[row, np.flatnonzero(grid.observed[row])[4:]] = False
+    distances = ImputationDistances.build(net, sites)
+    alive = weakref.ref(distances)
+    gc.disable()
+    try:
+        outcomes = list(estimate_bins(
+            "variogram", grid, SHARED_BINS, ("flow", "density"), net,
+            distances=distances, settings=settings,
+        ))
+        del distances
+        assert alive() is None
+    finally:
+        gc.enable()
+    # with every field short of full length, every row fails
+    assert len(outcomes) == 2 * len(SHARED_BINS)
+    assert all(o.failure is not None and o.estimate is None for o in outcomes)
+    assert sum(o.field is None for o in outcomes) == (2 if starved else 0)
+
+
+def test_a_fit_whose_sill_underflows_fails_its_experiment_cell(tmp_path):
+    # flows of 0 or 3.2e-162 give subnormal semivariances: the first fit's
+    # sill underflows to zero, a numeric failure of the cell, not a
+    # validation error of the whole grid
+    rng = np.random.default_rng(0)
+    net = Network([Link(f"a{i}", f"a{i}", f"a{i + 1}", 0.5, 1) for i in range(20)])
+    sites = midpoint_sites(net)
+    readings = make_readings(
+        ("@" + l.id, b, float(rng.integers(0, 2) * 3.2e-162), float(10 + rng.random()))
+        for b in (0, 1)
+        for i, l in enumerate(net.links)
+        if i % 2 == 0
+    )
+    paths = {name: str(tmp_path / f"{name}.csv") for name in ("network", "sites", "readings")}
+    write_table(paths["network"], NETWORK_COLUMNS,
+                [(l.id, l.from_node, l.to_node, l.length_km, l.hierarchy) for l in net.links])
+    write_table(paths["sites"], ("detector_id", "link_id", "offset_fraction"),
+                [(s.detector_id, s.link_id, s.offset_fraction) for s in sites])
+    write_readings(paths["readings"], readings)
+    (cell,) = run_experiment(ExperimentConfig(
+        coverages=(1.0,), seeds=(0,), estimators=("variogram",),
+        network_path=paths["network"], sites_path=paths["sites"],
+        readings_path=paths["readings"], variogram=VariogramSettings(lag_bins=4, min_pairs=1),
+    )).cells
+    assert cell.status == "failed"
+    assert re.match(r"the \w+ fit's sill underflows to 0\.0 at a semivariance scale of ",
+                    cell.message)
+    assert cell.estimates == []
 
 
 # --- weights applied to stacks of value rows ----------------------------------

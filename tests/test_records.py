@@ -120,8 +120,7 @@ FIXED_MODEL_CONFIG_TEXT = """\
     "max_neighbors": 16,
     "min_length_coverage": 0.95,
     "min_neighbors": 3,
-    "min_pairs": 5,
-    "refit_per_bin": true
+    "min_pairs": 5
   }
 }
 """
@@ -295,7 +294,7 @@ def test_a_record_keeps_the_text_of_its_own_validation_error():
         (SyntheticScenario, {"density_noise_ratio": "0.5"},
          "'density_noise_ratio' must be float or null, got '0.5'"),
         (VariogramModel, {**MODEL, "kind": 1, "range_km": 1}, "'kind' must be str, got 1"),
-        (VariogramSettings, {"refit_per_bin": 1}, "'refit_per_bin' must be bool, got 1"),
+        (VariogramModel, {**MODEL, "degenerate": 1}, "'degenerate' must be bool, got 1"),
         (ExperimentConfig, {**CONFIG, "scenario": {}, "network_path": 3},
          "'network_path' must be str or null, got 3"),
         (ExperimentConfig, {**CONFIG, "seeds": [0, 1.5], "scenario": {}},

@@ -27,6 +27,7 @@ from sparsemfd import variogram
 from sparsemfd.errors import (
     EmptyVariogramError,
     EstimationError,
+    FitConvergenceError,
     InsufficientDataError,
     ValidationError,
 )
@@ -628,6 +629,23 @@ def test_semivariances_too_large_to_square_still_fit():
     assert huge.nugget == pytest.approx(1e200 * unit.nugget, rel=1e-12, abs=0.0)
     assert huge.sill == pytest.approx(1e200 * unit.sill, rel=1e-12)
     assert huge.range_km == pytest.approx(unit.range_km, rel=1e-12)
+
+
+@pytest.mark.parametrize("kinds", [("spherical",), MODEL_KINDS])
+def test_a_sill_that_underflows_fails_the_fit(kinds):
+    # subnormal semivariances: the fit of the scaled ones succeeds, but its
+    # sill times the scale rounds to zero
+    emp = EmpiricalVariogram(
+        bin_edges=np.array([0.5, 1.0, 1.5, 2.0]), gamma_hat=np.array([5e-324] * 3),
+        pair_counts=np.full(3, 5),
+    )
+    (searched,) = search_ranges([emp], kinds)
+    for ranges in (None, searched):
+        with pytest.raises(FitConvergenceError, match=r"^the \w+ fit's sill underflows to 0\.0"):
+            fit_variogram(emp, kinds=kinds, ranges=ranges)
+    # a scale that leaves the sill above zero still fits
+    tiny = fit_variogram(dataclasses.replace(emp, gamma_hat=np.array([1e-300, 2e-300, 3e-300])))
+    assert tiny.sill > 0
 
 
 # --- stacked range search -----------------------------------------------------
