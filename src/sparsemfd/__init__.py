@@ -90,7 +90,6 @@ from .metrics import (
 from .synth import (
     ScenarioData,
     SyntheticScenario,
-    corridor_network,
     generate_scenario,
     grid_network,
     load_scenario,

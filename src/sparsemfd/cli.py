@@ -54,6 +54,7 @@ from .sensing import (
     reading_columns,
     sample_coverage,
     sample_coverage_counts,
+    sites_by_hierarchy,
     write_readings,
 )
 from .scaling import UNIFORM_MODES, VARIABLES
@@ -158,11 +159,8 @@ def ingest(obj, network_file, sites_file, readings_file):
         )
     if sites_file:
         sites = load_detector_sites(sites_file, network=network, delimiter=obj.delim)
-        per = {}
-        for site in sites:
-            h = network.link(site.link_id).hierarchy
-            per[h] = per.get(h, 0) + 1
-        breakdown = ", ".join(f"{h}: {per[h]}" for h in sorted(per))
+        groups = sites_by_hierarchy(sites, network)
+        breakdown = ", ".join(f"{h}: {len(groups[h])}" for h in sorted(groups))
         click.echo(f"sites: {len(sites)} detectors ({breakdown})")
     if readings_file:
         readings = load_readings(readings_file, obj.delim)

@@ -28,6 +28,9 @@ from .errors import (
 # impute_network is not called here; perfbench's tracer wraps it under
 # this module's name, so the import stays
 from .kriging import (  # noqa: F401
+    MAX_NEIGHBORS,
+    MIN_LENGTH_COVERAGE,
+    MIN_NEIGHBORS,
     ImputationDistances,
     ImputedField,
     impute_network,
@@ -64,7 +67,7 @@ from .tableio import (
     write_json,
     write_table,
 )
-from .variogram import MODEL_KINDS, VariogramModel
+from .variogram import LAG_BINS, MIN_PAIRS, MODEL_KINDS, VariogramModel
 
 ESTIMATOR_NAMES = ("uniform", "hierarchical", "variogram")
 STATUS_OK = "ok"
@@ -94,12 +97,12 @@ class VariogramSettings:
     """Knobs of the variogram estimator inside an experiment."""
 
     kinds: tuple = MODEL_KINDS
-    lag_bins: int = 15
-    min_pairs: int = 5
-    max_neighbors: int = 16
-    min_neighbors: int = 3
+    lag_bins: int = LAG_BINS
+    min_pairs: int = MIN_PAIRS
+    max_neighbors: int = MAX_NEIGHBORS
+    min_neighbors: int = MIN_NEIGHBORS
     fixed_model: VariogramModel | None = None
-    min_length_coverage: float = 0.95
+    min_length_coverage: float = MIN_LENGTH_COVERAGE
 
     def __post_init__(self):
         if not self.kinds or not set(self.kinds) <= set(MODEL_KINDS):
@@ -223,7 +226,12 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                 observations.values(variable)  # raises the ValueError that names it
             outcome = outcomes[variable]
             if not isinstance(outcome, BinOutcome):
-                raise outcome
+                # the traceback holds this frame: it must not hold the error too
+                del outcomes, pending
+                try:
+                    raise outcome
+                finally:
+                    del outcome
             yield outcome
 
 

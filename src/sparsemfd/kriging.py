@@ -24,6 +24,8 @@ from .errors import (
 from .network import _distances, midpoint_sites
 from .sensing import bin_arrays, detector_mask, value_field
 from .variogram import (
+    LAG_BINS,
+    MIN_PAIRS,
     MODEL_KINDS,
     distance_bin_edges,
     fit_variogram,
@@ -35,6 +37,12 @@ from .variogram import (
 PROVENANCE_OBSERVED = "observed"
 PROVENANCE_IMPUTED = "imputed"
 PROVENANCE_FAILED = "failed"
+
+# default neighbour counts of a kriging system, and the least share of
+# network length a field must cover to give a network mean
+MAX_NEIGHBORS = 16
+MIN_NEIGHBORS = 3
+MIN_LENGTH_COVERAGE = 0.95
 
 _ZERO_DISTANCE = 1e-12
 # at most this many bytes of kriging systems go to one np.linalg.solve call
@@ -63,8 +71,8 @@ def solve_kriging(
     target_dists,
     pair_dists,
     ids=None,
-    max_neighbors=16,
-    min_neighbors=3,
+    max_neighbors=MAX_NEIGHBORS,
+    min_neighbors=MIN_NEIGHBORS,
 ):
     """Predict a value at one target from known sites by ordinary kriging.
 
@@ -153,8 +161,9 @@ def _kriging_weights(models, target, pairs, max_neighbors, min_neighbors, consum
     Returns ``(found, failures)``: the in-range site count of every
     (model, column), counted among the ``max_neighbors`` nearest sites, and
     a ``SingularSystemError`` for each model index whose systems include a
-    singular or non-finite one, for the first such column. A model's
-    batches are all consumed even then; its weights are not to be used.
+    singular or non-finite one, for the first such column. Only the weight
+    vectors whose solution is finite are consumed; a failed model's other
+    weights are not to be used either.
     """
     if min_neighbors < 1:
         raise ValueError(f"min_neighbors must be at least 1, got {min_neighbors}")
@@ -189,6 +198,11 @@ def _kriging_weights(models, target, pairs, max_neighbors, min_neighbors, consum
                 failures[model] = (column, systems[row].copy())
         # freed before the batch is applied, which lowers the peak
         del systems, dists, target_dists
+        if bad.any():
+            # only finite weights are applied; a failed model's are not used
+            rows, columns, kept, solutions, rhs = (
+                a[~bad] for a in (rows, columns, kept, solutions, rhs)
+            )
         consume((rows, columns, kept, groups, solutions, rhs))
 
     for m in np.unique(counts[counts > 0]):
@@ -406,10 +420,10 @@ def impute_network(
     model=None,
     variable="flow",
     kinds=MODEL_KINDS,
-    lag_bins=15,
-    min_pairs=5,
-    max_neighbors=16,
-    min_neighbors=3,
+    lag_bins=LAG_BINS,
+    min_pairs=MIN_PAIRS,
+    max_neighbors=MAX_NEIGHBORS,
+    min_neighbors=MIN_NEIGHBORS,
     known_site_ids=None,
 ):
     """Fill every unobserved link of one bin by kriging at its midpoint.
@@ -439,8 +453,8 @@ def impute_network(
 
 
 def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KINDS,
-                lag_bins=15, min_pairs=5, max_neighbors=16, min_neighbors=3,
-                retained=None):
+                lag_bins=LAG_BINS, min_pairs=MIN_PAIRS, max_neighbors=MAX_NEIGHBORS,
+                min_neighbors=MIN_NEIGHBORS, retained=None):
     """Krige a stack of value rows observed on the same links; one field each.
 
     ``values`` is a (R, links) array of link-order rows, all observed on the
@@ -552,7 +566,7 @@ def failed_length_fraction(field, network):
     return _running_sum(np.where(failed, network.lengths_km, 0.0)) / network.total_length_km
 
 
-def network_mean_from_field(field, network, min_length_coverage=0.95):
+def network_mean_from_field(field, network, min_length_coverage=MIN_LENGTH_COVERAGE):
     """Length-weighted network mean over observed and imputed links.
 
     Returns (value, coverage) where coverage is the length share that

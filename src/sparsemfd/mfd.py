@@ -76,7 +76,6 @@ class QuadraticFit:
     xtx_inv: np.ndarray
     residual_variance: float
     n_points: int
-    confidence: float = 0.95
 
     @property
     def degrees_of_freedom(self):
@@ -97,7 +96,7 @@ class QuadraticFit:
             quad_form = quad_form + 1.0
         return np.sqrt(self.residual_variance * quad_form)
 
-    def band(self, x, confidence=None, kind="mean"):
+    def band(self, x, confidence=0.95, kind="mean"):
         """Fitted values with pointwise lower and upper band.
 
         ``kind`` is "mean" for the confidence band of the fitted mean or
@@ -105,15 +104,14 @@ class QuadraticFit:
         """
         if kind not in ("mean", "prediction"):
             raise ValueError(f"kind must be 'mean' or 'prediction', got '{kind}'")
-        level = self.confidence if confidence is None else confidence
         x_arr = np.atleast_1d(np.asarray(x, dtype=float))
         fitted = self(x_arr)
-        critical = t_critical_value(self.degrees_of_freedom, level)
+        critical = t_critical_value(self.degrees_of_freedom, confidence)
         margin = critical * self._standard_error(x_arr, kind == "prediction")
         return fitted, fitted - margin, fitted + margin
 
 
-def fit_quadratic_with_ci(x, y, confidence=0.95):
+def fit_quadratic_with_ci(x, y):
     """Fit a parabola to (x, y) points and keep everything bands need.
 
     Requires at least four points with three distinct x values; fewer
@@ -132,8 +130,6 @@ def fit_quadratic_with_ci(x, y, confidence=0.95):
         raise RankDeficiencyError(
             "quadratic fit needs at least 3 distinct x values"
         )
-    if not 0.0 < confidence < 1.0:
-        raise ValueError(f"confidence must lie in (0, 1), got {confidence}")
 
     design = np.column_stack([np.ones(n), x_arr, x_arr**2])
     coefficients, _, rank, _ = np.linalg.lstsq(design, y_arr, rcond=None)
@@ -146,5 +142,4 @@ def fit_quadratic_with_ci(x, y, confidence=0.95):
         xtx_inv=np.linalg.inv(design.T @ design),
         residual_variance=sse / (n - 3),
         n_points=n,
-        confidence=confidence,
     )

@@ -195,11 +195,9 @@ def load_detector_sites(source, network=None, delimiter=","):
     return sites
 
 
-def midpoint_sites(network, prefix="@"):
-    """One virtual site per link at its midpoint, used as imputation targets."""
-    return tuple(
-        DetectorSite(prefix + link.id, link.id, 0.5) for link in network.links
-    )
+def midpoint_sites(network):
+    """A virtual site ``@<link id>`` at each link's midpoint: the imputation targets."""
+    return tuple(DetectorSite("@" + link.id, link.id, 0.5) for link in network.links)
 
 
 def _anchors(network, sites, index):

@@ -161,6 +161,8 @@ def uniform_estimate(bin_index, values, partition, variable="flow", mode="exact"
     travelled total reduce over the equipped links in link-id order, so a
     bin gives the same bits from the arrays as from its observation list.
     """
+    if mode not in UNIFORM_MODES:
+        raise ValueError(f"mode must be one of {UNIFORM_MODES}, got '{mode}'")
     values = values[partition.links]
     equipped_mean = float(values.mean())
     total = partition.total_length_km
@@ -210,8 +212,6 @@ def uniform_scaled_mean(observations, network, variable="flow", mode="exact", du
     travelled total and only the unequipped length is filled with the mean;
     "mean-only" applies the equipped mean to the entire network length.
     """
-    if mode not in UNIFORM_MODES:
-        raise ValueError(f"mode must be one of {UNIFORM_MODES}, got '{mode}'")
     value_field(variable)
     if not observations:
         raise InsufficientDataError("uniform scaling needs at least one equipped observation")

@@ -340,26 +340,21 @@ def sample_coverage(sites, network, fraction, seed):
 
     Returns (CoveragePlan, retained sites).
     """
-    _check_fraction(fraction)
     return sample_grouped(sites_by_hierarchy(sites, network), fraction, seed)
 
 
 def sample_grouped(groups, fraction, seed):
     """``sample_coverage`` of the sites that ``sites_by_hierarchy`` grouped."""
-    _check_fraction(fraction)
+    if not (isinstance(fraction, (int, float)) and 0.0 < fraction <= 1.0):
+        raise ValueError(f"coverage fraction must lie in (0, 1], got {fraction}")
     counts = {
         hierarchy: min(len(members), max(1, round(fraction * len(members))))
         for hierarchy, members in groups.items()
     }
-    return _sample_groups(groups, counts, seed, float(fraction))
+    return _sample_groups(groups, counts, seed, fraction)
 
 
-def _check_fraction(fraction):
-    if not (isinstance(fraction, (int, float)) and 0.0 < fraction <= 1.0):
-        raise ValueError(f"coverage fraction must lie in (0, 1], got {fraction}")
-
-
-def sample_coverage_counts(sites, network, counts, seed, fraction=None):
+def sample_coverage_counts(sites, network, counts, seed):
     """Retain an explicit number of detectors per hierarchy.
 
     Use this instead of sample_coverage when exact per-class counts matter.
@@ -377,20 +372,20 @@ def sample_coverage_counts(sites, network, counts, seed, fraction=None):
             raise ValidationError(
                 f"hierarchy {hierarchy}: count must lie in [1, {size}], got {count}"
             )
-    return _sample_groups(groups, counts, seed, fraction)
+    total = sum(len(members) for members in groups.values())
+    return _sample_groups(groups, counts, seed, sum(counts.values()) / total)
 
 
 def _sample_groups(groups, counts, seed, fraction):
-    """Draw ``counts[h]`` sites of every hierarchy group, classes in order."""
+    """Draw ``counts[h]`` sites of every hierarchy group into a plan of ``fraction``."""
     rng = np.random.default_rng(seed)
     retained = []
     for hierarchy, members in sorted(groups.items()):
         chosen = rng.choice(len(members), size=counts[hierarchy], replace=False)
         retained.extend(members[i] for i in sorted(chosen))
 
-    total = sum(len(m) for m in groups.values())
     plan = CoveragePlan(
-        fraction=float(fraction) if fraction is not None else sum(counts.values()) / total,
+        fraction=float(fraction),
         seed=seed,
         per_hierarchy_counts={h: counts[h] for h in sorted(counts)},
         retained_detectors=tuple(s.detector_id for s in retained),

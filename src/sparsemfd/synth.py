@@ -77,17 +77,6 @@ def grid_network(rows, cols, edge_lengths_km=(0.65, 0.625, 0.235)):
     return Network(links)
 
 
-def corridor_network(n_links, edge_km=0.5, hierarchy=1):
-    """A simple chain of links, handy for controlled interpolation checks."""
-    if n_links < 1:
-        raise ValidationError(f"corridor needs at least one link, got {n_links}")
-    links = [
-        Link(f"c{i}", f"n{i}", f"n{i + 1}", edge_km, hierarchy)
-        for i in range(n_links)
-    ]
-    return Network(links)
-
-
 @dataclass(frozen=True)
 class SyntheticScenario:
     """Parameters of a synthetic ground truth.
@@ -144,19 +133,20 @@ def load_scenario(path):
         return SyntheticScenario.from_dict(json.load(handle))
 
 
-def covariance_factor(distances, model, jitter=1e-8):
+def covariance_factor(distances, model):
     """Cholesky factor of the covariance implied by a variogram model.
 
     The covariance at separation h is the total sill minus the semivariance,
-    with the nugget acting as white noise on the diagonal. A small jitter
-    absorbs round-off; genuinely indefinite combinations (possible for some
-    shapes over graph distances) fail with advice to raise the nugget.
+    with the nugget acting as white noise on the diagonal. A jitter of 1e-8
+    times the total sill absorbs round-off; genuinely indefinite
+    combinations (possible for some shapes over graph distances) fail with
+    advice to raise the nugget.
     """
     total = model.sill + model.nugget
     # one n x n buffer: the semivariances, turned into covariances in place
     cov = gamma(model, np.asarray(distances, dtype=float))
     np.subtract(total, cov, out=cov)
-    np.fill_diagonal(cov, total + jitter * total)
+    np.fill_diagonal(cov, total + 1e-8 * total)
     try:
         return np.linalg.cholesky(cov)
     except np.linalg.LinAlgError:
@@ -166,10 +156,9 @@ def covariance_factor(distances, model, jitter=1e-8):
         )
 
 
-def simulate_correlated_field(distances, model, rng, factor=None):
-    """One zero-mean draw of the spatially correlated residual field."""
-    if factor is None:
-        factor = covariance_factor(distances, model)
+def simulate_correlated_field(factor, rng):
+    """One zero-mean draw of the spatially correlated residual field whose
+    covariance has the Cholesky factor ``factor`` (``covariance_factor``)."""
     return factor @ rng.standard_normal(factor.shape[0])
 
 
@@ -208,8 +197,7 @@ def generate_scenario(scenario):
 
     factor = None
     if scenario.noise_scale > 0:
-        distances = site_distance_matrix(network, sites)
-        factor = covariance_factor(distances, scenario.variogram)
+        factor = covariance_factor(site_distance_matrix(network, sites), scenario.variogram)
     rng = np.random.default_rng(scenario.seed)
 
     # (bins x links): a bin's flow and density residuals are drawn in turn
@@ -217,11 +205,9 @@ def generate_scenario(scenario):
     density = np.outer([f**scenario.density_exponent for f in scenario.diurnal], class_density)
     if factor is not None:
         for b in range(scenario.n_bins):
-            flow[b] += scenario.noise_scale * simulate_correlated_field(
-                distances, scenario.variogram, rng, factor=factor
-            )
-            density[b] += scenario.noise_scale * density_ratio * simulate_correlated_field(
-                distances, scenario.variogram, rng, factor=factor
+            flow[b] += scenario.noise_scale * simulate_correlated_field(factor, rng)
+            density[b] += (
+                scenario.noise_scale * density_ratio * simulate_correlated_field(factor, rng)
             )
     clamped = int((flow < 0).sum() + (density < 0).sum())
     flow = np.maximum(flow, 0.0).ravel()

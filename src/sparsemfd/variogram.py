@@ -23,6 +23,11 @@ from .errors import (
 from .tableio import NOT_STORED, record
 
 MODEL_KINDS = ("spherical", "exponential", "gaussian")
+# defaults of an empirical variogram and its fit: the lag bins, spanning
+# LAG_PERCENTILES of the pair distances, and the fewest pairs of a used bin
+LAG_BINS = 15
+LAG_PERCENTILES = (1.0, 95.0)
+MIN_PAIRS = 5
 
 # The fitted range is searched within RANGE_LIMITS times the largest usable
 # lag: over RANGE_GRID log-spaced values, then by zoom rounds over the two
@@ -151,8 +156,8 @@ class EmpiricalVariogram:
         return self.pair_counts > 0
 
 
-def distance_bin_edges(distances, n_bins=15, lower_pct=1.0, upper_pct=95.0):
-    """Equal-width lag bins spanning the given percentile range of pair distances.
+def distance_bin_edges(distances, n_bins=LAG_BINS):
+    """Equal-width lag bins spanning the ``LAG_PERCENTILES`` of pair distances.
 
     The tails are trimmed because extreme lags carry few pairs and destabilise
     the fit. Only finite positive distances count.
@@ -166,8 +171,7 @@ def distance_bin_edges(distances, n_bins=15, lower_pct=1.0, upper_pct=95.0):
         raise EmptyVariogramError("no finite positive pair distance to bin")
     if n_bins < 1:
         raise ValueError(f"need at least one bin, got {n_bins}")
-    lo = float(np.percentile(d, lower_pct))
-    hi = float(np.percentile(d, upper_pct))
+    lo, hi = (float(np.percentile(d, pct)) for pct in LAG_PERCENTILES)
     lo = max(lo, hi * 1e-9)
     if not hi > lo:
         raise InsufficientDataError(
@@ -433,7 +437,7 @@ def _fit_inputs(empirical, min_pairs):
     return h, counts, w, empirical.gamma_hat[usable] / scale, scale
 
 
-def search_ranges(empiricals, kinds=MODEL_KINDS, min_pairs=5):
+def search_ranges(empiricals, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS):
     """The range ``fit_variogram`` searches for each kind, for many variograms.
 
     Returns one entry per empirical variogram: a list with a range per
@@ -468,7 +472,7 @@ def search_ranges(empiricals, kinds=MODEL_KINDS, min_pairs=5):
     return searched
 
 
-def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=5, fixed_range_km=None, *,
+def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, fixed_range_km=None, *,
                   ranges=None):
     """Fit a variogram model to binned semivariances by weighted least squares.
 

@@ -344,6 +344,17 @@ def reference_imputation_distances(network, sites):
     return reference_symmetric(distances[:, :len(sites)]), distances[:, len(sites):]
 
 
+def corridor_network(n_links, edge_km=0.5, hierarchy=1):
+    """A simple chain of links, handy for controlled interpolation checks."""
+    if n_links < 1:
+        raise ValidationError(f"corridor needs at least one link, got {n_links}")
+    links = [
+        Link(f"c{i}", f"n{i}", f"n{i + 1}", edge_km, hierarchy)
+        for i in range(n_links)
+    ]
+    return Network(links)
+
+
 @pytest.fixture
 def chain_network():
     # a --1.0km-- b --2.0km-- c

@@ -10,6 +10,7 @@ import importlib
 import pkgutil
 import re
 import struct
+import warnings
 import weakref
 
 import numpy as np
@@ -68,7 +69,6 @@ from sparsemfd.sensing import LinkObservation, reading_columns, sample_coverage,
 from sparsemfd.synth import (
     DEFAULT_VARIOGRAM,
     SyntheticScenario,
-    corridor_network,
     generate_scenario,
     grid_network,
 )
@@ -79,7 +79,7 @@ from sparsemfd.variogram import (
     empirical_variogram,
     gamma,
 )
-from conftest import make_readings, traced_peak
+from conftest import corridor_network, make_readings, traced_peak
 
 
 def spherical_gamma(nugget, sill, range_km, h):
@@ -1205,6 +1205,24 @@ def test_interleaved_link_sets_match_one_estimate_per_row(estimator, settings, m
     )
 
 
+def _singular_corridors():
+    """The subnormal-sill corridors of
+    ``test_shared_weights_report_the_same_singular_link``, equipped on every
+    other link in bins 0 and 1, and their model, whose systems are singular."""
+    model = VariogramModel(kind="exponential", nugget=0.0, sill=1e-315, range_km=1.0)
+    links = [Link(f"a{i}", f"a{i}", f"a{i + 1}", 2e-12, 1) for i in range(12)]
+    links += [Link(f"b{i}", f"b{i}", f"b{i + 1}", 2e-12, 1) for i in range(8)]
+    net = Network(links)
+    sites = midpoint_sites(net)
+    equipped = [l for i, l in enumerate(net.links) if i % 2 == 0]
+    readings = make_readings(
+        ("@" + l.id, b, float(i), 1.0)
+        for b in (0, 1)
+        for i, l in enumerate(equipped)
+    )
+    return net, sites, reading_columns(readings, sites, net.link_ids).observe(), model
+
+
 @pytest.mark.parametrize(
     "settings, starved",
     [
@@ -1212,33 +1230,73 @@ def test_interleaved_link_sets_match_one_estimate_per_row(estimator, settings, m
             kind="spherical", nugget=0.0, sill=100.0, range_km=0.4), min_length_coverage=1.0),
          False),
         (VariogramSettings(lag_bins=8, min_length_coverage=1.0), True),
+        (None, False),
     ],
-    ids=["fixed", "refit"],
+    ids=["fixed", "refit", "singular"],
 )
 def test_failed_rows_keep_no_reference_cycle_to_the_distances(settings, starved):
     # reference counting alone must free the distances once the caller lets
     # go of them, as run_experiment does before it writes its outputs
-    net, sites, grid = _shared_weights_scenario(1)
+    singular = settings is None
+    if singular:
+        # a fixed model's singular systems: the error of its whole set
+        # propagates out of estimate_bins
+        net, sites, grid, model = _singular_corridors()
+        settings, bins = VariogramSettings(fixed_model=model), (0, 1)
+    else:
+        net, sites, grid = _shared_weights_scenario(1)
+        bins = SHARED_BINS
     if starved:
         # bin 2 keeps four detectors, too few for a fit, so its fits raise
         row = grid.row(2)
         grid.observed[row, np.flatnonzero(grid.observed[row])[4:]] = False
     distances = ImputationDistances.build(net, sites)
     alive = weakref.ref(distances)
+    outcomes, error = [], None
     gc.disable()
     try:
-        outcomes = list(estimate_bins(
-            "variogram", grid, SHARED_BINS, ("flow", "density"), net,
-            distances=distances, settings=settings,
-        ))
+        try:
+            outcomes = list(estimate_bins(
+                "variogram", grid, bins, ("flow", "density"), net,
+                distances=distances, settings=settings,
+            ))
+        except SingularSystemError as exc:
+            error = str(exc)
         del distances
         assert alive() is None
     finally:
         gc.enable()
+    if singular:
+        assert outcomes == []
+        assert error == "kriging system is singular (condition number inf)"
+        return
     # with every field short of full length, every row fails
     assert len(outcomes) == 2 * len(SHARED_BINS)
     assert all(o.failure is not None and o.estimate is None for o in outcomes)
     assert sum(o.field is None for o in outcomes) == (2 if starved else 0)
+
+
+def test_a_singular_fitted_model_applies_none_of_its_weights():
+    # flows of 0 or 5e-162: the flow fits' kriging systems are singular,
+    # and their non-finite weights must not be applied to any value
+    rng = np.random.default_rng(0)
+    net = Network([Link(f"a{i}", f"a{i}", f"a{i + 1}", 0.5, 1) for i in range(20)])
+    sites = midpoint_sites(net)
+    readings = make_readings(
+        ("@" + l.id, b, float(rng.integers(0, 2) * 5e-162), float(10 + rng.random()))
+        for b in (0, 1)
+        for i, l in enumerate(net.links)
+        if i % 2 == 0
+    )
+    grid = reading_columns(readings, sites, net.link_ids).observe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularSystemError) as err:
+            list(estimate_bins(
+                "variogram", grid, (0, 1), ("flow", "density"), net, sites=sites,
+                settings=VariogramSettings(lag_bins=4, min_pairs=1),
+            ))
+    assert str(err.value) == "kriging system is singular (condition number inf)"
 
 
 def test_a_fit_whose_sill_underflows_fails_its_experiment_cell(tmp_path):

@@ -135,5 +135,3 @@ def test_fit_input_requirements():
         fit_quadratic_with_ci([1.0, 1.0, 2.0, 2.0], [1.0, 2.0, 3.0, 4.0])
     with pytest.raises(AlignmentError):
         fit_quadratic_with_ci([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
-    with pytest.raises(ValueError):
-        fit_quadratic_with_ci([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0, 4.0], confidence=1.0)

@@ -1,6 +1,7 @@
 """Uniform and hierarchical scaling estimators."""
 
 import math
+import re
 import struct
 
 import numpy as np
@@ -18,6 +19,7 @@ from sparsemfd.errors import (
 from sparsemfd.experiment import ESTIMATOR_NAMES, estimate_bins
 from sparsemfd.network import Link, Network
 from sparsemfd.scaling import (
+    UNIFORM_MODES,
     VARIABLES,
     HierarchyPartition,
     UniformPartition,
@@ -91,6 +93,18 @@ def test_uniform_full_coverage_equals_reference_truth():
     est = uniform_scaled_mean(obs, net, mode="exact")
     assert est.value == pytest.approx(truth_q, rel=1e-14)
     assert truth_q == 250.0
+
+
+def test_every_uniform_path_rejects_an_unknown_mode():
+    # a misspelt mode must not fall through to the mean-only estimate
+    network, sites, readings = make_reading_scenario(0)
+    grid = reading_columns(readings, sites, network.link_ids).observe()
+    message = f"mode must be one of {UNIFORM_MODES}, got 'exat'"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        list(estimate_bins("uniform", grid, READING_BINS, VARIABLES, network, uniform_mode="exat"))
+    partition = UniformPartition.from_mask(network, grid.observed[0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        uniform_estimate(0, grid.flow[0], partition, mode="exat")
 
 
 def test_uniform_duration_scales_the_travelled_total(quad_network):

@@ -8,7 +8,6 @@ from sparsemfd.network import DetectorSite, site_distance_matrix
 from sparsemfd.sensing import aggregate_to_links
 from sparsemfd.synth import (
     SyntheticScenario,
-    corridor_network,
     covariance_factor,
     generate_scenario,
     grid_network,
@@ -22,6 +21,7 @@ from sparsemfd.variogram import (
     fit_variogram,
     gamma,
 )
+from conftest import corridor_network
 
 
 # --- network builders ---------------------------------------------------------
@@ -132,8 +132,8 @@ def test_simulated_field_is_reproducible():
     pos = np.linspace(0.0, 8.0, 30)
     d = np.abs(pos[:, None] - pos[None, :])
     model = VariogramModel(kind="exponential", nugget=0.5, sill=2.0, range_km=2.0)
-    a = simulate_correlated_field(d, model, np.random.default_rng(5))
-    b = simulate_correlated_field(d, model, np.random.default_rng(5))
+    a = simulate_correlated_field(covariance_factor(d, model), np.random.default_rng(5))
+    b = simulate_correlated_field(covariance_factor(d, model), np.random.default_rng(5))
     assert np.array_equal(a, b)
 
 
@@ -141,7 +141,7 @@ def test_simulated_field_variance_tracks_the_total_sill():
     pos = np.linspace(0.0, 400.0, 500)
     d = np.abs(pos[:, None] - pos[None, :])
     model = VariogramModel(kind="exponential", nugget=1.0, sill=9.0, range_km=2.0)
-    field = simulate_correlated_field(d, model, np.random.default_rng(0))
+    field = simulate_correlated_field(covariance_factor(d, model), np.random.default_rng(0))
     # sites are many ranges apart on average, so the sample variance should
     # land near sill plus nugget
     assert float(np.var(field)) == pytest.approx(10.0, rel=0.3)
@@ -268,7 +268,7 @@ def test_large_sample_variogram_round_trip():
     n, edge = 2500, 0.05
     pos = (np.arange(n) + 0.5) * edge
     d = np.abs(pos[:, None] - pos[None, :])
-    values = simulate_correlated_field(d, model, np.random.default_rng(0))
+    values = simulate_correlated_field(covariance_factor(d, model), np.random.default_rng(0))
     fit = fit_variogram(
         empirical_variogram(values, d, np.linspace(0.1, 4.0, 21))
     )
