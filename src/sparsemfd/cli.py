@@ -1,7 +1,8 @@
 """Command line front end.
 
 Exit codes: 0 on success, 2 for invalid input, 3 when an estimator is not
-applicable to the data, 4 for numeric failures.
+applicable to the data, 4 for numeric failures. A command that estimates
+bin by bin exits 3 or 4 only when no bin was estimated.
 """
 from __future__ import annotations
 
@@ -127,6 +128,12 @@ def main(ctx, output_dir, fmt, seed, n_bins):
         seed=seed,
         n_bins=n_bins,
     )
+
+
+def _failure_note(failure):
+    """How ``scale`` and ``impute`` print a (bin, variable) failure."""
+    kind = "failed" if isinstance(failure, NumericError) else "not estimable"
+    return f"{kind} ({failure})"
 
 
 def _out(obj, name):
@@ -261,7 +268,7 @@ def scale(obj, network_file, sites_file, readings_file, plan_file, fraction,
         ):
             if outcome.failure is not None:
                 failures.append(outcome.failure)
-                click.echo(f"{m}: not estimable ({outcome.failure})")
+                click.echo(f"{m}: {_failure_note(outcome.failure)}")
             else:
                 estimates.append(outcome.estimate)
     estimates.sort(key=attrgetter("bin_index"))  # stable: methods keep their order
@@ -403,7 +410,7 @@ def impute(obj, network_file, sites_file, readings_file, bin_index, variable,
             fields.append(field)
         if outcome.failure is not None:
             failures.append(outcome.failure)
-            click.echo(f"bin {b}: not estimable ({outcome.failure})")
+            click.echo(f"bin {b}: {_failure_note(outcome.failure)}")
             continue
         covered = 1.0 - failed_length_fraction(field, network)
         click.echo(
@@ -591,6 +598,8 @@ def synth(obj, scenario_file):
 @guarded
 def experiment(obj, config_file, coverages):
     """Run a coverage-seed-estimator grid and write every table."""
+    if config_file and coverages:
+        raise click.UsageError("give at most one of --config or --coverage")
     if config_file:
         config = load_experiment_config(config_file)
     else:

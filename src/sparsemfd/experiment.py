@@ -12,7 +12,9 @@ from __future__ import annotations
 import json
 import numbers
 import os
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import product
 from operator import attrgetter
 
 import numpy as np
@@ -174,7 +176,7 @@ class BinOutcome:
     bin_index: int
     variable: str
     estimate: ScaledEstimate | None = None
-    failure: NotEstimableError | None = None
+    failure: EstimationError | None = None
     field: ImputedField | None = None
 
 
@@ -182,22 +184,24 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
                   distances=None, known_site_ids=None,
                   settings=VariogramSettings(), uniform_mode="exact",
                   duration_h=1.0):
-    """Run one estimator over every (bin, variable); yield a ``BinOutcome`` each.
+    """Run one estimator over every (bin, variable); a ``BinOutcome`` each,
+    in (bin, variable) order.
 
     ``observations`` is an ``ObservationGrid`` over ``network``'s links. The
-    bins are grouped by their set of observed links once. When the first bin
-    of a set comes up, every (bin, variable) row of the set is estimated in
-    one pass (``_estimate_set``), and the outcomes then follow in (bin,
-    variable) order. A ``NotEstimableError`` fails only its own pair, as a
-    failure reading "bin {b} ({variable}): {reason}"; numeric and validation
-    errors propagate. A row's own failure, a failed fit or a singular
-    system, surfaces at that row's turn, after the same outcomes as row by
-    row, and so does the ``ValueError`` of an unknown variable. ``sites``,
-    ``distances`` and ``known_site_ids`` are those of ``impute_network``;
-    the distances are built once when omitted.
+    bins are grouped by their set of observed links once, and every (bin,
+    variable) row of a set is estimated in one pass (``_estimate_set``).
+    A row's failure, a ``NotEstimableError`` or a ``NumericError`` such as a
+    failed fit or a singular system, fails only its own pair: a failure of
+    the same family reading "bin {b} ({variable}): {reason}". Only invalid
+    input raises: an unknown estimator or variable, a bad duration or
+    uniform mode, an unknown known site. ``sites``, ``distances`` and
+    ``known_site_ids`` are those of ``impute_network``; the distances are
+    built once when omitted.
     """
     if estimator not in ESTIMATOR_NAMES:
         raise ValidationError(f"unknown estimator '{estimator}'")
+    for variable in variables:
+        observations.values(variable)  # raises the ValueError of an unknown one
     retained = None
     if estimator == "variogram":
         if distances is None:
@@ -208,49 +212,31 @@ def estimate_bins(estimator, observations, bins, variables, network, sites=(),
         row = observations.row(b)
         if row is not None:
             sets.setdefault(observations.observed[row].tobytes(), []).append(b)
-    pending = {}
-    for b in bins:
-        row = observations.row(b)
-        if row is not None and b not in pending:
-            pending.update(_estimate_set(
-                estimator, sets[observations.observed[row].tobytes()], variables,
-                observations, network, distances, retained, settings, uniform_mode,
-                duration_h,
-            ))
-        outcomes = pending.pop(b, {})
-        for variable in variables:
-            if row is None:
-                yield _failure(b, variable, "no equipped observation")
-                continue
-            if variable not in VARIABLES:
-                observations.values(variable)  # raises the ValueError that names it
-            outcome = outcomes[variable]
-            if not isinstance(outcome, BinOutcome):
-                # the traceback holds this frame: it must not hold the error too
-                del outcomes, pending
-                try:
-                    raise outcome
-                finally:
-                    del outcome
-            yield outcome
+    outcomes = {}
+    for group in sets.values():
+        outcomes.update(_estimate_set(
+            estimator, group, variables, observations, network, distances, retained,
+            settings, uniform_mode, duration_h,
+        ))
+    return [
+        outcomes.get((b, v)) or _failure(b, v, "no equipped observation")
+        for b in bins for v in variables
+    ]
 
 
 def _estimate_set(estimator, group, variables, observations, network, distances, retained,
                   settings, uniform_mode, duration_h):
-    """Estimate every (bin, known variable) row of ``group``, the bins
-    observed on one set of links.
+    """Estimate every (bin, variable) row of ``group``, the bins observed on
+    one set of links; returns ``{(bin, variable): BinOutcome}``.
 
     The scaling estimators build one partition for the set; the variogram
     estimator kriges every row in one ``impute_rows`` call, with
-    ``fixed_model`` or with one fit per row. Returns ``{bin: {variable:
-    outcome}}``, each outcome a ``BinOutcome`` or a row's error that is not
-    a ``NotEstimableError``, to be raised at its turn. No exception kept
-    holds a traceback into this frame, so none keeps the distances alive.
+    ``fixed_model`` or with one fit per row. No failure kept holds a
+    traceback into this frame, so none keeps the distances alive.
     """
     rows = [observations.row(b) for b in group]
     equipped = observations.observed[rows[0]]
-    stacked = [v for v in variables if v in VARIABLES]
-    labels = [(b, v) for v in stacked for b in group]
+    labels = [(b, v) for v in variables for b in group]
     fields = [None] * len(labels)
     if estimator == "uniform":
         partition = UniformPartition.from_mask(network, equipped)
@@ -261,7 +247,7 @@ def _estimate_set(estimator, group, variables, observations, network, distances,
     elif labels:
         try:
             fields = impute_rows(
-                labels, np.concatenate([observations.values(v)[rows] for v in stacked]),
+                labels, np.concatenate([observations.values(v)[rows] for v in variables]),
                 equipped, distances, model=settings.fixed_model, kinds=settings.kinds,
                 lag_bins=settings.lag_bins, min_pairs=settings.min_pairs,
                 max_neighbors=settings.max_neighbors, min_neighbors=settings.min_neighbors,
@@ -270,14 +256,11 @@ def _estimate_set(estimator, group, variables, observations, network, distances,
         except NotEstimableError as exc:
             # an error of the whole set, say no known site: every row fails
             fields = [exc.with_traceback(None)] * len(labels)
-    outcomes = {b: {} for b in group}
+    outcomes = {}
     for (b, variable), field in zip(labels, fields):
         if isinstance(field, EstimationError):
-            # a row's own fit or solve failed; any but a NotEstimableError
-            # is raised at the row's turn
-            outcomes[b][variable] = (
-                _failure(b, variable, field) if isinstance(field, NotEstimableError) else field
-            )
+            # a row's own fit or solve failed
+            outcomes[b, variable] = _failure(b, variable, field)
             continue
         values = observations.values(variable)[observations.row(b)]
         try:
@@ -297,16 +280,17 @@ def _estimate_set(estimator, group, variables, observations, network, distances,
                     method="variogram", hierarchy_count=0, duration_h=duration_h,
                 )
         except NotEstimableError as exc:
-            outcomes[b][variable] = _failure(b, variable, exc, field)
+            outcomes[b, variable] = _failure(b, variable, exc, field)
             continue
-        outcomes[b][variable] = BinOutcome(b, variable, estimate=estimate, field=field)
+        outcomes[b, variable] = BinOutcome(b, variable, estimate=estimate, field=field)
     return outcomes
 
 
 def _failure(b, variable, reason, field=None):
-    """The ``BinOutcome`` of a (bin, variable) that ``reason`` makes not estimable."""
-    failure = NotEstimableError(f"bin {b} ({variable}): {reason}")
-    return BinOutcome(b, variable, failure=failure, field=field)
+    """The ``BinOutcome`` of a (bin, variable) that ``reason`` fails: a
+    ``NumericError`` when the reason is one, else a ``NotEstimableError``."""
+    family = NumericError if isinstance(reason, NumericError) else NotEstimableError
+    return BinOutcome(b, variable, failure=family(f"bin {b} ({variable}): {reason}"), field=field)
 
 
 @dataclass(frozen=True)
@@ -365,6 +349,10 @@ class ExperimentConfig:
             raise ValidationError(f"unknown uniform mode '{self.uniform_mode}'")
         if self.band_samples < 2:
             raise ValidationError("band_samples must be at least 2")
+        cells = product(self.coverages, self.seeds, self.estimators)
+        shared = sorted(n for n, k in Counter(CellResult(*c).name for c in cells).items() if k > 1)
+        if shared:
+            raise ValidationError(f"cell names must be unique, repeated: {', '.join(shared)}")
 
     @classmethod
     def from_dict(cls, data):
@@ -435,13 +423,13 @@ class ExperimentResult:
         return None
 
 
-def _materialise(config):
+def _materialise(config, delimiter):
     if config.scenario is not None:
         data = generate_scenario(config.scenario)
         return data.network, list(data.sites), data.readings, data.clamped_count
-    network = load_network(config.network_path)
-    sites = load_detector_sites(config.sites_path, network=network)
-    readings = load_readings(config.readings_path)
+    network = load_network(config.network_path, delimiter)
+    sites = load_detector_sites(config.sites_path, network=network, delimiter=delimiter)
+    readings = load_readings(config.readings_path, delimiter)
     return network, sites, readings, None
 
 
@@ -453,14 +441,18 @@ def _truth_series(grid, network):
 
 
 def _record(cell, outcome):
-    b, variable = outcome.bin_index, outcome.variable
+    """Add one outcome to ``cell``: its first numeric failure, or else its
+    first failure, sets the cell's status and message."""
+    b, variable, failure = outcome.bin_index, outcome.variable, outcome.failure
     if outcome.field is not None:
         cell.models[(b, variable)] = outcome.field.model
-    if outcome.failure is not None:
+    if failure is not None:
         if b not in cell.failed_bins:
             cell.failed_bins.append(b)
-        if cell.message is None:
-            cell.message = str(outcome.failure)
+        if isinstance(failure, NumericError) and cell.status != STATUS_FAILED:
+            cell.status, cell.message = STATUS_FAILED, str(failure)
+        elif cell.status == STATUS_OK:
+            cell.status, cell.message = STATUS_NOT_ESTIMABLE, str(failure)
         return
     cell.estimates.append(outcome.estimate)
     if outcome.field is not None:
@@ -524,8 +516,9 @@ def _attach_ttest(result, coverage, seed):
 
 
 def run_experiment(config, output_dir=None, fmt="csv"):
-    """Run the full grid; optionally write all outputs below ``output_dir``."""
-    network, sites, readings, clamped = _materialise(config)
+    """Run the full grid; optionally write all outputs below ``output_dir``.
+    ``fmt`` is the format of the recorded-data inputs and of the outputs."""
+    network, sites, readings, clamped = _materialise(config, delimiter_for(fmt))
     columns = reading_columns(readings, sites, network.link_ids)
     bin_indices = tuple(columns.bins.tolist())
     truth_flow, truth_density = _truth_series(columns.observe(), network)
@@ -554,18 +547,12 @@ def run_experiment(config, output_dir=None, fmt="csv"):
 
             for estimator in config.estimators:
                 cell = CellResult(coverage=coverage, seed=seed, estimator=estimator)
-                try:
-                    for outcome in estimate_bins(
-                        estimator, observations, bin_indices, VARIABLES, network,
-                        sites=sites, distances=geometry, known_site_ids=retained_ids,
-                        settings=config.variogram, uniform_mode=config.uniform_mode,
-                    ):
-                        _record(cell, outcome)
-                    if cell.failed_bins:
-                        cell.status = STATUS_NOT_ESTIMABLE
-                except NumericError as exc:
-                    cell.status = STATUS_FAILED
-                    cell.message = str(exc)
+                for outcome in estimate_bins(
+                    estimator, observations, bin_indices, VARIABLES, network,
+                    sites=sites, distances=geometry, known_site_ids=retained_ids,
+                    settings=config.variogram, uniform_mode=config.uniform_mode,
+                ):
+                    _record(cell, outcome)
                 _attach_metrics(cell, truth_flow, truth_density, bin_indices)
                 _attach_mfd(cell)
                 result.cells.append(cell)

@@ -469,8 +469,8 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
     ``_kriging_weights`` call, and each batch is applied to the rows its
     models serve as soon as it is solved (``_apply_weights``). A row whose
     fit raises, or whose model meets a singular system, fails: its entry in
-    the returned list is that ``EstimationError`` instead of a field, for
-    the caller to raise at the row's turn. An error that concerns every row
+    the returned list is that ``EstimationError`` instead of a field, the
+    failure of that row alone. An error that concerns every row
     alike (no known site, no lag bins) is raised.
     """
     labels = tuple(labels)

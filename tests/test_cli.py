@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -20,7 +21,15 @@ from sparsemfd.errors import (
     SingularSystemError,
     ValidationError,
 )
-from sparsemfd.network import NETWORK_COLUMNS, load_detector_sites, load_network
+from sparsemfd.network import (
+    NETWORK_COLUMNS,
+    SITE_COLUMNS,
+    Link,
+    Network,
+    load_detector_sites,
+    load_network,
+    midpoint_sites,
+)
 from sparsemfd.sensing import READINGS_HEADER, sample_coverage
 from sparsemfd.tableio import BLOCK_ROWS, write_json, write_table
 from conftest import reference_read_estimates, reference_read_model_table
@@ -609,6 +618,64 @@ def test_impute_unfittable_bin_does_not_abort(runner, tmp_path):
     assert {line.split(",")[1] for line in lines[1:]} == {"0"}
 
 
+def write_subnormal_corridor(tmp_path, bin1_flows=None):
+    """The 20-link corridor of the kriging tests' sill underflow, equipped on
+    every other link, with its flows of 0 or 3.2e-162: the subnormal
+    semivariances make bin 0's flow fit underflow and bin 1's flow system
+    singular. ``bin1_flows`` replaces bin 1's flows."""
+    rng = np.random.default_rng(0)
+    net = Network([Link(f"a{i}", f"a{i}", f"a{i + 1}", 0.5, 1) for i in range(20)])
+    sites = midpoint_sites(net)
+    rows = [
+        ["@" + l.id, b, float(rng.integers(0, 2) * 3.2e-162), float(10 + rng.random()), None]
+        for b in (0, 1) for l in net.links[::2]
+    ]
+    for row, flow in zip(rows[10:], bin1_flows or ()):
+        row[2] = flow
+    paths = [tmp_path / name for name in ("network.csv", "sites.csv", "readings.csv")]
+    write_table(paths[0], NETWORK_COLUMNS,
+                [(l.id, l.from_node, l.to_node, l.length_km, l.hierarchy) for l in net.links])
+    write_table(paths[1], SITE_COLUMNS,
+                [(s.detector_id, s.link_id, s.offset_fraction) for s in sites])
+    write_table(paths[2], READINGS_HEADER, rows)
+    return paths
+
+
+def test_impute_writes_the_bins_around_a_numeric_failure(runner, tmp_path):
+    paths = write_subnormal_corridor(tmp_path, [100.0 + 5.0 * i for i in range(10)])
+    out = tmp_path / "out"
+    result = invoke(runner, [
+        "--output-dir", str(out), "impute", *map(str, paths),
+        "--lag-bins", "4", "--min-pairs", "1",
+    ])
+    # bin 0's fit fails numerically, alone: bin 1 is estimated and written
+    assert result.exit_code == 0, result.output
+    assert result.output.startswith(
+        "bin 0: failed (bin 0 (flow): the exponential fit's sill underflows to 0.0 "
+    )
+    assert "bin 1: network flow 123.7 (100.0% of length covered" in result.output
+    lines = (out / "field.csv").read_text().splitlines()
+    assert len(lines) == 21  # header plus bin 1's 20 links; bin 0 has no field
+    assert {line.split(",")[1] for line in lines[1:]} == {"1"}
+
+
+def test_impute_exits_4_when_every_bin_fails_numerically(runner, tmp_path):
+    paths = write_subnormal_corridor(tmp_path)
+    out = tmp_path / "out"
+    result = invoke(runner, [
+        "--output-dir", str(out), "impute", *map(str, paths),
+        "--lag-bins", "4", "--min-pairs", "1",
+    ])
+    assert result.exit_code == 4, result.output
+    assert "bin 0: failed (bin 0 (flow): the exponential fit's sill underflows" in result.output
+    assert "bin 1: failed (bin 1 (flow): kriging system is singular" in result.output
+    # the first failure is the error, and the empty field table is still written
+    assert "error: bin 0 (flow): the exponential fit's sill underflows" in result.output
+    assert (out / "field.csv").read_text().splitlines() == [
+        "link_id,bin_index,variable,value,provenance"
+    ]
+
+
 def test_impute_rejects_a_model_table_of_two_rows(runner, tmp_path):
     network, sites, readings = write_corridor(tmp_path, equipped=(0, 2, 5))
     model = tmp_path / "model.csv"
@@ -931,6 +998,46 @@ def test_experiment_with_config_file(runner, tmp_path):
     manifest = json.loads((out / "manifest.json").read_text())
     assert len(manifest["cells"]) == 2
     assert (out / "cells" / "cov0.5_seed0_uniform" / "estimates.csv").exists()
+
+
+def test_experiment_reads_its_inputs_in_the_format_of_its_outputs(runner, tmp_path):
+    out = {}
+    for fmt in ("csv", "tsv"):
+        data = synth_dir(runner, tmp_path, f"data-{fmt}", extra=("--format", fmt))
+        config_path = tmp_path / f"config-{fmt}.json"
+        config_path.write_text(json.dumps({
+            "coverages": [0.3], "seeds": [0], "estimators": ["uniform", "hierarchical"],
+            **{f"{name}_path": str(data / f"{name}.{fmt}")
+               for name in ("network", "sites", "readings")},
+        }))
+        out[fmt] = tmp_path / f"run-{fmt}"
+        result = invoke(runner, [
+            "--output-dir", str(out[fmt]), "--format", fmt, "experiment",
+            "--config", str(config_path),
+        ])
+        assert result.exit_code == 0, result.output
+        assert (out[fmt] / "manifest.json").exists()
+    # the same estimates from the same tables in either format
+    for estimator in ("uniform", "hierarchical"):
+        tables = [
+            (out[fmt] / "cells" / f"cov0.3_seed0_{estimator}" / f"estimates.{fmt}").read_text()
+            for fmt in ("csv", "tsv")
+        ]
+        assert tables[0].replace(",", "\t") == tables[1]
+
+
+def test_experiment_refuses_a_config_with_coverages(runner, tmp_path):
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "coverages": [0.3], "seeds": [0], "scenario": {"rows": 4, "cols": 4},
+    }))
+    out = tmp_path / "run"
+    result = invoke(runner, [
+        "--output-dir", str(out), "experiment", "--config", str(config_path), "--coverage", "0.5",
+    ])
+    assert result.exit_code == 2, result.output
+    assert "give at most one of --config or --coverage" in result.output
+    assert not out.exists()
 
 
 def test_experiment_refuses_a_config_that_names_refit_per_bin(runner, tmp_path):

@@ -94,6 +94,22 @@ def test_config_validation():
         )
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        dict(coverages=(0.1, 0.1000001), seeds=(0,)),
+        dict(coverages=(0.1,), seeds=(0, 0)),
+        dict(coverages=(0.1,), seeds=(0,), estimators=("uniform", "uniform")),
+    ],
+    ids=["coverages-that-format-alike", "repeated-seed", "repeated-estimator"],
+)
+def test_two_cells_may_not_share_a_name(grid):
+    # the second cell's files would overwrite the first's
+    with pytest.raises(ValidationError) as err:
+        ExperimentConfig(scenario=SMALL_SCENARIO, **{"estimators": ("uniform",), **grid})
+    assert str(err.value) == "cell names must be unique, repeated: cov0.1_seed0_uniform"
+
+
 def test_config_json_round_trip(tmp_path):
     config = small_config(
         variogram=VariogramSettings(
@@ -510,15 +526,17 @@ def test_field_tables_quote_link_ids_as_the_per_cell_writer(fmt, tmp_path):
         link.id: f'{link.id},\t"{i}"' + ("\nend" if i % 3 == 0 else "")
         for i, link in enumerate(data.network.links)
     }
-    paths = [tmp_path / name for name in ("network.csv", "sites.csv", "readings.csv")]
+    # the inputs are read in the format of the outputs
+    delimiter = delimiter_for(fmt)
+    paths = [tmp_path / f"{name}.{fmt}" for name in ("network", "sites", "readings")]
     reference_write_table(paths[0], NETWORK_COLUMNS, [
         (quoted[l.id], l.from_node, l.to_node, l.length_km, l.hierarchy)
         for l in data.network.links
-    ])
+    ], delimiter)
     reference_write_table(paths[1], SITE_COLUMNS, [
         (s.detector_id, quoted[s.link_id], s.offset_fraction) for s in data.sites
-    ])
-    write_readings(paths[2], data.readings)
+    ], delimiter)
+    write_readings(paths[2], data.readings, delimiter)
     config = ExperimentConfig(
         coverages=(0.6,), seeds=(0,), estimators=("variogram",),
         network_path=str(paths[0]), sites_path=str(paths[1]), readings_path=str(paths[2]),
@@ -535,9 +553,7 @@ def test_field_tables_quote_link_ids_as_the_per_cell_writer(fmt, tmp_path):
         )
     ]
     assert set(quoted.values()) == set(result.network.link_ids)
-    reference = reference_write_table(
-        tmp_path / f"reference.{fmt}", FIELD_HEADER, rows, delimiter_for(fmt)
-    )
+    reference = reference_write_table(tmp_path / f"reference.{fmt}", FIELD_HEADER, rows, delimiter)
     written = tmp_path / "out" / "cells" / cell.name / f"field.{fmt}"
     assert written.read_bytes() == reference.read_bytes()
 

@@ -24,6 +24,7 @@ from sparsemfd.errors import (
     InsufficientDataError,
     InsufficientNeighborsError,
     NotEstimableError,
+    NumericError,
     SingularSystemError,
     ValidationError,
 )
@@ -41,7 +42,6 @@ from sparsemfd.kriging import (
     solve_kriging,
 )
 from sparsemfd.experiment import (
-    BinOutcome,
     ExperimentConfig,
     VariogramSettings,
     estimate_bins,
@@ -60,12 +60,17 @@ from sparsemfd.network import (
 )
 from sparsemfd.scaling import (
     HierarchyPartition,
-    ScaledEstimate,
     UniformPartition,
     hierarchical_estimate,
     uniform_estimate,
 )
-from sparsemfd.sensing import LinkObservation, reading_columns, sample_coverage, write_readings
+from sparsemfd.sensing import (
+    LinkObservation,
+    load_readings,
+    reading_columns,
+    sample_coverage,
+    write_readings,
+)
 from sparsemfd.synth import (
     DEFAULT_VARIOGRAM,
     SyntheticScenario,
@@ -867,34 +872,31 @@ def test_per_bin_refits_call_fit_variogram_once_per_row_wherever_it_is_bound(mon
     assert all(len(ranges) == len(variogram.MODEL_KINDS) for _, ranges in calls)
 
 
-def _outcomes_until_error(outcomes):
-    """The ``(bin, variable, value bits, field bytes)`` of each outcome, and
-    the error that ended them."""
-    seen = []
-    with pytest.raises(SingularSystemError) as err:
-        for outcome in outcomes:
-            seen.append((
-                outcome.bin_index, outcome.variable, _bits([outcome.estimate.value]),
-                outcome.field.values.tobytes(),
-            ))
-    return seen, err.value
-
-
 def _per_bin_outcomes(grid, network, sites, model, bins):
-    """``estimate_bins`` as one ``impute_observed`` call per (bin, variable)."""
+    """``estimate_bins`` as one ``impute_observed`` call per (bin, variable),
+    in the form of ``_refit_outcomes``; a singular system fails its row."""
     distances = ImputationDistances.build(network, sites)
     for b in bins:
         row = grid.row(b)
         for variable in ("flow", "density"):
-            field = impute_observed(
-                b, grid.values(variable)[row], grid.observed[row], distances, model=model,
-                variable=variable,
-            )
+            try:
+                field = impute_observed(
+                    b, grid.values(variable)[row], grid.observed[row], distances, model=model,
+                    variable=variable,
+                )
+            except SingularSystemError as exc:
+                yield b, variable, f"bin {b} ({variable}): {exc}", None
+                continue
             value, _ = network_mean_from_field(field, network)
-            yield BinOutcome(b, variable, estimate=ScaledEstimate(
-                bin_index=b, variable=variable, value=value, ttd_or_ttt=0.0,
-                method="variogram", hierarchy_count=0,
-            ), field=field)
+            yield b, variable, _bits([value]), field.values.tobytes()
+
+
+def _numeric_failures(outcomes):
+    """The ``(bin, variable)`` of each outcome that failed numerically; every
+    other failure must be a ``NotEstimableError``."""
+    failures = [o for o in outcomes if o.failure is not None]
+    assert all(isinstance(o.failure, (NotEstimableError, NumericError)) for o in failures)
+    return [(o.bin_index, o.variable) for o in failures if isinstance(o.failure, NumericError)]
 
 
 def test_shared_weights_report_the_same_singular_link(tmp_path):
@@ -911,21 +913,23 @@ def test_shared_weights_report_the_same_singular_link(tmp_path):
         for i, l in enumerate(equipped)
     )
     grid = reading_columns(readings, sites, net.link_ids).observe()
-    with pytest.raises(SingularSystemError) as err:
-        list(estimate_bins(
-            "variogram", grid, (0, 1), ("flow", "density"), net, sites=sites,
-            settings=VariogramSettings(fixed_model=model),
-        ))
+    outcomes = estimate_bins(
+        "variogram", grid, (0, 1), ("flow", "density"), net, sites=sites,
+        settings=VariogramSettings(fixed_model=model),
+    )
     obs = tuple(LinkObservation(l.id, 0, float(i), 1.0) for i, l in enumerate(equipped))
     with pytest.raises(SingularSystemError) as reference:
         reference_impute(net, obs, sites, model)
-    assert str(err.value) == str(reference.value)
-    assert err.value.condition == reference.value.condition
+    # the one model's error fails every row, each as a numeric failure
+    assert _numeric_failures(outcomes) == [(b, v) for b in (0, 1) for v in ("flow", "density")]
+    assert [str(o.failure) for o in outcomes] == [
+        f"bin {b} ({v}): {reference.value}" for b in (0, 1) for v in ("flow", "density")
+    ]
 
     # two observed-link sets, the second one singular: every link reports
     # in bins 0 and 2, so nothing is kriged there, and bins 1 and 3 observe
-    # the equipped links above; bin 0's group is kriged and yielded before
-    # bin 1's group fails
+    # the equipped links above; bins 0 and 2 are estimated, bins 1 and 3
+    # fail, as row by row
     readings = make_readings(
         ("@" + l.id, b, float(i + b), 1.0 + b)
         for b in range(4)
@@ -934,20 +938,21 @@ def test_shared_weights_report_the_same_singular_link(tmp_path):
     )
     grid = reading_columns(readings, sites, net.link_ids).observe()
     bins = (0, 1, 2, 3)
-    stacked, err = _outcomes_until_error(estimate_bins(
+    outcomes = estimate_bins(
         "variogram", grid, bins, ("flow", "density"), net, sites=sites,
         settings=VariogramSettings(fixed_model=model),
-    ))
-    per_bin, per_bin_err = _outcomes_until_error(
-        _per_bin_outcomes(grid, net, sites, model, bins)
     )
-    assert [(b, v) for b, v, *_ in stacked] == [(0, "flow"), (0, "density")]
+    stacked = list(_refit_outcomes(outcomes))
+    per_bin = list(_per_bin_outcomes(grid, net, sites, model, bins))
     assert stacked == per_bin
-    for error in (err, per_bin_err):
-        assert str(error) == str(reference.value)
-        assert error.condition == reference.value.condition
+    failed = [(b, v) for b in (1, 3) for v in ("flow", "density")]
+    assert _numeric_failures(outcomes) == failed
+    assert [text for b, v, text, _ in stacked if (b, v) in failed] == [
+        f"bin {b} ({v}): {reference.value}" for b, v in failed
+    ]
 
-    # an experiment cell keeps those estimates and the error's message
+    # an experiment cell keeps the estimates of bins 0 and 2 and the first
+    # numeric failure's message
     paths = {name: str(tmp_path / f"{name}.csv") for name in ("network", "sites", "readings")}
     write_table(paths["network"], NETWORK_COLUMNS,
                 [(l.id, l.from_node, l.to_node, l.length_km, l.hierarchy) for l in net.links])
@@ -960,16 +965,17 @@ def test_shared_weights_report_the_same_singular_link(tmp_path):
         readings_path=paths["readings"], variogram=VariogramSettings(fixed_model=model),
     )).cells
     assert cell.status == "failed"
-    assert cell.message == str(reference.value)
+    assert cell.message == f"bin 1 (flow): {reference.value}"
+    assert cell.failed_bins == [1, 3]
     assert [(e.bin_index, e.variable, _bits([e.value])) for e in cell.estimates] == [
-        (b, v, value) for b, v, value, _ in per_bin
+        (b, v, value) for b, v, value, _ in per_bin if (b, v) not in failed
     ]
 
 
 def _per_row_refit_outcomes(grid, network, sites, bins, settings):
     """``estimate_bins`` refits as one ``impute_observed`` call per (bin,
     variable): ``(bin, variable, value bits or failure text, field bytes)``
-    tuples until an error that is not a ``NotEstimableError``."""
+    tuples, a failure for each row whose fit, solve or mean raises."""
     distances = ImputationDistances.build(network, sites)
     for b in bins:
         row = grid.row(b)
@@ -982,7 +988,7 @@ def _per_row_refit_outcomes(grid, network, sites, bins, settings):
                     min_pairs=settings.min_pairs,
                 )
                 value, _ = network_mean_from_field(field, network, settings.min_length_coverage)
-            except NotEstimableError as exc:
+            except (NotEstimableError, NumericError) as exc:
                 yield (b, variable, f"bin {b} ({variable}): {exc}",
                        None if field is None else field.values.tobytes())
                 continue
@@ -1056,26 +1062,28 @@ def test_refit_group_errors_surface_at_their_own_rows(monkeypatch):
         return VariogramModel(kind="exponential", nugget=0.0, sill=1.0, range_km=1e-10)
 
     monkeypatch.setattr(kriging, "fit_variogram", scripted_fit)
-    stacked = []
-    with pytest.raises(SingularSystemError) as err:
-        stacked.extend(_refit_outcomes(estimate_bins(
-            "variogram", grid, (0, 1, 2), ("flow", "density"), net, sites=sites,
-            settings=settings,
-        )))
+    outcomes = estimate_bins(
+        "variogram", grid, (0, 1, 2), ("flow", "density"), net, sites=sites,
+        settings=settings,
+    )
+    stacked = list(_refit_outcomes(outcomes))
     # the one call fits every row of the three bins
     assert len(fits) == 6
     fits.clear()
-    per_row = []
-    with pytest.raises(SingularSystemError) as per_row_err:
-        per_row.extend(_per_row_refit_outcomes(grid, net, sites, (0, 1, 2), settings))
-    assert len(fits) == 3
-    assert [(b, v) for b, v, *_ in stacked] == [(0, "flow"), (0, "density")]
+    per_row = list(_per_row_refit_outcomes(grid, net, sites, (0, 1, 2), settings))
+    assert len(fits) == 6
     assert stacked == per_row
+    # (0, density) is not estimable and (1, flow) fails numerically, alone
+    assert [(b, v) for b, v, text, _ in stacked if isinstance(text, str)] == [
+        (0, "density"), (1, "flow")
+    ]
+    assert _numeric_failures(outcomes) == [(1, "flow")]
     assert stacked[1][2] == (
         "bin 0 (density): variogram fitting needs at least 3 bins with 1000000+ pairs, got 0"
     )
-    assert str(err.value) == str(per_row_err.value)
-    assert err.value.condition == per_row_err.value.condition
+    assert re.fullmatch(
+        r"bin 1 \(flow\): kriging system is singular \(condition number \S+\)", stacked[2][2]
+    )
 
     # no singular model: the fit that raises sits mid-stack, and the five
     # rows around it, before and after, complete
@@ -1093,17 +1101,15 @@ def test_refit_group_errors_surface_at_their_own_rows(monkeypatch):
     assert sum(field is not None for *_, field in stacked) == 5
 
 
-def test_stacked_bins_raise_an_unknown_variable_at_its_own_turn():
+def test_stacked_bins_reject_an_unknown_variable_before_any_estimate(monkeypatch):
     net, sites, grid = _shared_weights_scenario(0)
-    outcomes = estimate_bins(
-        "variogram", grid, SHARED_BINS, ("flow", "speed"), net, sites=sites,
-        settings=VariogramSettings(fixed_model=SHARED_MODEL),
-    )
-    first = next(outcomes)
-    assert (first.bin_index, first.variable) == (0, "flow")
-    assert first.field is not None
+    passes = _count_set_passes(monkeypatch)
     with pytest.raises(ValueError, match="speed"):
-        next(outcomes)
+        estimate_bins(
+            "variogram", grid, SHARED_BINS, ("flow", "speed"), net, sites=sites,
+            settings=VariogramSettings(fixed_model=SHARED_MODEL),
+        )
+    assert passes == []
 
 
 # bins 0 and 2 observe one set of links, bins 1 and 3 another, and bin 9
@@ -1239,8 +1245,7 @@ def test_failed_rows_keep_no_reference_cycle_to_the_distances(settings, starved)
     # go of them, as run_experiment does before it writes its outputs
     singular = settings is None
     if singular:
-        # a fixed model's singular systems: the error of its whole set
-        # propagates out of estimate_bins
+        # a fixed model's singular systems fail every row numerically
         net, sites, grid, model = _singular_corridors()
         settings, bins = VariogramSettings(fixed_model=model), (0, 1)
     else:
@@ -1252,23 +1257,22 @@ def test_failed_rows_keep_no_reference_cycle_to_the_distances(settings, starved)
         grid.observed[row, np.flatnonzero(grid.observed[row])[4:]] = False
     distances = ImputationDistances.build(net, sites)
     alive = weakref.ref(distances)
-    outcomes, error = [], None
     gc.disable()
     try:
-        try:
-            outcomes = list(estimate_bins(
-                "variogram", grid, bins, ("flow", "density"), net,
-                distances=distances, settings=settings,
-            ))
-        except SingularSystemError as exc:
-            error = str(exc)
+        outcomes = estimate_bins(
+            "variogram", grid, bins, ("flow", "density"), net,
+            distances=distances, settings=settings,
+        )
         del distances
         assert alive() is None
     finally:
         gc.enable()
     if singular:
-        assert outcomes == []
-        assert error == "kriging system is singular (condition number inf)"
+        assert _numeric_failures(outcomes) == [(b, v) for b in bins for v in ("flow", "density")]
+        assert [str(o.failure) for o in outcomes] == [
+            f"bin {b} ({v}): kriging system is singular (condition number inf)"
+            for b in bins for v in ("flow", "density")
+        ]
         return
     # with every field short of full length, every row fails
     assert len(outcomes) == 2 * len(SHARED_BINS)
@@ -1289,20 +1293,27 @@ def test_a_singular_fitted_model_applies_none_of_its_weights():
         if i % 2 == 0
     )
     grid = reading_columns(readings, sites, net.link_ids).observe()
+    settings = VariogramSettings(lag_bins=4, min_pairs=1)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(SingularSystemError) as err:
-            list(estimate_bins(
-                "variogram", grid, (0, 1), ("flow", "density"), net, sites=sites,
-                settings=VariogramSettings(lag_bins=4, min_pairs=1),
-            ))
-    assert str(err.value) == "kriging system is singular (condition number inf)"
+        outcomes = estimate_bins(
+            "variogram", grid, (0, 1), ("flow", "density"), net, sites=sites,
+            settings=settings,
+        )
+        per_row = list(_per_row_refit_outcomes(grid, net, sites, (0, 1), settings))
+    assert list(_refit_outcomes(outcomes)) == per_row
+    # bin 1's flow system is singular; it fails alone
+    assert _numeric_failures(outcomes) == [(1, "flow")]
+    assert str(outcomes[2].failure) == (
+        "bin 1 (flow): kriging system is singular (condition number inf)"
+    )
+    assert outcomes[2].field is None
 
 
 def test_a_fit_whose_sill_underflows_fails_its_experiment_cell(tmp_path):
     # flows of 0 or 3.2e-162 give subnormal semivariances: the first fit's
     # sill underflows to zero, a numeric failure of the cell, not a
-    # validation error of the whole grid
+    # validation error of the whole grid; the densities are still estimated
     rng = np.random.default_rng(0)
     net = Network([Link(f"a{i}", f"a{i}", f"a{i + 1}", 0.5, 1) for i in range(20)])
     sites = midpoint_sites(net)
@@ -1318,15 +1329,25 @@ def test_a_fit_whose_sill_underflows_fails_its_experiment_cell(tmp_path):
     write_table(paths["sites"], ("detector_id", "link_id", "offset_fraction"),
                 [(s.detector_id, s.link_id, s.offset_fraction) for s in sites])
     write_readings(paths["readings"], readings)
+    settings = VariogramSettings(lag_bins=4, min_pairs=1)
     (cell,) = run_experiment(ExperimentConfig(
         coverages=(1.0,), seeds=(0,), estimators=("variogram",),
         network_path=paths["network"], sites_path=paths["sites"],
-        readings_path=paths["readings"], variogram=VariogramSettings(lag_bins=4, min_pairs=1),
+        readings_path=paths["readings"], variogram=settings,
     )).cells
     assert cell.status == "failed"
-    assert re.match(r"the \w+ fit's sill underflows to 0\.0 at a semivariance scale of ",
-                    cell.message)
-    assert cell.estimates == []
+    assert re.match(
+        r"bin 0 \(flow\): the \w+ fit's sill underflows to 0\.0 at a semivariance scale of ",
+        cell.message,
+    )
+    assert cell.failed_bins == [0, 1]
+    # the cell's readings, as the table keeps them
+    grid = reading_columns(load_readings(paths["readings"]), sites, net.link_ids).observe()
+    per_row = list(_per_row_refit_outcomes(grid, net, sites, (0, 1), settings))
+    assert [(e.bin_index, e.variable, _bits([e.value])) for e in cell.estimates] == [
+        (b, v, value) for b, v, value, _ in per_row if not isinstance(value, str)
+    ]
+    assert [e.variable for e in cell.estimates] == ["density", "density"]
 
 
 # --- weights applied to stacks of value rows ----------------------------------

@@ -146,13 +146,12 @@ def test_estimators_reject_a_duration_that_is_not_positive_and_finite(duration_h
     network, sites, readings = make_reading_scenario(0)
     grid = reading_columns(readings, sites, network.link_ids).observe()
     for estimator in ESTIMATOR_NAMES:
-        outcomes = estimate_bins(estimator, grid, grid.observed_bins, VARIABLES, network,
-                                 sites=sites, duration_h=duration_h)
         with pytest.raises(ValidationError) as err:
-            next(outcomes)
+            estimate_bins(estimator, grid, grid.observed_bins, VARIABLES, network,
+                          sites=sites, duration_h=duration_h)
         assert str(err.value) == message
-        first = next(estimate_bins(estimator, grid, grid.observed_bins, VARIABLES, network,
-                                   sites=sites))
+        first = estimate_bins(estimator, grid, grid.observed_bins, VARIABLES, network,
+                              sites=sites)[0]
         assert first.failure is None
 
 
