@@ -15,6 +15,7 @@ from types import SimpleNamespace
 
 import click
 import numpy as np
+from click.core import ParameterSource
 
 from .errors import (
     EstimationError,
@@ -40,7 +41,7 @@ from .experiment import (
 )
 from .kriging import failed_length_fraction, known_sites
 from .metrics import compute_metrics, paired_t_test
-from .mfd import build_mfd, fit_quadratic_with_ci
+from .mfd import BAND_SAMPLES, build_mfd, check_band_samples, fit_quadratic_with_ci
 from .network import (
     NETWORK_COLUMNS,
     SITE_COLUMNS,
@@ -453,14 +454,12 @@ def _read_estimates(path, delimiter, method=None):
 @main.command()
 @click.argument("estimates_file", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", help="Restrict to one method when the table mixes several.")
-@click.option("--band-samples", type=int, default=50, show_default=True)
+@click.option("--band-samples", type=int, default=BAND_SAMPLES, show_default=True)
 @click.pass_obj
 @guarded
 def mfd(obj, estimates_file, method, band_samples):
     """Build MFD points from an estimates table and fit a parabola."""
-    # the band rule of an experiment config
-    if band_samples < 2:
-        raise ValidationError(f"--band-samples must be at least 2, got {band_samples}")
+    check_band_samples(band_samples, "--band-samples")
     flow, density = _read_estimates(estimates_file, obj.delim, method)
     points = build_mfd(flow, density)
     points_path = write_table(
@@ -598,9 +597,14 @@ def synth(obj, scenario_file):
 @guarded
 def experiment(obj, config_file, coverages):
     """Run a coverage-seed-estimator grid and write every table."""
-    if config_file and coverages:
-        raise click.UsageError("give at most one of --config or --coverage")
     if config_file:
+        root = click.get_current_context().find_root()
+        given = ["--coverage"] * bool(coverages) + [
+            flag for flag, name in (("--seed", "seed"), ("--bins", "n_bins"))
+            if root.get_parameter_source(name) is not ParameterSource.DEFAULT
+        ]
+        if given:
+            raise click.UsageError(f"give at most one of --config or {given[0]}")
         config = load_experiment_config(config_file)
     else:
         config = ExperimentConfig(

@@ -40,7 +40,7 @@ from .kriging import (  # noqa: F401
     network_mean_from_field,
 )
 from .metrics import PairedTTestResult, compute_metrics, paired_t_test
-from .mfd import build_mfd, fit_quadratic_with_ci
+from .mfd import BAND_SAMPLES, build_mfd, check_band_samples, fit_quadratic_with_ci
 from .network import load_detector_sites, load_network
 from .scaling import (
     UNIFORM_MODES,
@@ -312,7 +312,7 @@ class ExperimentConfig:
     readings_path: str | None = None
     uniform_mode: str = "exact"
     variogram: VariogramSettings = VariogramSettings()
-    band_samples: int = 50
+    band_samples: int = BAND_SAMPLES
 
     def __post_init__(self):
         object.__setattr__(self, "coverages", tuple(self.coverages))
@@ -347,8 +347,7 @@ class ExperimentConfig:
             )
         if self.uniform_mode not in UNIFORM_MODES:
             raise ValidationError(f"unknown uniform mode '{self.uniform_mode}'")
-        if self.band_samples < 2:
-            raise ValidationError("band_samples must be at least 2")
+        check_band_samples(self.band_samples)
         cells = product(self.coverages, self.seeds, self.estimators)
         shared = sorted(n for n, k in Counter(CellResult(*c).name for c in cells).items() if k > 1)
         if shared:

@@ -90,9 +90,9 @@ def solve_kriging(
         Identifiers reported for the selected neighbors; defaults to indices.
     max_neighbors, min_neighbors : int
         At most ``max_neighbors`` nearest sites within the model range are
-        used; fewer than ``min_neighbors`` in range is an error. Coincident
-        neighbors are merged (value-averaged) before assembly so duplicate
-        sites cannot make the system singular.
+        used; fewer than ``min_neighbors`` in range is an error. Both count
+        distinct locations: coincident sites are merged (value-averaged)
+        first, so duplicate sites cannot make the system singular.
     """
     values = np.asarray(values, dtype=float)
     target = np.asarray(target_dists, dtype=float)
@@ -108,6 +108,9 @@ def solve_kriging(
         ids = tuple(ids)
         if len(ids) != n:
             raise ValidationError(f"{len(ids)} ids for {n} values")
+    firsts, values = _merge_coincident(pairs, values)
+    if firsts is not None:
+        target, pairs, ids = target[firsts], pairs[np.ix_(firsts, firsts)], [ids[i] for i in firsts]
     batches = []
     found, failures = _kriging_weights(
         (model,), target[:, None], pairs, max_neighbors, min_neighbors, batches.append
@@ -116,14 +119,14 @@ def solve_kriging(
         raise failures[0]
     if not batches:
         raise InsufficientNeighborsError(found=int(found[0, 0]), required=min_neighbors)
-    rows, _, kept, groups, solutions, rhs = batches[0]
+    _, _, kept, solutions, rhs = batches[0]
     m = kept.shape[1]
     weights = solutions[0, :m]
     lagrange = float(solutions[0, m])
     return KrigingSolution(
         weights=weights,
         lagrange=lagrange,
-        prediction=float(weights @ _merged_values(values[None], rows[:, None], kept, groups)[0, 0]),
+        prediction=float(weights @ values[kept[0]]),
         neighbor_ids=tuple(ids[i] for i in kept[0]),
         variance=max(float(weights @ rhs[0, :m] + lagrange), 0.0),
     )
@@ -133,7 +136,8 @@ def _kriging_weights(models, target, pairs, max_neighbors, min_neighbors, consum
     """Solve the kriging systems of many targets for one or more models.
 
     ``target`` holds the distances from the ``n`` known sites to ``k``
-    targets, one column each. For every model, a column keeps its nearest
+    targets, one column each; the sites are distinct locations
+    (``_merge_coincident``). For every model, a column keeps its nearest
     in-range sites (ties by site order, at most ``max_neighbors``); a column
     with fewer than ``min_neighbors`` in range is left out for that model.
     The sites are sorted once for all models: a column's in-range sites are
@@ -141,22 +145,18 @@ def _kriging_weights(models, target, pairs, max_neighbors, min_neighbors, consum
     model's range or at a non-finite distance last, so each model only
     counts how long its prefix is. Each column's neighbour block is gathered
     once, too. No site value enters, so the weights serve every bin and
-    variable observed at the same sites; ``_merged_values`` supplies the
+    variable observed at the same sites; ``_neighbour_values`` supplies the
     values they apply to.
 
-    The systems of one neighbour count are solved for every model together:
-    columns whose neighbours are pairwise apart in stacked
-    ``np.linalg.solve`` calls of at most ``_SOLVE_CHUNK_BYTES`` of systems, a
-    column with coincident neighbours merged first and solved for all its
-    models in one call. Each solved batch goes to ``consume`` as soon as it
-    is solved, as a ``(rows, columns, kept, groups, solutions, rhs)``
-    tuple: weight vector ``e`` belongs to model ``rows[e]`` (0 for every
-    vector when there is one model) and column ``columns[e]``; ``kept``
-    holds its neighbour site indices, ``groups`` is None or, for a merged
-    column, the site indices averaged into each kept site, ``solutions``
-    the weights followed by the Lagrange multiplier and ``rhs`` the
-    right-hand side. Which value rows a model's weights serve is the
-    caller's to say (``_apply_weights``).
+    The systems of one neighbour count are solved for every model together,
+    in stacked ``np.linalg.solve`` calls of at most ``_SOLVE_CHUNK_BYTES``
+    of systems. Each solved batch goes to ``consume`` as soon as it is
+    solved, as a ``(rows, columns, kept, solutions, rhs)`` tuple: weight
+    vector ``e`` belongs to model ``rows[e]`` (0 for every vector when there
+    is one model) and column ``columns[e]``; ``kept`` holds its neighbour
+    site indices, ``solutions`` the weights followed by the Lagrange
+    multiplier and ``rhs`` the right-hand side. Which value rows a model's
+    weights serve is the caller's to say (``_apply_weights``).
 
     Returns ``(found, failures)``: the in-range site count of every
     (model, column), counted among the ``max_neighbors`` nearest sites, and
@@ -179,52 +179,32 @@ def _kriging_weights(models, target, pairs, max_neighbors, min_neighbors, consum
     del keys
     found = np.array([np.count_nonzero(nearest <= model.range_km, axis=0) for model in models])
     counts = np.where(found >= min_neighbors, found, 0)
-
-    # every column's neighbour block, gathered once; its first m sites hold
-    # a coincident pair once m passes the first site that coincides with an
-    # earlier one
+    # every column's neighbour block, gathered once
     blocks = pairs[order.T[:, :, None], order.T[:, None, :]]
-    close = blocks <= _ZERO_DISTANCE
-    close = np.tril(close | close.transpose(0, 2, 1), -1).any(axis=2)
-    clash = np.argmax(np.column_stack([close, np.ones(len(close), dtype=bool)]), axis=1)
 
     failures = {}
-
-    def solved(rows, columns, kept, groups, dists, target_dists):
-        systems, rhs, solutions, bad = _solve_batch(models, rows, dists, target_dists)
-        for row in np.flatnonzero(bad):
-            model, column = int(rows[row]), int(columns[row])
-            if model not in failures or column < failures[model][0]:
-                failures[model] = (column, systems[row].copy())
-        # freed before the batch is applied, which lowers the peak
-        del systems, dists, target_dists
-        if bad.any():
-            # only finite weights are applied; a failed model's are not used
-            rows, columns, kept, solutions, rhs = (
-                a[~bad] for a in (rows, columns, kept, solutions, rhs)
-            )
-        consume((rows, columns, kept, groups, solutions, rhs))
-
     for m in np.unique(counts[counts > 0]):
         # by model, then column: each model's rows are one run
-        rows, columns = np.nonzero(counts == m)
-        apart = clash[columns] >= m
+        all_rows, all_columns = np.nonzero(counts == m)
         chunk = max(1, _SOLVE_CHUNK_BYTES // (8 * (m + 1) ** 2))
-        apart_rows, apart_columns = rows[apart], columns[apart]
-        for start in range(0, apart_rows.size, chunk):
-            c = apart_columns[start:start + chunk]
-            kept = order[:m, c].T
-            solved(apart_rows[start:start + chunk], c, kept, None, blocks[c, :m, :m],
-                   target[kept, c[:, None]])
-        for column in np.unique(columns[~apart]):
-            r = rows[~apart & (columns == column)]
-            groups = _coincident_groups(pairs, order[:m, column])
-            merged_kept = np.array([group[0] for group in groups])
-            solved(
-                r, np.full(r.size, column), np.tile(merged_kept, (r.size, 1)), groups,
-                np.tile(pairs[np.ix_(merged_kept, merged_kept)], (r.size, 1, 1)),
-                np.tile(target[merged_kept, column], (r.size, 1)),
+        for start in range(0, all_rows.size, chunk):
+            rows, columns = all_rows[start:start + chunk], all_columns[start:start + chunk]
+            kept = order[:m, columns].T
+            systems, rhs, solutions, bad = _solve_batch(
+                models, rows, blocks[columns, :m, :m], target[kept, columns[:, None]]
             )
+            for row in np.flatnonzero(bad):
+                model, column = int(rows[row]), int(columns[row])
+                if model not in failures or column < failures[model][0]:
+                    failures[model] = (column, systems[row].copy())
+            # freed before the batch is applied, which lowers the peak
+            del systems
+            if bad.any():
+                # only finite weights are applied; a failed model's are not used
+                rows, columns, kept, solutions, rhs = (
+                    a[~bad] for a in (rows, columns, kept, solutions, rhs)
+                )
+            consume((rows, columns, kept, solutions, rhs))
     return found, {
         model: SingularSystemError(condition=float(np.linalg.cond(system)))
         for model, (_, system) in failures.items()
@@ -266,49 +246,46 @@ def _solve_batch(models, rows, block_dists, target_dists):
     return systems, rhs, solutions, bad
 
 
-def _coincident_groups(pairs, selected):
-    """Group neighbours at (numerically) zero distance from a group's first site.
+def _merge_coincident(pairs, values):
+    """Merge the known sites at (numerically) zero distance into one location.
 
-    Sites are taken in ``selected`` order; each joins the first group whose
-    first site coincides with it, or starts a new group.
+    Sites are taken in order; each joins the first group whose first site
+    coincides with it, or starts a new group. A group is represented by its
+    first site, whose values (the last axis of ``values``) become the
+    running mean of the group's, in site order. Returns the first sites and
+    their values, or ``(None, values)`` when no two sites coincide.
     """
-    groups = []
-    for index in selected:
-        for group in groups:
-            if pairs[index, group[0]] <= _ZERO_DISTANCE:
-                group.append(int(index))
-                break
-        else:
-            groups.append([int(index)])
-    return groups
+    close = np.tril(pairs <= _ZERO_DISTANCE, -1)
+    if not close.any():
+        return None, values
+    groups = {}
+    for index in range(len(pairs)):
+        first = next((j for j in np.flatnonzero(close[index]) if j in groups), index)
+        groups.setdefault(int(first), []).append(index)
+    firsts = np.array(list(groups))
+    means = values[..., firsts]
+    for k, (_, *rest) in enumerate(groups.values()):
+        for count, index in enumerate(rest, start=2):
+            means[..., k] += (values[..., index] - means[..., k]) / count
+    return firsts, means
 
 
-def _merged_values(values, served_rows, kept, groups):
+def _neighbour_values(values, served_rows, kept):
     """One batch's neighbour values for the value rows its weight vectors serve.
 
     ``values`` is (R, n_known), ``kept`` (g, m) the neighbour sites of the
     batch's g weight vectors and ``served_rows`` (g, s) the value rows each
     of them serves, distinct and ascending. The result is a C-contiguous
     (g, s, m) array: entry ``[e, j]`` holds row ``served_rows[e, j]``'s
-    values at ``kept[e]``. Without ``groups`` these are the kept sites'
-    values; a merged column takes the running mean of each group, in group
-    order.
+    values at ``kept[e]``.
     """
-    if groups is None and served_rows.shape[1] == values.shape[0]:
+    if served_rows.shape[1] == values.shape[0]:
         # every vector serves every row, in order (a given model): one
         # gather, laid out as (vectors, rows, neighbours)
         return np.ascontiguousarray(values[:, kept].transpose(1, 0, 2))
-    if groups is None:
-        # one flat take, faster than indexing with two arrays; its result is
-        # C-contiguous, without which the dot below would add in another order
-        return np.take(values, served_rows[:, :, None] * values.shape[1] + kept[:, None, :])
-    means = np.empty((*served_rows.shape, kept.shape[1]))
-    for k, (first, *rest) in enumerate(groups):
-        mean = values[served_rows, first]
-        for count, index in enumerate(rest, start=2):
-            mean += (values[served_rows, index] - mean) / count
-        means[..., k] = mean
-    return means
+    # one flat take, faster than indexing with two arrays; its result is
+    # C-contiguous, without which the dot below would add in another order
+    return np.take(values, served_rows[:, :, None] * values.shape[1] + kept[:, None, :])
 
 
 def _apply_weights(batch, known_values, served, targets, field_values, imputed):
@@ -323,13 +300,13 @@ def _apply_weights(batch, known_values, served, targets, field_values, imputed):
     both contiguous, so it keeps the bits of a one-target
     ``weights @ values``.
     """
-    rows, columns, kept, groups, solutions, _ = batch
+    rows, columns, kept, solutions, _ = batch
     m = kept.shape[1]
     cells = targets[columns]
     served_rows = served[rows]
-    merged = _merged_values(known_values, served_rows, kept, groups)
+    neighbours = _neighbour_values(known_values, served_rows, kept)
     field_values[served_rows, cells[:, None]] = np.matmul(
-        merged[..., None, :], solutions[:, None, :m, None]
+        neighbours[..., None, :], solutions[:, None, :m, None]
     )[..., 0, 0]
     imputed[rows, cells] = True
 
@@ -465,13 +442,15 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
     Each model serves a set of rows, written down once in ``served``: a
     given ``model`` serves every row; with ``model=None`` each row gets its
     own variogram, one ``fit_variogram`` call per row in row order, and
-    serves that row alone. The weights of all models are solved in one
-    ``_kriging_weights`` call, and each batch is applied to the rows its
-    models serve as soon as it is solved (``_apply_weights``). A row whose
-    fit raises, or whose model meets a singular system, fails: its entry in
-    the returned list is that ``EstimationError`` instead of a field, the
-    failure of that row alone. An error that concerns every row
-    alike (no known site, no lag bins) is raised.
+    serves that row alone. The fits see every known site, the solve sees
+    coincident sites merged (``_merge_coincident``). The weights of all
+    models are solved in one ``_kriging_weights`` call, and each batch is
+    applied to the rows its models serve as soon as it is solved
+    (``_apply_weights``). A row whose fit raises, or whose model meets a
+    singular system, fails: its entry in the returned list is that
+    ``EstimationError`` instead of a field, the failure of that row alone.
+    An error that concerns every row alike (no known site, no lag bins) is
+    raised.
     """
     labels = tuple(labels)
     if len(labels) != values.shape[0]:
@@ -487,6 +466,9 @@ def impute_rows(labels, values, observed, distances, model=None, kinds=MODEL_KIN
         fits = [model] * len(labels)
         served = np.arange(len(labels))[None]
         models = [model]
+    firsts, known_values = _merge_coincident(known_pairs, known_values)
+    if firsts is not None:
+        known, known_pairs = known[firsts], known_pairs[np.ix_(firsts, firsts)]
 
     field_values = np.where(observed, values, np.nan)
     # a stack built for this call is freed before the solve, which lowers

@@ -14,6 +14,14 @@ import numpy as np
 from .errors import AlignmentError, InsufficientDataError, RankDeficiencyError, ValidationError
 from .metrics import t_critical_value
 
+BAND_SAMPLES = 50  # default points of a fitted parabola's band
+
+
+def check_band_samples(samples, name="band_samples"):
+    """A band needs at least two samples; ``name`` is how the caller calls them."""
+    if samples < 2:
+        raise ValidationError(f"{name} must be at least 2, got {samples}")
+
 
 @dataclass(frozen=True)
 class MFDPoint:

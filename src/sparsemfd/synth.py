@@ -28,6 +28,8 @@ DEFAULT_DIURNAL = (
     0.90, 0.70, 0.55, 0.45, 0.35, 0.30,
 )
 
+EDGE_LENGTHS_KM = (0.65, 0.625, 0.235)  # link length of street classes 1 to 3
+
 # The exponential shape stays positive definite over this grid's network
 # metric; the spherical one does not for ranges past ~1 km.
 DEFAULT_VARIOGRAM = VariogramModel(
@@ -47,7 +49,7 @@ def _band_class(index, count):
     return 3
 
 
-def grid_network(rows, cols, edge_lengths_km=(0.65, 0.625, 0.235)):
+def grid_network(rows, cols, edge_lengths_km=EDGE_LENGTHS_KM):
     """Rectangular grid whose street class depends on the row or column.
 
     Horizontal links take the class of their row, vertical links the class
@@ -91,7 +93,7 @@ class SyntheticScenario:
 
     rows: int = 10
     cols: int = 10
-    edge_lengths_km: tuple = (0.65, 0.625, 0.235)
+    edge_lengths_km: tuple = EDGE_LENGTHS_KM
     mean_flows: tuple = (1000.0, 400.0, 150.0)
     mean_densities: tuple = (45.0, 30.0, 18.0)
     diurnal: tuple = DEFAULT_DIURNAL

@@ -202,16 +202,20 @@ class LagPairs:
         """The empirical variogram of ``values``, one per site.
 
         Each bin's squared differences are added in pair order, so the
-        semivariances are reproducible to the last bit.
+        semivariances are reproducible to the last bit. Finite values whose
+        semivariances overflow raise ``FitConvergenceError``.
         """
         vals = np.asarray(values, dtype=float)
         if vals.shape != (self.sites,):
             raise ValidationError(f"{vals.size} values for {self.sites} sites")
-        sq = (vals[self.first] - vals[self.second]) ** 2
+        with np.errstate(over="ignore"):
+            sq = (vals[self.first] - vals[self.second]) ** 2
         sums = np.bincount(self.bins, weights=sq, minlength=self.pair_counts.size)
         gammas = np.full(self.pair_counts.size, np.nan)
         populated = self.pair_counts > 0
         gammas[populated] = sums[populated] / (2.0 * self.pair_counts[populated])
+        if np.isinf(gammas).any() and np.isfinite(vals).all():
+            raise FitConvergenceError("the squared value differences overflow")
         return EmpiricalVariogram(
             bin_edges=self.bin_edges, gamma_hat=gammas, pair_counts=self.pair_counts
         )

@@ -1040,6 +1040,23 @@ def test_experiment_refuses_a_config_with_coverages(runner, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("given", [["--seed", "7"], ["--bins", "3"], ["--seed", "0"]])
+def test_experiment_refuses_a_config_with_a_global_seed_or_bins(runner, tmp_path, given):
+    # a config sets its own seeds and bins; an explicit --seed or --bins,
+    # even at its default value, would be silently ignored
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "coverages": [0.3], "seeds": [0], "scenario": {"rows": 4, "cols": 4},
+    }))
+    out = tmp_path / "run"
+    result = invoke(runner, [
+        "--output-dir", str(out), *given, "experiment", "--config", str(config_path),
+    ])
+    assert result.exit_code == 2, result.output
+    assert f"give at most one of --config or {given[0]}" in result.output
+    assert not out.exists()
+
+
 def test_experiment_refuses_a_config_that_names_refit_per_bin(runner, tmp_path):
     config_path = tmp_path / "config.json"
     config_path.write_text(json.dumps({

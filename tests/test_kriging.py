@@ -84,7 +84,7 @@ from sparsemfd.variogram import (
     empirical_variogram,
     gamma,
 )
-from conftest import corridor_network, make_readings, traced_peak
+from conftest import corridor_network, make_readings, reading_rows, traced_peak
 
 
 def spherical_gamma(nugget, sill, range_km, h):
@@ -216,6 +216,18 @@ def test_out_of_range_sites_are_not_neighbors():
     assert sol.neighbor_ids == (0, 1, 2)
 
 
+def test_coincident_sites_count_as_one_location():
+    # two sites at one spot and one out of range: a single location is in
+    # range, too few for two neighbours
+    positions = np.array([1.0, 1.0, 30.0])
+    target = np.abs(positions)
+    pair = np.abs(positions[:, None] - positions[None, :])
+    with pytest.raises(InsufficientNeighborsError) as err:
+        solve_kriging(MODEL, [10.0, 30.0, 6.0], target, pair, min_neighbors=2)
+    assert err.value.found == 1
+    assert err.value.required == 2
+
+
 def test_too_few_neighbors_in_range():
     model = VariogramModel(kind="spherical", nugget=0.0, sill=1.0, range_km=1.0)
     positions = [0.5, 5.0, 9.0]
@@ -338,29 +350,42 @@ def test_known_site_ids_narrow_the_detector_set():
         )
 
 
+def reference_merge(pairs, values):
+    """Coincident sites merged one site at a time, in site order.
+
+    Each site joins the first group whose first site lies within 1e-12 of
+    it, or starts a new group; a group keeps the running mean of its
+    values. Returns the first sites, the means and the group sizes.
+    """
+    firsts, means, sizes = [], [], []
+    for index in range(len(pairs)):
+        for pos, first in enumerate(firsts):
+            if pairs[index, first] <= 1e-12:
+                sizes[pos] += 1
+                means[pos] += (values[index] - means[pos]) / sizes[pos]
+                break
+        else:
+            firsts.append(index)
+            means.append(float(values[index]))
+            sizes.append(1)
+    return np.array(firsts), np.array(means), np.array(sizes)
+
+
 def reference_solve(model, values, target, pairs, max_neighbors, min_neighbors):
-    """One target at a time: select, merge coincident sites, assemble, solve.
+    """One target at a time: merge coincident sites, select, assemble, solve.
 
     Returns ``(prediction, neighbor_count, merged)``, or None with too few
-    sites in range; raises ``SingularSystemError`` like the package.
+    distinct locations in range; ``merged`` tells whether a neighbour
+    stands for more than one site. Raises ``SingularSystemError`` like the
+    package.
     """
+    firsts, means, sizes = reference_merge(pairs, values)
+    target = target[firsts]
     in_range = np.flatnonzero(np.isfinite(target) & (target <= model.range_km))
     if in_range.size < min_neighbors:
         return None
     selected = in_range[np.argsort(target[in_range], kind="stable")][:max_neighbors]
-    kept = []
-    merged_values = []
-    merged_counts = []
-    for index in selected:
-        for pos, other in enumerate(kept):
-            if pairs[index, other] <= 1e-12:
-                merged_counts[pos] += 1
-                merged_values[pos] += (values[index] - merged_values[pos]) / merged_counts[pos]
-                break
-        else:
-            kept.append(int(index))
-            merged_values.append(float(values[index]))
-            merged_counts.append(1)
+    kept = firsts[selected]
     m = len(kept)
     system = np.zeros((m + 1, m + 1))
     block = gamma(model, pairs[np.ix_(kept, kept)])
@@ -369,7 +394,7 @@ def reference_solve(model, values, target, pairs, max_neighbors, min_neighbors):
     system[:m, m] = 1.0
     system[m, :m] = 1.0
     rhs = np.ones(m + 1)
-    target_kept = target[kept]
+    target_kept = target[selected]
     rhs[:m] = np.where(target_kept <= 1e-12, 0.0, gamma(model, target_kept))
     try:
         solution = np.linalg.solve(system, rhs)
@@ -377,7 +402,7 @@ def reference_solve(model, values, target, pairs, max_neighbors, min_neighbors):
         raise SingularSystemError(condition=float(np.linalg.cond(system)))
     if not np.all(np.isfinite(solution)):
         raise SingularSystemError(condition=float(np.linalg.cond(system)))
-    return float(solution[:m] @ np.array(merged_values)), selected.size, m < selected.size
+    return float(solution[:m] @ means[selected]), m, bool((sizes[selected] > 1).any())
 
 
 def reference_impute(network, observations, sites, model, max_neighbors=16, min_neighbors=3):
@@ -385,7 +410,7 @@ def reference_impute(network, observations, sites, model, max_neighbors=16, min_
 
     Returns ``(values, provenance, failed_count, cases)``, the first two as
     lists in link order; ``cases`` holds the neighbour count of every solved
-    link and ``"merged"`` when a link merged coincident neighbours.
+    link and ``"merged"`` when a neighbour of a link merged coincident sites.
     """
     observed = {o.link_id: float(o.flow_veh_per_h) for o in observations}
     distances = ImputationDistances.build(network, sites)
@@ -706,6 +731,21 @@ def _count_weight_solves(monkeypatch):
     return calls
 
 
+def _record_merges(monkeypatch):
+    """Record the first sites that each ``_merge_coincident`` call returns,
+    None where no two known sites coincide."""
+    firsts = []
+    merge = kriging._merge_coincident
+
+    def recording(pairs, values):
+        merged = merge(pairs, values)
+        firsts.append(merged[0])
+        return merged
+
+    monkeypatch.setattr(kriging, "_merge_coincident", recording)
+    return firsts
+
+
 @pytest.mark.parametrize(
     "settings",
     [
@@ -719,12 +759,13 @@ def test_shared_weights_match_one_solve_per_bin_and_variable(settings, monkeypat
     for seed in range(3):
         net, sites, grid = _shared_weights_scenario(seed, silent_bin=2)
         calls = _count_weight_solves(monkeypatch)
+        firsts = _record_merges(monkeypatch)
         outcomes = list(estimate_bins(
             "variogram", grid, SHARED_BINS, ("flow", "density"), net, sites=sites,
             settings=settings,
         ))
         monkeypatch.undo()
-        merged |= any(groups is not None for batches in calls for *_, groups, _, _ in batches)
+        merged |= any(f is not None for f in firsts)
         expected = reference_estimate_bins(grid, net, sites, settings)
         assert len(outcomes) == len(expected)
         for outcome, (b, variable, field, value, failure) in zip(outcomes, expected):
@@ -785,6 +826,37 @@ def test_fixed_model_weights_are_solved_once_per_observed_link_set(monkeypatch):
     assert [{int(r) for rows, *_ in batches for r in rows} for batches in calls] == [
         set(range(2 * (len(SHARED_BINS) - 1))), {0, 1},
     ]
+
+
+def test_twin_detectors_leave_fixed_model_fields_bit_identical(monkeypatch):
+    # every detector listed twice at its offset with the same readings: a
+    # link's mean and the kriging inputs stay those of one detector
+    data = generate_scenario(SyntheticScenario(rows=6, cols=6, diurnal=(0.5, 1.0, 0.8), seed=2))
+    kept = {s.detector_id for s in data.sites[::3]}
+    rows = [row for row in reading_rows(data.readings) if row[0] in kept]
+    twins = tuple(
+        site for s in data.sites
+        for site in (s, DetectorSite(s.detector_id + "+twin", s.link_id, s.offset_fraction))
+    )
+    twin_rows = rows + [(f"{d}+twin", *rest) for d, *rest in rows]
+    settings = VariogramSettings(fixed_model=SHARED_MODEL, min_length_coverage=0.5)
+    outcomes = {}
+    for name, sites, readings in (("alone", data.sites, rows), ("twins", twins, twin_rows)):
+        grid = reading_columns(make_readings(readings), sites, data.network.link_ids).observe()
+        firsts = _record_merges(monkeypatch)
+        outcomes[name] = [
+            (o.bin_index, o.variable, o.field.values.tobytes(), o.field.provenance.tolist(),
+             _bits([o.estimate.value]), o.failure)
+            for o in estimate_bins(
+                "variogram", grid, grid.observed_bins, ("flow", "density"), data.network,
+                sites=sites, settings=settings,
+            )
+        ]
+        monkeypatch.undo()
+        assert any(f is not None for f in firsts) == (name == "twins")
+    assert outcomes["twins"] == outcomes["alone"]
+    assert all(failure is None for *_, failure in outcomes["alone"])
+    assert all(PROVENANCE_IMPUTED in provenance for *_, provenance, _, _ in outcomes["alone"])
 
 
 def record_fits_by_label(monkeypatch):
@@ -1310,6 +1382,32 @@ def test_a_singular_fitted_model_applies_none_of_its_weights():
     assert outcomes[2].field is None
 
 
+def test_flows_whose_semivariances_overflow_fail_numerically_without_a_warning():
+    # flows of 0 or 1e200: their squared differences overflow, a numeric
+    # failure of each flow row, not an input error; the densities are estimated
+    rng = np.random.default_rng(0)
+    net = Network([Link(f"a{i}", f"a{i}", f"a{i + 1}", 0.5, 1) for i in range(20)])
+    sites = midpoint_sites(net)
+    readings = make_readings(
+        ("@" + l.id, b, float(rng.integers(0, 2) * 1e200), float(10 + rng.random()))
+        for b in (0, 1)
+        for i, l in enumerate(net.links)
+        if i % 2 == 0
+    )
+    grid = reading_columns(readings, sites, net.link_ids).observe()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        outcomes = estimate_bins(
+            "variogram", grid, (0, 1), ("flow", "density"), net, sites=sites,
+            settings=VariogramSettings(lag_bins=4, min_pairs=1),
+        )
+    assert _numeric_failures(outcomes) == [(0, "flow"), (1, "flow")]
+    assert [str(o.failure) for o in outcomes[::2]] == [
+        f"bin {b} (flow): the squared value differences overflow" for b in (0, 1)
+    ]
+    assert all(o.failure is None for o in outcomes[1::2])
+
+
 def test_a_fit_whose_sill_underflows_fails_its_experiment_cell(tmp_path):
     # flows of 0 or 3.2e-162 give subnormal semivariances: the first fit's
     # sill underflows to zero, a numeric failure of the cell, not a
@@ -1357,23 +1455,13 @@ def reference_apply(batches, known_values, targets, field_values):
     """Fill one row of ``field_values`` target by target from the batches.
 
     The application before weights were applied to stacks: a
-    ``weights @ values`` per kriged link, with each merged column's group
-    means as a Python running mean.
+    ``weights @ values`` per kriged link, ``known_values`` holding the
+    values of the merged known sites.
     """
-    for _, columns, kept, groups, solutions, _ in batches:
+    for _, columns, kept, solutions, _ in batches:
         m = kept.shape[1]
-        if groups is None:
-            merged = known_values[kept]
-        else:
-            means = []
-            for first, *rest in groups:
-                mean = float(known_values[first])
-                for count, index in enumerate(rest, start=2):
-                    mean += (known_values[index] - mean) / count
-                means.append(mean)
-            merged = np.array(means)[None]
         for row in range(columns.size):
-            field_values[targets[columns[row]]] = solutions[row, :m] @ merged[row]
+            field_values[targets[columns[row]]] = solutions[row, :m] @ known_values[kept[row]]
 
 
 STACK_SIZES = (1, 2, 48)
@@ -1401,7 +1489,7 @@ def _stack_cases(grid16_plan):
     """``(name, distances, observed, retained, model, max, min, rows)`` cases.
 
     Between them they krige with every neighbour count from 1 to 16 and
-    merge coincident neighbours. Cases without recorded rows get lognormal
+    merge coincident sites. Cases without recorded rows get lognormal
     rows of many magnitudes (values off the observed links are ignored).
     """
     rng = np.random.default_rng(20)
@@ -1426,38 +1514,41 @@ def test_stacked_application_matches_one_row_calls_and_the_per_target_dots(
     grid16_plan, monkeypatch
 ):
     gathered = []
-    merge = kriging._merged_values
+    gather = kriging._neighbour_values
 
     def recording(*args):
-        merged = merge(*args)
-        gathered.append(merged)
-        return merged
+        neighbours = gather(*args)
+        gathered.append(neighbours)
+        return neighbours
 
-    monkeypatch.setattr(kriging, "_merged_values", recording)
+    monkeypatch.setattr(kriging, "_neighbour_values", recording)
     counts = set()
-    merged_columns = 0
+    merged_cases = 0
     for name, distances, observed, retained, model, most, least, rows in _stack_cases(
         grid16_plan
     ):
         limits = dict(max_neighbors=most, min_neighbors=least, retained=retained)
         known, _ = known_sites(rows[0], observed, distances.site_links, retained)
+        pairs = distances.between_sites[np.ix_(known, known)]
+        firsts, _, sizes = reference_merge(pairs, np.zeros(known.size))
+        merged_cases += bool((sizes > 1).any())
         unobserved = np.flatnonzero(~observed)
         batches = []
         kriging._kriging_weights(
             (model,),
-            distances.site_to_target[np.ix_(known, unobserved)],
-            distances.between_sites[np.ix_(known, known)],
+            distances.site_to_target[np.ix_(known[firsts], unobserved)],
+            pairs[np.ix_(firsts, firsts)],
             most, least, batches.append,
         )
         counts |= {kept.shape[1] for _, _, kept, *_ in batches}
-        merged_columns += sum(groups is not None for *_, groups, _, _ in batches)
         for size in STACK_SIZES:
             stack = rows[:size]
             labels = [(r, "flow") for r in range(size)]
             gathered.clear()
             fields = impute_rows(labels, stack, observed, distances, model=model, **limits)
             assert gathered and all(
-                merged.flags.c_contiguous and merged.shape[1] == size for merged in gathered
+                neighbours.flags.c_contiguous and neighbours.shape[1] == size
+                for neighbours in gathered
             ), name
             _, known_values = known_sites(stack, observed, distances.site_links, retained)
             assert known_values.flags.c_contiguous
@@ -1465,13 +1556,13 @@ def test_stacked_application_matches_one_row_calls_and_the_per_target_dots(
             for r, field in enumerate(fields):
                 single = impute_observed(r, stack[r], observed, distances, model=model, **limits)
                 expected = np.where(observed, stack[r], np.nan)
-                reference_apply(batches, stack[r, distances.site_links[known]], unobserved,
-                                expected)
+                _, means, _ = reference_merge(pairs, stack[r, distances.site_links[known]])
+                reference_apply(batches, means, unobserved, expected)
                 assert _bits(field.values.tolist()) == _bits(expected.tolist()), (name, size, r)
                 assert field.values.tobytes() == single.values.tobytes(), (name, size, r)
                 assert field.provenance.tolist() == single.provenance.tolist()
     assert set(range(1, 17)) <= counts
-    assert merged_columns
+    assert merged_cases
 
 
 def test_stacked_rows_need_their_labels():
@@ -1510,75 +1601,57 @@ def reference_weights(model, target, pairs, max_neighbors, min_neighbors):
     The selection before many models shared one sort: a column's sites in
     range of this model, by a stable sort of the distances with every other
     site at infinity. Returns ``(found, batches)`` with the full in-range
-    counts and ``(columns, kept, groups, solutions, rhs)`` batches; raises
+    counts and ``(columns, kept, solutions, rhs)`` batches; raises
     ``SingularSystemError`` for the first singular column.
     """
     in_range = np.isfinite(target) & (target <= model.range_km)
     found = np.count_nonzero(in_range, axis=0)
     order = np.argsort(np.where(in_range, target, np.inf), axis=0, kind="stable")
     counts = np.where(found >= min_neighbors, np.minimum(found, max_neighbors), 0)
-    batches = []
+    solved = []
+    failure = None
     for m in np.unique(counts[counts > 0]):
         columns = np.flatnonzero(counts == m)
         kept = order[:m, columns].T
-        block = pairs[kept[:, :, None], kept[:, None, :]]
-        close = block <= 1e-12
-        close[:, np.arange(m), np.arange(m)] = False
-        coincident = close.any(axis=(1, 2))
-        apart = ~coincident
-        if apart.any():
-            batches.append((
-                columns[apart], kept[apart], None,
-                block[apart], target[kept[apart], columns[apart, None]],
-            ))
-        for column, selected in zip(columns[coincident], kept[coincident]):
-            groups = kriging._coincident_groups(pairs, selected)
-            merged_kept = np.array([group[0] for group in groups])
-            batches.append((
-                column[None], merged_kept[None], groups,
-                pairs[np.ix_(merged_kept, merged_kept)][None],
-                target[merged_kept, column][None],
-            ))
-    solved = []
-    failure = None
-    for columns, kept, groups, block, dists in batches:
         systems, rhs, solutions, bad = kriging._solve_batch(
-            (model,), np.zeros(len(columns), dtype=np.intp), block, dists
+            (model,), np.zeros(len(columns), dtype=np.intp),
+            pairs[kept[:, :, None], kept[:, None, :]], target[kept, columns[:, None]],
         )
         if bad.any():
             row = int(np.argmax(bad))
             if failure is None or columns[row] < failure[0]:
                 failure = (columns[row], systems[row])
-        solved.append((columns, kept, groups, solutions, rhs))
+        solved.append((columns, kept, solutions, rhs))
     if failure is not None:
         raise SingularSystemError(condition=float(np.linalg.cond(failure[1])))
     return found, solved
 
 
 def _by_column(batches):
-    """``{(model, column): (kept, groups, solution bits, rhs bits)}`` of
-    ``(models, columns, kept, groups, solutions, rhs)`` batches."""
+    """``{(model, column): (kept, solution bits, rhs bits)}`` of
+    ``(models, columns, kept, solutions, rhs)`` batches."""
     out = {}
-    for models, columns, kept, groups, solutions, rhs in batches:
+    for models, columns, kept, solutions, rhs in batches:
         for row, column in enumerate(columns.tolist()):
             key = (int(models[row]), column)
             assert key not in out
-            out[key] = (kept[row].tobytes(), groups, solutions[row].tobytes(),
-                        rhs[row].tobytes())
+            out[key] = (kept[row].tobytes(), solutions[row].tobytes(), rhs[row].tobytes())
     return out
 
 
 def _selection_cases():
-    """``(target, pairs, max_neighbors, min_neighbors)`` distance blocks.
+    """``(target, pairs, max_neighbors, min_neighbors, merged)`` distance blocks.
 
     Sites sit on a line at multiples of 0.25 km, so distances tie and some
-    sites coincide; some target distances are infinite, NaN or negative
-    infinity, and the limits leave some columns with too few sites in range
-    and others with fewer than ``max_neighbors``. In one case the sites are
-    distinct, but their pair distances are not symmetric: some pairs read
-    zero one way only, so they coincide in one direction.
+    sites coincide; these are merged first, as the kernel expects, and
+    ``merged`` tells whether any were. Some target distances are infinite,
+    NaN or negative infinity, and the limits leave some columns with too
+    few sites in range and others with fewer than ``max_neighbors``. In one
+    case the sites are distinct, but their pair distances are not
+    symmetric: some pairs read zero one way only, which merges none of them.
     """
     rng = np.random.default_rng(9)
+    cases = []
     for n, k, most, least in ((12, 30, 5, 3), (30, 40, 16, 1), (9, 25, 24, 2), (40, 60, 8, 4)):
         sites = rng.integers(0, 24, n) * 0.25
         targets = rng.integers(0, 24, k) * 0.25 + rng.choice([0.0, 0.125], k)
@@ -1586,21 +1659,24 @@ def _selection_cases():
         target[rng.random((n, k)) < 0.1] = np.inf
         target[rng.random((n, k)) < 0.05] = np.nan
         target[rng.random((n, k)) < 0.03] = -np.inf
-        yield target, np.abs(sites[:, None] - sites[None, :]), most, least
+        cases.append((target, np.abs(sites[:, None] - sites[None, :]), most, least))
     # distinct sites, where only the one-way zeros coincide
     sites = rng.choice(48, 20, replace=False) * 0.25
     pairs = np.abs(sites[:, None] - sites[None, :])
     first, second = np.triu_indices(sites.size, 1)
     picked = rng.choice(first.size, 40, replace=False)
     pairs[first[picked], second[picked]] = 0.0
-    yield np.abs(sites[:, None] - rng.integers(0, 48, 30)[None, :] * 0.25), pairs, 10, 2
+    cases.append((np.abs(sites[:, None] - rng.integers(0, 48, 30)[None, :] * 0.25), pairs, 10, 2))
     net, sites, obs = _two_component_layout(np.random.default_rng(1))
     distances = ImputationDistances.build(net, sites)
     observed = {o.link_id for o in obs}
     known = [i for i, s in enumerate(sites) if s.link_id in observed]
     unobserved = [j for j, l in enumerate(net.links) if l.id not in observed]
-    yield (distances.site_to_target[np.ix_(known, unobserved)],
-           distances.between_sites[np.ix_(known, known)], 16, 3)
+    cases.append((distances.site_to_target[np.ix_(known, unobserved)],
+                  distances.between_sites[np.ix_(known, known)], 16, 3))
+    for target, pairs, most, least in cases:
+        firsts, _, sizes = reference_merge(pairs, np.zeros(len(pairs)))
+        yield target[firsts], pairs[np.ix_(firsts, firsts)], most, least, (sizes > 1).any()
 
 
 SELECTION_MODELS = (
@@ -1614,7 +1690,7 @@ SELECTION_MODELS = (
 
 def test_one_neighbour_sort_gives_every_model_its_own_batches_bit_for_bit():
     seen = set()
-    for target, pairs, most, least in _selection_cases():
+    for target, pairs, most, least, merged in _selection_cases():
         stacked = []
         found, failures = kriging._kriging_weights(
             SELECTION_MODELS, target, pairs, most, least, stacked.append
@@ -1634,7 +1710,6 @@ def test_one_neighbour_sort_gives_every_model_its_own_batches_bit_for_bit():
             assert _by_column((np.full(len(b[1]), r), *b[1:]) for b in alone) == ref
             kept = ref_found[ref_found >= least]
             cases = {
-                "merged": any(groups is not None for *_, groups, _, _ in ref_batches),
                 "short": ((ref_found > 0) & (ref_found < least)).any(),
                 "below cap": (kept < most).any(),
                 "at cap": (kept >= most).any(),
@@ -1642,6 +1717,7 @@ def test_one_neighbour_sort_gives_every_model_its_own_batches_bit_for_bit():
             seen |= {case for case, present in cases.items() if present}
         finite = np.isfinite(target)
         cases = {
+            "merged": merged,
             "nan": np.isnan(target).any(),
             "inf": np.isinf(target).any(),
             # a column with two equal finite distances
@@ -1677,14 +1753,10 @@ def test_one_neighbour_sort_reports_the_first_singular_column_of_each_model():
     assert list(failures) == [1]
     assert failures[1].condition == reference.value.condition
     assert str(failures[1]) == str(reference.value)
-    regular_rows = [
-        tuple(part[rows == 0] for part in (rows, columns, kept, solutions, rhs))
-        for rows, columns, kept, _, solutions, rhs in batches
-    ]
-    assert _by_column(
-        (rows, columns, kept, None, solutions, rhs)
-        for rows, columns, kept, solutions, rhs in regular_rows
-    ) == _by_column((np.zeros(len(b[0]), dtype=int), *b) for b in regular_batches)
+    regular_rows = [tuple(part[batch[0] == 0] for part in batch) for batch in batches]
+    assert _by_column(regular_rows) == _by_column(
+        (np.zeros(len(b[0]), dtype=int), *b) for b in regular_batches
+    )
 
 
 # --- field reduction ----------------------------------------------------------
