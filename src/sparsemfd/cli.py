@@ -241,13 +241,13 @@ def sample(obj, network_file, sites_file, fraction, counts):
 def scale(obj, network_file, sites_file, readings_file, plan_file, fraction,
           method, uniform_mode, duration_h):
     """Scale equipped observations to per-bin network means."""
+    if plan_file is not None and fraction is not None:
+        raise click.UsageError("give at most one of --plan or --fraction")
     if not 0.0 < duration_h < math.inf:
         raise ValidationError(f"--duration-h must be positive and finite, got {duration_h}")
     network = load_network(network_file, obj.delim)
     sites = load_detector_sites(sites_file, network=network, delimiter=obj.delim)
     readings = load_readings(readings_file, obj.delim)
-    if plan_file is not None and fraction is not None:
-        raise click.UsageError("give at most one of --plan or --fraction")
     # every reading is checked, also those of detectors the plan drops
     columns = reading_columns(readings, sites, network.link_ids)
     if plan_file is not None:

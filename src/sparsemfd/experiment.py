@@ -15,12 +15,10 @@ import os
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import product
-from operator import attrgetter
 
 import numpy as np
 
 from .errors import (
-    DegenerateTestError,
     EstimationError,
     InsufficientDataError,
     NotEstimableError,
@@ -39,7 +37,7 @@ from .kriging import (  # noqa: F401
     impute_rows,
     network_mean_from_field,
 )
-from .metrics import PairedTTestResult, compute_metrics, paired_t_test
+from .metrics import compute_metrics
 from .mfd import BAND_SAMPLES, build_mfd, check_band_samples, fit_quadratic_with_ci
 from .network import load_detector_sites, load_network
 from .scaling import (
@@ -61,7 +59,6 @@ from .sensing import (
 from .synth import SyntheticScenario, generate_scenario
 from .tableio import (
     delimiter_for,
-    encode,
     format_column,
     format_value,
     record,
@@ -76,7 +73,7 @@ STATUS_OK = "ok"
 STATUS_NOT_ESTIMABLE = "not-estimable"
 STATUS_FAILED = "failed"
 
-MANIFEST_VERSION = 1
+MANIFEST_VERSION = 2
 
 ESTIMATES_HEADER = (
     "bin_index", "method", "variable", "value", "ttd_or_ttt", "hierarchy_count"
@@ -89,9 +86,6 @@ MODEL_HEADER = (
 BAND_HEADER = ("x", "y_fit", "ci_low", "ci_high")
 MFD_HEADER = ("bin_index", "density_veh_per_km", "flow_veh_per_h", "speed_km_per_h")
 METRIC_FIELDS = ("rmse", "mae", "mape_percent", "r2", "n_points", "mape_skipped")
-TTEST_FIELDS = ("t_statistic", "degrees_of_freedom", "p_value", "mean_difference", "reject")
-# the fields of a t test without a result, all written as null
-NO_TTEST = PairedTTestResult(None, None, None, None, None, None)
 
 
 @dataclass(frozen=True)
@@ -396,14 +390,6 @@ class CellResult:
 
 
 @dataclass
-class TTestCell:
-    coverage: float
-    seed: int
-    result: object = None
-    message: str | None = None
-
-
-@dataclass
 class ExperimentResult:
     config: ExperimentConfig
     network: object
@@ -413,7 +399,6 @@ class ExperimentResult:
     clamped_count: int | None
     plans: dict = field(default_factory=dict)
     cells: list = field(default_factory=list)
-    ttests: list = field(default_factory=list)
 
     def cell(self, coverage, seed, estimator):
         for c in self.cells:
@@ -490,30 +475,6 @@ def _attach_mfd(cell):
         cell.fit_message = str(exc)
 
 
-def _attach_ttest(result, coverage, seed):
-    hier = result.cell(coverage, seed, "hierarchical")
-    unif = result.cell(coverage, seed, "uniform")
-    if hier is None or unif is None:
-        return
-    record = TTestCell(coverage=coverage, seed=seed)
-    if hier.quad_fit is None or unif.quad_fit is None:
-        record.message = "missing MFD fit for at least one method"
-    else:
-        bins_h = {p.bin_index: p.density_veh_per_km for p in hier.mfd_points}
-        bins_u = {p.bin_index: p.density_veh_per_km for p in unif.mfd_points}
-        common = sorted(set(bins_h) & set(bins_u))
-        if len(common) < 2:
-            record.message = "fewer than two shared bins"
-        else:
-            fitted_h = [hier.quad_fit(bins_h[b]) for b in common]
-            fitted_u = [unif.quad_fit(bins_u[b]) for b in common]
-            try:
-                record.result = paired_t_test(fitted_h, fitted_u)
-            except DegenerateTestError as exc:
-                record.message = str(exc)
-    result.ttests.append(record)
-
-
 def run_experiment(config, output_dir=None, fmt="csv"):
     """Run the full grid; optionally write all outputs below ``output_dir``.
     ``fmt`` is the format of the recorded-data inputs and of the outputs."""
@@ -555,7 +516,6 @@ def run_experiment(config, output_dir=None, fmt="csv"):
                 _attach_metrics(cell, truth_flow, truth_density, bin_indices)
                 _attach_mfd(cell)
                 result.cells.append(cell)
-            _attach_ttest(result, coverage, seed)
     # the distances are the largest array of a run, and writing needs none
     del geometry
 
@@ -627,20 +587,6 @@ def write_outputs(result, output_dir, fmt="csv"):
         delim,
     )
 
-    ttest_header = ("coverage", "seed") + TTEST_FIELDS + ("message",)
-    ttest_rows = []
-    manifest_ttests = []
-    for ttest in result.ttests:
-        tested = ttest.result or NO_TTEST
-        ttest_rows.append(
-            (ttest.coverage, ttest.seed) + attrgetter(*TTEST_FIELDS)(tested) + (ttest.message,)
-        )
-        manifest_ttests.append(
-            {"coverage": ttest.coverage, "seed": ttest.seed, "message": ttest.message,
-             **encode(tested)}
-        )
-    write_table(os.path.join(out, f"ttests.{ext}"), ttest_header, ttest_rows, delim)
-
     manifest = {
         "version": MANIFEST_VERSION,
         "config": result.config,
@@ -648,7 +594,6 @@ def write_outputs(result, output_dir, fmt="csv"):
         "truth_available": result.truth_flow is not None,
         "clamped_count": result.clamped_count,
         "cells": manifest_cells,
-        "ttests": manifest_ttests,
     }
     path = write_json(os.path.join(out, "manifest.json"), manifest)
 
@@ -662,19 +607,17 @@ def _attribute_columns(items, names):
 
 
 def _series_columns(estimated, actual, actual_cells, bins):
-    """The estimated, actual and residual cells of one variable's series
-    over ``bins``, and the positions of the bins with both values."""
+    """The estimated, actual and residual cells of one variable's series over ``bins``."""
     estimated = [estimated.get(b) for b in bins]
     residual = [
         e - a if (e is not None and a is not None) else None
         for e, a in zip(estimated, actual)
     ]
-    paired = [i for i, r in enumerate(residual) if r is not None]
-    return format_column(estimated), actual_cells, format_column(residual), paired
+    return format_column(estimated), actual_cells, format_column(residual)
 
 
 def emit_plot_data(result, output_dir, fmt="csv"):
-    """Write the figure-shaped tables: series, scatter, MFD points and bands,
+    """Write the figure-shaped tables: series, MFD points and bands,
     and per-link imputed fields. Returns the written paths.
 
     Every table is built as formatted columns. The bin and truth columns
@@ -708,8 +651,8 @@ def emit_plot_data(result, output_dir, fmt="csv"):
     for cell in result.cells:
         cell_dir = os.path.join(out, "cells", cell.name)
         os.makedirs(cell_dir, exist_ok=True)
-        est_q, act_q, res_q, paired = _series_columns(cell.series("flow"), *truth["flow"], bins)
-        est_k, act_k, res_k, _ = _series_columns(cell.series("density"), *truth["density"], bins)
+        flow = _series_columns(cell.series("flow"), *truth["flow"], bins)
+        density = _series_columns(cell.series("density"), *truth["density"], bins)
         written.append(
             write_columns(
                 os.path.join(cell_dir, f"series.{ext}"),
@@ -717,20 +660,7 @@ def emit_plot_data(result, output_dir, fmt="csv"):
                     "bin_index", "estimated_flow", "actual_flow", "flow_residual",
                     "estimated_density", "actual_density", "density_residual",
                 ),
-                [[bin_cells, est_q, act_q, res_q, est_k, act_k, res_k]],
-                delim,
-            )
-        )
-        # the bins with an estimated and an actual flow
-        scatter = [bin_cells, act_q, est_q, act_k, est_k]
-        if len(paired) < len(bins):
-            scatter = [[column[i] for i in paired] for column in scatter]
-        written.append(
-            write_columns(
-                os.path.join(cell_dir, f"scatter.{ext}"),
-                ("bin_index", "actual_flow", "estimated_flow",
-                 "actual_density", "estimated_density"),
-                [scatter],
+                [[bin_cells, *flow, *density]],
                 delim,
             )
         )

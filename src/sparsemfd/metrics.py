@@ -80,7 +80,7 @@ class PairedTTestResult:
     """Two-sided paired t test on the differences a - b.
 
     A JSON record stores the statistic, its degrees of freedom, the p value
-    and the verdict; ``mean_difference`` is a table column only.
+    and the verdict, but not ``mean_difference`` or ``alpha``.
     """
 
     t_statistic: float

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import csv
 import json
 import math
 import os
@@ -279,6 +280,24 @@ def test_scale_rejects_plan_and_fraction_together(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("table", ["network", "sites", "readings"])
+def test_scale_rejects_plan_and_fraction_before_reading_a_table(runner, tmp_path, table):
+    data = synth_dir(runner, tmp_path)
+    tables = {name: str(data / f"{name}.csv") for name in ("network", "sites", "readings")}
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text("detector_id,bin_index\nd1,not-a-bin\n")
+    tables[table] = str(malformed)
+    result = invoke(
+        runner,
+        [
+            "scale", tables["network"], tables["sites"], tables["readings"],
+            "--plan", str(data / "scenario.json"), "--fraction", "0.2",
+        ],
+    )
+    assert result.exit_code == 2
+    assert "give at most one of --plan or --fraction" in result.output
+
+
 @pytest.mark.parametrize("duration", ["0", "-2", "nan", "inf"])
 def test_scale_rejects_a_duration_that_is_not_positive_and_finite(runner, tmp_path, duration):
     data = synth_dir(runner, tmp_path)
@@ -481,8 +500,11 @@ def test_every_command_runs_without_scipy(runner, tmp_path):
     assert "imputed" in provenance
     assert len((tmp_path / "m" / "mfd_fit.csv").read_text().splitlines()) == 51
     assert json.loads((tmp_path / "e" / "evaluation.json").read_text())["t_test"] is not None
-    manifest = json.loads((tmp_path / "x" / "manifest.json").read_text())
-    assert all(ttest["p_value"] is not None for ttest in manifest["ttests"])
+    # the band of an experiment cell's MFD fit needs the t quantile
+    with open(tmp_path / "x" / "cells" / "cov0.3_seed0_uniform" / "mfd_fit.csv") as handle:
+        band = list(csv.DictReader(handle))
+    assert band
+    assert all(math.isfinite(float(row[name])) for row in band for name in ("ci_low", "ci_high"))
 
 
 def test_variogram_command_notes_a_range_at_its_bound(runner, tmp_path):

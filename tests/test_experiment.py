@@ -188,7 +188,6 @@ def test_every_grid_cell_is_present(small_run):
         for c in small_run.cells
     )
     assert set(small_run.plans) == {(0.4, 0), (0.4, 1), (1.0, 0), (1.0, 1)}
-    assert {(t.coverage, t.seed) for t in small_run.ttests} == set(small_run.plans)
 
 
 def test_full_coverage_cells_reproduce_the_truth(small_run):
@@ -219,12 +218,6 @@ def test_variogram_cells_keep_their_fields(small_run):
     assert set(cell.fields) == {(b, v) for b in range(4) for v in ("flow", "density")}
     field = cell.fields[(0, "flow")]
     assert field.failed_count == 0
-
-
-def test_ttest_records_compare_the_scaling_estimators(small_run):
-    for record in small_run.ttests:
-        assert record.result is not None
-        assert record.result.degrees_of_freedom == 3
 
 
 def test_missing_cell_lookup_returns_none(small_run):
@@ -377,31 +370,6 @@ def test_recorded_data_run(tmp_path):
     assert hier.status == STATUS_NOT_ESTIMABLE
     assert hier.failed_bins == [1]
     assert sorted(hier.series("flow")) == [0]
-    # too few points for an MFD fit either way
-    (record,) = result.ttests
-    assert record.result is None
-    assert record.message is not None
-
-
-def test_a_t_test_without_a_result_is_written_with_null_fields(tmp_path):
-    network_path, sites_path, readings_path = _write_recorded_inputs(tmp_path)
-    config = ExperimentConfig(
-        coverages=(1.0,), seeds=(0,), estimators=("uniform", "hierarchical"),
-        network_path=str(network_path), sites_path=str(sites_path),
-        readings_path=str(readings_path),
-    )
-    run_experiment(config, output_dir=tmp_path / "out")
-    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
-    assert manifest["ttests"] == [{
-        "coverage": 1.0, "seed": 0, "message": "missing MFD fit for at least one method",
-        "t_statistic": None, "degrees_of_freedom": None, "p_value": None, "reject": None,
-    }]
-    with open(tmp_path / "out" / "ttests.csv") as handle:
-        assert list(csv.reader(handle)) == [
-            ["coverage", "seed", "t_statistic", "degrees_of_freedom", "p_value",
-             "mean_difference", "reject", "message"],
-            ["1", "0", "", "", "", "", "", "missing MFD fit for at least one method"],
-        ]
 
 
 def test_the_reason_a_cell_has_no_mfd_fit_is_in_the_manifest(tmp_path):
@@ -476,9 +444,7 @@ def _tree_bytes(root):
 
 
 def test_outputs_written_and_rerun_is_byte_identical(tmp_path):
-    config = small_config(
-        coverages=(0.5,), seeds=(0, 1), estimators=("uniform", "hierarchical")
-    )
+    config = small_config(coverages=(0.5,), seeds=(0, 1))
     dir_a = tmp_path / "a"
     dir_b = tmp_path / "b"
     run_experiment(config, output_dir=dir_a)
@@ -490,20 +456,25 @@ def test_outputs_written_and_rerun_is_byte_identical(tmp_path):
     for name in tree_a:
         assert tree_a[name] == tree_b[name], f"{name} differs between reruns"
 
-    assert "manifest.json" in tree_a
-    assert "metrics.csv" in tree_a
-    assert "ttests.csv" in tree_a
-    assert "plans/cov0.5_seed0.json" in tree_a
-    assert "cells/cov0.5_seed0_uniform/estimates.csv" in tree_a
-    assert "cells/cov0.5_seed0_uniform/series.csv" in tree_a
-    assert "cells/cov0.5_seed0_uniform/mfd_points.csv" in tree_a
-    assert "cells/cov0.5_seed0_uniform/mfd_fit.csv" in tree_a
-    assert "mfd_actual.csv" in tree_a
+    cell_files = {"estimates.csv", "series.csv", "mfd_points.csv", "mfd_fit.csv"}
+    cells = {
+        f"cov0.5_seed{seed}_{estimator}": cell_files
+        | ({"models.csv", "field.csv"} if estimator == "variogram" else set())
+        for seed in (0, 1) for estimator in ESTIMATOR_NAMES
+    }
+    assert set(tree_a) == (
+        {"manifest.json", "metrics.csv", "mfd_actual.csv"}
+        | {f"plans/cov0.5_seed{seed}.json" for seed in (0, 1)}
+        | {f"cells/{cell}/{name}" for cell, names in cells.items() for name in names}
+    )
 
     manifest = json.loads(tree_a["manifest.json"].decode())
-    assert manifest["version"] == 1
+    assert set(manifest) == {
+        "version", "config", "bin_indices", "truth_available", "clamped_count", "cells",
+    }
+    assert manifest["version"] == 2
     assert manifest["truth_available"] is True
-    assert len(manifest["cells"]) == 4
+    assert len(manifest["cells"]) == 6
     assert all(c["status"] == STATUS_OK for c in manifest["cells"])
     assert all(c["mfd_fit_message"] is None for c in manifest["cells"])
 
