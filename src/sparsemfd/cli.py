@@ -292,7 +292,7 @@ def scale(obj, network_file, sites_file, readings_file, plan_file, fraction,
 @click.option("--lag-bins", type=int, default=DEFAULTS.lag_bins, show_default=True)
 @click.option("--min-pairs", type=int, default=DEFAULTS.min_pairs, show_default=True)
 @click.option("--kind", "kinds", multiple=True, type=click.Choice(MODEL_KINDS),
-              help="Candidate model shapes; default all three.")
+              help="Candidate model shapes; default both.")
 @click.option("--fixed-range-km", type=float, help="Pin the range instead of fitting it.")
 @click.pass_obj
 @guarded
@@ -493,6 +493,8 @@ def mfd(obj, estimates_file, method, band_samples):
 @guarded
 def evaluate(obj, estimated_file, actual_file, variable, method, actual_method, alpha):
     """Compare an estimated series against a reference series."""
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError(f"--alpha must lie in (0, 1), got {alpha}")
     est_flow, est_density = _read_estimates(estimated_file, obj.delim, method)
     act_flow, act_density = _read_estimates(actual_file, obj.delim, actual_method)
     est = est_flow if variable == "flow" else est_density

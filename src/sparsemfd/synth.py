@@ -30,8 +30,10 @@ DEFAULT_DIURNAL = (
 
 EDGE_LENGTHS_KM = (0.65, 0.625, 0.235)  # link length of street classes 1 to 3
 
-# The exponential shape stays positive definite over this grid's network
-# metric; the spherical one does not for ranges past ~1 km.
+# Over the default 10x10 grid's along-network distances, the exponential
+# correlation of all link midpoints is positive definite at this 1 km range
+# (smallest eigenvalue 0.25) but not at 3 km (-0.23); the spherical one is
+# barely so at 1 km (0.002) and not at 1.5 km (-0.34).
 DEFAULT_VARIOGRAM = VariogramModel(
     kind="exponential", nugget=25.0, sill=1600.0, range_km=1.0
 )

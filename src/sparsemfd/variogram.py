@@ -1,9 +1,10 @@
 """Empirical variograms over network distances and parametric model fitting.
 
 The semivariance of a lag bin is half the mean squared difference of all
-site pairs whose along-network separation falls in the bin. Three bounded
-model shapes are supported; their range parameter is the practical range,
-the distance where the model has reached (almost) its sill.
+site pairs whose along-network separation falls in the bin. Two bounded
+model shapes are supported, the spherical and the exponential; their range
+parameter is the practical range, the distance where the model has reached
+(almost) its sill.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ from .errors import (
 )
 from .tableio import NOT_STORED, record
 
-MODEL_KINDS = ("spherical", "exponential", "gaussian")
+MODEL_KINDS = ("spherical", "exponential")
 # defaults of an empirical variogram and its fit: the lag bins, spanning
 # LAG_PERCENTILES of the pair distances, and the fewest pairs of a used bin
 LAG_BINS = 15
@@ -54,8 +55,8 @@ class VariogramModel:
     """A fitted (or assumed) variogram: nugget + sill * shape(h / range).
 
     The model value at lag zero is the nugget; beyond the range it stays at
-    nugget + sill (the exponential and gaussian shapes reach 95 percent of
-    the sill there and are treated as saturated). ``degenerate`` marks fits
+    nugget + sill (the exponential shape reaches 95 percent of the sill
+    there and is treated as saturated). ``degenerate`` marks fits
     where the sill collapsed to its lower bound, meaning the data showed no
     usable spatial structure. ``range_at_bound`` marks fits whose range ran
     to the upper end of the search, 1e3 times the largest usable lag: the
@@ -94,8 +95,6 @@ def _shape(kind, h, range_km):
     # expm1 keeps full relative precision where h is far below the range
     if kind == "exponential":
         return -np.expm1(-3.0 * h / range_km)
-    if kind == "gaussian":
-        return -np.expm1(-3.0 * h**2 / range_km**2)
     raise ValidationError(f"kind must be one of {MODEL_KINDS}, got '{kind}'")
 
 

@@ -443,7 +443,7 @@ def test_variogram_command(runner, tmp_path):
     model_lines = (out / "variogram_model.csv").read_text().splitlines()
     assert len(model_lines) == 2
     kind = model_lines[1].split(",")[0]
-    assert kind in ("spherical", "exponential", "gaussian")
+    assert kind in ("spherical", "exponential")
     assert "search bound" not in result.output
 
 
@@ -675,7 +675,7 @@ def test_impute_writes_the_bins_around_a_numeric_failure(runner, tmp_path):
     assert result.output.startswith(
         "bin 0: failed (bin 0 (flow): the exponential fit's sill underflows to 0.0 "
     )
-    assert "bin 1: network flow 123.7 (100.0% of length covered" in result.output
+    assert "bin 1: network flow 123.6 (100.0% of length covered" in result.output
     lines = (out / "field.csv").read_text().splitlines()
     assert len(lines) == 21  # header plus bin 1's 20 links; bin 0 has no field
     assert {line.split(",")[1] for line in lines[1:]} == {"1"}
@@ -738,7 +738,7 @@ MODEL_CORPUS = [
     # the table the variogram command writes
     MODEL_HEADER_TEXT + ",rss,bin_index,degenerate,range_at_bound\n"
     "exponential,47690.5,140700.25,19.0,1.017e12,1,False,False\n",
-    "\n" + MODEL_HEADER_TEXT + "\n\n  gaussian , 1e0 ,2, 3 \n ,,, \n",
+    "\n" + MODEL_HEADER_TEXT + "\n\n  exponential , 1e0 ,2, 3 \n ,,, \n",
     MODEL_HEADER_TEXT + "\nspherical,0,100,5\nexponential,0,9000,0.1\n",
     MODEL_HEADER_TEXT + "\n",
     MODEL_HEADER_TEXT + "\n\n,,,\n",
@@ -994,6 +994,22 @@ def test_evaluate_rejects_non_finite_values(runner, tmp_path):
     assert not (out / "evaluation.json").exists()
 
 
+@pytest.mark.parametrize("alpha", ["2", "0", "1", "nan"])
+def test_evaluate_rejects_alpha_before_reading_a_table(runner, tmp_path, alpha):
+    act = tmp_path / "act.csv"
+    write_table(act, ESTIMATES_HEADER, _estimates_rows("edie", (600.0, 1000.0), (10.0, 20.0)))
+    malformed = tmp_path / "malformed.csv"
+    malformed.write_text(EST_HEADER + "\nnot-a-bin,u,flow,1,1,1\n")
+    out = tmp_path / "eval"
+    for est in (act, malformed):
+        result = invoke(runner, [
+            "--output-dir", str(out), "evaluate", str(est), str(act), "--alpha", alpha,
+        ])
+        assert result.exit_code == 2
+        assert result.output == f"error: --alpha must lie in (0, 1), got {float(alpha)}\n"
+    assert not out.exists()
+
+
 # --- experiment ---------------------------------------------------------------
 
 
@@ -1077,6 +1093,34 @@ def test_experiment_refuses_a_config_with_a_global_seed_or_bins(runner, tmp_path
     assert result.exit_code == 2, result.output
     assert f"give at most one of --config or {given[0]}" in result.output
     assert not out.exists()
+
+
+def test_a_gaussian_variogram_is_refused_with_the_allowed_kinds(runner, tmp_path):
+    # along-network distance does not admit a Gaussian covariance in general,
+    # so no command fits, kriges or simulates with one
+    data = synth_dir(runner, tmp_path)
+    config_path = tmp_path / "config.json"
+    config_path.write_text(json.dumps({
+        "coverages": [0.3], "seeds": [0], "scenario": {"rows": 4, "cols": 4},
+        "variogram": {"kinds": ["exponential", "gaussian"]},
+    }))
+    scenario_path = tmp_path / "scenario.json"
+    scenario_path.write_text(json.dumps({
+        "rows": 4, "cols": 4,
+        "variogram": {"kind": "gaussian", "nugget": 25.0, "sill": 1600.0, "range_km": 1.0},
+    }))
+    out = tmp_path / "run"
+    for args in (
+        ["variogram", *(str(data / f"{name}.csv") for name in ("network", "sites", "readings")),
+         "--kind", "gaussian"],
+        ["experiment", "--config", str(config_path)],
+        ["synth", "--scenario", str(scenario_path)],
+    ):
+        result = invoke(runner, ["--output-dir", str(out), *args])
+        assert result.exit_code == 2, result.output
+        assert "'gaussian'" in result.output
+        assert "'spherical', 'exponential'" in result.output
+        assert not out.exists()
 
 
 def test_experiment_refuses_a_config_that_names_refit_per_bin(runner, tmp_path):
