@@ -34,10 +34,11 @@ MIN_PAIRS = 5
 # lag: over RANGE_GRID log-spaced values, then by zoom rounds over the two
 # grid steps around the best one. Each round evaluates RANGE_ZOOM evenly
 # spaced log-ranges across the bracket and keeps the two spacings around the
-# best, until the bracket is RANGE_XTOL wide in natural-log range.
+# best, a quarter of the bracket, until it is RANGE_XTOL wide in natural-log
+# range: 15 rounds, 135 evaluations per fit and kind.
 RANGE_LIMITS = (1e-6, 1e3)
 RANGE_GRID = 128
-RANGE_ZOOM = 33
+RANGE_ZOOM = 9
 RANGE_XTOL = 1e-9
 _ZOOM_STEPS = np.linspace(0.0, 1.0, RANGE_ZOOM)
 # Weighted RSS values closer than this relative gap (plus the same absolute
@@ -45,8 +46,8 @@ _ZOOM_STEPS = np.linspace(0.0, 1.0, RANGE_ZOOM)
 RSS_TIE = 1e-15
 # the lower bound of a fitted sill, over the largest usable semivariance
 _SILL_FLOOR = 1e-8
-# at most this many bytes of (solutions, fits, candidates, lags) residuals
-# go to one stacked range search
+# at most this many bytes of figures, the (fits, candidates) and (fits,
+# candidates, lags) arrays of a search, go to one stacked range search
 _SEARCH_CHUNK_BYTES = 1 << 20
 
 
@@ -103,10 +104,11 @@ def _model_gamma(kind, nugget, sill, range_km, h):
 
 
 def gamma(model, h):
-    """Model semivariance at lag(s) ``h`` in km; h must be nonnegative."""
+    """Model semivariance at lag(s) ``h`` in km; h must be nonnegative, and
+    an infinite lag, an unreachable pair, takes the full sill."""
     h_arr = np.asarray(h, dtype=float)
-    if np.any(h_arr < 0):
-        raise ValueError("lag distances must be nonnegative")
+    if not np.all(h_arr >= 0):
+        raise ValueError("lag distances must be nonnegative, not NaN")
     values = _model_gamma(model.kind, model.nugget, model.sill, model.range_km, h_arr)
     if np.isscalar(h) or h_arr.ndim == 0:
         return float(values)
@@ -296,65 +298,106 @@ def _shapes(kinds, ranges, h, w):
     phi = np.concatenate(
         [_shape(kind, h, r[..., None]) for kind, r in zip(kinds, ranges)], axis=-2
     )
-    mean = (phi * w).sum(axis=-1)
+    mean = np.einsum("...l,l->...", phi, w)
     dev = phi - mean[..., None]
-    return _Shapes(phi, mean, dev, (dev**2 * w).sum(axis=-1), (phi**2 * w).sum(axis=-1))
+    return _Shapes(
+        phi, mean, dev,
+        np.einsum("...l,...l,l->...", dev, dev, w),
+        np.einsum("...l,...l,l->...", phi, phi, w),
+    )
 
 
-@functools.lru_cache(maxsize=8)
-def _grid_shapes(kinds, h_bytes, w_bytes):
-    """The range grid and its ``_Shapes`` for every kind, stacked kind by kind.
+@functools.lru_cache(maxsize=16)
+def _grid_shapes(kind, h_bytes, w_bytes):
+    """The range grid and the ``_Shapes`` of one kind over it.
 
-    Cached by lag layout: every fit over the same usable lag centres and
-    pair weights scans the same grid. The cached arrays are read-only.
+    Cached by kind and lag layout: every fit over the same usable lag
+    centres and pair weights scans the same grid. The cached arrays are
+    read-only.
     """
     h = np.frombuffer(h_bytes)
     h_max = float(h.max())
     ranges = np.geomspace(RANGE_LIMITS[0] * h_max, RANGE_LIMITS[1] * h_max, RANGE_GRID)
-    shapes = _shapes(kinds, [ranges] * len(kinds), h, np.frombuffer(w_bytes))
+    shapes = _shapes((kind,), [ranges], h, np.frombuffer(w_bytes))
     for array in (ranges, *shapes):
         array.flags.writeable = False
     return ranges, shapes
 
 
-def _linear_fits(shapes, g, g_mean, counts, w):
+def _linear_fits(shapes, g, g_mean, w):
     """Pair-weighted least-squares nugget and sill for each candidate of each fit.
 
     ``g`` is (fits, lags), one row of scaled semivariances per fit, and
     ``g_mean`` its ``w @ g`` row by row; ``shapes`` holds the candidates,
-    shared by every fit or one set per fit. For a fixed kind and range the
-    model is linear in nugget and sill, so the optimum under ``nugget >= 0``
-    and ``sill >= _SILL_FLOOR`` is the unconstrained one or lies on one of
-    those two edges. All three are solved in closed form for every
-    candidate at once; ``w`` is ``counts`` over their sum. Returns the
-    arrays ``(rss, nugget, sill)`` of shape ``(3, fits, candidates)``: row
-    0 is the pure-nugget solution (sill at its floor), row 1 the
-    zero-nugget one, row 2 the unconstrained one. Infeasible or overflowing
-    solutions carry an infinite weighted residual sum of squares. Every sum
-    runs along the lags of one candidate, so each figure keeps its bits
-    whatever else is stacked with it.
+    shared by every fit or one set per fit, and ``w`` is the pair counts
+    over their sum. For a fixed kind and range the model is linear in
+    nugget and sill, so the optimum under ``nugget >= 0`` and ``sill >=
+    _SILL_FLOOR`` is the unconstrained one or lies on one of those two
+    edges. All three are solved in closed form for every candidate at once.
+    Returns ``(nugget, sill, phi_g)``: the first two of shape ``(3, fits,
+    candidates)``, whose row 0 is the pure-nugget solution (sill at its
+    floor), row 1 the zero-nugget one and row 2 the unconstrained one, and
+    ``phi_g`` the weighted mean of ``phi * g`` per candidate. Every sum runs
+    along the lags of one candidate, so each figure keeps its bits whatever
+    else is stacked with it.
     """
-    phi, mean = shapes.phi, shapes.mean
-    g = g[:, None, :]
     g_mean = g_mean[:, None]
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slope = (shapes.dev * (w * (g - g_mean[..., None]))).sum(axis=-1) / shapes.dev_sq
+        phi_g = np.einsum("...l,...l->...", shapes.phi, (w * g)[:, None, :])
+        slope = np.einsum("...l,...l->...", shapes.dev, (w * (g - g_mean))[:, None, :])
+        slope /= shapes.dev_sq
         nugget = np.empty((3, *slope.shape))
         sill = np.empty((3, *slope.shape))
         sill[0] = _SILL_FLOOR
-        np.maximum(_SILL_FLOOR, (phi * (w * g)).sum(axis=-1) / shapes.sq, out=sill[1])
+        np.maximum(_SILL_FLOOR, phi_g / shapes.sq, out=sill[1])
         sill[2] = slope
-        np.maximum(0.0, g_mean - _SILL_FLOOR * mean, out=nugget[0])
+        np.maximum(0.0, g_mean - _SILL_FLOOR * shapes.mean, out=nugget[0])
         nugget[1] = 0.0
-        np.subtract(g_mean, slope * mean, out=nugget[2])
+        np.subtract(g_mean, slope * shapes.mean, out=nugget[2])
+    return nugget, sill, phi_g
+
+
+def _residual_sums(nugget, sill, phi, g, counts):
+    """The weighted residual sum of squares of each ``(nugget, sill)`` at the
+    unit-sill shape ``phi`` against the semivariances ``g``, broadcast
+    together; infeasible or overflowing solutions carry an infinite one."""
+    with np.errstate(over="ignore", invalid="ignore"):
         residuals = sill[..., None] * phi
         residuals += nugget[..., None]
         residuals -= g
-        residuals *= residuals
-        residuals *= counts
-        rss = residuals.sum(axis=-1)
+        rss = np.einsum("...l,...l,l->...", residuals, residuals, counts)
     rss[(nugget < 0) | (sill < _SILL_FLOOR) | ~np.isfinite(rss)] = np.inf
-    return rss, nugget, sill
+    return rss
+
+
+def _least_squares(shapes, g, g_mean, w):
+    """Each candidate's least-squares ``(nugget, sill, score)`` per fit.
+
+    The unconstrained solution of ``_linear_fits`` is the optimum wherever
+    it is feasible; elsewhere the optimum is the better of the two edge
+    solutions. The score is the weighted mean squared residual less that
+    of ``g`` itself, which every candidate of a fit shares, computed from
+    the weighted moments alone: it ranks candidates with no sum over the
+    lags, but it cancels where a fit is close, so it is no residual sum.
+    A non-finite score reads infinite. Each array is (fits, candidates).
+    """
+    nugget, sill, phi_g = _linear_fits(shapes, g, g_mean, w)
+    with np.errstate(over="ignore", invalid="ignore"):
+        # n**2 + 2 n s mean - 2 n g_mean + s**2 sq - 2 s phi_g
+        score = sill * shapes.mean
+        score -= g_mean[:, None]
+        score *= 2.0
+        score += nugget
+        score *= nugget
+        cross = sill * shapes.sq
+        cross -= 2.0 * phi_g
+        cross *= sill
+        score += cross
+    unconstrained = (nugget[2] >= 0) & (sill[2] >= _SILL_FLOOR) & np.isfinite(score[2])
+    choice = np.where(unconstrained, 2, score[1] < score[0])
+    nugget, sill, score = (choice.choose(a) for a in (nugget, sill, score))
+    score[~np.isfinite(score)] = np.inf
+    return nugget, sill, score
 
 
 def _improves(rss, best_rss):
@@ -363,29 +406,43 @@ def _improves(rss, best_rss):
     return rss < best_rss - RSS_TIE * (1 + abs(best_rss))
 
 
+def _grid_scan(kind, h, g, g_mean, counts, w):
+    """The range grid and each fit's best grid index for ``kind``, ranked by
+    the moment scores of ``_least_squares``, with its direct residual sum."""
+    ranges, grid = _grid_shapes(kind, h.tobytes(), w.tobytes())
+    nugget, sill, score = _least_squares(grid, g, g_mean, w)
+    best = np.argmin(score, axis=-1)
+    fits = np.arange(len(g))
+    return ranges, best, _residual_sums(
+        nugget[fits, best], sill[fits, best], grid.phi[best], g, counts
+    )
+
+
 def _best_ranges(kinds, h, g, counts, w):
     """Each fit's range of least weighted RSS per kind, for a stack of fits.
 
     The fits share one lag layout (``h``, ``counts``, ``w``) and ``g`` holds
-    their scaled semivariances, one row each. A scan of the cached log grid
-    finds each (fit, kind)'s best grid range; zoom rounds then narrow the
-    bracket of the two grid steps around it, one stacked evaluation of
-    every fit and kind per round. The zoomed range is kept only if it beats
-    the best grid range beyond a rounding-level tie. Returns one list of
-    ranges per fit, a range per kind; neither depends on the other fits or
-    kinds searched with it.
+    their scaled semivariances, one row each. A scan of the cached log grid,
+    ranked by the moment scores of ``_least_squares``, finds each (fit,
+    kind)'s best grid range; zoom rounds then narrow the bracket of the two
+    grid steps around it, one stacked evaluation of every fit and kind per
+    round, with one direct residual sum per candidate: that of its
+    least-squares solution. The zoomed range is kept only if its residual
+    sum beats the best grid range's beyond a rounding-level tie. Returns
+    one list of ranges per fit, a range per kind; neither depends on the
+    other fits or kinds searched with it.
     """
-    ranges, grid = _grid_shapes(kinds, h.tobytes(), w.tobytes())
     # each fit's own dot, as a fit searched alone takes it
     g_mean = np.array([w @ row for row in g])
-    grid_rss = _linear_fits(grid, g, g_mean, counts, w)[0].min(axis=0)
-    grid_rss = grid_rss.reshape(len(g), len(kinds), RANGE_GRID)
-    i = np.argmin(grid_rss, axis=-1)
+    scans = [_grid_scan(kind, h, g, g_mean, counts, w) for kind in kinds]
+    ranges = scans[0][0]
+    i = np.stack([best for _, best, _ in scans], axis=-1)
+    grid_best = np.stack([rss for *_, rss in scans], axis=-1)
+    at_fit, at_kind = np.ogrid[:len(g), :len(kinds)]
     log_ranges = np.log(ranges)
     lower = log_ranges[np.maximum(i - 1, 0)]
     upper = log_ranges[np.minimum(i + 1, RANGE_GRID - 1)]
 
-    at_fit, at_kind = np.ogrid[:len(g), :len(kinds)]
     zoom_rss, zoom_log = np.full(i.shape, np.inf), lower
     # two grid steps, shrinking by the same factor each round: every fit
     # and kind runs the same number of rounds
@@ -395,7 +452,8 @@ def _best_ranges(kinds, h, g, counts, w):
         points[..., -1] = upper
         candidates = np.exp(points)
         shapes = _shapes(kinds, [candidates[:, k] for k in range(len(kinds))], h, w)
-        rss = _linear_fits(shapes, g, g_mean, counts, w)[0].min(axis=0)
+        nugget, sill, _ = _least_squares(shapes, g, g_mean, w)
+        rss = _residual_sums(nugget, sill, shapes.phi, g[:, None, :], counts)
         rss = rss.reshape(points.shape)
         j = np.argmin(rss, axis=-1)
         best = rss[at_fit, at_kind, j]
@@ -405,7 +463,6 @@ def _best_ranges(kinds, h, g, counts, w):
         lower = points[at_fit, at_kind, np.maximum(j - 1, 0)]
         upper = points[at_fit, at_kind, np.minimum(j + 1, RANGE_ZOOM - 1)]
         width *= 2 / (RANGE_ZOOM - 1)
-    grid_best = grid_rss[at_fit, at_kind, i]
     return [
         [
             math.exp(zoom_log[f, k]) if _improves(zoom_rss[f, k], grid_best[f, k])
@@ -446,11 +503,15 @@ def search_ranges(empiricals, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS):
     Returns one entry per empirical variogram: a list with a range per
     kind, to pass on as ``fit_variogram(..., ranges=...)``, or None where
     ``fit_variogram`` raises before it searches (an unknown kind, fewer
-    than three usable lag bins). Variograms of one lag layout are searched
-    together by ``_best_ranges``, in stacks whose grid-scan residuals, three
-    solutions per fit and candidate, hold at most ``_SEARCH_CHUNK_BYTES``.
-    Each range keeps the bits of the search ``fit_variogram`` makes alone.
+    than three usable lag bins); ``min_pairs`` below 1 raises
+    ``ValueError``, as there. Variograms of one lag layout are searched
+    together by ``_best_ranges``, in stacks whose figures hold at most
+    ``_SEARCH_CHUNK_BYTES``: all of a layout's fits are one stack unless
+    they are many or have many lags. Each range keeps the bits of the
+    search ``fit_variogram`` makes alone.
     """
+    if min_pairs < 1:
+        raise ValueError(f"min_pairs must be at least 1, got {min_pairs}")
     kinds = tuple(kinds)
     searched = [None] * len(empiricals)
     if not kinds or not set(kinds) <= set(MODEL_KINDS):
@@ -467,7 +528,10 @@ def search_ranges(empiricals, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS):
     for layout, (h, counts, w) in layouts.items():
         fits, rows = zip(*members[layout])
         g = np.array(rows)
-        chunk = max(1, _SEARCH_CHUNK_BYTES // (24 * len(kinds) * RANGE_GRID * h.size))
+        # a grid scan holds about 18 (fits, grid) figures of one kind at once,
+        # a zoom round about 6 (fits, candidates, lags) figures of every kind
+        per_fit = 8 * max(18 * RANGE_GRID, 6 * len(kinds) * RANGE_ZOOM * h.size)
+        chunk = max(1, _SEARCH_CHUNK_BYTES // per_fit)
         for start in range(0, len(fits), chunk):
             stack = slice(start, start + chunk)
             for f, ranges in zip(fits[stack], _best_ranges(kinds, h, g[stack], counts, w)):
@@ -491,12 +555,15 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, fixed_range
     semivariances, raises ``FitConvergenceError``.
 
     Only the range is searched, in log space over ``RANGE_LIMITS`` times
-    ``h_max``, the largest usable lag. All candidate kinds are searched
-    together: one scan of ``RANGE_GRID`` log-spaced ranges, whose shapes
-    are computed once per lag layout, then zoom rounds over each kind's two
-    grid steps around its best range, ``RANGE_ZOOM`` evenly spaced
-    log-ranges per round, until the bracket is ``RANGE_XTOL`` wide.
-    ``fixed_range_km`` pins the range and skips the search. ``ranges``,
+    ``h_max``, the largest usable lag. Each kind's ``RANGE_GRID``
+    log-spaced ranges, whose shapes are computed once per lag layout, are
+    ranked by weighted moments alone; zoom rounds then search each kind's
+    two grid steps around its best range, all kinds together,
+    ``RANGE_ZOOM`` evenly spaced log-ranges per round, until the bracket is
+    ``RANGE_XTOL`` wide. Each zoom candidate takes one direct residual sum,
+    that of its least-squares nugget and sill. ``min_pairs`` must be at
+    least 1. ``fixed_range_km``, positive and finite, pins the range and
+    skips the search. ``ranges``,
     one per kind as ``search_ranges`` returns them, stands in for the
     search: the fit is then the one the search would have given.
 
@@ -512,8 +579,12 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, fixed_range
     for kind in kinds:
         if kind not in MODEL_KINDS:
             raise ValueError(f"unknown variogram kind '{kind}'")
-    if fixed_range_km is not None and not fixed_range_km > 0:
-        raise ValueError(f"fixed range must be positive, got {fixed_range_km}")
+    if min_pairs < 1:
+        raise ValueError(f"min_pairs must be at least 1, got {min_pairs}")
+    if fixed_range_km is not None and not (
+        math.isfinite(fixed_range_km) and fixed_range_km > 0
+    ):
+        raise ValueError(f"fixed range must be positive and finite, got {fixed_range_km} km")
     if ranges is not None:
         if fixed_range_km is not None:
             raise ValueError("give searched ranges or a fixed range, not both")
@@ -529,7 +600,9 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, fixed_range
 
     def fits_at(fit_kinds, fit_ranges):
         shapes = _shapes(fit_kinds, [np.array([r]) for r in fit_ranges], h, w)
-        return tuple(a[:, 0] for a in _linear_fits(shapes, g[None], g_mean, counts, w))
+        nugget, sill, _ = _linear_fits(shapes, g[None], g_mean, w)
+        rss = _residual_sums(nugget, sill, shapes.phi, g, counts)
+        return rss[:, 0], nugget[:, 0], sill[:, 0]
 
     if fixed_range_km is not None:
         ranges = [float(fixed_range_km)] * len(kinds)

@@ -526,6 +526,27 @@ def test_variogram_command_notes_a_range_at_its_bound(runner, tmp_path):
     assert row.split(",")[-2:] == ["False", "True"]
 
 
+@pytest.mark.parametrize("option, value, message", [
+    ("--min-pairs", "0", "min_pairs must be at least 1, got 0"),
+    ("--min-pairs", "-3", "min_pairs must be at least 1, got -3"),
+    ("--fixed-range-km", "inf", "fixed range must be positive and finite, got inf km"),
+])
+def test_variogram_command_rejects_a_bad_fit_setting(runner, tmp_path, option, value, message):
+    network, sites, readings = write_corridor(tmp_path, equipped=tuple(range(12)), n_links=12)
+    out = tmp_path / "vario"
+    result = invoke(
+        runner,
+        [
+            "--output-dir", str(out),
+            "variogram", str(network), str(sites), str(readings),
+            "--lag-bins", "4", option, value,
+        ],
+    )
+    assert result.exit_code == 2
+    assert result.output == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_written_variogram_model_feeds_impute(runner, tmp_path):
     equipped = tuple(i for i in range(12) if i not in (4, 7))
     network, sites, readings = write_corridor(tmp_path, equipped=equipped, n_links=12)

@@ -6,14 +6,15 @@ The variable-projection fitter is checked against a multistart
 ``scipy.optimize.least_squares`` fit of all three parameters, kept here as
 the reference implementation, and its range search against the earlier
 bounded Brent refinement (``scipy.optimize.minimize_scalar``). The stacked
-range search is checked bit for bit against the search of one fit at a
-time that it replaced, kept here as the oracle.
+range search is checked bit for bit against the same search run one fit
+at a time, kept here as the oracle.
 """
 
 import dataclasses
 import json
 import math
 import os
+import tracemalloc
 import warnings
 from unittest import mock
 
@@ -250,6 +251,16 @@ def test_gamma_rejects_negative_lag():
     model = VariogramModel(kind="spherical", nugget=0.0, sill=1.0, range_km=1.0)
     with pytest.raises(ValueError):
         gamma(model, -0.1)
+
+
+def test_gamma_rejects_a_nan_lag_and_takes_the_sill_at_an_infinite_one():
+    model = VariogramModel(kind="exponential", nugget=1.0, sill=2.0, range_km=3.0)
+    for lags in (math.nan, [1.0, math.nan], np.array([[0.0, math.nan]])):
+        with pytest.raises(ValueError, match="nonnegative, not NaN"):
+            gamma(model, lags)
+    # an unreachable pair: infinite lags stay allowed
+    assert gamma(model, math.inf) == 3.0
+    assert gamma(model, [0.0, math.inf]).tolist() == [1.0, 3.0]
 
 
 def test_model_parameter_validation():
@@ -505,6 +516,42 @@ def test_fit_kind_subset_and_validation():
         fit_variogram(emp, fixed_range_km=-1.0)
 
 
+@pytest.mark.parametrize("min_pairs", [0, -3])
+def test_fit_and_search_reject_min_pairs_below_one(min_pairs):
+    emp = _synthetic_empirical(
+        VariogramModel(kind="spherical", nugget=0.5, sill=2.0, range_km=3.0),
+        np.linspace(0.25, 6.0, 13),
+    )
+    with pytest.raises(ValueError, match=f"^min_pairs must be at least 1, got {min_pairs}$"):
+        fit_variogram(emp, min_pairs=min_pairs)
+    for empiricals in ([emp], []):
+        with pytest.raises(ValueError, match="^min_pairs must be at least 1"):
+            search_ranges(empiricals, min_pairs=min_pairs)
+
+
+@pytest.mark.parametrize("range_km", [math.inf, math.nan, 0.0, -1.0])
+def test_fit_rejects_a_fixed_range_that_is_not_positive_and_finite(range_km):
+    emp = _synthetic_empirical(
+        VariogramModel(kind="spherical", nugget=0.5, sill=2.0, range_km=3.0),
+        np.linspace(0.25, 6.0, 13),
+    )
+    with pytest.raises(ValueError, match="^fixed range must be positive and finite"):
+        fit_variogram(emp, fixed_range_km=range_km)
+
+
+@pytest.mark.parametrize("kind, range_km", [
+    ("spherical", 3.0), ("spherical", 11.0),
+    ("exponential", 0.7), ("exponential", 3.0), ("exponential", 40.0),
+])
+def test_fit_recovers_the_range_of_an_exact_model_curve(kind, range_km):
+    # one direct residual sum per zoom candidate resolves the range to
+    # RANGE_XTOL; a residual sum from moments alone would stop near 1e-5
+    true = VariogramModel(kind=kind, nugget=0.5, sill=2.0, range_km=range_km)
+    fit = fit_variogram(_synthetic_empirical(true, np.linspace(0.5, 6.5, 13)))
+    assert (fit.kind, fit.degenerate, fit.range_at_bound) == (kind, False, False)
+    assert fit.range_km == pytest.approx(range_km, rel=RANGE_XTOL, abs=0.0)
+
+
 def test_fit_is_deterministic():
     rng = np.random.default_rng(5)
     true = VariogramModel(kind="spherical", nugget=0.5, sill=2.0, range_km=3.0)
@@ -654,38 +701,46 @@ def test_a_sill_that_underflows_fails_the_fit(kinds):
 # --- stacked range search -----------------------------------------------------
 
 
-def _oracle_rss(kinds, ranges, h, g, counts, w, sill_floor=1e-8):
-    """Least weighted RSS of the three closed-form solutions for each
-    (kind, range) candidate of one fit, as one fit alone computed it."""
+def _oracle_fits(kinds, ranges, h, g, counts, w, sill_floor=1e-8):
+    """Each (kind, range) candidate's least-squares solution for one fit, as
+    one fit alone computes it: ``(score, rss)``, its moment score and its
+    direct weighted residual sum of squares.
+
+    The solution is the unconstrained one where that is feasible, else the
+    better of the pure-nugget and the zero-nugget edge by score; the score
+    is the weighted mean squared residual less that of ``g``.
+    """
     phi = np.concatenate([_shape(kind, h, r[:, None]) for kind, r in zip(kinds, ranges)])
-    mean = (phi * w).sum(axis=-1)
+    mean = np.einsum("cl,l->c", phi, w)
     dev = phi - mean[:, None]
-    dev_sq, sq = (dev**2 * w).sum(axis=-1), (phi**2 * w).sum(axis=-1)
+    dev_sq, sq = np.einsum("cl,cl,l->c", dev, dev, w), np.einsum("cl,cl,l->c", phi, phi, w)
     g_mean = w @ g
-    nugget = np.empty((3, mean.size))
-    sill = np.empty((3, mean.size))
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        slope = (dev * (w * (g - g_mean))).sum(axis=-1) / dev_sq
-        sill[0] = sill_floor
-        np.maximum(sill_floor, (phi * (w * g)).sum(axis=-1) / sq, out=sill[1])
-        sill[2] = slope
-        np.maximum(0.0, g_mean - sill_floor * mean, out=nugget[0])
-        nugget[1] = 0.0
-        np.subtract(g_mean, slope * mean, out=nugget[2])
-        residuals = sill[..., None] * phi
-        residuals += nugget[..., None]
-        residuals -= g
-        residuals *= residuals
-        residuals *= counts
-        rss = residuals.sum(axis=-1)
+        phi_g = np.einsum("cl,l->c", phi, w * g)
+        slope = np.einsum("cl,l->c", dev, w * (g - g_mean)) / dev_sq
+        nugget = np.stack([
+            np.maximum(0.0, g_mean - sill_floor * mean), np.zeros_like(mean), g_mean - slope * mean
+        ])
+        sill = np.stack([
+            np.full_like(mean, sill_floor), np.maximum(sill_floor, phi_g / sq), slope
+        ])
+        score = nugget * (nugget + 2.0 * (sill * mean - g_mean)) + sill * (sill * sq - 2.0 * phi_g)
+        unconstrained = (nugget[2] >= 0) & (sill[2] >= sill_floor) & np.isfinite(score[2])
+        choice = np.where(unconstrained, 2, np.where(score[1] < score[0], 1, 0))
+        column = np.arange(mean.size)
+        nugget, sill, score = nugget[choice, column], sill[choice, column], score[choice, column]
+        residuals = sill[:, None] * phi + nugget[:, None] - g
+        rss = np.einsum("cl,cl,l->c", residuals, residuals, counts)
+    score[~np.isfinite(score)] = np.inf
     rss[(nugget < 0) | (sill < sill_floor) | ~np.isfinite(rss)] = np.inf
-    return rss.min(axis=0)
+    return score, rss
 
 
 def per_row_search(empirical, kinds=MODEL_KINDS, min_pairs=5):
     """Each kind's searched range for one empirical variogram, by the
-    search of one fit at a time: a grid scan of every kind, then zoom rounds
-    over each kind's two grid steps around its best range."""
+    search of one fit at a time: a grid scan of each kind ranked by score,
+    then zoom rounds over each kind's two grid steps around its best range,
+    ranked by direct residual sums."""
     usable = empirical.populated & (empirical.pair_counts >= min_pairs) & np.isfinite(
         empirical.gamma_hat
     )
@@ -696,19 +751,22 @@ def per_row_search(empirical, kinds=MODEL_KINDS, min_pairs=5):
     g = empirical.gamma_hat[usable] / (g_max if g_max > 0 else 1.0)
     h_max = float(h.max())
     ranges = np.geomspace(RANGE_LIMITS[0] * h_max, RANGE_LIMITS[1] * h_max, RANGE_GRID)
-    grid_rss = _oracle_rss(kinds, [ranges] * len(kinds), h, g, counts, w)
-    grid_rss = grid_rss.reshape(len(kinds), RANGE_GRID)
-    i = np.argmin(grid_rss, axis=1)
+    i, grid_rss = [], []
+    for kind in kinds:
+        score, rss = _oracle_fits((kind,), [ranges], h, g, counts, w)
+        i.append(int(np.argmin(score)))
+        grid_rss.append(rss[i[-1]])
     log_ranges = np.log(ranges)
-    lower = log_ranges[np.maximum(i - 1, 0)]
-    upper = log_ranges[np.minimum(i + 1, RANGE_GRID - 1)]
+    lower = log_ranges[np.maximum(np.array(i) - 1, 0)]
+    upper = log_ranges[np.minimum(np.array(i) + 1, RANGE_GRID - 1)]
     rows = np.arange(len(kinds))
     zoom_rss, zoom_log = np.full(len(kinds), np.inf), lower
     width = 2 * math.log(RANGE_LIMITS[1] / RANGE_LIMITS[0]) / (RANGE_GRID - 1)
     while width > RANGE_XTOL:
         points = lower[:, None] + (upper - lower)[:, None] * np.linspace(0.0, 1.0, RANGE_ZOOM)
         points[:, -1] = upper
-        rss = _oracle_rss(kinds, np.exp(points), h, g, counts, w).reshape(len(kinds), RANGE_ZOOM)
+        _, rss = _oracle_fits(kinds, np.exp(points), h, g, counts, w)
+        rss = rss.reshape(len(kinds), RANGE_ZOOM)
         j = np.argmin(rss, axis=1)
         better = rss[rows, j] < zoom_rss
         zoom_rss = np.where(better, rss[rows, j], zoom_rss)
@@ -717,7 +775,7 @@ def per_row_search(empirical, kinds=MODEL_KINDS, min_pairs=5):
         upper = points[rows, np.minimum(j + 1, RANGE_ZOOM - 1)]
         width *= 2 / (RANGE_ZOOM - 1)
     return [
-        math.exp(zoom_log[k]) if _beats(zoom_rss[k], grid_rss[k, i[k]]) else float(ranges[i[k]])
+        math.exp(zoom_log[k]) if _beats(zoom_rss[k], grid_rss[k]) else float(ranges[i[k]])
         for k in rows
     ]
 
@@ -780,26 +838,55 @@ def _record_stacks(monkeypatch):
     return stacks
 
 
+def _stack_bytes_per_fit(lags, kinds=MODEL_KINDS):
+    """The figures of one fit in a stacked search: 18 (fits, grid) arrays of
+    one kind's grid scan, or 6 (fits, candidates, lags) arrays of a zoom
+    round over every kind, whichever is larger."""
+    return 8 * max(18 * RANGE_GRID, 6 * len(kinds) * RANGE_ZOOM * lags)
+
+
 def test_stacked_search_matches_the_per_row_search_on_the_recorded_refit(monkeypatch):
     # the 48 fits of a seed-3 grid10-refit experiment share one lag layout
     empiricals = _recorded_empiricals()
     assert len({e.pair_counts.tobytes() + e.bin_edges.tobytes() for e in empiricals}) == 1
     stacks = _record_stacks(monkeypatch)
     search_ranges(empiricals)
-    # stacks of at most _SEARCH_CHUNK_BYTES of residuals, three solutions
-    # for each fit and grid candidate, in row order
-    chunk, lags = stacks[0]
-    assert 1 < chunk < len(empiricals)
-    assert 24 * chunk * len(MODEL_KINDS) * RANGE_GRID * lags <= variogram._SEARCH_CHUNK_BYTES
-    assert [rows for rows, _ in stacks] == [chunk] * (len(empiricals) // chunk) + (
-        [len(empiricals) % chunk] if len(empiricals) % chunk else []
-    )
+    # the whole layout is one stack, whose figures fit _SEARCH_CHUNK_BYTES
+    ((chunk, lags),) = stacks
+    assert chunk == len(empiricals)
+    assert chunk * _stack_bytes_per_fit(lags) <= variogram._SEARCH_CHUNK_BYTES
     assert_stacked_search_matches_the_oracle(empiricals)
-    for size in (1, chunk - 1, chunk, chunk + 1):
+    # a smaller bound splits the layout into stacks of the same size, in row order
+    chunk = 20
+    monkeypatch.setattr(variogram, "_SEARCH_CHUNK_BYTES", chunk * _stack_bytes_per_fit(lags))
+    for size in (1, chunk - 1, chunk, chunk + 1, len(empiricals)):
         stacks.clear()
         search_ranges(empiricals[-size:])
-        assert sum(rows for rows, _ in stacks) == size
+        assert [rows for rows, _ in stacks] == [chunk] * (size // chunk) + (
+            [size % chunk] if size % chunk else []
+        )
         assert_stacked_search_matches_the_oracle(empiricals[-size:])
+
+
+@pytest.mark.parametrize("lags", [15, 60])
+def test_a_stacked_search_allocates_at_most_its_chunk_bytes(lags):
+    # a grid scan dominates at 15 lags, a zoom round at 60
+    edges = np.linspace(0.5, 6.5, lags + 1)
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    rng = np.random.default_rng(lags)
+    empiricals = [
+        EmpiricalVariogram(edges, rng.uniform(0.5, 1.5, lags) * np.minimum(centers, 3.0),
+                           np.full(lags, 40))
+        for _ in range(48)
+    ]
+    search_ranges(empiricals[:1])  # the cached grid shapes are no stack figures
+    tracemalloc.start()
+    try:
+        search_ranges(empiricals)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= variogram._SEARCH_CHUNK_BYTES
 
 
 @st.composite
