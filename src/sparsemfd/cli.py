@@ -172,6 +172,8 @@ def ingest(obj, network_file, sites_file, readings_file):
         click.echo(f"sites: {len(sites)} detectors ({breakdown})")
     if readings_file:
         readings = load_readings(readings_file, obj.delim)
+        if sites_file:
+            reading_columns(readings, sites, network.link_ids)
         click.echo(
             f"readings: {len(readings)} rows, {len(set(readings.detector_ids))} detectors, "
             f"{np.unique(readings.bin_index).size} bins"
@@ -185,7 +187,10 @@ def _parse_counts(text):
         key, _, value = part.partition("=")
         if not value:
             raise ValueError(f"counts entry '{part}' is not of the form hierarchy=count")
-        counts[int(key.strip())] = int(value.strip())
+        hierarchy = int(key.strip())
+        if hierarchy in counts:
+            raise ValueError(f"counts give hierarchy {hierarchy} twice")
+        counts[hierarchy] = int(value.strip())
     return counts
 
 
@@ -293,7 +298,8 @@ def scale(obj, network_file, sites_file, readings_file, plan_file, fraction,
 @click.option("--min-pairs", type=int, default=DEFAULTS.min_pairs, show_default=True)
 @click.option("--kind", "kinds", multiple=True, type=click.Choice(MODEL_KINDS),
               help="Candidate model shapes; default both.")
-@click.option("--fixed-range-km", type=float, help="Pin the range instead of fitting it.")
+@click.option("--fixed-range-km", type=float,
+              help="Give every kind this range instead of searching it.")
 @click.pass_obj
 @guarded
 def variogram(obj, network_file, sites_file, readings_file, bin_index, variable,
@@ -313,9 +319,10 @@ def variogram(obj, network_file, sites_file, readings_file, bin_index, variable,
     distances = site_distance_matrix(network, [sites[i] for i in known])
     edges = distance_bin_edges(distances, n_bins=lag_bins)
     empirical = empirical_variogram(values, distances, edges)
+    kinds = kinds or MODEL_KINDS
     model = fit_variogram(
-        empirical, kinds=kinds or MODEL_KINDS, min_pairs=min_pairs,
-        fixed_range_km=fixed_range_km,
+        empirical, kinds=kinds, min_pairs=min_pairs,
+        ranges=None if fixed_range_km is None else [fixed_range_km] * len(kinds),
     )
 
     emp_path = write_table(

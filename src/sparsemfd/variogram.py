@@ -8,7 +8,6 @@ parameter is the practical range, the distance where the model has reached
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -307,23 +306,6 @@ def _shapes(kinds, ranges, h, w):
     )
 
 
-@functools.lru_cache(maxsize=16)
-def _grid_shapes(kind, h_bytes, w_bytes):
-    """The range grid and the ``_Shapes`` of one kind over it.
-
-    Cached by kind and lag layout: every fit over the same usable lag
-    centres and pair weights scans the same grid. The cached arrays are
-    read-only.
-    """
-    h = np.frombuffer(h_bytes)
-    h_max = float(h.max())
-    ranges = np.geomspace(RANGE_LIMITS[0] * h_max, RANGE_LIMITS[1] * h_max, RANGE_GRID)
-    shapes = _shapes((kind,), [ranges], h, np.frombuffer(w_bytes))
-    for array in (ranges, *shapes):
-        array.flags.writeable = False
-    return ranges, shapes
-
-
 def _linear_fits(shapes, g, g_mean, w):
     """Pair-weighted least-squares nugget and sill for each candidate of each fit.
 
@@ -409,7 +391,9 @@ def _improves(rss, best_rss):
 def _grid_scan(kind, h, g, g_mean, counts, w):
     """The range grid and each fit's best grid index for ``kind``, ranked by
     the moment scores of ``_least_squares``, with its direct residual sum."""
-    ranges, grid = _grid_shapes(kind, h.tobytes(), w.tobytes())
+    h_max = float(h.max())
+    ranges = np.geomspace(RANGE_LIMITS[0] * h_max, RANGE_LIMITS[1] * h_max, RANGE_GRID)
+    grid = _shapes((kind,), [ranges], h, w)
     nugget, sill, score = _least_squares(grid, g, g_mean, w)
     best = np.argmin(score, axis=-1)
     fits = np.arange(len(g))
@@ -422,7 +406,7 @@ def _best_ranges(kinds, h, g, counts, w):
     """Each fit's range of least weighted RSS per kind, for a stack of fits.
 
     The fits share one lag layout (``h``, ``counts``, ``w``) and ``g`` holds
-    their scaled semivariances, one row each. A scan of the cached log grid,
+    their scaled semivariances, one row each. A scan of the log grid,
     ranked by the moment scores of ``_least_squares``, finds each (fit,
     kind)'s best grid range; zoom rounds then narrow the bracket of the two
     grid steps around it, one stacked evaluation of every fit and kind per
@@ -539,8 +523,7 @@ def search_ranges(empiricals, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS):
     return searched
 
 
-def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, fixed_range_km=None, *,
-                  ranges=None):
+def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, *, ranges=None):
     """Fit a variogram model to binned semivariances by weighted least squares.
 
     Residuals are weighted by the bin pair counts, bins with fewer than
@@ -556,22 +539,21 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, fixed_range
 
     Only the range is searched, in log space over ``RANGE_LIMITS`` times
     ``h_max``, the largest usable lag. Each kind's ``RANGE_GRID``
-    log-spaced ranges, whose shapes are computed once per lag layout, are
-    ranked by weighted moments alone; zoom rounds then search each kind's
-    two grid steps around its best range, all kinds together,
-    ``RANGE_ZOOM`` evenly spaced log-ranges per round, until the bracket is
-    ``RANGE_XTOL`` wide. Each zoom candidate takes one direct residual sum,
-    that of its least-squares nugget and sill. ``min_pairs`` must be at
-    least 1. ``fixed_range_km``, positive and finite, pins the range and
-    skips the search. ``ranges``,
-    one per kind as ``search_ranges`` returns them, stands in for the
-    search: the fit is then the one the search would have given.
+    log-spaced ranges are ranked by weighted moments alone; zoom rounds
+    then search each kind's two grid steps around its best range, all kinds
+    together, ``RANGE_ZOOM`` evenly spaced log-ranges per round, until the
+    bracket is ``RANGE_XTOL`` wide. Each zoom candidate takes one direct
+    residual sum, that of its least-squares nugget and sill. ``min_pairs``
+    must be at least 1. ``ranges``, one per kind, positive and finite,
+    skips the search: given as ``search_ranges`` returns them, the fit is
+    the one the search would have given; given as one range for every
+    kind, they pin it.
 
     A pure-nugget model (sill at its floor) is preferred whenever it fits
-    as well as the best; such a fit is marked ``degenerate`` and, unless the
-    range is pinned, reports ``h_max`` as its range. A searched range within
-    ``RANGE_XTOL`` of the upper bound is marked ``range_at_bound``.
-    Deterministic: no randomness anywhere.
+    as well as the best; such a fit is marked ``degenerate`` and reports
+    ``h_max`` as its range, whatever the ranges given. A range within
+    ``RANGE_XTOL`` of the upper bound, or beyond it, is marked
+    ``range_at_bound``. Deterministic: no randomness anywhere.
     """
     kinds = tuple(kinds)
     if not kinds:
@@ -581,18 +563,12 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, fixed_range
             raise ValueError(f"unknown variogram kind '{kind}'")
     if min_pairs < 1:
         raise ValueError(f"min_pairs must be at least 1, got {min_pairs}")
-    if fixed_range_km is not None and not (
-        math.isfinite(fixed_range_km) and fixed_range_km > 0
-    ):
-        raise ValueError(f"fixed range must be positive and finite, got {fixed_range_km} km")
     if ranges is not None:
-        if fixed_range_km is not None:
-            raise ValueError("give searched ranges or a fixed range, not both")
         ranges = [float(r) for r in ranges]
         if len(ranges) != len(kinds):
-            raise ValueError(f"{len(ranges)} searched ranges for {len(kinds)} kinds")
+            raise ValueError(f"{len(ranges)} ranges for {len(kinds)} kinds")
         if not all(math.isfinite(r) and r > 0 for r in ranges):
-            raise ValueError(f"searched ranges must be positive and finite, got {ranges}")
+            raise ValueError(f"ranges must be positive and finite, got {ranges} km")
 
     h, counts, w, g, scale = _fit_inputs(empirical, min_pairs)
     h_max = float(h.max())
@@ -604,9 +580,7 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, fixed_range
         rss = _residual_sums(nugget, sill, shapes.phi, g, counts)
         return rss[:, 0], nugget[:, 0], sill[:, 0]
 
-    if fixed_range_km is not None:
-        ranges = [float(fixed_range_km)] * len(kinds)
-    elif ranges is None:
+    if ranges is None:
         (ranges,) = _best_ranges(kinds, h, g[None], counts, w)
     rss, nugget, sill = fits_at(kinds, ranges)
     # per kind, the pure-nugget solution wins ties
@@ -616,7 +590,7 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, fixed_range
             if _improves(rss[j, k], rss[choice[k], k]):
                 choice[k] = j
     degenerate = choice == 0
-    if fixed_range_km is None and degenerate.any():
+    if degenerate.any():
         # a pure-nugget fit reports the largest usable lag as its range
         flat = np.flatnonzero(degenerate)
         rss[:, flat], nugget[:, flat], sill[:, flat] = fits_at(
@@ -648,6 +622,5 @@ def fit_variogram(empirical, kinds=MODEL_KINDS, min_pairs=MIN_PAIRS, fixed_range
         range_km=ranges[best],
         rss=float(fit_rss[best]) * (scale * scale),
         degenerate=bool(degenerate[best]),
-        range_at_bound=fixed_range_km is None
-        and math.log(RANGE_LIMITS[1] * h_max / ranges[best]) <= RANGE_XTOL,
+        range_at_bound=math.log(RANGE_LIMITS[1] * h_max / ranges[best]) <= RANGE_XTOL,
     )

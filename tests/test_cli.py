@@ -185,6 +185,24 @@ def test_ingest_rejects_a_bin_beyond_64_bits(runner, tmp_path):
     ) in result.output
 
 
+def test_ingest_checks_readings_against_the_sites(runner, tmp_path):
+    data = synth_dir(runner, tmp_path)
+    readings = tmp_path / "readings.csv"
+    readings.write_text(
+        (data / "readings.csv").read_text()
+        + "ghost,0,100,10,10\ndh0_0,0,100,10,10\n"
+    )
+    args = ["--sites", str(data / "sites.csv"), "--readings", str(readings)]
+    result = runner.invoke(main, ["ingest", str(data / "network.csv"), *args])
+    assert result.exit_code == 2, result.output
+    assert result.exception is None or isinstance(result.exception, SystemExit)
+    assert result.output.endswith("error: reading references unknown detector 'ghost'\n")
+    assert "ok" not in result.output.splitlines()
+    # the readings alone hold no detector to check
+    alone = runner.invoke(main, ["ingest", str(data / "network.csv"), *args[2:]])
+    assert alone.exit_code == 0, alone.output
+
+
 # --- sampling -----------------------------------------------------------------
 
 
@@ -223,6 +241,19 @@ def test_sample_counts_mode(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert "retained 16 of 180 detectors (1: 5, 2: 9, 3: 2)" in result.output
+
+
+def test_sample_counts_reject_a_repeated_hierarchy(runner, tmp_path):
+    data = synth_dir(runner, tmp_path)
+    out = tmp_path / "counted"
+    result = runner.invoke(main, [
+        "--output-dir", str(out),
+        "sample", str(data / "network.csv"), str(data / "sites.csv"),
+        "--counts", "1=2,1=3,2=5,3=4",
+    ])
+    assert result.exit_code == 2, result.output
+    assert result.output == "error: counts give hierarchy 1 twice\n"
+    assert not out.exists()
 
 
 def test_sample_needs_exactly_one_mode(runner, tmp_path):
@@ -526,10 +557,31 @@ def test_variogram_command_notes_a_range_at_its_bound(runner, tmp_path):
     assert row.split(",")[-2:] == ["False", "True"]
 
 
+@pytest.mark.parametrize("range_km, at_bound", [("1.5", "False"), ("1e9", "True")])
+def test_variogram_command_pins_the_range(runner, tmp_path, range_km, at_bound):
+    # a pinned range is flagged as a searched one is: 1e9 km lies beyond
+    # 1e3 times the largest lag
+    network, sites, readings = write_corridor(tmp_path, equipped=tuple(range(12)), n_links=12)
+    result = invoke(
+        runner,
+        [
+            "--output-dir", str(tmp_path / "vario"),
+            "variogram", str(network), str(sites), str(readings),
+            "--lag-bins", "4", "--min-pairs", "1", "--fixed-range-km", range_km,
+        ],
+    )
+    assert result.exit_code == 0, result.output
+    with open(tmp_path / "vario" / "variogram_model.csv") as handle:
+        (model,) = csv.DictReader(handle)
+    assert float(model["range_km"]) == float(range_km)
+    assert model["degenerate"] == "False"
+    assert model["range_at_bound"] == at_bound
+
+
 @pytest.mark.parametrize("option, value, message", [
     ("--min-pairs", "0", "min_pairs must be at least 1, got 0"),
     ("--min-pairs", "-3", "min_pairs must be at least 1, got -3"),
-    ("--fixed-range-km", "inf", "fixed range must be positive and finite, got inf km"),
+    ("--fixed-range-km", "inf", "ranges must be positive and finite, got [inf, inf] km"),
 ])
 def test_variogram_command_rejects_a_bad_fit_setting(runner, tmp_path, option, value, message):
     network, sites, readings = write_corridor(tmp_path, equipped=tuple(range(12)), n_links=12)

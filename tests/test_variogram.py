@@ -205,7 +205,7 @@ def assert_matches_the_brent_reference(empirical, kinds=MODEL_KINDS, min_pairs=5
         # between the two fits as well as both
         for between in np.geomspace(fit.range_km, range_km, 7):
             pinned = fit_variogram(
-                empirical, kinds=(kind,), min_pairs=min_pairs, fixed_range_km=between
+                empirical, kinds=(kind,), min_pairs=min_pairs, ranges=(between,)
             )
             assert pinned.rss <= rss * (1 + 1e-12)
     # a kind's search does not depend on the other kinds searched with it
@@ -467,10 +467,21 @@ def test_fit_flat_input_is_degenerate():
     assert fit.sill <= 1e-6 * 7.5  # collapsed to the lower bound
 
 
+def test_a_degenerate_fit_does_not_depend_on_the_ranges_given():
+    flat = EmpiricalVariogram(
+        bin_edges=np.linspace(0.5, 5.0, 11),
+        gamma_hat=np.full(10, 7.5),
+        pair_counts=np.full(10, 30),
+    )
+    pinned = fit_variogram(flat, ranges=(2.0, 2.0))
+    assert pinned.degenerate
+    assert pinned == fit_variogram(flat)
+
+
 def test_fit_with_fixed_range():
     true = VariogramModel(kind="exponential", nugget=1.0, sill=9.0, range_km=2.0)
     emp = _synthetic_empirical(true, np.linspace(0.2, 4.0, 11))
-    fit = fit_variogram(emp, kinds=("exponential",), fixed_range_km=2.0)
+    fit = fit_variogram(emp, kinds=("exponential",), ranges=(2.0,))
     assert fit.range_km == 2.0
     assert fit.nugget == pytest.approx(1.0, abs=1e-6)
     assert fit.sill == pytest.approx(9.0, abs=1e-6)
@@ -513,7 +524,7 @@ def test_fit_kind_subset_and_validation():
         with pytest.raises(ValueError):
             fit_variogram(emp, kinds=kinds)
     with pytest.raises(ValueError):
-        fit_variogram(emp, fixed_range_km=-1.0)
+        fit_variogram(emp, ranges=(-1.0, -1.0))
 
 
 @pytest.mark.parametrize("min_pairs", [0, -3])
@@ -535,8 +546,8 @@ def test_fit_rejects_a_fixed_range_that_is_not_positive_and_finite(range_km):
         VariogramModel(kind="spherical", nugget=0.5, sill=2.0, range_km=3.0),
         np.linspace(0.25, 6.0, 13),
     )
-    with pytest.raises(ValueError, match="^fixed range must be positive and finite"):
-        fit_variogram(emp, fixed_range_km=range_km)
+    with pytest.raises(ValueError, match="^ranges must be positive and finite"):
+        fit_variogram(emp, ranges=(range_km, range_km))
 
 
 @pytest.mark.parametrize("kind, range_km", [
@@ -625,7 +636,7 @@ def test_fixed_range_matches_weighted_lstsq():
     for kind in MODEL_KINDS:
         emp = _noisy_empirical(rng, kind)
         range_km = 2.5
-        fit = fit_variogram(emp, kinds=(kind,), fixed_range_km=range_km)
+        fit = fit_variogram(emp, kinds=(kind,), ranges=(range_km,))
         root_w = np.sqrt(emp.pair_counts.astype(float))
         design = np.column_stack([np.ones(emp.centers.size), gamma(
             VariogramModel(kind=kind, nugget=0.0, sill=1.0, range_km=range_km), emp.centers
@@ -647,6 +658,16 @@ def test_fit_flags_a_range_stopped_at_its_bound():
     assert fit.range_at_bound
     assert not fit.degenerate
     assert fit.range_km == pytest.approx(1e3 * centers.max(), rel=1e-9)
+
+
+def test_a_range_given_beyond_the_search_bound_is_flagged():
+    true = VariogramModel(kind="spherical", nugget=0.5, sill=2.0, range_km=3.0)
+    emp = _synthetic_empirical(true, np.linspace(0.25, 6.0, 13))
+    beyond = 2 * RANGE_LIMITS[1] * emp.centers.max()
+    fit = fit_variogram(emp, kinds=("spherical",), ranges=(beyond,))
+    assert fit.range_km == beyond
+    assert fit.range_at_bound
+    assert not fit_variogram(emp, kinds=("spherical",), ranges=(3.0,)).range_at_bound
 
 
 def test_degenerate_fit_reports_the_largest_lag_as_range():
@@ -879,7 +900,6 @@ def test_a_stacked_search_allocates_at_most_its_chunk_bytes(lags):
                            np.full(lags, 40))
         for _ in range(48)
     ]
-    search_ranges(empiricals[:1])  # the cached grid shapes are no stack figures
     tracemalloc.start()
     try:
         search_ranges(empiricals)
@@ -987,7 +1007,5 @@ def test_searched_ranges_are_checked():
                 [math.nan, *ranges[1:]], [math.inf, *ranges[1:]]):
         with pytest.raises(ValueError):
             fit_variogram(emp, ranges=bad)
-    with pytest.raises(ValueError):
-        fit_variogram(emp, fixed_range_km=2.0, ranges=ranges)
     with pytest.raises(TypeError):
-        fit_variogram(emp, MODEL_KINDS, 5, None, ranges)  # keyword-only
+        fit_variogram(emp, MODEL_KINDS, 5, ranges)  # keyword-only
